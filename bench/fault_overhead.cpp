@@ -10,9 +10,13 @@
 // The interesting numbers are the integrity/no-integrity wall ratio (the
 // clean-path checksum verify/update overhead) and the armed/integrity ratio
 // (the injection machinery itself) — results must stay bit-identical
-// throughout (docs/robustness.md). The final stdout line is a JSON object
-// with every variant's numbers for dashboards and CI scraping.
+// throughout (docs/robustness.md). A checksum row first gives the record
+// hash's throughput (and the serial checksum64 digest's, for scale) at a
+// 4 KiB page, a search-dna vector (25600 B) and a Fig. 5 vector (256 KiB).
+// The final stdout line is a JSON object with every variant's numbers for
+// dashboards and CI scraping.
 #include "bench_common.hpp"
+#include "ooc/record_checksum.hpp"
 
 using namespace plfoc;
 using namespace plfoc::bench;
@@ -47,6 +51,28 @@ OverheadResult run(const PlannedDataset& data, const FaultConfig& faults,
   result.wall = timer.seconds();
   result.stats = session.store().stats_snapshot();
   return result;
+}
+
+constexpr std::size_t kChecksumSizes[] = {4096, 25600, 256 * 1024};
+
+/// Best-of-3 throughput in GB/s of `hash` over `bytes`-byte buffers.
+template <typename Hash>
+double checksum_gbps(Hash hash, std::size_t bytes, std::uint64_t total) {
+  std::vector<unsigned char> buffer(bytes);
+  for (std::size_t i = 0; i < bytes; ++i)
+    buffer[i] = static_cast<unsigned char>(mix64(i));
+  const std::uint64_t reps = std::max<std::uint64_t>(1, total / bytes);
+  double best = 0.0;
+  volatile std::uint64_t sink = 0;  // keeps the hash calls observable
+  for (int round = 0; round < 3; ++round) {
+    Timer timer;
+    for (std::uint64_t i = 0; i < reps; ++i)
+      sink = sink ^ hash(i, buffer.data(), bytes);
+    const double seconds = timer.seconds();
+    if (seconds > 0.0)
+      best = std::max(best, static_cast<double>(reps * bytes) / seconds / 1e9);
+  }
+  return best;
 }
 
 void print_row(const char* name, const OverheadResult& r) {
@@ -86,6 +112,21 @@ int main() {
               traversals, plan.num_taxa,
               static_cast<double>(plan.target_ancestral_bytes) / 1048576.0,
               static_cast<double>(budget) / 1048576.0, scale_name(scale));
+  const std::uint64_t hashed = scale == Scale::kQuick ? (64ull << 20)
+                                                       : (1ull << 30);
+  double record_gbps[3];
+  double digest_gbps[3];
+  for (int i = 0; i < 3; ++i) {
+    record_gbps[i] = checksum_gbps(record_checksum, kChecksumSizes[i], hashed);
+    digest_gbps[i] = checksum_gbps(checksum64, kChecksumSizes[i], hashed);
+  }
+  std::printf("%-14s %10s %10s %10s\n", "checksum GB/s", "4096 B",
+              "25600 B", "262144 B");
+  std::printf("%-14s %10.2f %10.2f %10.2f\n", "record", record_gbps[0],
+              record_gbps[1], record_gbps[2]);
+  std::printf("%-14s %10.2f %10.2f %10.2f\n", "digest", digest_gbps[0],
+              digest_gbps[1], digest_gbps[2]);
+
   std::printf("%-14s %10s %10s %10s %10s\n", "variant", "wall_s", "faults",
               "retried", "exhausted");
 
@@ -122,6 +163,11 @@ int main() {
   print_json_variant("no_integrity", raw, ",");
   print_json_variant("integrity", checked, ",");
   print_json_variant("faulty", faulty, ",");
+  for (const auto& [name, gbps] :
+       {std::pair{"record_checksum_gbps", record_gbps},
+        std::pair{"digest_checksum_gbps", digest_gbps}})
+    std::printf("\"%s\":{\"4096\":%.2f,\"25600\":%.2f,\"262144\":%.2f},",
+                name, gbps[0], gbps[1], gbps[2]);
   std::printf("\"integrity_clean_path_overhead\":%.4f,"
               "\"armed_overhead\":%.4f,\"logl_bit_identical\":%s}\n",
               integrity_overhead, armed_overhead,

@@ -7,9 +7,9 @@
 
 #include "msa/alignment.hpp"
 #include "model/rate_matrix.hpp"
-#include "ooc/file_backend.hpp"
 #include "session.hpp"
 #include "tree/phylo2vec.hpp"
+#include "util/hash.hpp"
 #include "util/checks.hpp"
 
 namespace plfoc {

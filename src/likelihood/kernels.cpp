@@ -8,6 +8,7 @@
 #include "likelihood/kernels_internal.hpp"
 
 #include "util/checks.hpp"
+#include "util/cpu_features.hpp"
 
 namespace plfoc {
 namespace {
@@ -341,7 +342,7 @@ std::size_t newview(const KernelDims& dims, const NewviewChild& left,
                     const NewviewChild& right, double* parent,
                     std::int32_t* parent_scale, KernelPool* pool) {
   const bool use_avx2 =
-      dims.states == 4 && dims.categories <= 16 && detail::cpu_has_avx2();
+      dims.states == 4 && dims.categories <= 16 && cpu_has_avx2();
   const auto run_range = [&](std::size_t p_begin, std::size_t p_end) {
     return use_avx2 ? detail::newview4_avx2(dims, left, right, parent,
                                             parent_scale, p_begin, p_end)

@@ -14,11 +14,6 @@
 
 namespace plfoc::detail {
 
-bool cpu_has_avx2() {
-  static const bool supported = __builtin_cpu_supports("avx2") != 0;
-  return supported;
-}
-
 namespace {
 
 /// Transposed 4x4 transition matrix: column y as a vector over x.

@@ -6,15 +6,13 @@
 
 namespace plfoc::detail {
 
-/// True if this CPU supports the AVX2 newview path (checked once).
-bool cpu_has_avx2();
-
 /// AVX2 implementation of the 4-state newview over patterns
 /// [p_begin, p_end) — the block-parallel driver hands each pattern block to
 /// one call. Performs per-lane exactly the same multiply/add sequence as the
 /// scalar kernel (no FMA contraction), so results are bit-identical — the
 /// cross-backend determinism guarantee is unaffected by dispatch. Compiled
-/// with a per-function target attribute; only call when cpu_has_avx2().
+/// with a per-function target attribute; only call when cpu_has_avx2()
+/// (util/cpu_features.hpp).
 std::size_t newview4_avx2(const KernelDims& dims, const NewviewChild& left,
                           const NewviewChild& right, double* parent,
                           std::int32_t* parent_scale, std::size_t p_begin,

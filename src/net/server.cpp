@@ -304,9 +304,13 @@ void Server::event_loop() {
         const int fd = ::accept(listener_.fd(), nullptr, nullptr);
         if (fd < 0) break;
         if (connections_.size() >= options_.max_connections) {
+          // Count before the close: a client that sees EOF must already
+          // find the rejection in stats().
+          {
+            MutexLock lock(mutex_);
+            ++stats_.over_limit;
+          }
           ::close(fd);
-          MutexLock lock(mutex_);
-          ++stats_.over_limit;
           continue;
         }
         set_nonblocking(fd);
@@ -360,9 +364,11 @@ void Server::event_loop() {
           doomed.push_back(id);
       }
       for (const std::uint64_t conn_id : doomed) {
+        {
+          MutexLock lock(mutex_);
+          ++stats_.idle_closed;  // before the close, as for over_limit
+        }
         drop_connection(conn_id);
-        MutexLock lock(mutex_);
-        ++stats_.idle_closed;
       }
     }
   }
@@ -531,9 +537,11 @@ bool Server::flush_outbox(Connection& conn) {
 }
 
 void Server::drop_connection(std::uint64_t conn_id) {
-  connections_.erase(conn_id);
-  MutexLock lock(mutex_);
-  ++stats_.closed;
+  {
+    MutexLock lock(mutex_);
+    ++stats_.closed;
+  }
+  connections_.erase(conn_id);  // the Socket destructor closes the fd
 }
 
 ResultResponse Server::make_result_response(std::uint64_t request_id,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/checks.hpp"
+#include "util/hash.hpp"
 #include "util/mutex.hpp"
 
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)
@@ -23,16 +24,6 @@
 
 namespace plfoc {
 namespace {
-
-// Local splitmix64 finalizer (the repo-wide mixing permutation; duplicated
-// here because file_backend.hpp includes this header's sibling, not the
-// reverse).
-std::uint64_t aio_mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// O_DIRECT demands 512-aligned position, length and buffer; an attempt that
 /// violates any of the three goes through the buffered descriptor instead.
@@ -212,9 +203,9 @@ class DeterministicAioEngine final : public AioEngine {
     }
     // Fisher–Yates keyed by (seed, batch index): every batch of a run sees a
     // different but fully reproducible delivery order.
-    std::uint64_t state = aio_mix64(options_.permute_seed ^ aio_mix64(batch_id));
+    std::uint64_t state = mix64(options_.permute_seed ^ mix64(batch_id));
     for (std::size_t i = batch.size() - 1; i > 0; --i) {
-      state = aio_mix64(state);
+      state = mix64(state);
       std::swap(batch[i], batch[state % (i + 1)]);
     }
   }

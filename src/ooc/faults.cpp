@@ -4,17 +4,10 @@
 #include <sstream>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace plfoc {
 namespace {
-
-// splitmix64: the repo-wide seeding permutation (util/rng.cpp uses the same
-// constants), so equal seeds never produce correlated streams across uses.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 double to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -192,15 +185,15 @@ IoError::IoError(const std::string& op, int errno_value, std::uint64_t offset,
 
 FaultInjector::FaultInjector(FaultConfig config)
     : config_(config),
-      base_(splitmix64(config.seed ^
-                       splitmix64(config.nonce * 0xda942042e4dd58b5ull))) {}
+      base_(mix64(config.seed ^
+                  mix64(config.nonce * 0xda942042e4dd58b5ull))) {}
 
 FaultDecision FaultInjector::next(bool is_write, unsigned faults_so_far) {
   // Always advance the stream, even when the burst cap suppresses the fault:
   // the schedule position then depends only on how many syscalls ran, and a
   // replay with the same op sequence sees the same decisions.
   const std::uint64_t k = op_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t h = splitmix64(base_ ^ (k * 0x2545f4914f6cdd1dull));
+  const std::uint64_t h = mix64(base_ ^ (k * 0x2545f4914f6cdd1dull));
   if (faults_so_far >= config_.burst) return {};
   if (to_unit(h) >= config_.rate) return {};
 
@@ -217,10 +210,10 @@ FaultDecision FaultInjector::next(bool is_write, unsigned faults_so_far) {
     enabled.push_back(FaultKind::kLatency);
   if (enabled.empty()) return {};
 
-  const std::uint64_t sub = splitmix64(h);
+  const std::uint64_t sub = mix64(h);
   FaultDecision decision;
   decision.kind = enabled[sub % enabled.size()];
-  decision.fraction = to_unit(splitmix64(sub));
+  decision.fraction = to_unit(mix64(sub));
   return decision;
 }
 
@@ -231,7 +224,7 @@ CorruptionDecision FaultInjector::next_corruption(bool is_write) {
   const std::uint64_t k =
       corruption_op_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t h =
-      splitmix64(base_ ^ 0x6c62272e07bb0142ull ^ (k * 0x9fb21c651e98df25ull));
+      mix64(base_ ^ 0x6c62272e07bb0142ull ^ (k * 0x9fb21c651e98df25ull));
   const double draw = to_unit(h);
 
   CorruptionDecision decision;
@@ -252,9 +245,9 @@ CorruptionDecision FaultInjector::next_corruption(bool is_write) {
       return decision;
     }
   }
-  const std::uint64_t sub = splitmix64(h);
+  const std::uint64_t sub = mix64(h);
   decision.a = to_unit(sub);
-  decision.b = to_unit(splitmix64(sub));
+  decision.b = to_unit(mix64(sub));
   return decision;
 }
 

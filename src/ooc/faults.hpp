@@ -229,7 +229,7 @@ class FaultInjector {
 
  private:
   FaultConfig config_;
-  std::uint64_t base_;  ///< splitmix64(seed ^ nonce) — the stream key
+  std::uint64_t base_;  ///< mix64(seed ^ nonce) — the stream key
   std::atomic<std::uint64_t> op_{0};
   std::atomic<std::uint64_t> corruption_op_{0};
 };

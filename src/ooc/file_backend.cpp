@@ -11,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include "ooc/record_checksum.hpp"
 #include "util/checks.hpp"
 
 namespace plfoc {
@@ -23,7 +24,7 @@ namespace {
 constexpr std::uint64_t kHeaderBytes = 4096;
 constexpr std::uint64_t kTableEntryBytes = 16;
 constexpr std::uint32_t kMagic = 0x56464c50;  // "PLFV" little-endian
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 // Header field byte offsets.
 constexpr std::uint64_t kOffMagic = 0;
 constexpr std::uint64_t kOffVersion = 4;
@@ -370,7 +371,7 @@ void FileBackend::write_vector(std::uint32_t index, const void* src) {
   // re-read from the file — that is what makes a torn or dropped payload
   // write detectable on the next verified read.
   const std::uint64_t checksum =
-      checksum64(fi.checksum_seed, src, bytes_per_vector_);
+      record_checksum(fi.checksum_seed, src, bytes_per_vector_);
   const std::uint64_t generation =
       fi.generation[loc.block].load(std::memory_order_relaxed) + 1;
   CorruptionDecision corruption;
@@ -470,7 +471,7 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
         FileIntegrity& fi = integrity_[loc.file];
         WritePlan& plan = plans[i];
         plan.checksum =
-            checksum64(fi.checksum_seed, op.buffer, bytes_per_vector_);
+            record_checksum(fi.checksum_seed, op.buffer, bytes_per_vector_);
         plan.generation =
             fi.generation[loc.block].load(std::memory_order_relaxed) + 1;
         CorruptionDecision corruption;
@@ -652,7 +653,7 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
           apply_read_corruption(op.buffer, bytes_per_vector_);
       const std::uint64_t expected =
           fi.checksum[loc.block].load(std::memory_order_relaxed);
-      if (checksum64(fi.checksum_seed, op.buffer, bytes_per_vector_) !=
+      if (record_checksum(fi.checksum_seed, op.buffer, bytes_per_vector_) !=
           expected)
         op.verify_result =
             classify_mismatch(loc.file, loc.block, injected_now);
@@ -676,7 +677,7 @@ VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
   const bool injected_now = apply_read_corruption(dst, bytes_per_vector_);
   const std::uint64_t expected =
       fi.checksum[loc.block].load(std::memory_order_relaxed);
-  if (checksum64(fi.checksum_seed, dst, bytes_per_vector_) == expected)
+  if (record_checksum(fi.checksum_seed, dst, bytes_per_vector_) == expected)
     return result;
   return classify_mismatch(loc.file, loc.block, injected_now);
 }
@@ -707,7 +708,7 @@ VerifyResult FileBackend::read_bytes_verified(std::uint64_t offset, void* dst,
         fi.checksum[block].load(std::memory_order_relaxed);
     const char* content = static_cast<const char*>(dst) +
                           (block_start - offset);
-    if (checksum64(fi.checksum_seed, content, block_end - block_start) ==
+    if (record_checksum(fi.checksum_seed, content, block_end - block_start) ==
         expected)
       continue;
     return classify_mismatch(0, block, injected_now);
@@ -801,8 +802,8 @@ void FileBackend::update_blocks_after_byte_write(std::uint64_t offset,
         static_cast<std::size_t>(block_end - block_start);
     std::uint64_t checksum;
     if (block_start >= offset && block_end <= offset + bytes) {
-      checksum = checksum64(fi.checksum_seed,
-                            intended + (block_start - offset), block_len);
+      checksum = record_checksum(fi.checksum_seed,
+                                 intended + (block_start - offset), block_len);
       fi.corrupt_mark[block].store(0, std::memory_order_relaxed);
     } else {
       // Partial overlap: reconstruct the intended block as current file
@@ -817,7 +818,7 @@ void FileBackend::update_blocks_after_byte_write(std::uint64_t offset,
       std::memcpy(scratch.data() + (cover_start - block_start),
                   intended + (cover_start - offset),
                   static_cast<std::size_t>(cover_end - cover_start));
-      checksum = checksum64(fi.checksum_seed, scratch.data(), block_len);
+      checksum = record_checksum(fi.checksum_seed, scratch.data(), block_len);
     }
     store_table_entry(
         0, block, checksum,
@@ -997,7 +998,7 @@ FsckReport FileBackend::fsck(const std::string& path) {
       continue;
     }
     const std::uint64_t computed =
-        checksum64(seed, payload.data(), block_len);
+        record_checksum(seed, payload.data(), block_len);
     if (computed != checksum) {
       report.issues.push_back(
           {block, "checksum mismatch (generation " +

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ooc/faults.hpp"
-#include "ooc/file_backend.hpp"  // mix64 / checksum64
+#include "ooc/record_checksum.hpp"
 #include "util/checks.hpp"
 
 namespace plfoc {
@@ -78,8 +78,8 @@ void MmapStore::do_release(std::uint32_t index) {
       options_.integrity) {
     // The write lease just ended: this content is what any later re-fault
     // must deliver back.
-    checksums_[index] =
-        checksum64(checksum_seed_, vector_bytes(index), width_ * sizeof(double));
+    checksums_[index] = record_checksum(checksum_seed_, vector_bytes(index),
+                                        width_ * sizeof(double));
     ++generations_[index];
   }
 }
@@ -88,7 +88,8 @@ void MmapStore::verify_or_recover(std::uint32_t index) {
   const std::size_t bytes = width_ * sizeof(double);
   char* data = vector_bytes(index);
   // This checksum pass is itself the first touch: it faults the span back in.
-  if (checksum64(checksum_seed_, data, bytes) == checksums_[index]) return;
+  if (record_checksum(checksum_seed_, data, bytes) == checksums_[index])
+    return;
   ++stats_.integrity_failures;
   std::uint64_t recomputed = 0;
   if (recovery_hook_) {
@@ -105,7 +106,7 @@ void MmapStore::verify_or_recover(std::uint32_t index) {
     stats_.recovery_recomputes += recomputed;
     // The healed bytes are dirty in the shared mapping; msync (flush) routes
     // them back to the file, replacing the damaged record.
-    checksums_[index] = checksum64(checksum_seed_, data, bytes);
+    checksums_[index] = record_checksum(checksum_seed_, data, bytes);
     return;
   }
   ++stats_.integrity_unrecovered;

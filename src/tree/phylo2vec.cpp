@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "ooc/file_backend.hpp"
 #include "util/checks.hpp"
+#include "util/hash.hpp"
 
 namespace plfoc {
 namespace {

@@ -86,9 +86,11 @@ struct CancelState {
   std::atomic<std::int64_t> deadline_ns{0};
   /// Bumped by every check(); the watchdog's liveness signal.
   std::atomic<std::uint64_t> progress{0};
-  /// Deterministic test hook: auto-cancel (kExplicit) when `progress`
-  /// reaches this count. 0 = off.
+  /// Deterministic test hook: auto-cancel with `trip_reason` when
+  /// `progress` reaches this count. 0 = off.
   std::atomic<std::uint64_t> trip_at{0};
+  std::atomic<std::uint8_t> trip_reason{
+      static_cast<std::uint8_t>(CancelReason::kExplicit)};
 };
 }  // namespace detail
 
@@ -170,9 +172,14 @@ class CancelToken {
     return state_ ? state_->progress.load(std::memory_order_relaxed) : 0;
   }
 
-  /// Deterministic test hook: auto-cancel when progress reaches `count`.
-  void set_trip_at(std::uint64_t count) {
-    if (state_) state_->trip_at.store(count, std::memory_order_relaxed);
+  /// Deterministic test hook: trip with `reason` when progress reaches
+  /// `count` (kDeadline stands in for a deadline elapsing at that check).
+  void set_trip_at(std::uint64_t count,
+                   CancelReason reason = CancelReason::kExplicit) {
+    if (!state_) return;
+    state_->trip_reason.store(static_cast<std::uint8_t>(reason),
+                              std::memory_order_relaxed);
+    state_->trip_at.store(count, std::memory_order_release);
   }
 
   /// The cooperative check point: bump progress, then throw CancelledError
@@ -182,8 +189,10 @@ class CancelToken {
     if (!state_) return;
     const std::uint64_t done =
         state_->progress.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::uint64_t trip = state_->trip_at.load(std::memory_order_relaxed);
-    if (trip != 0 && done >= trip) cancel(CancelReason::kExplicit);
+    const std::uint64_t trip = state_->trip_at.load(std::memory_order_acquire);
+    if (trip != 0 && done >= trip)
+      cancel(static_cast<CancelReason>(
+          state_->trip_reason.load(std::memory_order_relaxed)));
     if (state_->cancelled.load(std::memory_order_acquire))
       throw CancelledError(reason());
     const std::int64_t deadline =

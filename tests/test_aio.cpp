@@ -35,6 +35,7 @@
 #include "ooc/prefetch.hpp"
 #include "ooc/tiered_store.hpp"
 #include "session.hpp"
+#include "util/hash.hpp"
 
 namespace plfoc {
 namespace {

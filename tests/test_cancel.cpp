@@ -134,6 +134,19 @@ TEST(CancelToken, TripAtFiresOnTheProgressCounter) {
   EXPECT_EQ(token.reason(), CancelReason::kExplicit);
 }
 
+TEST(CancelToken, TripAtCarriesTheRequestedReason) {
+  CancelToken token = CancelToken::make();
+  token.set_trip_at(2, CancelReason::kDeadline);
+  EXPECT_NO_THROW(token.check());
+  try {
+    token.check();
+    FAIL() << "trip_at did not fire";
+  } catch (const CancelledError& error) {
+    EXPECT_EQ(error.reason(), CancelReason::kDeadline);
+  }
+  EXPECT_EQ(token.reason(), CancelReason::kDeadline);
+}
+
 TEST(CancelToken, SharedStateAcrossCopies) {
   CancelToken token = CancelToken::make();
   CancelToken copy = token;
@@ -433,21 +446,19 @@ TEST(ServiceCancel, DrainFlushQueuedWhileACancelledJobUnwinds) {
 }
 
 TEST(ServiceCancel, DeadlineMidEvaluationReportsDeadlineExceeded) {
-  // Arm an already-past deadline on the running job's token once the
-  // evaluation is demonstrably under way (the deterministic stand-in for a
-  // deadline elapsing mid-run): the very next check point trips kDeadline,
-  // and the unwind must surface as kDeadlineExceeded — not plain
-  // kCancelled.
+  // Trip kDeadline at check point 5, i.e. once the evaluation is under way
+  // (the deterministic stand-in for a deadline elapsing mid-run; arming a
+  // wall-clock deadline from the test thread would race the worker, which
+  // can finish first). The unwind must surface as kDeadlineExceeded — not
+  // plain kCancelled.
   ServiceOptions options;
   options.workers = 1;
   Service service(options);
   JobSpec spec = slow_service_job(31);
   CancelToken token = CancelToken::make();
+  token.set_trip_at(5, CancelReason::kDeadline);
   spec.session.cancel = token;
   const JobId id = service.submit(std::move(spec));
-  while (token.progress() < 5)
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  token.set_deadline_after(-1.0);
   const JobResult result = service.wait(id);
   EXPECT_EQ(result.status, JobStatus::kDeadlineExceeded);
   EXPECT_EQ(result.cancel_reason, CancelReason::kDeadline);

@@ -13,6 +13,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -27,9 +28,14 @@
 #include "ooc/mmap_store.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
+#include "ooc/record_checksum.hpp"
 #include "service/service.hpp"
 #include "session.hpp"
 #include "sim/dataset_planner.hpp"
+#include "tree/phylo2vec.hpp"
+#include "util/cpu_features.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace plfoc {
 namespace {
@@ -61,6 +67,125 @@ TEST(IntegrityUnit, Checksum64IsDeterministicAndSensitive) {
   std::vector<double> tail_mut = data;
   reinterpret_cast<unsigned char*>(tail_mut.data())[12] ^= 0x01;
   EXPECT_NE(tail_a, checksum64(7, tail_mut.data(), 13));
+}
+
+// The digest hash keys the result cache and forms the wire-visible taxa
+// digest: its values are frozen (golden values from format-v1 days).
+TEST(IntegrityUnit, DigestHashGoldenValuesAreFrozen) {
+  std::vector<unsigned char> bytes(256);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  EXPECT_EQ(checksum64(42, bytes.data(), 256), 0x93af36c0c25e4a3cull);
+  EXPECT_EQ(checksum64(7, bytes.data(), 13), 0x27a2211e5c14a031ull);
+  EXPECT_EQ(checksum64(0, bytes.data(), 0), 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(phylo2vec_taxa_digest({"a", "b", "c", "d"}),
+            0x85fcd5767a7f7f35ull);
+  EXPECT_EQ(phylo2vec_taxa_digest(
+                {"human", "chimp", "gorilla", "orangutan", "gibbon"}),
+            0xe53b1fba3478bd5dull);
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& byte : out) byte = static_cast<unsigned char>(rng.next());
+  return out;
+}
+
+TEST(IntegrityUnit, RecordChecksumBodiesAgree) {
+  const std::vector<unsigned char> data = random_bytes(300'000 + 64, 5);
+  Rng rng(11);
+  std::vector<std::size_t> lengths = {0, 1, 7, 8, 63, 64, 65, 127, 128,
+                                      4096, 26'214, 262'144, 300'000};
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.below(300'001));
+  for (const std::size_t bytes : lengths) {
+    const std::size_t start = rng.below(64);  // unaligned starts too
+    const std::uint64_t seed = rng.next();
+    const unsigned char* p = data.data() + start;
+    const std::uint64_t scalar =
+        detail::record_checksum_scalar(seed, p, bytes);
+    EXPECT_EQ(record_checksum(seed, p, bytes), scalar) << bytes;
+    if (cpu_has_avx2()) {
+      EXPECT_EQ(detail::record_checksum_avx2(seed, p, bytes), scalar)
+          << "bytes=" << bytes << " start=" << start;
+    }
+  }
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+}
+
+TEST(IntegrityUnit, RecordChecksumKnownAnswersPinFormatV2) {
+  std::vector<unsigned char> bytes(4096);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  struct Case {
+    std::uint64_t seed;
+    std::size_t bytes;
+    std::uint64_t expected;
+  };
+  const Case cases[] = {
+      {0x0ull, 0, 0xf6a53d67f027c905ull},
+      {0x7ull, 13, 0xe3e0b6b3eb899605ull},
+      {0x2aull, 64, 0x771fc83337306cfeull},
+      {0x2aull, 256, 0xc239385111aac98eull},
+      {0x504c4656ull, 1000, 0x8272961324175772ull},
+      {0x63ull, 4096, 0xfe7ae9a0352b2f1dull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.bytes);
+    EXPECT_EQ(detail::record_checksum_scalar(c.seed, bytes.data(), c.bytes),
+              c.expected);
+    EXPECT_EQ(record_checksum(c.seed, bytes.data(), c.bytes), c.expected);
+  }
+}
+
+TEST(IntegrityUnit, RecordChecksumDetectsStripePageAndTornDamage) {
+  constexpr std::size_t kRecord = 256 * 1024;  // a Fig. 5 vector
+  constexpr std::size_t kStripe = 64;
+  constexpr std::size_t kPage = 4096;
+  const std::vector<unsigned char> data = random_bytes(kRecord, 23);
+  const std::uint64_t seed = 0x504c4656ull;
+  const std::uint64_t h = record_checksum(seed, data.data(), kRecord);
+  EXPECT_NE(h, record_checksum(seed + 1, data.data(), kRecord));
+
+  // A single bit flip at every offset of a stripe, in the first stripe, one
+  // in the middle and the last.
+  for (const std::size_t stripe : {std::size_t{0}, kRecord / kStripe / 2,
+                                   kRecord / kStripe - 1}) {
+    std::vector<unsigned char> flipped = data;
+    for (std::size_t bit = 0; bit < kStripe * 8; ++bit) {
+      unsigned char& byte = flipped[stripe * kStripe + bit / 8];
+      byte ^= static_cast<unsigned char>(1u << (bit % 8));
+      EXPECT_NE(h, record_checksum(seed, flipped.data(), kRecord))
+          << "stripe " << stripe << " bit " << bit;
+      byte ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+  }
+
+  // Order matters: two swapped adjacent stripes, two swapped pages.
+  std::vector<unsigned char> swapped = data;
+  std::swap_ranges(swapped.begin() + 10 * kStripe,
+                   swapped.begin() + 11 * kStripe,
+                   swapped.begin() + 11 * kStripe);
+  EXPECT_NE(h, record_checksum(seed, swapped.data(), kRecord));
+  swapped = data;
+  std::swap_ranges(swapped.begin() + 3 * kPage, swapped.begin() + 4 * kPage,
+                   swapped.begin() + 7 * kPage);
+  EXPECT_NE(h, record_checksum(seed, swapped.data(), kRecord));
+
+  // A zeroed page, as a dropped sector delivers it.
+  std::vector<unsigned char> zeroed = data;
+  std::fill(zeroed.begin() + 5 * kPage, zeroed.begin() + 6 * kPage, 0);
+  EXPECT_NE(h, record_checksum(seed, zeroed.data(), kRecord));
+
+  // A torn write: only a prefix reached the medium, the rest reads as
+  // zeros — and the prefix alone never matches the full record either.
+  for (const std::size_t prefix :
+       {std::size_t{1}, kStripe - 1, kPage, kRecord / 2 + 13, kRecord - 8}) {
+    std::vector<unsigned char> torn(kRecord, 0);
+    std::copy(data.begin(), data.begin() + prefix, torn.begin());
+    EXPECT_NE(h, record_checksum(seed, torn.data(), kRecord)) << prefix;
+    EXPECT_NE(h, record_checksum(seed, data.data(), prefix)) << prefix;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -319,6 +444,39 @@ TEST(Fsck, CleanDamagedAndInvalidHeader) {
   EXPECT_NE(invalid_out.str().find("header: INVALID"), std::string::npos)
       << invalid_out.str();
 
+  std::remove(path.c_str());
+}
+
+TEST(Fsck, FormatV1FileFailsTypedWithUnsupportedVersion) {
+  // Format v2 changed the record checksum; a v1 file's table would read as
+  // every record damaged, so the scan refuses the file at the header.
+  const std::string path = temp_vector_file_path("integrity-fsck-v1");
+  {
+    FileBackendOptions options;
+    options.base_path = path;
+    options.remove_on_close = false;
+    FileBackend backend(2, kWidth * sizeof(double), options);
+    const std::vector<double> v0 = pattern_vector(0);
+    backend.write_vector(0, v0.data());
+  }
+  ASSERT_TRUE(FileBackend::fsck(path).clean());
+
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const std::uint32_t v1 = 1;
+  ASSERT_EQ(::pwrite(fd, &v1, sizeof v1, 4),  // header version field
+            static_cast<ssize_t>(sizeof v1));
+  ::close(fd);
+
+  const FsckReport report = FileBackend::fsck(path);
+  EXPECT_FALSE(report.header_ok);
+  EXPECT_EQ(report.header_error, "unsupported format version 1");
+  FsckConfig cli;
+  cli.vector_file = path;
+  std::ostringstream out;
+  EXPECT_EQ(run_fsck_cli(cli, out), 1);
+  EXPECT_NE(out.str().find("unsupported format version 1"), std::string::npos)
+      << out.str();
   std::remove(path.c_str());
 }
 

@@ -10,6 +10,7 @@
 #include "model/eigen.hpp"
 #include "model/gamma.hpp"
 #include "model/transition.hpp"
+#include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 
 namespace plfoc {
@@ -66,7 +67,7 @@ struct Inputs {
 
 void expect_bit_identical(const Inputs& in, const NewviewChild& left,
                           const NewviewChild& right) {
-  if (!detail::cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
   const std::size_t width = in.dims.patterns * in.dims.categories * 4;
   std::vector<double> scalar_out(width);
   std::vector<double> simd_out(width, -1.0);

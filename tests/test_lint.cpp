@@ -129,7 +129,7 @@ TEST(LintManifest, RealManifestParsesAndDeclaresTheContractRules) {
   const Manifest manifest = RealManifest();
   for (const char* rule :
        {"raw-io", "kernel-determinism", "mt-unsafe-libc", "raw-capability",
-        "stats-audit-coverage"}) {
+        "record-checksum", "stats-audit-coverage"}) {
     EXPECT_TRUE(manifest.HasRule(rule)) << rule;
   }
   EXPECT_FALSE(manifest.HasRule("no-such-rule"));
