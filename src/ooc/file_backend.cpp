@@ -324,6 +324,23 @@ FileBackend::~FileBackend() {
     for (const std::string& path : paths_) ::unlink(path.c_str());
 }
 
+void FileBackend::copy_counters(OocStats& stats) const {
+  stats.faults_injected = faults_injected();
+  stats.io_retries = io_retries();
+  stats.io_exhausted = io_exhausted();
+  stats.corruptions_injected = corruptions_injected();
+  stats.io_batches = io_batches();
+  stats.io_coalesced = io_coalesced();
+  stats.io_write_coalesced = io_write_coalesced();
+}
+
+void FileBackend::reset_counters() {
+  reset_fault_counters();
+  io_batches_.store(0, std::memory_order_relaxed);
+  io_coalesced_.store(0, std::memory_order_relaxed);
+  io_write_coalesced_.store(0, std::memory_order_relaxed);
+}
+
 const char* FileBackend::io_engine_name() const {
   if (shared_engine_ != nullptr) {
     MutexLock lock(shared_engine_->mutex);

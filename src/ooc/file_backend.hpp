@@ -23,6 +23,7 @@
 
 #include "ooc/aio.hpp"
 #include "ooc/faults.hpp"
+#include "ooc/stats.hpp"
 #include "util/mutex.hpp"
 
 namespace plfoc {
@@ -276,14 +277,15 @@ class FileBackend {
     io_exhausted_.store(0, std::memory_order_relaxed);
     corruptions_injected_.store(0, std::memory_order_relaxed);
   }
-  /// Zero the async-traffic counters (batches/coalesced). Separate from the
-  /// robustness set so the stores' reset_stats() — which must zero *both* —
-  /// states each intent explicitly.
-  void reset_io_counters() {
-    io_batches_.store(0, std::memory_order_relaxed);
-    io_coalesced_.store(0, std::memory_order_relaxed);
-    io_write_coalesced_.store(0, std::memory_order_relaxed);
-  }
+  /// Copy the robustness and async-traffic counters above into `stats`.
+  /// The stores overlay these in stats_snapshot(): an IoError unwinds past
+  /// the stores' own mirroring, so only the backend atomics are current
+  /// exactly when a failure report is being assembled.
+  void copy_counters(OocStats& stats) const;
+  /// Zero the robustness and the async-traffic counters (the stores'
+  /// reset_stats(): without the latter a post-reset snapshot would overlay
+  /// pre-reset io_batches/io_coalesced over zeroed stats).
+  void reset_counters();
   /// Non-null when a fault schedule is configured.
   const FaultInjector* injector() const { return injector_.get(); }
 

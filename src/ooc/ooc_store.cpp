@@ -11,13 +11,27 @@
 #ifdef PLFOC_AUDIT
 #define PLFOC_AUDIT_EVENT(when, call) auditor_.enforce((call), (when))
 #define PLFOC_AUDIT_TABLE(when) \
-  auditor_.enforce(auditor_.check_table(slots_, vector_slot_), (when))
+  auditor_.enforce(             \
+      auditor_.check_table(tier_.slots(), tier_.vector_slots()), (when))
 #else
 #define PLFOC_AUDIT_EVENT(when, call) ((void)0)
 #define PLFOC_AUDIT_TABLE(when) ((void)0)
 #endif
 
 namespace plfoc {
+
+namespace {
+
+// kSingle conversions between RAM slots (double) and disk records (float).
+void narrow(const double* src, float* dst, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) dst[i] = static_cast<float>(src[i]);
+}
+
+void widen(const float* src, double* dst, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) dst[i] = static_cast<double>(src[i]);
+}
+
+}  // namespace
 
 std::size_t OocStoreOptions::slots_from_fraction(double f, std::size_t count) {
   PLFOC_REQUIRE(f > 0.0, "RAM fraction f must be positive");
@@ -37,15 +51,16 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
                                OocStoreOptions options)
     : AncestralStore(count, width),
       options_(std::move(options)),
-      arena_(std::min(options_.num_slots, count) * width),
-#ifdef PLFOC_AUDIT
-      auditor_(count, std::min(options_.num_slots, count)),
-#endif
-      slots_(std::min(options_.num_slots, count)),
       slot_count_(std::min(options_.num_slots, count)),
-      vector_slot_(count, kNoSlot),
+      tier_(count, slot_count_, width,
+            StrategyConfig{options_.policy, count, options_.seed,
+                           options_.tree},
+            "all RAM slots are pinned; the store needs more slots than "
+            "concurrently held leases"),
+#ifdef PLFOC_AUDIT
+      auditor_(count, slot_count_),
+#endif
       touched_(count, false),
-      prefetched_unread_(count, false),
       float_scratch_(options_.disk_precision == DiskPrecision::kSingle ? width
                                                                         : 0),
       file_generation_(count, 0),
@@ -53,21 +68,19 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
             width * (options_.disk_precision == DiskPrecision::kSingle
                          ? sizeof(float)
                          : sizeof(double)),
-            options_.file),
-      strategy_(make_strategy(StrategyConfig{options_.policy, count,
-                                             options_.seed, options_.tree})) {
+            options_.file) {
   PLFOC_REQUIRE(options_.num_slots >= 3,
                 "the out-of-core store needs at least 3 slots (m >= 3)");
   PLFOC_LOG(kInfo) << "out-of-core store: " << count << " vectors x " << width
                    << " doubles, " << slot_count_ << " slots ("
                    << (slot_memory_bytes() >> 20) << " MiB RAM), strategy="
-                   << strategy_->name();
+                   << tier_.strategy().name();
 }
 
 OutOfCoreStore::~OutOfCoreStore() {
   // The contract in ooc/prefetch.hpp: the store outlives the worker thread.
-  // A Prefetcher that has not been stopped would keep calling prefetch() on
-  // freed slot-table state, so fail loudly instead.
+  // A Prefetcher that has not been stopped would keep calling
+  // prefetch_batch() on freed slot-table state, so fail loudly instead.
   PLFOC_CHECK(prefetch_guards_.load(std::memory_order_relaxed) == 0);
 }
 
@@ -76,47 +89,31 @@ const char* OutOfCoreStore::strategy_name() const {
   // pointer read still synchronises with mutations of the strategy's own
   // state, which happen under mutex_.
   MutexLock lock(mutex_);
-  return strategy_->name();
+  return tier_.strategy().name();
 }
 
 bool OutOfCoreStore::is_resident(std::uint32_t index) const {
   PLFOC_CHECK(index < count_);
   MutexLock lock(mutex_);
-  return vector_slot_[index] != kNoSlot;
-}
-
-void OutOfCoreStore::refresh_fault_counters() {
-  stats_locked().faults_injected = file_.faults_injected();
-  stats_locked().io_retries = file_.io_retries();
-  stats_locked().io_exhausted = file_.io_exhausted();
-  stats_locked().corruptions_injected = file_.corruptions_injected();
-  stats_locked().io_batches = file_.io_batches();
-  stats_locked().io_coalesced = file_.io_coalesced();
-  stats_locked().io_write_coalesced = file_.io_write_coalesced();
+  return tier_.slot_of(index) != kNoSlot;
 }
 
 VerifyResult OutOfCoreStore::file_read(std::uint32_t index, double* dst,
                                        bool verify) {
   VerifyResult result;
   const bool verified = verify && file_.integrity();
-  if (options_.disk_precision == DiskPrecision::kDouble) {
-    if (verified)
-      result = file_.read_vector_verified(index, dst);
-    else
-      file_.read_vector(index, dst);
-  } else {
-    // Verification runs over the on-disk representation (floats), before
-    // widening — the checksum covers file bytes, not RAM content.
-    if (verified)
-      result = file_.read_vector_verified(index, float_scratch_.data());
-    else
-      file_.read_vector(index, float_scratch_.data());
-    for (std::size_t i = 0; i < width_; ++i)
-      dst[i] = static_cast<double>(float_scratch_[i]);
-  }
+  const bool single = options_.disk_precision == DiskPrecision::kSingle;
+  // Verification runs over the on-disk representation (floats for kSingle),
+  // before widening — the checksum covers file bytes, not RAM content.
+  void* record = single ? static_cast<void*>(float_scratch_.data()) : dst;
+  if (verified)
+    result = file_.read_vector_verified(index, record);
+  else
+    file_.read_vector(index, record);
+  if (single) widen(float_scratch_.data(), dst, width_);
   ++stats_locked().file_reads;
   stats_locked().bytes_read += file_.bytes_per_vector();
-  refresh_fault_counters();
+  file_.copy_counters(stats_locked());
   return result;
 }
 
@@ -124,57 +121,41 @@ void OutOfCoreStore::file_write(std::uint32_t index, const double* src) {
   if (options_.disk_precision == DiskPrecision::kDouble) {
     file_.write_vector(index, src);
   } else {
-    for (std::size_t i = 0; i < width_; ++i)
-      float_scratch_[i] = static_cast<float>(src[i]);
+    narrow(src, float_scratch_.data(), width_);
     file_.write_vector(index, float_scratch_.data());
   }
+  count_file_write(index);
+  file_.copy_counters(stats_locked());
+}
+
+void OutOfCoreStore::count_file_write(std::uint32_t index) {
   ++stats_locked().file_writes;
   stats_locked().bytes_written += file_.bytes_per_vector();
   ++file_generation_[index];
-  refresh_fault_counters();
   PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(index));
 }
 
-std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
-  // Free slot available? (Cold phase, or count <= slots.)
-  for (std::uint32_t s = 0; s < slots_.size(); ++s)
-    if (slots_[s].vector == kNoVector) return s;
-
-  // Collect eviction candidates: resident and unpinned.
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(slots_.size());
-  for (const Slot& slot : slots_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all RAM slots are pinned; the store needs more slots than "
-                "concurrently held leases");
-
-  const std::uint32_t victim = strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
-  const std::uint32_t slot = vector_slot_[victim];
-  PLFOC_CHECK(slot != kNoSlot);
-
+bool OutOfCoreStore::victim_needs_write_back(const SlotTier::Claim& claim) {
   // The paper's implementation always writes the victim back; dirty tracking
   // (write_back_clean = false) is an ablation extension.
-  const bool write_back = options_.write_back_clean || slots_[slot].dirty;
+  const bool write_back = options_.write_back_clean || tier_[claim.slot].dirty;
   // The auditor must see the victim's pin count and shadow dirty bit before
-  // the store's own pin assertion and before the write-back clears the shadow
-  // state — otherwise it only re-checks values the store already validated.
-  PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(victim, slots_[slot].pins,
-                                                   write_back));
-  PLFOC_CHECK(slots_[slot].vector == victim && slots_[slot].pins == 0);
+  // the tier's own pin assertion (SlotTier::evict) and before the write-back
+  // clears the shadow state — otherwise it only re-checks values the store
+  // already validated.
+  PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(
+                                 claim.victim, tier_[claim.slot].pins,
+                                 write_back));
+  return write_back;
+}
 
-  if (write_back) file_write(victim, slot_data(slot));
-  ++stats_locked().evictions;
-  if (prefetched_unread_[victim]) {
-    prefetched_unread_[victim] = false;
-    ++stats_locked().prefetch_wasted;  // staged, never acquired, gone again
-  }
-  strategy_->on_evict(victim);
-  vector_slot_[victim] = kNoSlot;
-  slots_[slot].vector = kNoVector;
-  slots_[slot].dirty = false;
-  return slot;
+std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
+  const SlotTier::Claim claim = tier_.claim(index);
+  if (claim.victim == kNoVector) return claim.slot;  // cold phase
+  if (victim_needs_write_back(claim))
+    file_write(claim.victim, tier_.data(claim.slot));
+  tier_.evict(claim.victim, stats_locked());
+  return claim.slot;
 }
 
 // The async-engine miss path: the victim write-back and the demand read are
@@ -185,54 +166,25 @@ std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
 std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
                                                  bool verify,
                                                  VerifyResult* out_verify) {
+  const SlotTier::Claim claim = tier_.claim(index);
   // A free slot (or a dropped clean victim) leaves nothing to overlap.
-  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].vector != kNoVector) continue;
-    *out_verify = file_read(index, slot_data(s), verify);
-    return s;
-  }
-
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(slots_.size());
-  for (const Slot& slot : slots_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all RAM slots are pinned; the store needs more slots than "
-                "concurrently held leases");
-  const std::uint32_t victim = strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
-  const std::uint32_t slot = vector_slot_[victim];
-  PLFOC_CHECK(slot != kNoSlot);
-  const bool write_back = options_.write_back_clean || slots_[slot].dirty;
-  PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(victim, slots_[slot].pins,
-                                                   write_back));
-  PLFOC_CHECK(slots_[slot].vector == victim && slots_[slot].pins == 0);
-
-  if (!write_back) {
-    ++stats_locked().evictions;
-    if (prefetched_unread_[victim]) {
-      prefetched_unread_[victim] = false;
-      ++stats_locked().prefetch_wasted;
-    }
-    strategy_->on_evict(victim);
-    vector_slot_[victim] = kNoSlot;
-    slots_[slot].vector = kNoVector;
-    slots_[slot].dirty = false;
-    *out_verify = file_read(index, slot_data(slot), verify);
-    return slot;
+  if (claim.victim == kNoVector || !victim_needs_write_back(claim)) {
+    if (claim.victim != kNoVector) tier_.evict(claim.victim, stats_locked());
+    *out_verify = file_read(index, tier_.data(claim.slot), verify);
+    return claim.slot;
   }
 
   // The write-back sources a scratch copy: the demand read is about to reuse
   // the victim's slot buffer while the write is still in flight, and the
   // copy doubles as the undo image if the write-back fails.
-  evict_scratch_.assign(slot_data(slot), slot_data(slot) + width_);
+  double* slot_data = tier_.data(claim.slot);
+  evict_scratch_.assign(slot_data, slot_data + width_);
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   FileBackend::VectorOp ops[2];
   ops[0].is_write = true;
-  ops[0].index = victim;
+  ops[0].index = claim.victim;
   if (single) {
-    for (std::size_t i = 0; i < width_; ++i)
-      float_scratch_[i] = static_cast<float>(evict_scratch_[i]);
+    narrow(evict_scratch_.data(), float_scratch_.data(), width_);
     ops[0].buffer = float_scratch_.data();
   } else {
     ops[0].buffer = evict_scratch_.data();
@@ -245,33 +197,22 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
       swap_float_scratch_.resize(width_);
     ops[1].buffer = swap_float_scratch_.data();
   } else {
-    ops[1].buffer = slot_data(slot);
+    ops[1].buffer = slot_data;
   }
   file_.submit_vector_ops(ops, 2);
-  refresh_fault_counters();
+  file_.copy_counters(stats_locked());
 
   // Write-back outcome first — it precedes the read in the sequential order.
   if (!ops[0].ok()) {
     // file_write would have thrown with the victim still fully installed:
     // restore the slot content (the concurrent read may have clobbered it)
     // and leave every table and counter untouched.
-    std::copy(evict_scratch_.begin(), evict_scratch_.end(), slot_data(slot));
+    std::copy(evict_scratch_.begin(), evict_scratch_.end(), slot_data);
     throw IoError("pwrite", ops[0].error, ops[0].fail_offset, ops[0].attempts,
                   ops[0].injected);
   }
-  ++stats_locked().file_writes;
-  stats_locked().bytes_written += file_.bytes_per_vector();
-  ++file_generation_[victim];
-  PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(victim));
-  ++stats_locked().evictions;
-  if (prefetched_unread_[victim]) {
-    prefetched_unread_[victim] = false;
-    ++stats_locked().prefetch_wasted;
-  }
-  strategy_->on_evict(victim);
-  vector_slot_[victim] = kNoSlot;
-  slots_[slot].vector = kNoVector;
-  slots_[slot].dirty = false;
+  count_file_write(claim.victim);
+  tier_.evict(claim.victim, stats_locked());
 
   if (!ops[1].ok()) {
     // Sequential equivalent: file_read threw after the eviction completed —
@@ -279,15 +220,11 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
     throw IoError("pread", ops[1].error, ops[1].fail_offset, ops[1].attempts,
                   ops[1].injected);
   }
-  if (single) {
-    double* dst = slot_data(slot);
-    for (std::size_t i = 0; i < width_; ++i)
-      dst[i] = static_cast<double>(swap_float_scratch_[i]);
-  }
+  if (single) widen(swap_float_scratch_.data(), slot_data, width_);
   ++stats_locked().file_reads;
   stats_locked().bytes_read += file_.bytes_per_vector();
   *out_verify = ops[1].verify_result;
-  return slot;
+  return claim.slot;
 }
 
 double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
@@ -297,7 +234,7 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   MutexLock lock(mutex_);
   ++stats_locked().accesses;
 
-  std::uint32_t slot = vector_slot_[index];
+  std::uint32_t slot = tier_.slot_of(index);
   [[maybe_unused]] bool read_skipped = false;  // only consumed by audit hooks
   VerifyResult verify;  // stays kOk unless a verified swap-in failed
   if (slot != kNoSlot) {
@@ -314,219 +251,80 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
     } else {
       slot = obtain_slot(index);
       if (need_read) {
-        verify = file_read(index, slot_data(slot), mode == AccessMode::kRead);
+        verify = file_read(index, tier_.data(slot), mode == AccessMode::kRead);
       } else {
         ++stats_locked().skipped_reads;
         read_skipped = true;
       }
     }
-    vector_slot_[index] = slot;
-    slots_[slot].vector = index;
-    strategy_->on_load(index);
+    tier_.install(index, slot);
   }
   touched_[index] = true;
-  // The kernel is consuming this vector: whatever prefetch staged it was
-  // useful, so it can no longer count as wasted.
-  prefetched_unread_[index] = false;
-  ++slots_[slot].pins;
-  if (mode == AccessMode::kWrite) slots_[slot].dirty = true;
-  strategy_->on_access(index);
+  tier_.mark_acquired(index);
+  ++tier_[slot].pins;
+  if (mode == AccessMode::kWrite) tier_[slot].dirty = true;
+  tier_.strategy().on_access(index);
   // Self-healing happens with the slot fully installed and pinned: the pin
   // keeps the recomputation target stable while the hook's child acquires
   // recurse through this method with the lock released.
-  if (!verify.ok()) recover_or_throw(lock, index, slot, verify);
+  if (!verify.ok()) recover_or_throw(lock, index, verify);
   PLFOC_AUDIT_EVENT("acquire", auditor_.record_acquire(
                                    index, mode == AccessMode::kWrite,
                                    read_skipped));
   PLFOC_AUDIT_TABLE("acquire");
   PLFOC_AUDIT_EVENT("acquire stats", auditor_.check_stats(stats_locked()));
-  return slot_data(slot);
+  return tier_.data(slot);
 }
 
-// The body juggles the capability (unlocks around the re-entrant recovery
-// hook, relocks before mutating the slot table); the REQUIRES contract on
-// the declaration is what callers are checked against.
 void OutOfCoreStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
-                                      std::uint32_t slot,
-                                      const VerifyResult& verify)
-    PLFOC_NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t recomputed = 0;
-  if (recovery_hook_) {
-    double* dst = slot_data(slot);  // pinned: stable across the unlock
-    lock.unlock();
-    try {
-      recomputed = recovery_hook_(index, dst);
-    } catch (...) {
-      recomputed = 0;  // a throwing hook is an unrecoverable vector
-    }
-    lock.lock();
-  }
-  // Count the whole episode at resolution, under one lock hold: nested
-  // acquires inside the hook run check_stats mid-flight and must never see
-  // the recoveries + unrecovered == failures identity half-updated.
-  ++stats_locked().integrity_failures;
-  if (recomputed > 0) {
-    ++stats_locked().integrity_recoveries;
-    stats_locked().recovery_recomputes += recomputed;
-    refresh_fault_counters();
-    if (options_.disk_precision == DiskPrecision::kSingle) {
-      // Match what an intact disk read would have delivered: the recomputed
-      // doubles round-trip through the on-disk float representation.
-      double* data = slot_data(slot);
-      for (std::size_t i = 0; i < width_; ++i)
-        data[i] = static_cast<double>(static_cast<float>(data[i]));
-    }
-    // The healed content supersedes the corrupt file record; the dirty bit
-    // routes it back to the file through the normal write-back path.
-    slots_[slot].dirty = true;
-    PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, true));
-    return;
-  }
-  ++stats_locked().integrity_unrecovered;
-  refresh_fault_counters();
-  PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, false));
-  // Undo the install: the acquire is failing, so its pin and residency must
-  // not outlive this throw (callers never see the lease).
-  PLFOC_CHECK(slots_[slot].pins == 1);
-  slots_[slot] = Slot{};
-  vector_slot_[index] = kNoSlot;
-  strategy_->on_evict(index);
-  PLFOC_AUDIT_TABLE("integrity failure");
-  PLFOC_AUDIT_EVENT("integrity stats", auditor_.check_stats(stats_locked()));
-  throw IntegrityError(
-      "out-of-core swap-in", index, verify.expected_generation,
-      verify.found_generation, verify.injected,
-      std::string(verify.status_name()) +
-          (recovery_hook_ ? "; recomputation failed (children unmaterialized "
-                            "during a read-skip window, or no free slot)"
-                          : "; no recovery hook registered"));
+                                      const VerifyResult& verify) {
+  tier_.recover_or_throw(
+      lock, recovery_hook_, stats_locked(), index, verify,
+      "out-of-core swap-in", [&](bool recovered) PLFOC_REQUIRES(mutex_) {
+        file_.copy_counters(stats_locked());
+        if (recovered && options_.disk_precision == DiskPrecision::kSingle) {
+          // Match what an intact disk read would have delivered: the
+          // recomputed doubles round-trip through the on-disk float
+          // representation.
+          double* data = tier_.data(tier_.slot_of(index));
+          for (std::size_t i = 0; i < width_; ++i)
+            data[i] = static_cast<double>(static_cast<float>(data[i]));
+        }
+        PLFOC_AUDIT_EVENT("recovery",
+                          auditor_.record_recovery(index, recovered));
+        if (!recovered) {
+          PLFOC_AUDIT_TABLE("integrity failure");
+          PLFOC_AUDIT_EVENT("integrity stats",
+                            auditor_.check_stats(stats_locked()));
+        }
+      });
 }
 
 void OutOfCoreStore::do_release(std::uint32_t index) {
   MutexLock lock(mutex_);
-  const std::uint32_t slot = vector_slot_[index];
-  PLFOC_CHECK(slot != kNoSlot && slots_[slot].pins > 0);
+  const std::uint32_t slot = tier_.slot_of(index);
+  PLFOC_CHECK(slot != kNoSlot && tier_[slot].pins > 0);
   PLFOC_AUDIT_EVENT("release",
-                    auditor_.record_release(index, slots_[slot].pins));
-  --slots_[slot].pins;
+                    auditor_.record_release(index, tier_[slot].pins));
+  --tier_[slot].pins;
   PLFOC_AUDIT_TABLE("release");
 }
 
-void OutOfCoreStore::prefetch(std::uint32_t index) {
-  PLFOC_CHECK(index < count_);
+// One engine batch carries every staged read — vectors adjacent in the file
+// coalesce into ranged transfers inside submit_vector_ops — and the install
+// pass re-validates each index under the lock. Per-op failures are advisory:
+// an exhausted transfer refreshes counters and moves on, a verification
+// failure or a raced install counts prefetch_stale.
+void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
+                                    std::size_t count) {
+  if (count == 0) return;
   // Cancellation is advisory here: this runs on the Prefetcher's worker
   // thread, where a throw would terminate the process. Returning early is
   // enough — the demand path's acquire() throws the typed error.
   if (cancel_.cancelled_or_expired()) return;
-  // Serialises prefetch() callers and owns the staging buffers. mutex_ is
+  // Serialises prefetch callers and owns the staging buffers. mutex_ is
   // only taken in short sections below, so a demand miss on the engine
-  // thread never waits behind this call's disk read.
-  MutexLock io_lock(prefetch_io_mutex_);
-
-  std::uint64_t generation;
-  {
-    MutexLock lock(mutex_);
-    if (vector_slot_[index] != kNoSlot) return;  // already resident
-    // Never prefetch a vector that has not been written yet: the file holds
-    // no meaningful bytes for it, and the first real access is write-mode.
-    if (!touched_[index]) return;
-    generation = file_generation_[index];
-  }
-
-  // Stage the read WITHOUT the slot-table lock. Prefetching is advisory: a
-  // transfer whose retry budget is exhausted must not propagate IoError onto
-  // the prefetch worker thread (which would call std::terminate). The demand
-  // access either succeeds on retry or fails on the engine thread, where it
-  // is catchable.
-  if (prefetch_scratch_.size() != width_) prefetch_scratch_.resize(width_);
-  // Prefetch never recovers: recovery needs the engine (and may deadlock on
-  // engine-owned scratch). A verification failure here just drops the staged
-  // read — the demand access re-verifies under the slot-table lock, on the
-  // engine thread, where the recovery hook is callable and IntegrityError is
-  // catchable. This also absorbs the benign race where a concurrent
-  // write-back tears the checksum mirror read (a spurious mismatch).
-  bool verify_failed = false;
-  try {
-    if (options_.disk_precision == DiskPrecision::kDouble) {
-      verify_failed =
-          file_.integrity()
-              ? !file_.read_vector_verified(index, prefetch_scratch_.data())
-                     .ok()
-              : (file_.read_vector(index, prefetch_scratch_.data()), false);
-    } else {
-      if (prefetch_float_scratch_.size() != width_)
-        prefetch_float_scratch_.resize(width_);
-      verify_failed =
-          file_.integrity()
-              ? !file_
-                     .read_vector_verified(index,
-                                           prefetch_float_scratch_.data())
-                     .ok()
-              : (file_.read_vector(index, prefetch_float_scratch_.data()),
-                 false);
-      for (std::size_t i = 0; i < width_; ++i)
-        prefetch_scratch_[i] = static_cast<double>(prefetch_float_scratch_[i]);
-    }
-  } catch (const IoError&) {
-    MutexLock lock(mutex_);
-    refresh_fault_counters();
-    PLFOC_AUDIT_TABLE("prefetch io-error");
-    return;
-  }
-  if (verify_failed) {
-    MutexLock lock(mutex_);
-    stats_locked().bytes_read += file_.bytes_per_vector();
-    ++stats_locked().prefetch_stale;
-    refresh_fault_counters();
-    PLFOC_AUDIT_TABLE("prefetch integrity drop");
-    return;
-  }
-
-  MutexLock lock(mutex_);
-  stats_locked().bytes_read += file_.bytes_per_vector();
-  refresh_fault_counters();
-  // Re-validate before installing: the vector may have been demand-loaded
-  // while the read was in flight (drop — it is already resident), or loaded,
-  // dirtied and evicted again, making the staged bytes stale (drop — the
-  // file's newer contents win on the next access).
-  if (vector_slot_[index] != kNoSlot || file_generation_[index] != generation) {
-    ++stats_locked().prefetch_stale;
-    PLFOC_AUDIT_TABLE("prefetch stale");
-    return;
-  }
-  std::uint32_t slot;
-  try {
-    slot = obtain_slot(index);
-  } catch (const Error&) {
-    return;  // everything pinned; skip this prefetch
-  }
-  std::copy(prefetch_scratch_.begin(), prefetch_scratch_.end(),
-            slot_data(slot));
-  ++stats_locked().prefetch_reads;
-  vector_slot_[index] = slot;
-  slots_[slot].vector = index;
-  strategy_->on_load(index);
-  strategy_->on_prefetch_install(index);
-  prefetched_unread_[index] = true;
-  PLFOC_AUDIT_TABLE("prefetch");
-}
-
-// Batched prefetch (async engines): one engine batch carries every staged
-// read — vectors adjacent in the file coalesce into ranged transfers inside
-// submit_vector_ops — and the install pass replays prefetch()'s
-// re-validation per index. Per-op failures are advisory exactly like the
-// sequential path: an exhausted transfer refreshes counters and moves on, a
-// verification failure or a raced install counts prefetch_stale.
-void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
-                                    std::size_t count) {
-  if (count == 0) return;
-  // Advisory, like prefetch(): never throw on the prefetch worker thread.
-  if (cancel_.cancelled_or_expired()) return;
-  if (!file_.async_io()) {
-    // Sync engine: the historical one-vector-per-call path, byte for byte.
-    for (std::size_t i = 0; i < count; ++i) prefetch(indices[i]);
-    return;
-  }
+  // thread never waits behind this call's disk reads.
   MutexLock io_lock(prefetch_io_mutex_);
 
   struct Item {
@@ -540,8 +338,11 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint32_t index = indices[i];
       PLFOC_CHECK(index < count_);
-      if (vector_slot_[index] != kNoSlot) continue;  // already resident
-      if (!touched_[index]) continue;  // never written: nothing to stage
+      if (tier_.slot_of(index) != kNoSlot) continue;  // already resident
+      // Never prefetch a vector that has not been written yet: the file
+      // holds no meaningful bytes for it, and the first real access is
+      // write-mode.
+      if (!touched_[index]) continue;
       bool duplicate = false;  // a repeated plan entry stages one read
       for (const Item& item : items)
         if (item.index == index) { duplicate = true; break; }
@@ -559,6 +360,12 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     if (prefetch_scratch_.size() < n * width_)
       prefetch_scratch_.resize(n * width_);
   }
+  // Prefetch never recovers: recovery needs the engine (and may deadlock on
+  // engine-owned scratch). A verification failure just drops the staged
+  // read — the demand access re-verifies under the slot-table lock, on the
+  // engine thread, where the recovery hook is callable and IntegrityError is
+  // catchable. This also absorbs the benign race where a concurrent
+  // write-back tears the checksum mirror read (a spurious mismatch).
   std::vector<FileBackend::VectorOp> ops(n);
   for (std::size_t k = 0; k < n; ++k) {
     ops[k].is_write = false;
@@ -574,11 +381,14 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   // installed yet, only private scratch staged, so bailing out here leaves
   // the store untouched — the "within one AIO batch" granularity bound.
   if (cancel_.cancelled_or_expired()) return;
-  // Records per-op failures instead of throwing — prefetch stays advisory.
+  // Records per-op failures instead of throwing — an exhausted transfer
+  // must not propagate IoError onto the prefetch worker thread (which
+  // would call std::terminate); the demand access either succeeds on retry
+  // or fails on the engine thread, where it is catchable.
   file_.submit_vector_ops(ops.data(), n);
 
   MutexLock lock(mutex_);
-  refresh_fault_counters();
+  file_.copy_counters(stats_locked());
 
   // Install in three passes so the victim write-backs form ONE engine batch
   // (adjacent victims merge into ranged writes inside submit_vector_ops)
@@ -587,7 +397,7 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   //   A. re-validate each staged read and claim a slot for the survivors —
   //      free slots first, then strategy-chosen victims. Slots claimed (and
   //      victims chosen) earlier in the batch are excluded, mirroring the
-  //      state the sequential per-install path would see after each install;
+  //      state a one-at-a-time install would see after each install;
   //      vectors installed by this batch are never victim candidates within
   //      it (they are exactly the lookahead the batch exists to protect).
   //   B. submit every victim write-back as one batch.
@@ -596,30 +406,32 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   //      state the sequential path leaves when file_write throws), then
   //      evict, install, and age the vector in via on_prefetch_install.
   struct Pending {
-    std::size_t k = 0;                  ///< ops[k] / items[k]
-    std::uint32_t slot = kNoSlot;
-    std::uint32_t victim = kNoVector;   ///< kNoVector: free slot, no evict
+    std::size_t k = 0;  ///< ops[k] / items[k]
+    SlotTier::Claim claim;
     bool write_back = false;
-    std::size_t wop = 0;                ///< index into wops when write_back
+    std::size_t wop = 0;  ///< index into wops when write_back
   };
   std::vector<Pending> pending;
   pending.reserve(n);
-  std::vector<bool> slot_claimed(slots_.size(), false);
+  std::vector<bool> slot_claimed(slot_count_, false);
 
   for (std::size_t k = 0; k < n; ++k) {
-    FileBackend::VectorOp& op = ops[k];
     const std::uint32_t index = items[k].index;
-    if (!op.ok()) {
+    if (!ops[k].ok()) {
       PLFOC_AUDIT_TABLE("prefetch io-error");
       continue;  // demand access retries on the engine thread, catchably
     }
     stats_locked().bytes_read += file_.bytes_per_vector();
-    if (op.verify && !op.verify_result.ok()) {
+    if (ops[k].verify && !ops[k].verify_result.ok()) {
       ++stats_locked().prefetch_stale;
       PLFOC_AUDIT_TABLE("prefetch integrity drop");
       continue;
     }
-    if (vector_slot_[index] != kNoSlot ||
+    // Re-validate before installing: the vector may have been demand-loaded
+    // while the read was in flight (drop — it is already resident), or
+    // loaded, dirtied and evicted again, making the staged bytes stale
+    // (drop — the file's newer contents win on the next access).
+    if (tier_.slot_of(index) != kNoSlot ||
         file_generation_[index] != items[k].generation) {
       ++stats_locked().prefetch_stale;
       PLFOC_AUDIT_TABLE("prefetch stale");
@@ -627,31 +439,11 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     }
     Pending p;
     p.k = k;
-    for (std::uint32_t s = 0; s < slots_.size(); ++s)
-      if (slots_[s].vector == kNoVector && !slot_claimed[s]) {
-        p.slot = s;
-        break;
-      }
-    if (p.slot == kNoSlot) {
-      std::vector<std::uint32_t> candidates;
-      candidates.reserve(slots_.size());
-      for (std::uint32_t s = 0; s < slots_.size(); ++s)
-        if (slots_[s].pins == 0 && !slot_claimed[s] &&
-            slots_[s].vector != kNoVector)
-          candidates.push_back(slots_[s].vector);
-      if (candidates.empty()) continue;  // everything pinned/claimed: skip
-      p.victim = strategy_->choose_victim(
-          {candidates.data(), candidates.size()}, index);
-      p.slot = vector_slot_[p.victim];
-      PLFOC_CHECK(p.slot != kNoSlot);
-      p.write_back = options_.write_back_clean || slots_[p.slot].dirty;
-      PLFOC_AUDIT_EVENT("evict",
-                        auditor_.record_evict(p.victim, slots_[p.slot].pins,
-                                              p.write_back));
-      PLFOC_CHECK(slots_[p.slot].vector == p.victim &&
-                  slots_[p.slot].pins == 0);
-    }
-    slot_claimed[p.slot] = true;
+    p.claim = tier_.try_claim(index, &slot_claimed);
+    if (p.claim.slot == kNoSlot) continue;  // everything pinned/claimed: skip
+    if (p.claim.victim != kNoVector)
+      p.write_back = victim_needs_write_back(p.claim);
+    slot_claimed[p.claim.slot] = true;
     pending.push_back(p);
   }
 
@@ -660,71 +452,44 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   std::vector<FileBackend::VectorOp> wops;
   std::vector<float> wfloat;  // kSingle conversion staging, one span per wop
   for (Pending& p : pending) {
-    if (p.victim == kNoVector || !p.write_back) continue;
+    if (!p.write_back) continue;
     p.wop = wops.size();
     FileBackend::VectorOp wop;
     wop.is_write = true;
-    wop.index = p.victim;
+    wop.index = p.claim.victim;
+    wop.buffer = tier_.data(p.claim.slot);
     wops.push_back(wop);
   }
   if (!wops.empty()) {
     if (single) {
       wfloat.resize(wops.size() * width_);
-      std::size_t w = 0;
-      for (const Pending& p : pending) {
-        if (p.victim == kNoVector || !p.write_back) continue;
-        const double* src = slot_data(p.slot);
-        for (std::size_t i = 0; i < width_; ++i)
-          wfloat[w * width_ + i] = static_cast<float>(src[i]);
+      for (std::size_t w = 0; w < wops.size(); ++w) {
+        narrow(static_cast<const double*>(wops[w].buffer),
+               wfloat.data() + w * width_, width_);
         wops[w].buffer = wfloat.data() + w * width_;
-        ++w;
       }
-    } else {
-      for (const Pending& p : pending)
-        if (p.victim != kNoVector && p.write_back)
-          wops[p.wop].buffer = slot_data(p.slot);
     }
     file_.submit_vector_ops(wops.data(), wops.size());
-    refresh_fault_counters();
+    file_.copy_counters(stats_locked());
   }
 
   // C: fold outcomes and install, in op order.
   for (const Pending& p : pending) {
-    const std::uint32_t index = items[p.k].index;
-    if (p.victim != kNoVector) {
-      if (p.write_back) {
-        const FileBackend::VectorOp& wop = wops[p.wop];
-        if (!wop.ok()) continue;  // victim stays resident; skip the install
-        ++stats_locked().file_writes;
-        stats_locked().bytes_written += file_.bytes_per_vector();
-        ++file_generation_[p.victim];
-        PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(p.victim));
-      }
-      ++stats_locked().evictions;
-      if (prefetched_unread_[p.victim]) {
-        prefetched_unread_[p.victim] = false;
-        ++stats_locked().prefetch_wasted;
-      }
-      strategy_->on_evict(p.victim);
-      vector_slot_[p.victim] = kNoSlot;
-      slots_[p.slot].vector = kNoVector;
-      slots_[p.slot].dirty = false;
+    if (p.write_back) {
+      if (!wops[p.wop].ok()) continue;  // victim stays resident; no install
+      count_file_write(p.claim.victim);
     }
-    double* dst = slot_data(p.slot);
+    if (p.claim.victim != kNoVector)
+      tier_.evict(p.claim.victim, stats_locked());
+    double* dst = tier_.data(p.claim.slot);
     if (single) {
-      const float* src = prefetch_float_scratch_.data() + p.k * width_;
-      for (std::size_t i = 0; i < width_; ++i)
-        dst[i] = static_cast<double>(src[i]);
+      widen(prefetch_float_scratch_.data() + p.k * width_, dst, width_);
     } else {
       const double* src = prefetch_scratch_.data() + p.k * width_;
       std::copy(src, src + width_, dst);
     }
     ++stats_locked().prefetch_reads;
-    vector_slot_[index] = p.slot;
-    slots_[p.slot].vector = index;
-    strategy_->on_load(index);
-    strategy_->on_prefetch_install(index);
-    prefetched_unread_[index] = true;
+    tier_.install_prefetched(items[p.k].index, p.claim.slot);
     PLFOC_AUDIT_TABLE("prefetch");
   }
 }
@@ -732,10 +497,10 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
 void OutOfCoreStore::flush() {
   MutexLock lock(mutex_);
   if (!file_.async_io()) {
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].vector == kNoVector || !slots_[s].dirty) continue;
-      file_write(slots_[s].vector, slot_data(s));
-      slots_[s].dirty = false;
+    for (std::uint32_t s = 0; s < slot_count_; ++s) {
+      if (tier_[s].vector == kNoVector || !tier_[s].dirty) continue;
+      file_write(tier_[s].vector, tier_.data(s));
+      tier_[s].dirty = false;
     }
     file_.sync();
     PLFOC_AUDIT_TABLE("flush");
@@ -747,9 +512,9 @@ void OutOfCoreStore::flush() {
   // after the whole batch is folded (failed slots stay dirty), where the
   // sequential path stops at the first failing slot.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty;  // {vector, slot}
-  for (std::uint32_t s = 0; s < slots_.size(); ++s)
-    if (slots_[s].vector != kNoVector && slots_[s].dirty)
-      dirty.push_back({slots_[s].vector, s});
+  for (std::uint32_t s = 0; s < slot_count_; ++s)
+    if (tier_[s].vector != kNoVector && tier_[s].dirty)
+      dirty.push_back({tier_[s].vector, s});
   std::sort(dirty.begin(), dirty.end());
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   std::vector<FileBackend::VectorOp> ops(dirty.size());
@@ -758,16 +523,14 @@ void OutOfCoreStore::flush() {
     ops[k].is_write = true;
     ops[k].index = dirty[k].first;
     if (single) {
-      const double* src = slot_data(dirty[k].second);
-      for (std::size_t i = 0; i < width_; ++i)
-        wfloat[k * width_ + i] = static_cast<float>(src[i]);
+      narrow(tier_.data(dirty[k].second), wfloat.data() + k * width_, width_);
       ops[k].buffer = wfloat.data() + k * width_;
     } else {
-      ops[k].buffer = slot_data(dirty[k].second);
+      ops[k].buffer = tier_.data(dirty[k].second);
     }
   }
   if (!ops.empty()) file_.submit_vector_ops(ops.data(), ops.size());
-  refresh_fault_counters();
+  file_.copy_counters(stats_locked());
   const FileBackend::VectorOp* failed = nullptr;
   for (std::size_t k = 0; k < dirty.size(); ++k) {
     const FileBackend::VectorOp& op = ops[k];
@@ -775,11 +538,8 @@ void OutOfCoreStore::flush() {
       if (failed == nullptr) failed = &op;
       continue;  // stays dirty; a later flush (or eviction) retries
     }
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += file_.bytes_per_vector();
-    ++file_generation_[op.index];
-    PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(op.index));
-    slots_[dirty[k].second].dirty = false;
+    count_file_write(op.index);
+    tier_[dirty[k].second].dirty = false;
   }
   file_.sync();
   PLFOC_AUDIT_TABLE("flush");
@@ -794,26 +554,15 @@ OocStats OutOfCoreStore::stats_snapshot() const {
   // Overlay the robustness counters straight from the backend atomics: an
   // IoError unwinds past the stats_ mirroring, so the mirror can be stale
   // exactly when a failure report is being assembled.
-  out.faults_injected = file_.faults_injected();
-  out.io_retries = file_.io_retries();
-  out.io_exhausted = file_.io_exhausted();
-  out.corruptions_injected = file_.corruptions_injected();
-  out.io_batches = file_.io_batches();
-  out.io_coalesced = file_.io_coalesced();
-  out.io_write_coalesced = file_.io_write_coalesced();
+  file_.copy_counters(out);
   return out;
 }
 
 void OutOfCoreStore::reset_stats() {
   MutexLock lock(mutex_);
-  file_.reset_fault_counters();
-  // The async-traffic counters have their own reset: without it a post-reset
-  // snapshot overlays pre-reset io_batches/io_coalesced over zeroed stats.
-  file_.reset_io_counters();
+  file_.reset_counters();
   stats_locked() = OocStats{};
-  // Forget pre-reset prefetch installs, so prefetch_wasted keeps satisfying
-  // prefetch_wasted <= prefetch_reads within the new counting window.
-  std::fill(prefetched_unread_.begin(), prefetched_unread_.end(), false);
+  tier_.forget_prefetches();
 #ifdef PLFOC_AUDIT
   auditor_.reset_stats_baseline();
 #endif

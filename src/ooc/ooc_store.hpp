@@ -8,6 +8,10 @@
 // out to the file, and the requested vector in — unless the access is
 // write-only and read skipping elides the swap-in read.
 //
+// The slot table itself is one SlotTier (ooc/slot_tier.hpp); this class
+// adds the backing file, read skipping, precision conversion, write-back
+// policy and prefetch staging around it.
+//
 // Thread safety: all slot-table mutations are guarded by one mutex so the
 // optional prefetch thread (ooc/prefetch.hpp) can swap vectors in while the
 // likelihood engine computes. Lease data pointers remain stable while pinned.
@@ -19,8 +23,8 @@
 #include "ooc/audit.hpp"
 #include "ooc/file_backend.hpp"
 #include "ooc/replacement.hpp"
+#include "ooc/slot_tier.hpp"
 #include "ooc/storage.hpp"
-#include "util/aligned_buffer.hpp"
 #include "util/mutex.hpp"
 
 namespace plfoc {
@@ -70,20 +74,17 @@ class OutOfCoreStore final : public AncestralStore {
   /// True if the vector is currently in a RAM slot.
   bool is_resident(std::uint32_t index) const;
 
-  /// Bring `index` into RAM (read mode) without pinning it; used by the
-  /// prefetch thread. No-op if resident; never evicts a pinned vector.
-  /// Counted in stats().prefetch_reads, not as an access. The disk read is
-  /// staged into a prefetch-private buffer OUTSIDE mutex_, so a concurrent
-  /// demand miss on the engine thread never stalls behind prefetch I/O; the
-  /// slot install re-validates residency and the vector's file generation
-  /// under the lock (a raced install is dropped and counted in
-  /// stats().prefetch_stale).
-  void prefetch(std::uint32_t index);
-
-  /// Batched prefetch: stage up to `count` queued reads as ONE engine batch
-  /// (adjacent vectors coalesce into ranged transfers) and install whatever
-  /// survives the same re-validation as prefetch(). With the sync engine
-  /// this degrades to per-index prefetch() semantics, byte for byte.
+  /// Bring `count` vectors into RAM (read mode) without pinning them; used
+  /// by the prefetch thread. Resident and never-written vectors are skipped;
+  /// a pinned vector is never evicted. Installs count in
+  /// stats().prefetch_reads, not as accesses. The reads are staged as ONE
+  /// engine batch (adjacent vectors coalesce into ranged transfers) into
+  /// prefetch-private buffers OUTSIDE mutex_, so a concurrent demand miss
+  /// on the engine thread never stalls behind prefetch I/O; each install
+  /// re-validates residency and the vector's file generation under the lock
+  /// (a raced install is dropped and counted in stats().prefetch_stale).
+  /// Advisory: an I/O or verification failure drops the staged read and
+  /// never throws.
   void prefetch_batch(const std::uint32_t* indices, std::size_t count);
 
   /// How many queued reads a prefetch_batch caller should aim to hand over
@@ -132,18 +133,14 @@ class OutOfCoreStore final : public AncestralStore {
   static constexpr std::uint32_t kNoSlot = kOocNoSlot;
   static constexpr std::uint32_t kNoVector = kOocNoVector;
 
-  // The slot record itself lives in ooc/audit.hpp so the PLFOC_AUDIT
-  // invariant auditor can validate the table without friending into here.
-  using Slot = OocSlot;
-
-  /// Lease data pointers derive from the ctor-immutable arena; the *content*
-  /// they address is protected by pins + the slot table, not by mutex_, so
-  /// this accessor carries no capability requirement.
-  double* slot_data(std::uint32_t slot) {
-    return arena_.data() + static_cast<std::size_t>(slot) * width_;
-  }
   /// Pick (evicting if needed) a slot for `index`.
   std::uint32_t obtain_slot(std::uint32_t index) PLFOC_REQUIRES(mutex_);
+  /// Whether the claimed victim must be written back before it is dropped;
+  /// reports the eviction to the auditor.
+  bool victim_needs_write_back(const SlotTier::Claim& claim)
+      PLFOC_REQUIRES(mutex_);
+  /// Account one completed vector write-back of `index`.
+  void count_file_write(std::uint32_t index) PLFOC_REQUIRES(mutex_);
   /// Async-engine demand-miss path: pick the slot AND perform the swap, with
   /// the victim write-back (staged from a scratch copy) and the demand read
   /// (into the freed slot) in flight together. On a write-back failure the
@@ -163,16 +160,11 @@ class OutOfCoreStore final : public AncestralStore {
       PLFOC_REQUIRES(mutex_);
   void file_write(std::uint32_t index, const double* src)
       PLFOC_REQUIRES(mutex_);
-  /// A verified swap-in failed: try the recovery hook (released lock), then
-  /// either mark the slot dirty (healed — the recomputed content supersedes
-  /// the corrupt record) or undo the install and throw IntegrityError.
-  /// Requires: lock held (`lock` is the scoped acquisition of mutex_),
-  /// `slot` installed for `index` and pinned once.
+  /// SlotTier::recover_or_throw plus this store's precision rounding,
+  /// counter mirroring and audit events. Requires: `lock` is the scoped
+  /// acquisition of mutex_, `index` installed and pinned once.
   void recover_or_throw(MutexLock& lock, std::uint32_t index,
-                        std::uint32_t slot, const VerifyResult& verify)
-      PLFOC_REQUIRES(mutex_);
-  /// Mirror the backing file's robustness counters into the stats block.
-  void refresh_fault_counters() PLFOC_REQUIRES(mutex_);
+                        const VerifyResult& verify) PLFOC_REQUIRES(mutex_);
 
   /// Base-class counters re-exported under their capability: every counter
   /// mutation in this store goes through here so the analysis can prove it
@@ -183,23 +175,14 @@ class OutOfCoreStore final : public AncestralStore {
   }
 
   OocStoreOptions options_;
-  AlignedBuffer arena_;
+  std::size_t slot_count_ = 0;  ///< tier_.size(); ctor-immutable
+  SlotTier tier_ PLFOC_GUARDED_BY(mutex_);
 #ifdef PLFOC_AUDIT
   /// Slot-table invariant oracle.
   StoreAuditor auditor_ PLFOC_GUARDED_BY(mutex_);
 #endif
-  std::vector<Slot> slots_ PLFOC_GUARDED_BY(mutex_);
-  std::size_t slot_count_ = 0;  ///< slots_.size(); ctor-immutable
-  /// Per vector: slot or kNoSlot.
-  std::vector<std::uint32_t> vector_slot_ PLFOC_GUARDED_BY(mutex_);
   /// Vector ever accessed (cold-miss tracking).
   std::vector<bool> touched_ PLFOC_GUARDED_BY(mutex_);
-  /// Vector was installed by a prefetch and has not been demand-acquired
-  /// since: evicting it while set counts stats().prefetch_wasted (the read
-  /// was paid for and the slot churned for nothing). Cleared on acquire and
-  /// by reset_stats() (so prefetch_wasted <= prefetch_reads holds across a
-  /// counter reset).
-  std::vector<bool> prefetched_unread_ PLFOC_GUARDED_BY(mutex_);
   /// Conversion buffer (kSingle only).
   std::vector<float> float_scratch_ PLFOC_GUARDED_BY(mutex_);
   /// Overlapped-swap staging (async engines only): the victim's content is
@@ -210,17 +193,16 @@ class OutOfCoreStore final : public AncestralStore {
   /// kSingle overlapped swap: demand-read float staging (float_scratch_ is
   /// busy carrying the victim's write-back conversion).
   std::vector<float> swap_float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: bumped by every file_write (under mutex_). Lets prefetch()
+  /// Per vector: bumped by every file_write (under mutex_). Lets prefetch
   /// detect that bytes it staged without the lock were superseded by a
   /// write-back that happened during the read (the write-then-evict ABA the
   /// residency check alone cannot see).
   std::vector<std::uint64_t> file_generation_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
-  std::unique_ptr<ReplacementStrategy> strategy_ PLFOC_GUARDED_BY(mutex_);
   std::atomic<int> prefetch_guards_{0};  ///< live Prefetcher worker threads
   mutable Mutex mutex_;
 
-  // Prefetch staging state, private to prefetch() and guarded by
+  // Prefetch staging state, private to prefetch_batch() and guarded by
   // prefetch_io_mutex_ (lock order: prefetch_io_mutex_ before mutex_, never
   // the reverse — declared to the analysis via ACQUIRED_BEFORE).
   // float_scratch_ is engine-owned (used by file_read / file_write under

@@ -231,20 +231,13 @@ std::uint64_t PagedStore::page_faults() const {
 OocStats PagedStore::stats_snapshot() const {
   MutexLock lock(mutex_);
   OocStats out = stats_locked();
-  out.faults_injected = file_.faults_injected();
-  out.io_retries = file_.io_retries();
-  out.io_exhausted = file_.io_exhausted();
-  out.corruptions_injected = file_.corruptions_injected();
-  out.io_batches = file_.io_batches();
-  out.io_coalesced = file_.io_coalesced();
-  out.io_write_coalesced = file_.io_write_coalesced();
+  file_.copy_counters(out);
   return out;
 }
 
 void PagedStore::reset_stats() {
   MutexLock lock(mutex_);
-  file_.reset_fault_counters();
-  file_.reset_io_counters();
+  file_.reset_counters();
   stats_locked() = OocStats{};
 }
 

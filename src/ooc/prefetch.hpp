@@ -15,8 +15,7 @@
 // store.prefetch_batch_limit() upcoming indices per wakeup go into one
 // OutOfCoreStore::prefetch_batch() call, which async I/O engines turn into a
 // single submission-queue batch (adjacent vectors coalesce into ranged
-// reads). With the sync engine the limit is 1 and behaviour is byte-for-byte
-// the historical per-index prefetch.
+// reads). With the sync engine the limit is 1: one index per call.
 #pragma once
 
 #include <cstdint>

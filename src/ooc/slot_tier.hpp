@@ -1,0 +1,120 @@
+// One slot table of the out-of-core slot manager (Sec. 3.2-3.4): m RAM slots,
+// the vector -> slot residency map and the replacement strategy, plus the
+// bookkeeping every store must do the same way (free-slot-first claims, the
+// candidate order handed to choose_victim, eviction and install accounting).
+// OutOfCoreStore is one tier over its FileBackend; TieredStore stacks two.
+//
+// A tier does no I/O and takes no lock: the owning store holds its mutex
+// around every call (the tier member is PLFOC_GUARDED_BY it) and does the
+// transfers itself. docs/storage-layer.md, section 6, has the design.
+#pragma once
+
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "ooc/audit.hpp"
+#include "ooc/file_backend.hpp"
+#include "ooc/replacement.hpp"
+#include "ooc/storage.hpp"
+#include "util/aligned_buffer.hpp"
+#include "util/mutex.hpp"
+
+namespace plfoc {
+
+class SlotTier {
+ public:
+  /// A slot for an incoming vector: free (victim == kOocNoVector), or held
+  /// by `victim`, which the caller writes back as needed and then evict()s.
+  struct Claim {
+    std::uint32_t slot = kOocNoSlot;
+    std::uint32_t victim = kOocNoVector;
+  };
+
+  /// `all_pinned_error` is the message claim() throws when every slot is
+  /// pinned.
+  SlotTier(std::size_t vector_count, std::size_t slot_count,
+           std::size_t width, const StrategyConfig& strategy,
+           const char* all_pinned_error);
+
+  std::size_t size() const { return slots_.size(); }
+  /// Slot buffer: stable for the tier's lifetime, so a pinned lease may
+  /// keep using it after the store's lock is released.
+  double* data(std::uint32_t slot) {
+    return arena_.data() + static_cast<std::size_t>(slot) * width_;
+  }
+  OocSlot& operator[](std::uint32_t slot) { return slots_[slot]; }
+  /// Slot holding `vector`, or kOocNoSlot.
+  std::uint32_t slot_of(std::uint32_t vector) const {
+    return vector_slot_[vector];
+  }
+  ReplacementStrategy& strategy() { return *strategy_; }
+  const ReplacementStrategy& strategy() const { return *strategy_; }
+  /// The table and the map, for StoreAuditor::check_table.
+  const std::vector<OocSlot>& slots() const { return slots_; }
+  const std::vector<std::uint32_t>& vector_slots() const {
+    return vector_slot_;
+  }
+
+  /// The first free slot; else the strategy's victim among the resident,
+  /// unpinned vectors, offered in slot order. Slots set in `claimed` are
+  /// skipped (a batched install claims several slots before evicting any).
+  /// Returns slot == kOocNoSlot when every slot is pinned or claimed.
+  Claim try_claim(std::uint32_t incoming,
+                  const std::vector<bool>* claimed = nullptr);
+  /// try_claim() that throws Error(all_pinned_error) instead.
+  Claim claim(std::uint32_t incoming);
+
+  /// Make `vector` resident in the free `slot` (map entry, then on_load).
+  void install(std::uint32_t vector, std::uint32_t slot);
+  /// install() for a prefetched vector: it is also aged in through
+  /// on_prefetch_install and marked unread until mark_acquired().
+  void install_prefetched(std::uint32_t vector, std::uint32_t slot);
+  /// The kernel acquired `vector`: whatever prefetch staged it was useful,
+  /// so evicting it can no longer count as wasted.
+  void mark_acquired(std::uint32_t vector) {
+    prefetched_unread_[vector] = false;
+  }
+  /// Forget pending prefetch installs, so prefetch_wasted keeps satisfying
+  /// prefetch_wasted <= prefetch_reads across a counter reset.
+  void forget_prefetches();
+
+  /// Evict the resident, unpinned `vector` once its write-back (if any) is
+  /// done: counts stats.evictions, and stats.prefetch_wasted when a
+  /// prefetch staged it and no acquire used it, then detach()es it.
+  void evict(std::uint32_t vector, OocStats& stats);
+  /// Drop `vector` without counting an eviction (a demotion, a promotion
+  /// out of the RAM tier, an undone install): on_evict, then clear its map
+  /// entry and its slot record, pins and dirty bit included.
+  void detach(std::uint32_t vector);
+
+  /// A verified swap-in of `index` (installed in this tier and pinned once)
+  /// failed its check. Runs `hook` with `lock` — the caller's hold on the
+  /// store mutex guarding this tier — released, since the hook's child
+  /// acquires re-enter the store; the pin keeps the slot stable meanwhile.
+  /// The episode is counted in `stats` under one lock hold, and `resolved`
+  /// (store-specific bookkeeping) runs with the outcome. Healed: the slot
+  /// is marked dirty, because the recomputed content supersedes the
+  /// corrupt record. Otherwise the install is undone and IntegrityError
+  /// with operation name `op` is thrown.
+  void recover_or_throw(MutexLock& lock,
+                        const AncestralStore::RecoveryHook& hook,
+                        OocStats& stats, std::uint32_t index,
+                        const VerifyResult& verify, const char* op,
+                        const std::function<void(bool)>& resolved = {});
+
+ private:
+  std::size_t width_;
+  AlignedBuffer arena_;
+  std::vector<OocSlot> slots_;
+  /// Per vector: slot or kOocNoSlot.
+  std::vector<std::uint32_t> vector_slot_;
+  /// Per vector: installed by a prefetch and not acquired since. Evicting
+  /// it while set counts stats.prefetch_wasted (the read was paid for and
+  /// the slot churned for nothing).
+  std::vector<bool> prefetched_unread_;
+  std::unique_ptr<ReplacementStrategy> strategy_;
+  const char* all_pinned_error_;
+};
+
+}  // namespace plfoc

@@ -11,20 +11,17 @@ TieredStore::TieredStore(std::size_t count, std::size_t width,
                          TieredStoreOptions options)
     : AncestralStore(count, width),
       options_(std::move(options)),
-      fast_arena_(std::min(options_.fast_slots, count) * width),
-      ram_arena_(std::min(options_.ram_slots, count) * width),
+      fast_(count, std::min(options_.fast_slots, count), width,
+            StrategyConfig{options_.fast_policy, count, options_.seed,
+                           options_.tree},
+            "all fast-tier slots are pinned; increase fast_slots"),
+      ram_(count, std::min(options_.ram_slots, count), width,
+           StrategyConfig{options_.ram_policy, count, options_.seed + 1,
+                          options_.tree},
+           "the RAM tier has no slot to spare"),
       bounce_(width),
-      fast_(std::min(options_.fast_slots, count)),
-      ram_(std::min(options_.ram_slots, count)),
-      where_(count, Location::kDisk),
-      slot_of_(count, kNone),
       touched_(count, false),
-      prefetched_unread_(count, false),
-      file_(count, width * sizeof(double), options_.file),
-      fast_strategy_(make_strategy(StrategyConfig{
-          options_.fast_policy, count, options_.seed, options_.tree})),
-      ram_strategy_(make_strategy(StrategyConfig{
-          options_.ram_policy, count, options_.seed + 1, options_.tree})) {
+      file_(count, width * sizeof(double), options_.file) {
   PLFOC_REQUIRE(options_.fast_slots >= 3,
                 "the fast tier needs at least 3 slots (working triple)");
   PLFOC_REQUIRE(options_.ram_slots >= 1, "the RAM tier needs at least 1 slot");
@@ -47,215 +44,115 @@ TierStats TieredStore::tier_stats() const {
   return tier_stats_;
 }
 
-void TieredStore::demote(std::uint32_t slot) {
-  Slot& fast_slot = fast_[slot];
-  PLFOC_CHECK(fast_slot.vector != kNone && fast_slot.pins == 0);
-  const std::uint32_t vector = fast_slot.vector;
-  const std::uint32_t ram_slot = obtain_ram_slot(vector);
-  std::memcpy(ram_data(ram_slot), fast_data(slot), width_ * sizeof(double));
+void TieredStore::demote(std::uint32_t slot, std::uint32_t ram_slot,
+                         const double* src) {
+  const std::uint32_t vector = fast_[slot].vector;
+  PLFOC_CHECK(vector != kOocNoVector && fast_[slot].pins == 0);
+  std::memcpy(ram_.data(ram_slot), src, width_ * sizeof(double));
   ++tier_stats_.demotions;
   tier_stats_.bytes_transferred += width_ * sizeof(double);
-  ram_[ram_slot].vector = vector;
-  ram_[ram_slot].dirty = fast_slot.dirty;
-  ram_strategy_->on_load(vector);
-  ram_strategy_->on_access(vector);
-  where_[vector] = Location::kRam;
-  slot_of_[vector] = ram_slot;
-  fast_strategy_->on_evict(vector);
-  fast_slot.vector = kNone;
-  fast_slot.dirty = false;
+  ram_.install(vector, ram_slot);
+  ram_[ram_slot].dirty = fast_[slot].dirty;
+  ram_.strategy().on_access(vector);
+  fast_.detach(vector);
 }
 
 std::uint32_t TieredStore::obtain_fast_slot(std::uint32_t incoming) {
-  for (std::uint32_t s = 0; s < fast_.size(); ++s)
-    if (fast_[s].vector == kNone) return s;
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(fast_.size());
-  for (const Slot& slot : fast_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all fast-tier slots are pinned; increase fast_slots");
-  const std::uint32_t victim = fast_strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, incoming);
-  const std::uint32_t slot = slot_of_[victim];
-  PLFOC_CHECK(fast_[slot].vector == victim);
-  demote(slot);
-  return slot;
+  const SlotTier::Claim fast = fast_.claim(incoming);
+  if (fast.victim != kOocNoVector) {
+    // RAM-tier occupants are never pinned (pins live at the fast tier), so a
+    // full RAM tier always yields a victim.
+    const SlotTier::Claim ram = ram_.claim(fast.victim);
+    if (ram.victim != kOocNoVector) spill(ram);
+    demote(fast.slot, ram.slot, fast_.data(fast.slot));
+  }
+  return fast.slot;
 }
 
-std::uint32_t TieredStore::obtain_ram_slot(std::uint32_t incoming) {
-  for (std::uint32_t s = 0; s < ram_.size(); ++s)
-    if (ram_[s].vector == kNone) return s;
-  // RAM-tier occupants are never pinned (pins live at the fast tier), so any
-  // resident vector is a candidate.
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(ram_.size());
-  for (const Slot& slot : ram_) candidates.push_back(slot.vector);
-  const std::uint32_t victim = ram_strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, incoming);
-  const std::uint32_t slot = slot_of_[victim];
-  PLFOC_CHECK(ram_[slot].vector == victim);
-  // Spill to disk (the paper's slot manager always writes the victim back;
-  // we keep dirty tracking here since the tiers multiply traffic).
-  if (ram_[slot].dirty) {
-    file_.write_vector(victim, ram_data(slot));
+void TieredStore::spill(const SlotTier::Claim& claim) {
+  // The paper's slot manager always writes the victim back; we keep dirty
+  // tracking here since the tiers multiply traffic.
+  if (ram_[claim.slot].dirty) {
+    file_.write_vector(claim.victim, ram_.data(claim.slot));
     ++stats_locked().file_writes;
     stats_locked().bytes_written += width_ * sizeof(double);
   }
-  ++stats_locked().evictions;
-  if (prefetched_unread_[victim]) {
-    prefetched_unread_[victim] = false;
-    ++stats_locked().prefetch_wasted;
-  }
-  ram_strategy_->on_evict(victim);
-  where_[victim] = Location::kDisk;
-  slot_of_[victim] = kNone;
-  ram_[slot].vector = kNone;
-  ram_[slot].dirty = false;
-  return slot;
+  ram_.evict(claim.victim, stats_locked());
+}
+
+VerifyResult TieredStore::read_into(std::uint32_t index, std::uint32_t slot,
+                                    bool verified) {
+  VerifyResult verify;
+  if (verified)
+    verify = file_.read_vector_verified(index, fast_.data(slot));
+  else
+    file_.read_vector(index, fast_.data(slot));
+  ++stats_locked().file_reads;
+  stats_locked().bytes_read += width_ * sizeof(double);
+  return verify;
 }
 
 // Async-engine disk-miss path. The only real write in the fast-miss cascade
 // is the dirty RAM victim's spill; when it occurs, it and the demand read
 // become one engine batch so the device overlaps them. Every other shape of
-// the cascade (free slots, clean victims) is delegated to the sequential
-// helpers — crucially without pre-consulting the replacement strategies,
-// whose draws (Random consumes RNG state) must happen exactly once and in
+// the cascade (free slots, clean victims) runs the sequential steps — with
+// each tier's victim drawn exactly once, fast victim first, because the
+// replacement strategies' draws (Random consumes RNG state) must happen in
 // the sequential order.
+
 std::uint32_t TieredStore::swap_in_overlapped(std::uint32_t index,
                                               bool verified,
                                               VerifyResult* out_verify) {
-  const auto read_into = [&](std::uint32_t fslot)
-                             PLFOC_REQUIRES(mutex_) {
-    if (verified)
-      *out_verify = file_.read_vector_verified(index, fast_data(fslot));
-    else
-      file_.read_vector(index, fast_data(fslot));
-    ++stats_locked().file_reads;
-    stats_locked().bytes_read += width_ * sizeof(double);
-  };
-
-  // A free fast slot leaves nothing to overlap.
-  for (std::uint32_t s = 0; s < fast_.size(); ++s) {
-    if (fast_[s].vector != kNone) continue;
-    read_into(s);
-    return s;
+  const SlotTier::Claim fast = fast_.claim(index);
+  const std::uint32_t fslot = fast.slot;
+  if (fast.victim == kOocNoVector) {  // a free slot: nothing to overlap
+    *out_verify = read_into(index, fslot, verified);
+    return fslot;
   }
-
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(fast_.size());
-  for (const Slot& slot : fast_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all fast-tier slots are pinned; increase fast_slots");
-  const std::uint32_t fast_victim = fast_strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
-  const std::uint32_t fslot = slot_of_[fast_victim];
-  PLFOC_CHECK(fast_[fslot].vector == fast_victim && fast_[fslot].pins == 0);
-
-  // A free RAM slot means the demotion spills nothing: pure sequential.
-  for (std::uint32_t s = 0; s < ram_.size(); ++s) {
-    if (ram_[s].vector != kNone) continue;
-    demote(fslot);
-    read_into(fslot);
+  const SlotTier::Claim ram = ram_.claim(fast.victim);
+  if (ram.victim == kOocNoVector || !ram_[ram.slot].dirty) {
+    // No spill write to overlap: the sequential cascade, victims drawn.
+    if (ram.victim != kOocNoVector) spill(ram);
+    demote(fslot, ram.slot, fast_.data(fslot));
+    *out_verify = read_into(index, fslot, verified);
     return fslot;
   }
 
-  // RAM full: choose the victim once (the sequential obtain_ram_slot order).
-  std::vector<std::uint32_t> ram_candidates;
-  ram_candidates.reserve(ram_.size());
-  for (const Slot& slot : ram_) ram_candidates.push_back(slot.vector);
-  const std::uint32_t ram_victim = ram_strategy_->choose_victim(
-      {ram_candidates.data(), ram_candidates.size()}, fast_victim);
-  const std::uint32_t rslot = slot_of_[ram_victim];
-  PLFOC_CHECK(ram_[rslot].vector == ram_victim);
+  // Overlap: the spill write sources the RAM slot directly (its content is
+  // not touched until the demotion lands below); the demand read reuses the
+  // fast victim's slot, so that content moves to scratch first.
+  if (demote_scratch_.size() != width_) demote_scratch_.resize(width_);
+  std::memcpy(demote_scratch_.data(), fast_.data(fslot),
+              width_ * sizeof(double));
+  FileBackend::VectorOp ops[2];
+  ops[0].is_write = true;
+  ops[0].index = ram.victim;
+  ops[0].buffer = ram_.data(ram.slot);
+  ops[1].is_write = false;
+  ops[1].index = index;
+  ops[1].verify = verified;
+  ops[1].buffer = fast_.data(fslot);
+  file_.submit_vector_ops(ops, 2);
 
-  if (ram_[rslot].dirty) {
-    // Overlap: the spill write sources the RAM slot directly (its content is
-    // not touched until the demotion lands below); the demand read reuses
-    // the fast victim's slot, so that content moves to scratch first.
-    if (demote_scratch_.size() != width_) demote_scratch_.resize(width_);
-    std::memcpy(demote_scratch_.data(), fast_data(fslot),
+  if (!ops[0].ok()) {
+    // The sequential spill throw leaves both tiers fully intact: restore
+    // the fast victim's content (the read clobbered its slot) and unwind.
+    std::memcpy(fast_.data(fslot), demote_scratch_.data(),
                 width_ * sizeof(double));
-    FileBackend::VectorOp ops[2];
-    ops[0].is_write = true;
-    ops[0].index = ram_victim;
-    ops[0].buffer = ram_data(rslot);
-    ops[1].is_write = false;
-    ops[1].index = index;
-    ops[1].verify = verified;
-    ops[1].buffer = fast_data(fslot);
-    file_.submit_vector_ops(ops, 2);
-
-    if (!ops[0].ok()) {
-      // The sequential spill throw leaves both tiers fully intact: restore
-      // the fast victim's content (the read clobbered its slot) and unwind.
-      std::memcpy(fast_data(fslot), demote_scratch_.data(),
-                  width_ * sizeof(double));
-      throw IoError("pwrite", ops[0].error, ops[0].fail_offset,
-                    ops[0].attempts, ops[0].injected);
-    }
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += width_ * sizeof(double);
-    ++stats_locked().evictions;
-    if (prefetched_unread_[ram_victim]) {
-      prefetched_unread_[ram_victim] = false;
-      ++stats_locked().prefetch_wasted;
-    }
-    ram_strategy_->on_evict(ram_victim);
-    where_[ram_victim] = Location::kDisk;
-    slot_of_[ram_victim] = kNone;
-    ram_[rslot].vector = kNone;
-    ram_[rslot].dirty = false;
-    // The demotion itself, from the scratch image.
-    std::memcpy(ram_data(rslot), demote_scratch_.data(),
-                width_ * sizeof(double));
-    ++tier_stats_.demotions;
-    tier_stats_.bytes_transferred += width_ * sizeof(double);
-    ram_[rslot].vector = fast_victim;
-    ram_[rslot].dirty = fast_[fslot].dirty;
-    ram_strategy_->on_load(fast_victim);
-    ram_strategy_->on_access(fast_victim);
-    where_[fast_victim] = Location::kRam;
-    slot_of_[fast_victim] = rslot;
-    fast_strategy_->on_evict(fast_victim);
-    fast_[fslot].vector = kNone;
-    fast_[fslot].dirty = false;
-
-    if (!ops[1].ok())
-      throw IoError("pread", ops[1].error, ops[1].fail_offset,
-                    ops[1].attempts, ops[1].injected);
-    ++stats_locked().file_reads;
-    stats_locked().bytes_read += width_ * sizeof(double);
-    *out_verify = ops[1].verify_result;
-    return fslot;
+    throw IoError("pwrite", ops[0].error, ops[0].fail_offset,
+                  ops[0].attempts, ops[0].injected);
   }
+  ++stats_locked().file_writes;
+  stats_locked().bytes_written += width_ * sizeof(double);
+  ram_.evict(ram.victim, stats_locked());
+  demote(fslot, ram.slot, demote_scratch_.data());  // from the scratch image
 
-  // Clean RAM victim: no spill write — inline the sequential bookkeeping
-  // (the victim draw above already happened, so demote() must not redraw).
-  ++stats_locked().evictions;
-  if (prefetched_unread_[ram_victim]) {
-    prefetched_unread_[ram_victim] = false;
-    ++stats_locked().prefetch_wasted;
-  }
-  ram_strategy_->on_evict(ram_victim);
-  where_[ram_victim] = Location::kDisk;
-  slot_of_[ram_victim] = kNone;
-  ram_[rslot].vector = kNone;
-  ram_[rslot].dirty = false;
-  std::memcpy(ram_data(rslot), fast_data(fslot), width_ * sizeof(double));
-  ++tier_stats_.demotions;
-  tier_stats_.bytes_transferred += width_ * sizeof(double);
-  ram_[rslot].vector = fast_victim;
-  ram_[rslot].dirty = fast_[fslot].dirty;
-  ram_strategy_->on_load(fast_victim);
-  ram_strategy_->on_access(fast_victim);
-  where_[fast_victim] = Location::kRam;
-  slot_of_[fast_victim] = rslot;
-  fast_strategy_->on_evict(fast_victim);
-  fast_[fslot].vector = kNone;
-  fast_[fslot].dirty = false;
-  read_into(fslot);
+  if (!ops[1].ok())
+    throw IoError("pread", ops[1].error, ops[1].fail_offset, ops[1].attempts,
+                  ops[1].injected);
+  ++stats_locked().file_reads;
+  stats_locked().bytes_read += width_ * sizeof(double);
+  *out_verify = ops[1].verify_result;
   return fslot;
 }
 
@@ -267,196 +164,86 @@ double* TieredStore::do_acquire(std::uint32_t index, AccessMode mode) {
   MutexLock lock(mutex_);
   ++stats_locked().accesses;
 
-  if (where_[index] == Location::kFast) {
+  if (const std::uint32_t slot = fast_.slot_of(index); slot != kOocNoSlot) {
     ++stats_locked().hits;
     ++tier_stats_.fast_hits;
-    const std::uint32_t slot = slot_of_[index];
     ++fast_[slot].pins;
     if (mode == AccessMode::kWrite) fast_[slot].dirty = true;
-    fast_strategy_->on_access(index);
-    return fast_data(slot);
+    fast_.strategy().on_access(index);
+    return fast_.data(slot);
   }
 
   ++stats_locked().misses;
   if (!touched_[index]) ++stats_locked().cold_misses;
 
-  const bool from_ram = where_[index] == Location::kRam;
+  std::uint32_t fast_slot;
   bool promoted_dirty = false;
-  if (from_ram) {
+  VerifyResult verify;  // stays kOk unless a verified disk read fails
+  if (const std::uint32_t ram_slot = ram_.slot_of(index);
+      ram_slot != kOocNoSlot) {
     // Stage the promotion through a bounce buffer and release the RAM slot
     // *before* freeing a fast slot: the demoted fast victim can then drop
     // into the just-freed RAM slot instead of spilling a third vector to
-    // disk when both tiers are exactly full.
-    const std::uint32_t ram_slot = slot_of_[index];
-    std::memcpy(bounce_.data(), ram_data(ram_slot), width_ * sizeof(double));
+    // disk when both tiers are exactly full. Until the promotion lands, the
+    // vector lives only in the bounce buffer.
+    std::memcpy(bounce_.data(), ram_.data(ram_slot), width_ * sizeof(double));
     promoted_dirty = ram_[ram_slot].dirty;
-    ram_strategy_->on_evict(index);
-    ram_[ram_slot].vector = kNone;
-    ram_[ram_slot].dirty = false;
-    where_[index] = Location::kDisk;  // transiently: lives in the bounce buffer
-    slot_of_[index] = kNone;
-  }
-
-  std::uint32_t fast_slot;
-  VerifyResult verify;  // stays kOk unless a verified disk read fails
-  if (from_ram) {
+    ram_.detach(index);
     fast_slot = obtain_fast_slot(index);
     // Promote from host RAM: a PCIe copy, no disk access.
-    std::memcpy(fast_data(fast_slot), bounce_.data(), width_ * sizeof(double));
+    std::memcpy(fast_.data(fast_slot), bounce_.data(), width_ * sizeof(double));
     ++tier_stats_.promotions;
     ++tier_stats_.ram_hits;
     tier_stats_.bytes_transferred += width_ * sizeof(double);
-    fast_[fast_slot].dirty = promoted_dirty;
   } else {
     // Load from disk straight into the fast tier (staging through host RAM
     // is a hardware detail the model need not pay twice for).
     const bool need_read = mode == AccessMode::kRead || !options_.read_skipping;
+    // Only kRead misses verify: a paper-mode write-miss read loads bytes
+    // that are about to be overwritten, so damage there is never consumed.
+    const bool verified = mode == AccessMode::kRead && file_.integrity();
     if (need_read && file_.async_io()) {
-      // Only kRead misses verify: a paper-mode write-miss read loads bytes
-      // that are about to be overwritten, so damage there is never consumed.
-      fast_slot = swap_in_overlapped(
-          index, mode == AccessMode::kRead && file_.integrity(), &verify);
+      fast_slot = swap_in_overlapped(index, verified, &verify);
     } else {
       fast_slot = obtain_fast_slot(index);
-      if (need_read) {
-        if (mode == AccessMode::kRead && file_.integrity())
-          verify = file_.read_vector_verified(index, fast_data(fast_slot));
-        else
-          file_.read_vector(index, fast_data(fast_slot));
-        ++stats_locked().file_reads;
-        stats_locked().bytes_read += width_ * sizeof(double);
-      } else {
+      if (need_read)
+        verify = read_into(index, fast_slot, verified);
+      else
         ++stats_locked().skipped_reads;
-      }
     }
     ++tier_stats_.promotions;
     tier_stats_.bytes_transferred += width_ * sizeof(double);
-    fast_[fast_slot].dirty = false;
   }
 
   touched_[index] = true;
-  // A demand acquire is the payoff the prefetch staged for (the from_ram
-  // promotion above IS the hit); the install can no longer count as wasted.
-  prefetched_unread_[index] = false;
-  fast_[fast_slot].vector = index;
+  fast_.install(index, fast_slot);
   fast_[fast_slot].pins = 1;
-  if (mode == AccessMode::kWrite) fast_[fast_slot].dirty = true;
-  where_[index] = Location::kFast;
-  slot_of_[index] = fast_slot;
-  fast_strategy_->on_load(index);
-  fast_strategy_->on_access(index);
-  if (!verify.ok()) recover_or_throw(lock, index, fast_slot, verify);
-  return fast_data(fast_slot);
-}
-
-// The body juggles the capability (unlocks around the re-entrant recovery
-// hook, relocks before mutating the slot table); the REQUIRES contract on
-// the declaration is what callers are checked against.
-void TieredStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
-                                   std::uint32_t slot,
-                                   const VerifyResult& verify)
-    PLFOC_NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t recomputed = 0;
-  if (recovery_hook_) {
-    double* dst = fast_data(slot);
-    // The hook recomputes from children via acquire()/release(), which
-    // re-enter do_acquire — the slot table must be unlocked. `index` itself
-    // stays pinned, so its fast slot (and dst) cannot move meanwhile.
-    lock.unlock();
-    try {
-      recomputed = recovery_hook_(index, dst);
-    } catch (...) {
-      recomputed = 0;  // a failing recovery is an unrecoverable record
-    }
-    lock.lock();
-  }
-
-  // Count the whole episode at resolution, under one lock hold, so snapshots
-  // taken by nested acquires never see the failure/recovery identity broken.
-  ++stats_locked().integrity_failures;
-  if (recomputed > 0) {
-    ++stats_locked().integrity_recoveries;
-    stats_locked().recovery_recomputes += recomputed;
-    // The healed content supersedes the corrupt record: route it back to the
-    // file through the normal dirty demote/spill path.
-    fast_[slot].dirty = true;
-    return;
-  }
-
-  ++stats_locked().integrity_unrecovered;
-  // Undo the install: the slot holds damaged bytes nobody may consume.
-  PLFOC_CHECK(fast_[slot].pins == 1);
-  fast_[slot] = Slot{};
-  where_[index] = Location::kDisk;
-  slot_of_[index] = kNone;
-  fast_strategy_->on_evict(index);
-  throw IntegrityError(
-      "tiered swap-in", index, verify.expected_generation,
-      verify.found_generation, verify.injected,
-      std::string(verify.status_name()) +
-          (recovery_hook_
-               ? "; recomputation failed (children unavailable or hook error)"
-               : "; no recovery hook registered"));
+  fast_[fast_slot].dirty = promoted_dirty || mode == AccessMode::kWrite;
+  fast_.strategy().on_access(index);
+  if (!verify.ok())
+    fast_.recover_or_throw(lock, recovery_hook_, stats_locked(), index, verify,
+                           "tiered swap-in");
+  return fast_.data(fast_slot);
 }
 
 void TieredStore::do_release(std::uint32_t index) {
   MutexLock lock(mutex_);
-  PLFOC_CHECK(where_[index] == Location::kFast);
-  Slot& slot = fast_[slot_of_[index]];
-  PLFOC_CHECK(slot.pins > 0);
-  --slot.pins;
-}
-
-void TieredStore::prefetch(std::uint32_t index) {
-  PLFOC_CHECK(index < count_);
-  // Advisory cancellation: this may run on the Prefetcher's worker thread,
-  // where throwing would terminate the process. The demand path's acquire()
-  // raises the typed CancelledError instead.
-  if (cancel_.cancelled_or_expired()) return;
-  MutexLock lock(mutex_);
-  if (where_[index] != Location::kDisk) return;  // already staged or resident
-  if (!touched_[index]) return;  // nothing meaningful on disk yet
-  const std::uint32_t rslot = obtain_ram_slot(index);
-  if (file_.integrity()) {
-    // A later promotion consumes RAM-tier bytes without re-verification, so
-    // the advisory read is where damage must be caught: drop the install and
-    // let the demand miss take the verified (and recoverable) disk path.
-    const VerifyResult verify =
-        file_.read_vector_verified(index, ram_data(rslot));
-    if (!verify.ok()) {
-      stats_locked().bytes_read += width_ * sizeof(double);
-      ++stats_locked().prefetch_stale;
-      return;  // rslot stays free
-    }
-  } else {
-    file_.read_vector(index, ram_data(rslot));
-  }
-  stats_locked().bytes_read += width_ * sizeof(double);
-  ++stats_locked().prefetch_reads;
-  ram_[rslot].vector = index;
-  ram_[rslot].dirty = false;
-  ram_strategy_->on_load(index);
-  ram_strategy_->on_prefetch_install(index);
-  where_[index] = Location::kRam;
-  slot_of_[index] = rslot;
-  prefetched_unread_[index] = true;
+  const std::uint32_t slot = fast_.slot_of(index);
+  PLFOC_CHECK(slot != kOocNoSlot && fast_[slot].pins > 0);
+  --fast_[slot].pins;
 }
 
 void TieredStore::flush() {
   MutexLock lock(mutex_);
-  for (std::uint32_t s = 0; s < fast_.size(); ++s) {
-    if (fast_[s].vector == kNone || !fast_[s].dirty) continue;
-    file_.write_vector(fast_[s].vector, fast_data(s));
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += width_ * sizeof(double);
-    fast_[s].dirty = false;
-  }
-  for (std::uint32_t s = 0; s < ram_.size(); ++s) {
-    if (ram_[s].vector == kNone || !ram_[s].dirty) continue;
-    file_.write_vector(ram_[s].vector, ram_data(s));
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += width_ * sizeof(double);
-    ram_[s].dirty = false;
+  for (SlotTier* tier : {&fast_, &ram_}) {
+    for (std::uint32_t s = 0; s < tier->size(); ++s) {
+      OocSlot& slot = (*tier)[s];
+      if (slot.vector == kOocNoVector || !slot.dirty) continue;
+      file_.write_vector(slot.vector, tier->data(s));
+      ++stats_locked().file_writes;
+      stats_locked().bytes_written += width_ * sizeof(double);
+      slot.dirty = false;
+    }
   }
   file_.sync();
 }
@@ -464,24 +251,15 @@ void TieredStore::flush() {
 OocStats TieredStore::stats_snapshot() const {
   MutexLock lock(mutex_);
   OocStats out = stats_locked();
-  out.faults_injected = file_.faults_injected();
-  out.io_retries = file_.io_retries();
-  out.io_exhausted = file_.io_exhausted();
-  out.corruptions_injected = file_.corruptions_injected();
-  out.io_batches = file_.io_batches();
-  out.io_coalesced = file_.io_coalesced();
-  out.io_write_coalesced = file_.io_write_coalesced();
+  file_.copy_counters(out);
   return out;
 }
 
 void TieredStore::reset_stats() {
   MutexLock lock(mutex_);
-  file_.reset_fault_counters();
-  file_.reset_io_counters();
-  // Forget pending prefetch installs: a wasted eviction after the reset
-  // would otherwise break the prefetch_wasted <= prefetch_reads identity.
-  std::fill(prefetched_unread_.begin(), prefetched_unread_.end(), false);
+  file_.reset_counters();
   stats_locked() = OocStats{};
+  tier_stats_ = TierStats{};
 }
 
 }  // namespace plfoc

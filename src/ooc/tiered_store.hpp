@@ -17,16 +17,17 @@
 // Demotions from the fast tier fall to the RAM tier (possibly cascading a
 // RAM->disk eviction); promotions prefer RAM residency over a disk read.
 // Pinning applies to the fast tier (a computation's working triple must be
-// on the accelerator), so m_fast >= 3. Both tiers use their own replacement
-// strategy instance. Transfer statistics are split per layer: stats() counts
-// the disk layer exactly like OutOfCoreStore; tier_stats() counts
-// host<->device traffic.
+// on the accelerator), so m_fast >= 3. Each layer is one SlotTier
+// (ooc/slot_tier.hpp) with its own replacement strategy instance; a vector
+// is in the fast tier, in the RAM tier or on disk only. Transfer statistics
+// are split per layer: stats() counts the disk layer exactly like
+// OutOfCoreStore; tier_stats() counts host<->device traffic.
 #pragma once
 
 #include <vector>
 
 #include "ooc/file_backend.hpp"
-#include "ooc/replacement.hpp"
+#include "ooc/slot_tier.hpp"
 #include "ooc/storage.hpp"
 #include "util/aligned_buffer.hpp"
 #include "util/mutex.hpp"
@@ -66,15 +67,6 @@ class TieredStore final : public AncestralStore {
   /// the PR 2 stats_snapshot() fix closed for OocStats).
   TierStats tier_stats() const;
 
-  /// Advisory prefetch into the *RAM tier*: stage `index` from disk so a
-  /// later acquire promotes it over PCIe instead of paying a device read.
-  /// No-op unless the vector is on disk and has been written. The install
-  /// ages the vector into the RAM strategy via on_prefetch_install, and an
-  /// install evicted to disk before any acquire counts
-  /// stats().prefetch_wasted. Synchronous (no engine batch): the tier's
-  /// prefetch traffic is host-side staging, not the latency-critical path.
-  void prefetch(std::uint32_t index);
-
   /// Write all dirty state (both tiers) back to the file.
   void flush() override;
 
@@ -83,7 +75,7 @@ class TieredStore final : public AncestralStore {
   /// Counters plus the backing file's robustness counters (faults_injected /
   /// io_retries / io_exhausted), which live in backend atomics.
   OocStats stats_snapshot() const override;
-  /// Also clears the backing file's robustness counters.
+  /// Also clears tier_stats() and the backing file's robustness counters.
   void reset_stats() override;
 
  protected:
@@ -91,44 +83,26 @@ class TieredStore final : public AncestralStore {
   void do_release(std::uint32_t index) override;
 
  private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  struct Slot {
-    std::uint32_t vector = kNone;
-    std::uint32_t pins = 0;  ///< fast tier only
-    bool dirty = false;
-  };
-
-  enum class Location : std::uint8_t { kDisk, kRam, kFast };
-
-  double* fast_data(std::uint32_t slot) {
-    return fast_arena_.data() + static_cast<std::size_t>(slot) * width_;
-  }
-  double* ram_data(std::uint32_t slot) {
-    return ram_arena_.data() + static_cast<std::size_t>(slot) * width_;
-  }
-
-  /// A verified disk read into fast slot `slot` failed: try the recovery
-  /// hook (released lock), then either mark the slot dirty (healed) or undo
-  /// the install and throw IntegrityError. Requires: lock held (`lock` is
-  /// the scoped acquisition of mutex_), `slot` installed for `index` and
-  /// pinned once.
-  void recover_or_throw(MutexLock& lock, std::uint32_t index,
-                        std::uint32_t slot, const VerifyResult& verify)
-      PLFOC_REQUIRES(mutex_);
-  /// Free a fast slot (demoting its occupant to RAM).
+  /// Free a fast slot, demoting its occupant to RAM (which may evict the
+  /// RAM tier's victim to disk).
   std::uint32_t obtain_fast_slot(std::uint32_t incoming)
       PLFOC_REQUIRES(mutex_);
-  /// Free a RAM slot (evicting its occupant to disk).
-  std::uint32_t obtain_ram_slot(std::uint32_t incoming) PLFOC_REQUIRES(mutex_);
-  /// Move the vector in fast slot `slot` down to the RAM tier.
-  void demote(std::uint32_t slot) PLFOC_REQUIRES(mutex_);
+  /// Evict the claimed RAM victim to disk, writing it back if dirty.
+  void spill(const SlotTier::Claim& claim) PLFOC_REQUIRES(mutex_);
+  /// Move the unpinned vector in fast slot `slot` into the free RAM slot
+  /// `ram_slot`, copying its content from `src` (normally the fast slot).
+  void demote(std::uint32_t slot, std::uint32_t ram_slot, const double* src)
+      PLFOC_REQUIRES(mutex_);
+  /// Disk read of `index` into fast slot `slot`, verified when `verified`
+  /// (the result is kOk on unverified reads).
+  VerifyResult read_into(std::uint32_t index, std::uint32_t slot,
+                         bool verified) PLFOC_REQUIRES(mutex_);
   /// Async-engine disk-miss path: free a fast slot AND load `index` into it,
   /// overlapping the cascaded RAM-victim spill write (when one is needed)
   /// with the demand read as one engine batch. Counts file_reads/bytes_read
   /// like the sequential read; the caller still counts the promotion. On a
   /// spill failure the whole cascade is undone (both tiers keep their
-  /// occupants) — the state the sequential obtain_ram_slot throw leaves.
+  /// occupants) — the state the sequential spill's throw leaves.
   std::uint32_t swap_in_overlapped(std::uint32_t index, bool verified,
                                    VerifyResult* out_verify)
       PLFOC_REQUIRES(mutex_);
@@ -141,27 +115,17 @@ class TieredStore final : public AncestralStore {
   }
 
   TieredStoreOptions options_;
-  AlignedBuffer fast_arena_;
-  AlignedBuffer ram_arena_;
+  SlotTier fast_ PLFOC_GUARDED_BY(mutex_);  ///< leases pin these slots
+  SlotTier ram_ PLFOC_GUARDED_BY(mutex_);   ///< never pinned
   /// One-vector staging buffer for promotions.
   AlignedBuffer bounce_ PLFOC_GUARDED_BY(mutex_);
   /// Overlapped-swap staging (async engines only): holds the demoting fast
   /// victim's content while the demand read reuses its fast slot — and
   /// doubles as the undo image if the cascaded spill write fails.
   std::vector<double> demote_scratch_ PLFOC_GUARDED_BY(mutex_);
-  std::vector<Slot> fast_ PLFOC_GUARDED_BY(mutex_);
-  std::vector<Slot> ram_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector.
-  std::vector<Location> where_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: slot in its tier.
-  std::vector<std::uint32_t> slot_of_ PLFOC_GUARDED_BY(mutex_);
+  /// Vector ever accessed (cold-miss tracking).
   std::vector<bool> touched_ PLFOC_GUARDED_BY(mutex_);
-  /// Vector staged into the RAM tier by prefetch() and not acquired since;
-  /// spilling it back to disk while set counts stats().prefetch_wasted.
-  std::vector<bool> prefetched_unread_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
-  std::unique_ptr<ReplacementStrategy> fast_strategy_ PLFOC_GUARDED_BY(mutex_);
-  std::unique_ptr<ReplacementStrategy> ram_strategy_ PLFOC_GUARDED_BY(mutex_);
   TierStats tier_stats_ PLFOC_GUARDED_BY(mutex_);
   mutable Mutex mutex_;
 };

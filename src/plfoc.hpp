@@ -48,7 +48,6 @@
 #include "search/spr.hpp"              // IWYU pragma: export
 #include "search/stepwise.hpp"         // IWYU pragma: export
 #include "service/job.hpp"             // IWYU pragma: export
-#include "service/job_queue.hpp"       // IWYU pragma: export
 #include "service/jobfile.hpp"         // IWYU pragma: export
 #include "service/scheduler.hpp"       // IWYU pragma: export
 #include "service/service.hpp"         // IWYU pragma: export

@@ -55,7 +55,7 @@ struct JobSpec {
 };
 
 enum class JobStatus {
-  kQueued,     ///< accepted, waiting in the JobQueue
+  kQueued,     ///< accepted, waiting in the FairJobQueue
   kRunning,    ///< popped by a worker (possibly waiting for admission)
   kDone,       ///< evaluated successfully
   kFailed,     ///< Session construction or evaluation threw plfoc::Error

@@ -15,11 +15,13 @@
 //   while an idle tenant costs nothing and a newly-active one joins the
 //   round at the tail with a fresh deficit — no credit hoarding. Tenants
 //   at their max_in_flight quota are skipped (not starved: job_finished()
-//   re-wakes the poppers); global capacity backpressure is unchanged from
-//   JobQueue. flush() supports Service::drain()'s flush mode: close intake
-//   and hand back everything still queued with per-tenant counts.
+//   re-wakes the poppers); once `capacity` jobs wait in total, push() blocks
+//   and try_push() reports kFull, bounding the RAM held by queued specs.
+//   flush() supports Service::drain()'s flush mode: close intake and hand
+//   back everything still queued with per-tenant counts.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -28,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "service/job_queue.hpp"
+#include "service/job.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -81,13 +83,23 @@ class TenantRegistry {
   std::map<std::string, TenantStats> stats_ PLFOC_GUARDED_BY(mutex_);
 };
 
-/// Bounded per-tenant queue with weighted deficit-round-robin dequeue.
-/// Interface mirrors JobQueue (push/try_push/pop/cancel/close) so the
-/// Service swaps it in without touching the worker loop's shape; the
-/// additions are job_finished() (quota bookkeeping) and flush().
+enum class PushResult {
+  kAccepted,
+  kFull,    ///< try_push only: queue at capacity
+  kClosed,  ///< close() was called; job not accepted
+};
+
+/// Bounded per-tenant queue with weighted deficit-round-robin dequeue:
+/// push/try_push/pop/cancel/close, plus job_finished() (quota bookkeeping)
+/// and flush().
 class FairJobQueue {
  public:
-  using Pending = JobQueue::Pending;
+  /// A queued job.
+  struct Pending {
+    JobId id = 0;
+    JobSpec spec;
+    std::chrono::steady_clock::time_point enqueued;
+  };
 
   /// Everything drain(kFlushQueued) pulled out of the queue.
   struct FlushReport {

@@ -1,10 +1,10 @@
 // Fixed-size thread pool for the service workers.
 //
 // Deliberately minimal: workers are plain std::threads running the service's
-// worker loop to completion (the loop exits when the JobQueue is closed and
-// drained). Each worker owns every Session it builds — no likelihood state
-// is ever shared between threads, so the single-threaded out-of-core store
-// needs no extra locking.
+// worker loop to completion (the loop exits when the FairJobQueue is closed
+// and drained). Each worker owns every Session it builds — no likelihood
+// state is ever shared between threads, so the single-threaded out-of-core
+// store needs no extra locking.
 #pragma once
 
 #include <cstddef>

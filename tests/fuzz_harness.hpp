@@ -302,7 +302,7 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
   candidates.push_back(std::move(paged_mt));
 
   // Prefetch axis: a Prefetcher worker stages lookahead windows while the
-  // engine computes, exercising prefetch()/prefetch_batch() and the
+  // engine computes, exercising prefetch_batch() and the
   // on_prefetch_install replacement aging under every engine family. Kept
   // fault-free: prefetch I/O is advisory, and the policies here are the ones
   // whose aging semantics the hook changes (LRU tick, LFU grant) plus the

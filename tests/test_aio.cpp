@@ -474,7 +474,7 @@ void expect_zero_io_counters(const OocStats& stats, const char* label) {
 
 TEST(AioBatch, ResetStatsClearsIoCountersAcrossStores) {
   // Regression guard for the reset split: reset_stats() must clear the
-  // backing file's batch/coalescing counters (reset_io_counters) alongside
+  // backing file's batch/coalescing counters (reset_counters) alongside
   // the robustness counters, or the very first post-reset snapshot reports
   // traffic from before the reset.
   const std::size_t width = 16;

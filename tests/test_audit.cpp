@@ -280,8 +280,7 @@ TEST(StoreAuditor, CleanStoreWorkloadNeverTrips) {
       auto lease = store.acquire(idx, AccessMode::kRead);
       ASSERT_EQ(lease.data()[0], idx * 100.0 + round);
     }
-    store.prefetch(3);
-    store.prefetch(7);
+    for (const std::uint32_t v : {3u, 7u}) store.prefetch_batch(&v, 1);
   }
   EXPECT_GT(store.stats().evictions, 0u);
 }

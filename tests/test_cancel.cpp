@@ -370,20 +370,19 @@ TEST(ServiceCancel, CancelRacingTheWorkerPopNeverReturnsFalseForLiveJobs) {
 }
 
 TEST(ServiceCancel, WatchdogReasonPlumbsThroughTheUnwind) {
-  // Trip a running job's token with kWatchdog by hand (the deterministic
-  // stand-in for a frozen progress counter) and check the reason survives
-  // to the JobResult.
+  // Trip a running job's token with kWatchdog at check point 5, once the
+  // evaluation is under way (the deterministic stand-in for a frozen
+  // progress counter; cancelling from the test thread after polling
+  // progress would race the worker, which can finish first), and check the
+  // reason survives to the JobResult.
   ServiceOptions options;
   options.workers = 1;
   Service service(options);
   JobSpec spec = slow_service_job(11);
   CancelToken token = CancelToken::make();
+  token.set_trip_at(5, CancelReason::kWatchdog);
   spec.session.cancel = token;
   const JobId id = service.submit(std::move(spec));
-  // Wait until the evaluation is demonstrably under way...
-  while (token.progress() < 5)
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  token.cancel(CancelReason::kWatchdog);
   const JobResult result = service.wait(id);
   ASSERT_EQ(result.status, JobStatus::kCancelled);
   EXPECT_EQ(result.cancel_reason, CancelReason::kWatchdog);

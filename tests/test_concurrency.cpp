@@ -199,8 +199,8 @@ TEST(Concurrency, PrefetchAgainstEngineTraversals) {
 }
 
 // Staged prefetch install racing demand traffic: a dedicated thread calls
-// store.prefetch() directly (the Prefetcher worker's code path, where the
-// disk read happens OUTSIDE the slot-table mutex) while owner threads
+// store.prefetch_batch() directly (the Prefetcher worker's code path, where
+// the disk read happens OUTSIDE the slot-table mutex) while owner threads
 // rewrite and re-verify their own vectors through demand leases. The tiny
 // slot count keeps eviction constantly recycling slots underneath the staged
 // reads, exercising the re-validation/stale-drop branch; every raced install
@@ -225,7 +225,8 @@ TEST(Concurrency, PrefetchStagedInstallRacesDemandTraffic) {
     std::uint32_t state = 12345u;
     while (!stop.load(std::memory_order_relaxed)) {
       state = state * 1664525u + 1013904223u;
-      store.prefetch(state % kCount);
+      const std::uint32_t index = state % kCount;
+      store.prefetch_batch(&index, 1);
     }
   });
   for (std::size_t t = 0; t < kThreads; ++t) {

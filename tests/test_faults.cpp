@@ -276,7 +276,7 @@ TEST(FaultyOocStore, StatsMirrorBackendCounters) {
 TEST(FaultyOocStore, DemandAcquireSurfacesIoErrorAndPrefetchSwallowsIt) {
   // Coin-flip EIO schedule with retries disabled: demand accesses are
   // allowed to throw the typed IoError (the engine/service catch it), but
-  // prefetch() must never let it escape — it runs on the Prefetcher worker
+  // prefetch_batch() must never let it escape — it runs on the Prefetcher worker
   // thread, where an uncaught exception is std::terminate.
   OutOfCoreStore store(
       8, 32,
@@ -300,7 +300,7 @@ TEST(FaultyOocStore, DemandAcquireSurfacesIoErrorAndPrefetchSwallowsIt) {
   // and must absorb every failure.
   for (std::uint32_t pass = 0; pass < 4; ++pass)
     for (std::uint32_t v = 0; v < 8; ++v)
-      EXPECT_NO_THROW(store.prefetch(v));
+      EXPECT_NO_THROW(store.prefetch_batch(&v, 1));
 
   // The store remained consistent throughout: a fault-free pass still works.
   for (std::uint32_t v = 0; v < 8; ++v) {

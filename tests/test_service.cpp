@@ -58,7 +58,7 @@ JobSpec make_slow_job(std::uint64_t seed) {
 }
 
 /// The cheapest valid spec, for queue-only tests that never evaluate.
-JobQueue::Pending pending(JobId id) {
+FairJobQueue::Pending pending(JobId id) {
   Alignment alignment(DataType::kDna, 4);
   alignment.add_sequence("a", "ACGT");
   alignment.add_sequence("b", "ACGT");
@@ -74,71 +74,6 @@ double sequential_log_likelihood(JobSpec spec) {
   Session session(std::move(spec.alignment), std::move(spec.tree),
                   std::move(spec.model), std::move(spec.session));
   return session.evaluate().log_likelihood;
-}
-
-// ---------------------------------------------------------------- JobQueue
-
-TEST(JobQueue, FifoOrderAndSize) {
-  JobQueue queue(4);
-  EXPECT_EQ(queue.capacity(), 4u);
-  for (JobId id = 1; id <= 3; ++id)
-    EXPECT_EQ(queue.try_push(pending(id)), PushResult::kAccepted);
-  EXPECT_EQ(queue.size(), 3u);
-  for (JobId id = 1; id <= 3; ++id) {
-    const auto job = queue.pop();
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(job->id, id);
-  }
-}
-
-TEST(JobQueue, TryPushReportsBackpressure) {
-  JobQueue queue(2);
-  EXPECT_EQ(queue.try_push(pending(1)), PushResult::kAccepted);
-  EXPECT_EQ(queue.try_push(pending(2)), PushResult::kAccepted);
-  EXPECT_EQ(queue.try_push(pending(3)), PushResult::kFull);
-  queue.pop();
-  EXPECT_EQ(queue.try_push(pending(3)), PushResult::kAccepted);
-}
-
-TEST(JobQueue, PushBlocksUntilPopMakesRoom) {
-  JobQueue queue(1);
-  ASSERT_EQ(queue.try_push(pending(1)), PushResult::kAccepted);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_EQ(queue.push(pending(2)), PushResult::kAccepted);
-    pushed = true;
-  });
-  // The producer is stuck behind the full queue until this pop.
-  const auto first = queue.pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->id, 1u);
-  const auto second = queue.pop();  // blocks until the producer lands
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->id, 2u);
-  producer.join();
-  EXPECT_TRUE(pushed);
-}
-
-TEST(JobQueue, CancelRemovesOnlyQueuedJobs) {
-  JobQueue queue(4);
-  queue.try_push(pending(1));
-  queue.try_push(pending(2));
-  EXPECT_TRUE(queue.cancel(2));
-  EXPECT_FALSE(queue.cancel(2));  // already gone
-  EXPECT_FALSE(queue.cancel(99));
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(JobQueue, CloseStopsIntakeButDrainsRemainder) {
-  JobQueue queue(4);
-  queue.try_push(pending(1));
-  queue.close();
-  queue.close();  // idempotent
-  EXPECT_TRUE(queue.closed());
-  EXPECT_EQ(queue.try_push(pending(2)), PushResult::kClosed);
-  EXPECT_EQ(queue.push(pending(2)), PushResult::kClosed);
-  ASSERT_TRUE(queue.pop().has_value());
-  EXPECT_FALSE(queue.pop().has_value());  // closed and drained
 }
 
 // --------------------------------------------------------------- Scheduler

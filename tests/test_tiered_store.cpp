@@ -138,6 +138,31 @@ TEST(TieredStore, FlushPersistsBothTiers) {
   }
 }
 
+TEST(TieredStore, ResetStatsZeroesTierStats) {
+  TieredStoreOptions options = small_options(3, 2);
+  options.ram_policy = ReplacementPolicy::kLru;
+  TieredStore store(8, 16, options);
+  for (int round = 0; round < 2; ++round)
+    for (std::uint32_t idx = 0; idx < 8; ++idx)
+      store.acquire(idx, round == 0 ? AccessMode::kWrite : AccessMode::kRead);
+  store.acquire(7, AccessMode::kRead);  // fast hit
+  store.acquire(4, AccessMode::kRead);  // promoted from the RAM tier
+  const TierStats before = store.tier_stats();
+  ASSERT_GT(before.promotions, 0u);
+  ASSERT_GT(before.demotions, 0u);
+  ASSERT_GT(before.fast_hits, 0u);
+  ASSERT_GT(before.ram_hits, 0u);
+
+  store.reset_stats();
+  const TierStats after = store.tier_stats();
+  EXPECT_EQ(after.promotions, 0u);
+  EXPECT_EQ(after.demotions, 0u);
+  EXPECT_EQ(after.fast_hits, 0u);
+  EXPECT_EQ(after.ram_hits, 0u);
+  EXPECT_EQ(after.bytes_transferred, 0u);
+  EXPECT_EQ(store.stats_snapshot().accesses, 0u);
+}
+
 TEST(TieredStore, BackendName) {
   TieredStore store(4, 8, small_options(3, 2));
   EXPECT_STREQ(store.backend_name(), "tiered");
