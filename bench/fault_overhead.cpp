@@ -1,16 +1,14 @@
-// Robustness-layer overhead: what do the fault-injection / retry machinery
-// and the per-vector checksum layer cost on the clean path? Variants:
+// Robustness-layer overhead: what does the fault-injection / retry machinery
+// cost on top of the checksummed clean path? Variants:
 //
-//   no-integrity  legacy raw layout, no injector — the pre-robustness I/O loop
 //   integrity     checksums verified at swap-in / updated at write-back
-//                 (the default configuration; no faults armed)
-//   rate=0.10     integrity plus a fault schedule at the ISSUE's 10% ceiling
-//                 with a retry budget absorbing every fault
+//                 (the only vector-file format; no faults armed)
+//   rate=0.10     the same plus a fault schedule at a 10% rate, with a
+//                 retry budget absorbing every fault
 //
-// The interesting numbers are the integrity/no-integrity wall ratio (the
-// clean-path checksum verify/update overhead) and the armed/integrity ratio
-// (the injection machinery itself) — results must stay bit-identical
-// throughout (docs/robustness.md). A checksum row first gives the record
+// The interesting number is the armed/integrity wall ratio (the injection
+// machinery itself) — results must stay bit-identical throughout
+// (docs/robustness.md). The checksum layer's own cost shows as the record
 // hash's throughput (and the serial checksum64 digest's, for scale) at a
 // 4 KiB page, a search-dna vector (25600 B) and a Fig. 5 vector (256 KiB).
 // The final stdout line is a JSON object with every variant's numbers for
@@ -30,7 +28,7 @@ struct OverheadResult {
 };
 
 OverheadResult run(const PlannedDataset& data, const FaultConfig& faults,
-                   bool integrity, std::uint64_t budget, int traversals) {
+                   std::uint64_t budget, int traversals) {
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
   options.policy = ReplacementPolicy::kLru;
@@ -38,7 +36,6 @@ OverheadResult run(const PlannedDataset& data, const FaultConfig& faults,
   options.compress_patterns = false;
   options.seed = 5;
   options.faults = faults;
-  options.integrity = integrity;
   options.io_retry.backoff_initial_us = 0;  // measure the loop, not sleeps
   Session session(data.alignment, data.tree, benchmark_gtr(), options);
   // Warm-up traversal populates the file; the measured part starts clean.
@@ -131,36 +128,28 @@ int main() {
               "retried", "exhausted");
 
   const FaultConfig off;  // rate 0: the injector is never constructed
-  const OverheadResult raw = run(data, off, false, budget, traversals);
-  print_row("no-integrity", raw);
-
-  const OverheadResult checked = run(data, off, true, budget, traversals);
+  const OverheadResult checked = run(data, off, budget, traversals);
   print_row("integrity", checked);
 
   FaultConfig armed;
   armed.seed = 20260805;
   armed.rate = 0.10;  // the acceptance ceiling
   armed.burst = 2;    // fits inside the default retry budget of 4
-  const OverheadResult faulty = run(data, armed, true, budget, traversals);
+  const OverheadResult faulty = run(data, armed, budget, traversals);
   print_row("rate=0.10", faulty);
 
-  const double integrity_overhead =
-      raw.wall == 0.0 ? 0.0 : checked.wall / raw.wall;
   const double armed_overhead =
       checked.wall == 0.0 ? 0.0 : faulty.wall / checked.wall;
-  std::printf("# integrity/no-integrity wall ratio (clean-path checksum "
-              "verify+update): %.2fx\n", integrity_overhead);
   std::printf("# armed/integrity wall ratio: %.2fx\n", armed_overhead);
 
-  const bool identical =
-      raw.loglik == checked.loglik && checked.loglik == faulty.loglik;
+  const bool identical = checked.loglik == faulty.loglik;
   if (!identical) std::printf("# WARNING: logL mismatch between variants\n");
-  else std::printf("# logL bit-identical across variants: %.6f\n", raw.loglik);
+  else std::printf("# logL bit-identical across variants: %.6f\n",
+                   checked.loglik);
 
   // Machine-readable summary (one line, scraped by dashboards / CI).
   std::printf("{\"bench\":\"fault_overhead\",\"scale\":\"%s\",\"traversals\""
               ":%d,", scale_name(scale), traversals);
-  print_json_variant("no_integrity", raw, ",");
   print_json_variant("integrity", checked, ",");
   print_json_variant("faulty", faulty, ",");
   for (const auto& [name, gbps] :
@@ -168,9 +157,7 @@ int main() {
         std::pair{"digest_checksum_gbps", digest_gbps}})
     std::printf("\"%s\":{\"4096\":%.2f,\"25600\":%.2f,\"262144\":%.2f},",
                 name, gbps[0], gbps[1], gbps[2]);
-  std::printf("\"integrity_clean_path_overhead\":%.4f,"
-              "\"armed_overhead\":%.4f,\"logl_bit_identical\":%s}\n",
-              integrity_overhead, armed_overhead,
-              identical ? "true" : "false");
+  std::printf("\"armed_overhead\":%.4f,\"logl_bit_identical\":%s}\n",
+              armed_overhead, identical ? "true" : "false");
   return identical ? 0 : 1;
 }

@@ -68,8 +68,6 @@ CliConfig parse_cli(int argc, const char* const* argv) {
                       FaultConfig::grammar())
       .add_uint("io-retries", &config.io_retries,
                 "transient I/O retry budget per transfer (0 = fail fast)")
-      .add_flag("no-integrity", &config.no_integrity,
-                "disable per-vector checksums and self-healing recovery")
       .add_string("io-engine", &config.io_engine,
                   "backing-file I/O engine: sync | threads | uring | "
                   "deterministic (uring degrades to threads when the host "
@@ -153,7 +151,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
   options.vector_file = config.vector_file;
   if (!config.inject_faults.empty())
     options.faults = FaultConfig::parse(config.inject_faults);
-  options.integrity = !config.no_integrity;
   options.io_retry.max_retries = static_cast<unsigned>(config.io_retries);
   options.io_engine = parse_aio_engine(config.io_engine);
   options.io_depth = static_cast<unsigned>(config.io_depth);

@@ -47,7 +47,6 @@ struct CliConfig {
   // robustness (docs/robustness.md)
   std::string inject_faults;         // FaultConfig spec "seed=N,rate=P,..."
   std::uint64_t io_retries = 4;      // transient-error retry budget (0 = off)
-  bool no_integrity = false;         // disable per-vector checksums
   // async I/O (docs/async-io.md)
   std::string io_engine = "sync";    // sync | threads | uring | deterministic
   std::uint64_t io_depth = 8;        // submission-queue depth (async engines)

@@ -35,75 +35,95 @@ int pick_fd(const AioOp& op, std::uint64_t position, std::size_t request,
   return op.fd;
 }
 
-/// The per-op retry/injection state machine — a faithful mirror of
-/// FileBackend::transfer_all, with the counter side effects accumulated into
-/// the completion (instead of backend atomics) and the terminal IoError
-/// reported as completion fields (instead of thrown): the engines run this
-/// off the calling thread, where a throw would terminate the process.
-AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
-  AioCompletion completion;
-  completion.token = op.token;
-  char* cursor = static_cast<char*>(op.buffer);
-  std::size_t remaining = op.bytes;
+/// One attempt chosen by TransferState::next_attempt: the byte count to
+/// request, or a simulated errno that stands for a syscall which transferred
+/// nothing (it never reaches the kernel).
+struct Attempt {
+  std::size_t request = 0;
+  int simulated_errno = 0;
+};
+
+/// The per-op retry/injection state machine, in two steps every transfer
+/// driver shares: run_transfer loops it over pread/pwrite, the io_uring
+/// engine steps it from SQEs and CQEs. POSIX permits pread / pwrite to
+/// transfer fewer bytes than requested or fail with EINTR on a perfectly
+/// healthy device, so short-transfer resumption and EINTR retry are
+/// unconditional — they neither consume retry budget nor depend on fault
+/// injection being configured. Transient errors (EIO, ENOSPC, ...) consume
+/// the bounded RetryPolicy budget with exponential backoff; completed
+/// progress is kept across retries (partial-I/O resumption), and any
+/// successful transfer resets the consecutive-failure count. Counter side
+/// effects accumulate into the completion, and exhaustion is recorded there
+/// instead of thrown: the engines run this off the calling thread, where a
+/// throw would terminate the process.
+struct TransferState {
+  std::size_t done = 0;  ///< bytes completed so far
   unsigned consecutive_failures = 0;
-  unsigned faults_this_transfer = 0;
-  std::uint64_t backoff_us = options.retry.backoff_initial_us;
-  while (remaining > 0) {
-    const std::uint64_t position = op.offset + (op.bytes - remaining);
-    std::size_t request = remaining;
-    int simulated_errno = 0;
-    if (options.injector != nullptr) {
-      const FaultDecision fault = const_cast<FaultInjector*>(options.injector)
-                                      ->next(op.is_write, faults_this_transfer);
-      if (fault.kind != FaultKind::kNone) ++completion.faults;
-      switch (fault.kind) {
-        case FaultKind::kNone:
-          break;
-        case FaultKind::kLatency:
-          // A stall, not an error: proceeds untouched, exempt from the burst
-          // cap (same contract as the sequential loop).
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(options.latency_ns));
-          break;
-        case FaultKind::kShortTransfer:
-          ++faults_this_transfer;
-          if (remaining > 1)
-            request = 1 + static_cast<std::size_t>(
-                              fault.fraction *
-                              static_cast<double>(remaining - 1));
-          break;
-        case FaultKind::kEintr:
-          ++faults_this_transfer;
-          simulated_errno = EINTR;
-          break;
-        case FaultKind::kEio:
-          ++faults_this_transfer;
-          simulated_errno = EIO;
-          break;
-        case FaultKind::kEnospc:
-          ++faults_this_transfer;
-          simulated_errno = op.is_write ? ENOSPC : EIO;
-          break;
-      }
+  unsigned faults_this_transfer = 0;  ///< data-path faults (burst cap)
+  std::uint64_t backoff_us = 0;
+  AioCompletion completion;
+
+  TransferState(const AioOp& op, const AioEngineOptions& options)
+      : backoff_us(options.retry.backoff_initial_us) {
+    completion.token = op.token;
+  }
+
+  bool finished(const AioOp& op) const {
+    return done == op.bytes || completion.exhausted != 0;
+  }
+  std::uint64_t position(const AioOp& op) const { return op.offset + done; }
+  char* cursor(const AioOp& op) const {
+    return static_cast<char*>(op.buffer) + done;
+  }
+
+  /// Step one: consult the injector (when configured) before the attempt.
+  Attempt next_attempt(const AioOp& op, const AioEngineOptions& options) {
+    const std::size_t remaining = op.bytes - done;
+    Attempt attempt{remaining, 0};
+    if (options.injector == nullptr) return attempt;
+    const FaultDecision fault = const_cast<FaultInjector*>(options.injector)
+                                    ->next(op.is_write, faults_this_transfer);
+    if (fault.kind != FaultKind::kNone) ++completion.faults;
+    switch (fault.kind) {
+      case FaultKind::kNone:
+        break;
+      case FaultKind::kLatency:
+        // A stall, not an error: the transfer proceeds untouched and the
+        // spike does not count against the burst cap.
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(options.latency_ns));
+        break;
+      case FaultKind::kShortTransfer:
+        ++faults_this_transfer;
+        if (remaining > 1)
+          attempt.request = 1 + static_cast<std::size_t>(
+                                    fault.fraction *
+                                    static_cast<double>(remaining - 1));
+        break;
+      case FaultKind::kEintr:
+        ++faults_this_transfer;
+        attempt.simulated_errno = EINTR;
+        break;
+      case FaultKind::kEio:
+        ++faults_this_transfer;
+        attempt.simulated_errno = EIO;
+        break;
+      case FaultKind::kEnospc:
+        ++faults_this_transfer;
+        attempt.simulated_errno = op.is_write ? ENOSPC : EIO;
+        break;
     }
-    ssize_t moved;
-    if (simulated_errno != 0) {
-      // An injected error models a syscall that transferred nothing.
-      moved = -1;
-      errno = simulated_errno;
-    } else {
-      const int fd = pick_fd(op, position, request, cursor);
-      if (op.is_write) {
-        moved = ::pwrite(fd, cursor, request, static_cast<off_t>(position));
-      } else {
-        moved = ::pread(fd, cursor, request, static_cast<off_t>(position));
-      }
-    }
-    if (moved < 0) {
-      const int error = errno;
+    return attempt;
+  }
+
+  /// Step two: absorb one attempt's result — bytes moved, or -errno.
+  void absorb(const AioOp& op, ssize_t result, bool injected,
+              const AioEngineOptions& options) {
+    if (result < 0) {
+      const int error = static_cast<int>(-result);
       if (error == EINTR) {
         ++completion.retries;  // mandatory POSIX handling, never budgeted
-        continue;
+        return;
       }
       if (consecutive_failures < options.retry.max_retries) {
         ++consecutive_failures;
@@ -115,30 +135,56 @@ AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
               static_cast<std::uint64_t>(static_cast<double>(backoff_us) *
                                          options.retry.backoff_multiplier));
         }
-        continue;  // resume from `position`: prior progress is kept
+        return;  // resume from position(): prior progress is kept
       }
       completion.exhausted = 1;
       completion.error = error;
-      completion.fail_offset = position;
+      completion.fail_offset = position(op);
       completion.attempts = consecutive_failures + 1;
-      completion.injected = simulated_errno != 0;
-      return completion;
+      completion.injected = injected;
+      return;
     }
-    PLFOC_REQUIRE(moved > 0,
+    PLFOC_REQUIRE(result > 0,
                   op.is_write
                       ? "pwrite transferred no bytes"
                       : "pread hit end of vector file (file truncated?)");
-    if (static_cast<std::size_t>(moved) < remaining) ++completion.retries;
+    // A transfer that did not finish in this attempt resumes from the new
+    // cursor on the next one — count that continuation as a retry.
+    if (static_cast<std::size_t>(result) < op.bytes - done)
+      ++completion.retries;
     consecutive_failures = 0;
     backoff_us = options.retry.backoff_initial_us;
-    cursor += moved;
-    remaining -= static_cast<std::size_t>(moved);
+    done += static_cast<std::size_t>(result);
   }
-  return completion;
+};
+
+}  // namespace
+
+AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
+  TransferState state(op, options);
+  while (!state.finished(op)) {
+    const Attempt attempt = state.next_attempt(op, options);
+    ssize_t result = -attempt.simulated_errno;
+    if (attempt.simulated_errno == 0) {
+      const std::uint64_t position = state.position(op);
+      char* cursor = state.cursor(op);
+      const int fd = pick_fd(op, position, attempt.request, cursor);
+      result = op.is_write ? ::pwrite(fd, cursor, attempt.request,
+                                      static_cast<off_t>(position))
+                           : ::pread(fd, cursor, attempt.request,
+                                     static_cast<off_t>(position));
+      if (result < 0) result = -errno;
+    }
+    state.absorb(op, result, attempt.simulated_errno != 0, options);
+  }
+  return state.completion;
 }
 
+namespace {
+
 /// Ops execute inline at submit() in submission order; completions pop FIFO.
-/// This is the sequential FileBackend loop wearing the queue interface.
+/// This is run_transfer, the FileBackend's unbatched path, wearing the queue
+/// interface.
 class SyncAioEngine final : public AioEngine {
  public:
   explicit SyncAioEngine(const AioEngineOptions& options)
@@ -307,10 +353,10 @@ int sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete,
 
 /// Linux io_uring backend over raw syscalls (the toolchain ships no
 /// liburing): one SQ/CQ ring pair, ops resubmitted from the completion
-/// handler on short transfers, EINTR, and budgeted transient errors — the
-/// same state machine as run_transfer, driven by CQEs instead of a loop.
-/// Injected faults are decided at (re)submission: a simulated errno never
-/// reaches the kernel, it synthesizes a failed attempt inline.
+/// handler on short transfers, EINTR, and budgeted transient errors — each
+/// op's TransferState, stepped by SQEs and CQEs instead of a loop. Injected
+/// faults are decided at (re)submission: a simulated errno never reaches the
+/// kernel, it synthesizes a failed attempt inline.
 class UringAioEngine final : public AioEngine {
  public:
   static std::unique_ptr<UringAioEngine> create(
@@ -334,24 +380,17 @@ class UringAioEngine final : public AioEngine {
 
   void submit(const AioOp* ops, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
+      const Pending pending{ops[i], TransferState(ops[i], options_)};
       std::size_t slot;
       if (!free_.empty()) {
         slot = free_.back();
         free_.pop_back();
+        pending_[slot] = pending;
       } else {
         slot = pending_.size();
-        pending_.emplace_back();
+        pending_.push_back(pending);
       }
-      Pending& p = pending_[slot];
-      p = Pending{};
-      p.op = ops[i];
-      p.backoff_us = options_.retry.backoff_initial_us;
-      p.completion.token = ops[i].token;
       ++in_flight_;
-      if (p.op.bytes == 0) {
-        finish(slot);
-        continue;
-      }
       drive(slot);
     }
     flush(0);  // kick the kernel without waiting
@@ -373,11 +412,7 @@ class UringAioEngine final : public AioEngine {
  private:
   struct Pending {
     AioOp op;
-    std::size_t done = 0;  ///< bytes completed so far
-    unsigned consecutive_failures = 0;
-    unsigned faults_this_transfer = 0;
-    std::uint64_t backoff_us = 0;
-    AioCompletion completion;
+    TransferState state;
   };
 
   explicit UringAioEngine(const AioEngineOptions& options)
@@ -429,92 +464,22 @@ class UringAioEngine final : public AioEngine {
     return true;
   }
 
-  /// Run injection/retry steps for `slot` until an SQE is pushed or the op
-  /// finishes (success on zero remaining is impossible here; exhaustion ends
-  /// it). Simulated errnos synthesize a failed attempt without the kernel.
+  /// Step `slot`'s state machine until an SQE is pushed or the op finishes.
+  /// Simulated errnos synthesize a failed attempt without the kernel.
   void drive(std::size_t slot) {
-    for (;;) {
-      Pending& p = pending_[slot];
-      const std::size_t remaining = p.op.bytes - p.done;
-      const std::uint64_t position = p.op.offset + p.done;
-      std::size_t request = remaining;
-      int simulated_errno = 0;
-      if (options_.injector != nullptr) {
-        const FaultDecision fault =
-            const_cast<FaultInjector*>(options_.injector)
-                ->next(p.op.is_write, p.faults_this_transfer);
-        if (fault.kind != FaultKind::kNone) ++p.completion.faults;
-        switch (fault.kind) {
-          case FaultKind::kNone:
-            break;
-          case FaultKind::kLatency:
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(options_.latency_ns));
-            break;
-          case FaultKind::kShortTransfer:
-            ++p.faults_this_transfer;
-            if (remaining > 1)
-              request = 1 + static_cast<std::size_t>(
-                                fault.fraction *
-                                static_cast<double>(remaining - 1));
-            break;
-          case FaultKind::kEintr:
-            ++p.faults_this_transfer;
-            simulated_errno = EINTR;
-            break;
-          case FaultKind::kEio:
-            ++p.faults_this_transfer;
-            simulated_errno = EIO;
-            break;
-          case FaultKind::kEnospc:
-            ++p.faults_this_transfer;
-            simulated_errno = p.op.is_write ? ENOSPC : EIO;
-            break;
-        }
+    Pending& p = pending_[slot];
+    while (!p.state.finished(p.op)) {
+      const Attempt attempt = p.state.next_attempt(p.op, options_);
+      if (attempt.simulated_errno == 0) {
+        push_sqe(slot, attempt.request);
+        return;
       }
-      if (simulated_errno != 0) {
-        if (!absorb_failure(p, simulated_errno, position, true)) {
-          finish(slot);
-          return;
-        }
-        continue;  // synthesized attempt failed transiently: try again
-      }
-      push_sqe(slot, position, request);
-      return;
+      p.state.absorb(p.op, -attempt.simulated_errno, true, options_);
     }
+    finish(slot);
   }
 
-  /// One failed attempt: EINTR retries unconditionally; transient errors
-  /// consume the bounded budget (with backoff); exhaustion records the typed
-  /// failure in the completion. Returns false when the op is finished.
-  bool absorb_failure(Pending& p, int error, std::uint64_t position,
-                      bool injected) {
-    if (error == EINTR) {
-      ++p.completion.retries;
-      return true;
-    }
-    if (p.consecutive_failures < options_.retry.max_retries) {
-      ++p.consecutive_failures;
-      ++p.completion.retries;
-      if (p.backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(p.backoff_us));
-        p.backoff_us = std::min<std::uint64_t>(
-            options_.retry.backoff_max_us,
-            static_cast<std::uint64_t>(static_cast<double>(p.backoff_us) *
-                                       options_.retry.backoff_multiplier));
-      }
-      return true;
-    }
-    p.completion.exhausted = 1;
-    p.completion.error = error;
-    p.completion.fail_offset = position;
-    p.completion.attempts = p.consecutive_failures + 1;
-    p.completion.injected = injected;
-    return false;
-  }
-
-  void push_sqe(std::size_t slot, std::uint64_t position,
-                std::size_t request) {
+  void push_sqe(std::size_t slot, std::size_t request) {
     // Ring full: hand what we have to the kernel first.
     while (*sq_tail_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE) >=
            sq_entries_)
@@ -525,10 +490,10 @@ class UringAioEngine final : public AioEngine {
     io_uring_sqe* sqe = &sqes_[idx];
     std::memset(sqe, 0, sizeof *sqe);
     sqe->opcode = p.op.is_write ? IORING_OP_WRITE : IORING_OP_READ;
-    sqe->fd = pick_fd(p.op, position, request,
-                      static_cast<const char*>(p.op.buffer) + p.done);
-    sqe->addr = reinterpret_cast<std::uint64_t>(
-        static_cast<char*>(p.op.buffer) + p.done);
+    const std::uint64_t position = p.state.position(p.op);
+    char* cursor = p.state.cursor(p.op);
+    sqe->fd = pick_fd(p.op, position, request, cursor);
+    sqe->addr = reinterpret_cast<std::uint64_t>(cursor);
     sqe->len = static_cast<unsigned>(request);
     sqe->off = position;
     sqe->user_data = slot;
@@ -562,31 +527,14 @@ class UringAioEngine final : public AioEngine {
     __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
     for (const auto& [slot, res] : results) {
       Pending& p = pending_[slot];
-      if (res < 0) {
-        if (!absorb_failure(p, -res, p.op.offset + p.done, false))
-          finish(slot);
-        else
-          drive(slot);
-        continue;
-      }
-      PLFOC_REQUIRE(res > 0,
-                    p.op.is_write
-                        ? "pwrite transferred no bytes"
-                        : "pread hit end of vector file (file truncated?)");
-      p.done += static_cast<std::size_t>(res);
-      if (p.done < p.op.bytes) ++p.completion.retries;
-      p.consecutive_failures = 0;
-      p.backoff_us = options_.retry.backoff_initial_us;
-      if (p.done >= p.op.bytes)
-        finish(slot);
-      else
-        drive(slot);
+      p.state.absorb(p.op, res, false, options_);
+      drive(slot);
     }
     if (to_submit_ > 0) flush(0);  // resubmissions from this reap
   }
 
   void finish(std::size_t slot) {
-    done_.push_back(pending_[slot].completion);
+    done_.push_back(pending_[slot].state.completion);
     free_.push_back(slot);
     --in_flight_;
   }

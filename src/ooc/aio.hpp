@@ -29,11 +29,12 @@
 //
 // Fault injection and retry live at *submission granularity*: every queued op
 // consults the shared FaultInjector schedule before each syscall attempt and
-// carries its own RetryPolicy state, mirroring FileBackend::transfer_all
-// exactly (short-transfer resumption, unconditional EINTR retry, bounded
-// transient-error retry with exponential backoff). Instead of throwing, an
-// exhausted op reports the final errno in its completion — the FileBackend
-// turns that into the same typed IoError the sequential path throws.
+// carries its own RetryPolicy state — one state machine (short-transfer
+// resumption, unconditional EINTR retry, bounded transient-error retry with
+// exponential backoff) that run_transfer, every engine, and the FileBackend's
+// unbatched transfers all share. Instead of throwing, an exhausted op reports
+// the final errno in its completion — the FileBackend turns that into a typed
+// IoError.
 #pragma once
 
 #include <cstddef>
@@ -106,6 +107,13 @@ struct AioEngineOptions {
   RetryPolicy retry;
   std::uint64_t latency_ns = 0;  ///< injected latency-spike duration
 };
+
+/// Perform one op to completion on the calling thread: the per-op retry and
+/// injection state machine driven by pread/pwrite. The sync, thread-pool and
+/// deterministic engines run each op through this; the FileBackend calls it
+/// directly for its unbatched transfers. Never throws for an I/O failure —
+/// exhaustion is reported in the completion.
+AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options);
 
 /// The submission/completion-queue contract. Engines are internally
 /// synchronised: submit() and wait() may be called from any one thread at a

@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "ooc/record_checksum.hpp"
 #include "util/checks.hpp"
@@ -17,7 +15,7 @@
 namespace plfoc {
 namespace {
 
-// On-disk layout of an integrity-enabled vector file (docs/file-formats.md):
+// On-disk layout of a vector file (docs/file-formats.md):
 //   [0, 4096)                       header (fields below, rest reserved 0)
 //   [4096, 4096 + 16 * blocks)      table: {u64 checksum, u64 generation}
 //   [payload_offset, ...)           payload, payload_offset 4 KiB-aligned
@@ -71,107 +69,31 @@ const char* VerifyResult::status_name() const {
   return "?";
 }
 
-// The single I/O loop behind every vector transfer. POSIX permits pread /
-// pwrite to transfer fewer bytes than requested or fail with EINTR on a
-// perfectly healthy device, so short-transfer resumption and EINTR retry are
-// unconditional — they neither consume retry budget nor depend on fault
-// injection being configured. Transient errors (EIO, ENOSPC, ...) consume
-// the bounded RetryPolicy budget with exponential backoff; completed
-// progress is kept across retries (partial-I/O resumption), and any
-// successful transfer resets the consecutive-failure count.
+// Every unbatched transfer runs the engines' per-op state machine inline on
+// the calling thread (no engine, no lock): the same injector draws, retry
+// budget and counter deltas as a batched op, folded into the backend atomics
+// here and thrown as a typed IoError on exhaustion.
 void FileBackend::transfer_all(bool is_write, int fd, void* buffer,
                                std::size_t bytes, std::uint64_t offset) {
-  char* cursor = static_cast<char*>(buffer);
-  std::size_t remaining = bytes;
-  unsigned consecutive_failures = 0;
-  unsigned faults_this_transfer = 0;
-  std::uint64_t backoff_us = options_.retry.backoff_initial_us;
-  const char* op = is_write ? "pwrite" : "pread";
-  while (remaining > 0) {
-    const std::uint64_t position = offset + (bytes - remaining);
-    std::size_t request = remaining;
-    int simulated_errno = 0;
-    if (injector_ != nullptr) {
-      const FaultDecision fault =
-          injector_->next(is_write, faults_this_transfer);
-      if (fault.kind != FaultKind::kNone)
-        faults_injected_.fetch_add(1, std::memory_order_relaxed);
-      switch (fault.kind) {
-        case FaultKind::kNone:
-          break;
-        case FaultKind::kLatency:
-          // A stall, not an error: the transfer proceeds untouched and the
-          // spike does not count against the burst cap.
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(options_.faults.latency_ns));
-          break;
-        case FaultKind::kShortTransfer:
-          ++faults_this_transfer;
-          if (remaining > 1)
-            request = 1 + static_cast<std::size_t>(
-                              fault.fraction *
-                              static_cast<double>(remaining - 1));
-          break;
-        case FaultKind::kEintr:
-          ++faults_this_transfer;
-          simulated_errno = EINTR;
-          break;
-        case FaultKind::kEio:
-          ++faults_this_transfer;
-          simulated_errno = EIO;
-          break;
-        case FaultKind::kEnospc:
-          ++faults_this_transfer;
-          simulated_errno = is_write ? ENOSPC : EIO;
-          break;
-      }
-    }
-    ssize_t moved;
-    if (simulated_errno != 0) {
-      // An injected error models a syscall that transferred nothing.
-      moved = -1;
-      errno = simulated_errno;
-    } else if (is_write) {
-      moved = ::pwrite(fd, cursor, request, static_cast<off_t>(position));
-    } else {
-      moved = ::pread(fd, cursor, request, static_cast<off_t>(position));
-    }
-    if (moved < 0) {
-      const int error = errno;
-      if (error == EINTR) {
-        // Mandatory POSIX handling, never bounded by the retry policy.
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (consecutive_failures < options_.retry.max_retries) {
-        ++consecutive_failures;
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        if (backoff_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = std::min<std::uint64_t>(
-              options_.retry.backoff_max_us,
-              static_cast<std::uint64_t>(
-                  static_cast<double>(backoff_us) *
-                  options_.retry.backoff_multiplier));
-        }
-        continue;  // resume from `position`: prior progress is kept
-      }
-      io_exhausted_.fetch_add(1, std::memory_order_relaxed);
-      throw IoError(op, error, position, consecutive_failures + 1,
-                    simulated_errno != 0);
-    }
-    PLFOC_REQUIRE(moved > 0,
-                  is_write ? "pwrite transferred no bytes"
-                           : "pread hit end of vector file (file truncated?)");
-    // A transfer that did not finish in this syscall resumes from the new
-    // cursor on the next iteration — count that continuation as a retry.
-    if (static_cast<std::size_t>(moved) < remaining)
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-    consecutive_failures = 0;
-    backoff_us = options_.retry.backoff_initial_us;
-    cursor += moved;
-    remaining -= static_cast<std::size_t>(moved);
-  }
+  AioOp op;
+  op.is_write = is_write;
+  op.fd = fd;
+  op.buffer = buffer;
+  op.bytes = bytes;
+  op.offset = offset;
+  const AioCompletion completion = run_transfer(op, engine_options_);
+  faults_injected_.fetch_add(completion.faults, std::memory_order_relaxed);
+  io_retries_.fetch_add(completion.retries, std::memory_order_relaxed);
+  io_exhausted_.fetch_add(completion.exhausted, std::memory_order_relaxed);
+  if (!completion.ok())
+    throw IoError(is_write ? "pwrite" : "pread", completion.error,
+                  completion.fail_offset, completion.attempts,
+                  completion.injected);
+}
+
+void FileBackend::throw_op_error(const VectorOp& op) {
+  throw IoError(op.is_write ? "pwrite" : "pread", op.error, op.fail_offset,
+                op.attempts, op.injected);
 }
 
 FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
@@ -185,9 +107,6 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
   PLFOC_REQUIRE(options_.num_files >= 1 && options_.num_files <= 64,
                 "FileBackend supports 1..64 stripe files");
   PLFOC_REQUIRE(!options_.base_path.empty(), "FileBackend needs a file path");
-  PLFOC_REQUIRE(!options_.faults.corruption_enabled() || options_.integrity,
-                "corruption injection requires integrity checksums — a flip "
-                "without a checksum table is a silently wrong likelihood");
   block_bytes_ = options_.integrity_block_bytes != 0
                      ? options_.integrity_block_bytes
                      : bytes_per_vector_;
@@ -213,42 +132,33 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
     }
   }
 
+  // The options every transfer of this backend runs under: a private engine
+  // binds them, and transfer_all drives run_transfer with them directly.
+  engine_options_.kind = options_.io_engine;
+  engine_options_.depth = options_.io_depth < 1 ? 1 : options_.io_depth;
+  engine_options_.permute_seed = options_.io_permute_seed;
+  engine_options_.injector = injector_.get();
+  engine_options_.retry = options_.retry;
+  engine_options_.latency_ns = options_.faults.latency_ns;
   // Adopt the shared engine only when nothing this backend binds into a
   // private engine would be lost: no fault schedule (the engine carries the
   // injector + latency spike), matching kind/depth, and no bespoke
   // completion permutation. Otherwise build a private engine as before.
-  const unsigned resolved_depth = options_.io_depth < 1 ? 1 : options_.io_depth;
   if (options_.shared_engine != nullptr && injector_ == nullptr &&
       options_.shared_engine->kind == options_.io_engine &&
-      options_.shared_engine->depth == resolved_depth &&
+      options_.shared_engine->depth == engine_options_.depth &&
       (options_.io_engine != AioEngineKind::kDeterministic ||
        options_.io_permute_seed == kAioOrderIdentity)) {
     shared_engine_ = options_.shared_engine;
   } else {
-    AioEngineOptions engine_options;
-    engine_options.kind = options_.io_engine;
-    engine_options.depth = resolved_depth;
-    engine_options.permute_seed = options_.io_permute_seed;
-    engine_options.injector = injector_.get();
-    engine_options.retry = options_.retry;
-    engine_options.latency_ns = options_.faults.latency_ns;
-    engine_ = make_aio_engine(engine_options);
+    engine_ = make_aio_engine(engine_options_);
   }
 
   // Vectors stripe round-robin: file k holds ceil((count - k)/num_files).
   for (unsigned k = 0; k < options_.num_files; ++k) {
     const std::uint64_t vectors_in_file =
         (count_ + options_.num_files - 1 - k) / options_.num_files;
-    const std::uint64_t payload_bytes = vectors_in_file * bytes_per_vector_;
-    if (options_.integrity) init_integrity_file(k, payload_bytes);
-    if (options_.preallocate) {
-      const std::uint64_t file_bytes =
-          (options_.integrity ? integrity_[k].payload_offset : 0) +
-          payload_bytes;
-      const int rc = ::ftruncate(fds_[k], static_cast<off_t>(file_bytes));
-      PLFOC_REQUIRE(rc == 0, std::string("ftruncate failed: ") +
-                                 std::strerror(errno));
-    }
+    init_integrity_file(k, vectors_in_file * bytes_per_vector_);
   }
 }
 
@@ -301,11 +211,10 @@ void FileBackend::init_integrity_file(unsigned file_index,
   put_u64(header, kOffChecksumSeed, fi.checksum_seed);
   put_u64(header, kOffPayloadBytes, payload_bytes);
   raw_io(true, fds_[file_index], header, sizeof header, 0);
-  // The zeroed table region materialises via ftruncate (preallocation) or
-  // sparse extension on the first table write; generation 0 == never written
-  // either way.
-  const int rc = ::ftruncate(fds_[file_index],
-                             static_cast<off_t>(fi.payload_offset));
+  // Preallocate the whole file: table and payload read as zeros until
+  // written, so generation 0 == never written and its payload is zeros.
+  const int rc = ::ftruncate(
+      fds_[file_index], static_cast<off_t>(fi.payload_offset + payload_bytes));
   PLFOC_REQUIRE(rc == 0,
                 std::string("ftruncate failed: ") + std::strerror(errno));
   integrity_.push_back(std::move(fi));
@@ -369,20 +278,13 @@ void FileBackend::charge(std::size_t bytes) {
 
 void FileBackend::read_vector(std::uint32_t index, void* dst) {
   const Location loc = locate(index);
-  const std::uint64_t base =
-      options_.integrity ? integrity_[loc.file].payload_offset : 0;
-  transfer_all(false, loc.fd, dst, bytes_per_vector_, base + loc.offset);
+  transfer_all(false, loc.fd, dst, bytes_per_vector_,
+               integrity_[loc.file].payload_offset + loc.offset);
   charge(bytes_per_vector_);
 }
 
 void FileBackend::write_vector(std::uint32_t index, const void* src) {
   const Location loc = locate(index);
-  if (!options_.integrity) {
-    transfer_all(true, loc.fd, const_cast<void*>(src), bytes_per_vector_,
-                 loc.offset);
-    charge(bytes_per_vector_);
-    return;
-  }
   FileIntegrity& fi = integrity_[loc.file];
   // The table records the *intended* content, computed from memory, never
   // re-read from the file — that is what makes a torn or dropped payload
@@ -408,7 +310,7 @@ void FileBackend::write_vector(std::uint32_t index, const void* src) {
       prefix = std::min(prefix, bytes_per_vector_ - 1);
       transfer_all(true, loc.fd, const_cast<void*>(src), prefix,
                    fi.payload_offset + loc.offset);
-      store_table_entry(loc.file, loc.block, checksum, generation, true);
+      store_table_entry(loc.file, loc.block, checksum, generation);
       corruptions_injected_.fetch_add(1, std::memory_order_relaxed);
       fi.corrupt_mark[loc.block].store(1, std::memory_order_relaxed);
       break;
@@ -416,7 +318,7 @@ void FileBackend::write_vector(std::uint32_t index, const void* src) {
     default:
       transfer_all(true, loc.fd, const_cast<void*>(src), bytes_per_vector_,
                    fi.payload_offset + loc.offset);
-      store_table_entry(loc.file, loc.block, checksum, generation, true);
+      store_table_entry(loc.file, loc.block, checksum, generation);
       fi.corrupt_mark[loc.block].store(0, std::memory_order_relaxed);
       break;
   }
@@ -471,8 +373,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     op.coalesced = false;
     op.verify_result = VerifyResult{};
     const Location loc = locate(op.index);
-    const std::uint64_t payload_base =
-        options_.integrity ? integrity_[loc.file].payload_offset : 0;
 
     AioOp aio;
     aio.is_write = op.is_write;
@@ -480,33 +380,29 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     aio.direct_fd = direct_fd(loc.file);
     aio.buffer = op.buffer;
     aio.bytes = bytes_per_vector_;
-    aio.offset = payload_base + loc.offset;
+    aio.offset = integrity_[loc.file].payload_offset + loc.offset;
 
     if (op.is_write) {
       bool mergeable = true;
-      if (options_.integrity) {
-        FileIntegrity& fi = integrity_[loc.file];
-        WritePlan& plan = plans[i];
-        plan.checksum =
-            record_checksum(fi.checksum_seed, op.buffer, bytes_per_vector_);
-        plan.generation =
-            fi.generation[loc.block].load(std::memory_order_relaxed) + 1;
-        CorruptionDecision corruption;
-        if (injector_ != nullptr)
-          corruption = injector_->next_corruption(true);
-        plan.corruption = corruption.kind;
-        if (corruption.kind == CorruptionKind::kStale) {
-          plan.skip_payload = true;
-          continue;  // no transfer at all — bookkeeping-only at completion
-        }
-        if (corruption.kind == CorruptionKind::kTorn) {
-          std::size_t prefix =
-              1 + static_cast<std::size_t>(
-                      corruption.a *
-                      static_cast<double>(bytes_per_vector_ - 1));
-          aio.bytes = std::min(prefix, bytes_per_vector_ - 1);
-          mergeable = false;  // the shortened span must land alone
-        }
+      FileIntegrity& fi = integrity_[loc.file];
+      WritePlan& plan = plans[i];
+      plan.checksum =
+          record_checksum(fi.checksum_seed, op.buffer, bytes_per_vector_);
+      plan.generation =
+          fi.generation[loc.block].load(std::memory_order_relaxed) + 1;
+      CorruptionDecision corruption;
+      if (injector_ != nullptr) corruption = injector_->next_corruption(true);
+      plan.corruption = corruption.kind;
+      if (corruption.kind == CorruptionKind::kStale) {
+        plan.skip_payload = true;
+        continue;  // no transfer at all — bookkeeping-only at completion
+      }
+      if (corruption.kind == CorruptionKind::kTorn) {
+        std::size_t prefix =
+            1 + static_cast<std::size_t>(
+                    corruption.a * static_cast<double>(bytes_per_vector_ - 1));
+        aio.bytes = std::min(prefix, bytes_per_vector_ - 1);
+        mergeable = false;  // the shortened span must land alone
       }
       // Coalesce with the previous staged transfer when this write continues
       // a mergeable write in the file. Eviction victims live in arbitrary
@@ -538,7 +434,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
       staged.push_back(Staged{aio, {i}, mergeable, -1});
       continue;
     } else {
-      PLFOC_CHECK(!op.verify || options_.integrity);
       // Coalesce with the previous staged transfer when this read continues
       // it in both the file and the destination buffer (prefetch batches
       // staged into contiguous scratch are the common case).
@@ -618,11 +513,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     VectorOp& op = ops[i];
     const Location loc = locate(op.index);
     if (op.is_write) {
-      if (!options_.integrity) {
-        // A coalesced member already charged as part of its ranged write.
-        if (op.ok() && !op.coalesced) charge(bytes_per_vector_);
-        continue;
-      }
       FileIntegrity& fi = integrity_[loc.file];
       const WritePlan& plan = plans[i];
       if (plan.skip_payload) {  // kStale: mirror advances, medium untouched
@@ -638,8 +528,7 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
       // untouched — exactly the state write_vector's throw leaves behind.
       if (!op.ok()) continue;
       try {
-        store_table_entry(loc.file, loc.block, plan.checksum, plan.generation,
-                          true);
+        store_table_entry(loc.file, loc.block, plan.checksum, plan.generation);
       } catch (const IoError& error) {
         op.error = error.errno_value();
         op.attempts = error.attempts();
@@ -680,7 +569,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
 
 VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
                                                void* dst) {
-  PLFOC_CHECK(options_.integrity);
   PLFOC_CHECK(block_bytes_ == bytes_per_vector_);
   const Location loc = locate(index);
   FileIntegrity& fi = integrity_[loc.file];
@@ -702,7 +590,6 @@ VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
 VerifyResult FileBackend::read_bytes_verified(std::uint64_t offset, void* dst,
                                               std::size_t bytes) {
   PLFOC_CHECK(options_.num_files == 1);
-  PLFOC_CHECK(options_.integrity);
   PLFOC_DCHECK(offset + bytes <= total_bytes());
   FileIntegrity& fi = integrity_[0];
   transfer_all(false, fds_[0], dst, bytes, fi.payload_offset + offset);
@@ -733,23 +620,12 @@ VerifyResult FileBackend::read_bytes_verified(std::uint64_t offset, void* dst,
   return result;
 }
 
-void FileBackend::read_bytes(std::uint64_t offset, void* dst,
-                             std::size_t bytes) {
-  PLFOC_CHECK(options_.num_files == 1);
-  PLFOC_DCHECK(offset + bytes <= total_bytes());
-  const std::uint64_t base =
-      options_.integrity ? integrity_[0].payload_offset : 0;
-  transfer_all(false, fds_[0], dst, bytes, base + offset);
-  charge(bytes);
-}
-
 void FileBackend::write_bytes(std::uint64_t offset, const void* src,
                               std::size_t bytes) {
   PLFOC_CHECK(options_.num_files == 1);
   PLFOC_DCHECK(offset + bytes <= total_bytes());
-  const std::uint64_t base =
-      options_.integrity ? integrity_[0].payload_offset : 0;
-  transfer_all(true, fds_[0], const_cast<void*>(src), bytes, base + offset);
+  transfer_all(true, fds_[0], const_cast<void*>(src), bytes,
+               integrity_[0].payload_offset + offset);
   update_blocks_after_byte_write(offset, src, bytes);
   charge(bytes);
 }
@@ -757,15 +633,13 @@ void FileBackend::write_bytes(std::uint64_t offset, const void* src,
 void FileBackend::write_ranges_clustered(const IoRange* ranges,
                                          std::size_t count, const void* base) {
   PLFOC_CHECK(options_.num_files == 1);
-  const std::uint64_t payload_base =
-      options_.integrity ? integrity_[0].payload_offset : 0;
+  FileIntegrity& fi = integrity_[0];
   std::size_t total = 0;
   for (std::size_t i = 0; i < count; ++i) {
     PLFOC_DCHECK(ranges[i].offset + ranges[i].bytes <= total_bytes());
     const char* src = static_cast<const char*>(base) + ranges[i].offset;
     CorruptionDecision corruption;
-    if (options_.integrity && injector_ != nullptr)
-      corruption = injector_->next_corruption(true);
+    if (injector_ != nullptr) corruption = injector_->next_corruption(true);
     switch (corruption.kind) {
       case CorruptionKind::kStale:
         corruptions_injected_.fetch_add(1, std::memory_order_relaxed);
@@ -777,20 +651,19 @@ void FileBackend::write_ranges_clustered(const IoRange* ranges,
         prefix = std::min(prefix, ranges[i].bytes - 1);
         if (prefix > 0)
           transfer_all(true, fds_[0], const_cast<char*>(src), prefix,
-                       payload_base + ranges[i].offset);
+                       fi.payload_offset + ranges[i].offset);
         corruptions_injected_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       default:
         transfer_all(true, fds_[0], const_cast<char*>(src), ranges[i].bytes,
-                     payload_base + ranges[i].offset);
+                     fi.payload_offset + ranges[i].offset);
         break;
     }
     // The table always records the intended content (from memory), so a
     // torn/dropped payload write above stays detectable at fault-in.
     update_blocks_after_byte_write(ranges[i].offset, src, ranges[i].bytes);
-    if (corruption.kind != CorruptionKind::kNone && options_.integrity) {
-      FileIntegrity& fi = integrity_[0];
+    if (corruption.kind != CorruptionKind::kNone) {
       const std::uint64_t first = ranges[i].offset / block_bytes_;
       const std::uint64_t last =
           (ranges[i].offset + ranges[i].bytes - 1) / block_bytes_;
@@ -805,7 +678,7 @@ void FileBackend::write_ranges_clustered(const IoRange* ranges,
 void FileBackend::update_blocks_after_byte_write(std::uint64_t offset,
                                                  const void* src,
                                                  std::size_t bytes) {
-  if (!options_.integrity || bytes == 0) return;
+  if (bytes == 0) return;
   FileIntegrity& fi = integrity_[0];
   const char* intended = static_cast<const char*>(src);
   const std::uint64_t first = offset / block_bytes_;
@@ -837,9 +710,8 @@ void FileBackend::update_blocks_after_byte_write(std::uint64_t offset,
                   static_cast<std::size_t>(cover_end - cover_start));
       checksum = record_checksum(fi.checksum_seed, scratch.data(), block_len);
     }
-    store_table_entry(
-        0, block, checksum,
-        fi.generation[block].load(std::memory_order_relaxed) + 1, true);
+    store_table_entry(0, block, checksum,
+                      fi.generation[block].load(std::memory_order_relaxed) + 1);
     fi.checksum[block].store(checksum, std::memory_order_relaxed);
     fi.generation[block].fetch_add(1, std::memory_order_relaxed);
   }
@@ -847,9 +719,7 @@ void FileBackend::update_blocks_after_byte_write(std::uint64_t offset,
 
 void FileBackend::store_table_entry(unsigned file_index, std::uint64_t block,
                                     std::uint64_t checksum,
-                                    std::uint64_t generation,
-                                    bool write_table) {
-  if (!write_table) return;
+                                    std::uint64_t generation) {
   unsigned char entry[kTableEntryBytes];
   put_u64(entry, 0, checksum);
   put_u64(entry, 8, generation);
@@ -956,7 +826,7 @@ FsckReport FileBackend::fsck(const std::string& path) {
   }
   if (get_u32(header, kOffMagic) != kMagic) {
     report.header_error =
-        "bad magic (not an integrity-enabled plfoc vector file)";
+        "bad magic (not a plfoc vector file)";
     ::close(fd);
     return report;
   }

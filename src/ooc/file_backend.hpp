@@ -6,13 +6,12 @@
 // one vector — far above the 512 B / 8 KiB hardware block granularity — so
 // every transfer is one large contiguous pread/pwrite.
 //
-// With integrity on (the default) each stripe file carries a 4 KiB header
-// and a per-block {checksum, generation} table ahead of the payload, so
-// corruption that survives a successful read() — bit flips, torn writes,
-// zeroed pages, stale-sector replays — is detected at swap-in instead of
-// being folded into the likelihood. docs/file-formats.md specifies the
-// layout; docs/robustness.md covers the corruption model and the stores'
-// self-healing recovery path.
+// Each stripe file carries a 4 KiB header and a per-block {checksum,
+// generation} table ahead of the payload, so corruption that survives a
+// successful read() — bit flips, torn writes, zeroed pages, stale-sector
+// replays — is detected at swap-in instead of being folded into the
+// likelihood. docs/file-formats.md specifies the layout; docs/robustness.md
+// covers the corruption model and the stores' self-healing recovery path.
 #pragma once
 
 #include <atomic>
@@ -48,15 +47,10 @@ struct DeviceModel {
 struct FileBackendOptions {
   std::string base_path;      ///< file path; file k gets suffix ".k" if num_files > 1
   unsigned num_files = 1;     ///< stripe count (paper: 1 by default)
-  bool preallocate = true;    ///< ftruncate to full size up front (zero-filled)
   bool remove_on_close = true;  ///< unlink backing files in the destructor
   DeviceModel device;         ///< virtual device cost accounting (off by default)
   FaultConfig faults;         ///< seeded fault schedule (disabled by default)
   RetryPolicy retry;          ///< bounded retry + backoff for transient errors
-  /// Per-block checksum + generation table (docs/file-formats.md). Required
-  /// when the fault schedule has corruption rates; off = the legacy headerless
-  /// raw layout (the bench baseline for measuring the integrity overhead).
-  bool integrity = true;
   /// Integrity-block granularity in bytes; 0 = one block per vector (the
   /// stores' natural unit). PagedStore sets this to its page size so the
   /// byte-granular path verifies page runs. Must divide into the payload
@@ -146,7 +140,7 @@ class FileBackend {
 
   /// One whole-vector transfer in a batch submitted through the AioEngine.
   /// Outcome fields are filled by submit_vector_ops; `verify` requests the
-  /// read_vector_verified semantics at completion (requires integrity).
+  /// read_vector_verified semantics at completion.
   struct VectorOp {
     // -- request --
     bool is_write = false;
@@ -165,6 +159,9 @@ class FileBackend {
     bool coalesced = false;  ///< rode a merged ranged op with neighbours
     bool ok() const { return error == 0; }
   };
+  /// Throw the typed IoError a failed op carries ("pwrite" or "pread" by
+  /// direction) — the same error the unbatched path throws.
+  [[noreturn]] static void throw_op_error(const VectorOp& op);
 
   /// Submit a batch of whole-vector transfers through the configured
   /// AioEngine and block until all complete. Adjacent reads (same stripe
@@ -190,9 +187,8 @@ class FileBackend {
   /// Verified whole-vector read: reads the payload, applies any scheduled
   /// read-side corruption, then checks the content against the in-memory
   /// checksum/generation mirror. Never-written vectors (generation 0)
-  /// verify trivially — preallocated zeros are the contract. Requires
-  /// integrity; detection only — the *store* decides whether to recover or
-  /// throw IntegrityError.
+  /// verify trivially — preallocated zeros are the contract. Detection
+  /// only — the *store* decides whether to recover or throw IntegrityError.
   VerifyResult read_vector_verified(std::uint32_t index, void* dst);
 
   /// Verified byte-granular read (num_files == 1): verifies every integrity
@@ -203,10 +199,9 @@ class FileBackend {
   VerifyResult read_bytes_verified(std::uint64_t offset, void* dst,
                                    std::size_t bytes);
 
-  /// Byte-granularity access into the single-file linear vector space
-  /// (vector i occupies [i*w, (i+1)*w)). Used by the paged baseline.
-  /// Requires num_files == 1.
-  void read_bytes(std::uint64_t offset, void* dst, std::size_t bytes);
+  /// Byte-granularity write into the single-file linear vector space
+  /// (vector i occupies [i*w, (i+1)*w)); re-checksums every block it
+  /// touches. Used by the paged baseline. Requires num_files == 1.
   void write_bytes(std::uint64_t offset, const void* src, std::size_t bytes);
 
   /// One clustered write: several file ranges (offsets into the linear
@@ -289,7 +284,6 @@ class FileBackend {
   /// Non-null when a fault schedule is configured.
   const FaultInjector* injector() const { return injector_.get(); }
 
-  bool integrity() const { return options_.integrity; }
   std::size_t integrity_block_bytes() const { return block_bytes_; }
 
   /// Offline integrity scan of one stripe file: header validation, then a
@@ -302,12 +296,11 @@ class FileBackend {
  private:
   void charge(std::size_t bytes);
 
-  /// The one I/O loop every transfer goes through: loops over short
-  /// transfers (resuming from the last completed byte) and EINTR
-  /// unconditionally — POSIX permits both on a healthy device — and retries
-  /// transient errors per RetryPolicy with exponential backoff. Consults the
-  /// fault injector, when configured, before each syscall. Throws IoError
-  /// once the retry budget is exhausted.
+  /// One unbatched transfer: run_transfer (the engines' per-op state
+  /// machine — short-transfer resumption, EINTR retry, bounded transient
+  /// retry with backoff, fault injection) inline on the calling thread, its
+  /// counter deltas folded into the atomics below. Throws IoError once the
+  /// retry budget is exhausted.
   void transfer_all(bool is_write, int fd, void* buffer, std::size_t bytes,
                     std::uint64_t offset);
 
@@ -344,12 +337,13 @@ class FileBackend {
   void raw_io(bool is_write, int fd, void* buffer, std::size_t bytes,
               std::uint64_t offset);
 
+  /// Write stripe `file_index`'s header and preallocate its table and
+  /// payload (zero-filled), then register its in-memory mirror.
   void init_integrity_file(unsigned file_index, std::uint64_t payload_bytes);
   /// Persist one table entry (fault-injectable like any data write) and the
   /// in-memory mirror.
   void store_table_entry(unsigned file_index, std::uint64_t block,
-                         std::uint64_t checksum, std::uint64_t generation,
-                         bool write_table);
+                         std::uint64_t checksum, std::uint64_t generation);
   /// Re-checksum the blocks touched by a byte-granular write. `src` holds
   /// the *intended* content of [offset, offset+bytes) so a torn payload
   /// write stays detectable; partially-covered blocks are read back and
@@ -374,8 +368,11 @@ class FileBackend {
   std::vector<int> fds_;
   std::vector<int> direct_fds_;  ///< empty when direct_io is off
   std::vector<std::string> paths_;
-  std::vector<FileIntegrity> integrity_;  ///< empty when integrity is off
+  std::vector<FileIntegrity> integrity_;  ///< one per stripe file
   std::unique_ptr<FaultInjector> injector_;  ///< null: injection disabled
+  /// Kind/depth/permutation plus the injector, retry policy and latency
+  /// spike every transfer runs under; built once in the constructor.
+  AioEngineOptions engine_options_;
   std::atomic<std::uint64_t> modeled_ns_{0};
   std::atomic<std::uint64_t> io_ops_{0};
   std::atomic<std::uint64_t> faults_injected_{0};

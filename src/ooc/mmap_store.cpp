@@ -38,8 +38,7 @@ MmapStore::MmapStore(std::size_t count, std::size_t width,
                     MAP_SHARED, fd_, 0);
   PLFOC_REQUIRE(mapping_ != MAP_FAILED,
                 std::string("mmap failed: ") + std::strerror(errno));
-  if (options_.advise_random)
-    ::madvise(mapping_, mapping_bytes_, MADV_RANDOM);
+  ::madvise(mapping_, mapping_bytes_, MADV_RANDOM);
 }
 
 MmapStore::~MmapStore() {
@@ -61,9 +60,8 @@ double* MmapStore::do_acquire(std::uint32_t index, AccessMode mode) {
   // First touch per residency: only a read of a previously-written vector
   // whose pages left the cache can observe device bytes, so only that path
   // verifies. Outstanding leases imply residency (content possibly in flux).
-  if (options_.integrity && mode == AccessMode::kRead &&
-      lease_count_[index] == 0 && generations_[index] > 0 &&
-      !span_resident(index))
+  if (mode == AccessMode::kRead && lease_count_[index] == 0 &&
+      generations_[index] > 0 && !span_resident(index))
     verify_or_recover(index);
   if (lease_count_[index] == 0 || mode == AccessMode::kWrite)
     lease_mode_[index] = mode;
@@ -74,8 +72,7 @@ double* MmapStore::do_acquire(std::uint32_t index, AccessMode mode) {
 
 void MmapStore::do_release(std::uint32_t index) {
   PLFOC_CHECK(lease_count_[index] > 0);
-  if (--lease_count_[index] == 0 && lease_mode_[index] == AccessMode::kWrite &&
-      options_.integrity) {
+  if (--lease_count_[index] == 0 && lease_mode_[index] == AccessMode::kWrite) {
     // The write lease just ended: this content is what any later re-fault
     // must deliver back.
     checksums_[index] = record_checksum(checksum_seed_, vector_bytes(index),

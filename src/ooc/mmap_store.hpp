@@ -8,6 +8,14 @@
 // deterministically for measurements), this backend is what a production
 // deployment would use when it trusts the OS: no explicit slot management,
 // no deterministic statistics — only residency sampled via mincore().
+//
+// A read acquire verifies a per-vector checksum when it touches a vector
+// whose pages have left the page cache — the only moment mapped content can
+// silently change, because the fault re-reads the device. While the span
+// stays resident re-verification is skipped (the cache content was already
+// checked, and checksumming every access would defeat the point of mmap).
+// The mapping is advised MADV_RANDOM: with no slot manager in front of it,
+// readahead fetches neighbours nobody asked for.
 #pragma once
 
 #include "ooc/storage.hpp"
@@ -21,15 +29,6 @@ namespace plfoc {
 struct MmapStoreOptions {
   std::string file_path;        ///< backing file (created/truncated)
   bool remove_on_close = true;  ///< unlink in the destructor
-  /// Advise the kernel about the access pattern (MADV_RANDOM fits the
-  /// slot-manager-free usage best; false = default readahead).
-  bool advise_random = true;
-  /// Verify a per-vector checksum when a read acquire touches a vector whose
-  /// pages have left the page cache — the only moment mapped content can
-  /// silently change, because the fault re-reads the device. While the span
-  /// stays resident re-verification is skipped (the cache content was already
-  /// checked, and checksumming every access would defeat the point of mmap).
-  bool integrity = true;
 };
 
 class MmapStore final : public AncestralStore {

@@ -101,12 +101,11 @@ bool OutOfCoreStore::is_resident(std::uint32_t index) const {
 VerifyResult OutOfCoreStore::file_read(std::uint32_t index, double* dst,
                                        bool verify) {
   VerifyResult result;
-  const bool verified = verify && file_.integrity();
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   // Verification runs over the on-disk representation (floats for kSingle),
   // before widening — the checksum covers file bytes, not RAM content.
   void* record = single ? static_cast<void*>(float_scratch_.data()) : dst;
-  if (verified)
+  if (verify)
     result = file_.read_vector_verified(index, record);
   else
     file_.read_vector(index, record);
@@ -191,7 +190,7 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
   }
   ops[1].is_write = false;
   ops[1].index = index;
-  ops[1].verify = verify && file_.integrity();
+  ops[1].verify = verify;
   if (single) {
     if (swap_float_scratch_.size() != width_)
       swap_float_scratch_.resize(width_);
@@ -208,8 +207,7 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
     // restore the slot content (the concurrent read may have clobbered it)
     // and leave every table and counter untouched.
     std::copy(evict_scratch_.begin(), evict_scratch_.end(), slot_data);
-    throw IoError("pwrite", ops[0].error, ops[0].fail_offset, ops[0].attempts,
-                  ops[0].injected);
+    FileBackend::throw_op_error(ops[0]);
   }
   count_file_write(claim.victim);
   tier_.evict(claim.victim, stats_locked());
@@ -217,8 +215,7 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
   if (!ops[1].ok()) {
     // Sequential equivalent: file_read threw after the eviction completed —
     // the slot stays free, file_reads/bytes_read untouched.
-    throw IoError("pread", ops[1].error, ops[1].fail_offset, ops[1].attempts,
-                  ops[1].injected);
+    FileBackend::throw_op_error(ops[1]);
   }
   if (single) widen(swap_float_scratch_.data(), slot_data, width_);
   ++stats_locked().file_reads;
@@ -370,7 +367,7 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   for (std::size_t k = 0; k < n; ++k) {
     ops[k].is_write = false;
     ops[k].index = items[k].index;
-    ops[k].verify = file_.integrity();
+    ops[k].verify = true;
     ops[k].buffer = single
                         ? static_cast<void*>(prefetch_float_scratch_.data() +
                                              k * width_)
@@ -543,9 +540,7 @@ void OutOfCoreStore::flush() {
   }
   file_.sync();
   PLFOC_AUDIT_TABLE("flush");
-  if (failed != nullptr)
-    throw IoError("pwrite", failed->error, failed->fail_offset,
-                  failed->attempts, failed->injected);
+  if (failed != nullptr) FileBackend::throw_op_error(*failed);
 }
 
 OocStats OutOfCoreStore::stats_snapshot() const {

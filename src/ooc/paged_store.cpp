@@ -139,28 +139,22 @@ void PagedStore::fault_cluster(std::uint64_t first) {
         static_cast<std::uint64_t>(run) * options_.page_bytes,
         file_.total_bytes() - offset));
     char* dst = reinterpret_cast<char*>(arena_.data()) + offset;
-    if (file_.integrity()) {
-      const VerifyResult verify = file_.read_bytes_verified(offset, dst, bytes);
-      ++stats_locked().file_reads;
-      stats_locked().bytes_read += bytes;
-      if (!verify.ok()) {
-        // Detection only: the OS-paging baseline has no recomputation seam —
-        // generic paging cannot know a swap page is a recomputable cache
-        // entry. The pages stay non-resident (a later fault re-reads them),
-        // and the damage surfaces typed instead of as a wrong likelihood.
-        ++stats_locked().integrity_failures;
-        ++stats_locked().integrity_unrecovered;
-        stats_locked().corruptions_injected = file_.corruptions_injected();
-        throw IntegrityError(
-            "paged swap-in", verify.block, verify.expected_generation,
-            verify.found_generation, verify.injected,
-            std::string(verify.status_name()) +
-                "; the OS-paging baseline cannot self-heal");
-      }
-    } else {
-      file_.read_bytes(offset, dst, bytes);
-      ++stats_locked().file_reads;
-      stats_locked().bytes_read += bytes;
+    const VerifyResult verify = file_.read_bytes_verified(offset, dst, bytes);
+    ++stats_locked().file_reads;
+    stats_locked().bytes_read += bytes;
+    if (!verify.ok()) {
+      // Detection only: the OS-paging baseline has no recomputation seam —
+      // generic paging cannot know a swap page is a recomputable cache
+      // entry. The pages stay non-resident (a later fault re-reads them),
+      // and the damage surfaces typed instead of as a wrong likelihood.
+      ++stats_locked().integrity_failures;
+      ++stats_locked().integrity_unrecovered;
+      stats_locked().corruptions_injected = file_.corruptions_injected();
+      throw IntegrityError(
+          "paged swap-in", verify.block, verify.expected_generation,
+          verify.found_generation, verify.injected,
+          std::string(verify.status_name()) +
+              "; the OS-paging baseline cannot self-heal");
     }
   }
   for (std::uint64_t page = first; page < end; ++page) {

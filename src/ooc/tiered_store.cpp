@@ -139,17 +139,14 @@ std::uint32_t TieredStore::swap_in_overlapped(std::uint32_t index,
     // the fast victim's content (the read clobbered its slot) and unwind.
     std::memcpy(fast_.data(fslot), demote_scratch_.data(),
                 width_ * sizeof(double));
-    throw IoError("pwrite", ops[0].error, ops[0].fail_offset,
-                  ops[0].attempts, ops[0].injected);
+    FileBackend::throw_op_error(ops[0]);
   }
   ++stats_locked().file_writes;
   stats_locked().bytes_written += width_ * sizeof(double);
   ram_.evict(ram.victim, stats_locked());
   demote(fslot, ram.slot, demote_scratch_.data());  // from the scratch image
 
-  if (!ops[1].ok())
-    throw IoError("pread", ops[1].error, ops[1].fail_offset, ops[1].attempts,
-                  ops[1].injected);
+  if (!ops[1].ok()) FileBackend::throw_op_error(ops[1]);
   ++stats_locked().file_reads;
   stats_locked().bytes_read += width_ * sizeof(double);
   *out_verify = ops[1].verify_result;
@@ -201,7 +198,7 @@ double* TieredStore::do_acquire(std::uint32_t index, AccessMode mode) {
     const bool need_read = mode == AccessMode::kRead || !options_.read_skipping;
     // Only kRead misses verify: a paper-mode write-miss read loads bytes
     // that are about to be overwritten, so damage there is never consumed.
-    const bool verified = mode == AccessMode::kRead && file_.integrity();
+    const bool verified = mode == AccessMode::kRead;
     if (need_read && file_.async_io()) {
       fast_slot = swap_in_overlapped(index, verified, &verify);
     } else {

@@ -82,7 +82,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       ooc.file.device = options_.device;
       ooc.file.faults = options_.faults;
       ooc.file.retry = options_.io_retry;
-      ooc.file.integrity = options_.integrity;
       ooc.file.io_engine = options_.io_engine;
       ooc.file.io_depth = options_.io_depth;
       ooc.file.io_permute_seed = options_.io_permute_seed;
@@ -101,7 +100,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       paged.file.device = options_.device;
       paged.file.faults = options_.faults;
       paged.file.retry = options_.io_retry;
-      paged.file.integrity = options_.integrity;
       paged.file.io_engine = options_.io_engine;
       paged.file.io_depth = options_.io_depth;
       paged.file.io_permute_seed = options_.io_permute_seed;
@@ -125,7 +123,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       tiered.file.device = options_.device;
       tiered.file.faults = options_.faults;
       tiered.file.retry = options_.io_retry;
-      tiered.file.integrity = options_.integrity;
       tiered.file.io_engine = options_.io_engine;
       tiered.file.io_depth = options_.io_depth;
       tiered.file.io_permute_seed = options_.io_permute_seed;
@@ -139,7 +136,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       mm.file_path = options_.vector_file.empty()
                          ? temp_vector_file_path("mmap")
                          : options_.vector_file;
-      mm.integrity = options_.integrity;
       store_ = std::make_unique<MmapStore>(count, width, std::move(mm));
       break;
     }

@@ -68,13 +68,11 @@ struct SessionOptions {
   /// Seeded fault-injection schedule applied to the backing file of every
   /// file-backed backend (out-of-core / paged / tiered); disabled by default.
   /// The mmap and in-RAM backends have no syscall I/O path and ignore it.
+  /// Every backing file (and the mmap mapping) carries per-vector checksums
+  /// verified at swap-in / re-fault; a mismatch self-heals through the
+  /// likelihood engine before surfacing as IntegrityError
+  /// (docs/robustness.md).
   FaultConfig faults;
-  /// Per-vector checksums on the backing file (out-of-core / paged / tiered)
-  /// and on the mmap mapping, verified at swap-in / re-fault; a mismatch
-  /// triggers self-healing recomputation through the likelihood engine before
-  /// surfacing as IntegrityError (see docs/robustness.md). Corruption
-  /// injection (faults flip=/torn=/zero=/stale=) requires this on.
-  bool integrity = true;
   /// Retry budget + backoff for transient backing-file errors (injected or
   /// real). max_retries = 0 disables retrying: the first transient error
   /// surfaces as IoError.

@@ -232,63 +232,80 @@ TEST(AioEngine, UringBackendOrFallback) {
   EXPECT_TRUE(is_permutation_of_tokens(order, 8));
 }
 
+/// Every engine kind: the retry/injection state machine must behave the same
+/// whether it is driven by a loop (sync, threads, deterministic) or by SQEs
+/// and CQEs (uring).
+constexpr AioEngineKind kAllEngineKinds[] = {
+    AioEngineKind::kSync, AioEngineKind::kThreads, AioEngineKind::kUring,
+    AioEngineKind::kDeterministic};
+
 TEST(AioEngine, InjectedTransientsRecoverWithinRetryBudget) {
-  ScratchFile file(4 * kSpan);
-  FaultConfig config;
-  config.seed = 77;
-  config.rate = 1.0;  // every attempt faults until the burst cap
-  config.burst = 2;
-  config.kinds = kFaultAllErrors;
-  FaultInjector injector(config);
+  for (const AioEngineKind kind : kAllEngineKinds) {
+    ScratchFile file(4 * kSpan);
+    FaultConfig config;
+    config.seed = 77;
+    config.rate = 1.0;  // every attempt faults until the burst cap
+    config.burst = 2;
+    config.kinds = kFaultAllErrors;
+    FaultInjector injector(config);
 
-  AioEngineOptions options;
-  options.kind = AioEngineKind::kDeterministic;
-  options.permute_seed = kAioOrderReverse;
-  options.injector = &injector;
-  options.retry.max_retries = 4;  // budget covers the burst
-  options.retry.backoff_initial_us = 0;
-  auto engine = make_aio_engine(options);
+    AioEngineOptions options;
+    options.kind = kind;
+    options.depth = 4;
+    options.permute_seed = kAioOrderReverse;
+    options.injector = &injector;
+    options.retry.max_retries = 4;  // budget covers the burst
+    options.retry.backoff_initial_us = 0;
+    auto engine = make_aio_engine(options);
+    SCOPED_TRACE(engine->name());
 
-  std::vector<char> arena;
-  std::vector<AioOp> ops = make_read_ops(file, arena, 4);
-  engine->submit(ops.data(), ops.size());
-  std::vector<AioCompletion> completions(ops.size());
-  engine->collect(completions.data(), completions.size());
-  for (const AioCompletion& completion : completions) {
-    EXPECT_TRUE(completion.ok()) << "errno " << completion.error;
-    EXPECT_EQ(completion.faults, 2u);  // burst cap, then clean attempts
-    EXPECT_GE(completion.retries, 2u);
-    EXPECT_EQ(completion.exhausted, 0u);
+    std::vector<char> arena;
+    std::vector<AioOp> ops = make_read_ops(file, arena, 4);
+    engine->submit(ops.data(), ops.size());
+    std::vector<AioCompletion> completions(ops.size());
+    engine->collect(completions.data(), completions.size());
+    std::vector<std::uint64_t> tokens;
+    for (const AioCompletion& completion : completions) {
+      EXPECT_TRUE(completion.ok()) << "errno " << completion.error;
+      EXPECT_EQ(completion.faults, 2u);  // burst cap, then clean attempts
+      EXPECT_GE(completion.retries, 2u);
+      EXPECT_EQ(completion.exhausted, 0u);
+      tokens.push_back(completion.token);
+    }
+    EXPECT_TRUE(is_permutation_of_tokens(tokens, ops.size()));
   }
 }
 
 TEST(AioEngine, ExhaustedRetryBudgetReportsTypedOutcome) {
-  ScratchFile file(kSpan);
-  FaultConfig config;
-  config.seed = 78;
-  config.rate = 1.0;
-  config.burst = 16;           // outlasts the budget
-  config.kinds = kFaultEio;    // deterministic errno, no short transfers
-  FaultInjector injector(config);
+  for (const AioEngineKind kind : kAllEngineKinds) {
+    ScratchFile file(kSpan);
+    FaultConfig config;
+    config.seed = 78;
+    config.rate = 1.0;
+    config.burst = 16;           // outlasts the budget
+    config.kinds = kFaultEio;    // deterministic errno, no short transfers
+    FaultInjector injector(config);
 
-  AioEngineOptions options;
-  options.kind = AioEngineKind::kSync;
-  options.injector = &injector;
-  options.retry.max_retries = 1;
-  options.retry.backoff_initial_us = 0;
-  auto engine = make_aio_engine(options);
+    AioEngineOptions options;
+    options.kind = kind;
+    options.injector = &injector;
+    options.retry.max_retries = 1;
+    options.retry.backoff_initial_us = 0;
+    auto engine = make_aio_engine(options);
+    SCOPED_TRACE(engine->name());
 
-  std::vector<char> arena;
-  std::vector<AioOp> ops = make_read_ops(file, arena, 1);
-  engine->submit(ops.data(), 1);
-  AioCompletion completion;
-  engine->collect(&completion, 1);
-  EXPECT_FALSE(completion.ok());
-  EXPECT_EQ(completion.error, EIO);
-  EXPECT_EQ(completion.exhausted, 1u);
-  EXPECT_EQ(completion.attempts, 2u);  // first attempt + one retry
-  EXPECT_TRUE(completion.injected);
-  EXPECT_EQ(completion.fail_offset, 0u);
+    std::vector<char> arena;
+    std::vector<AioOp> ops = make_read_ops(file, arena, 1);
+    engine->submit(ops.data(), 1);
+    AioCompletion completion;
+    engine->collect(&completion, 1);
+    EXPECT_FALSE(completion.ok());
+    EXPECT_EQ(completion.error, EIO);
+    EXPECT_EQ(completion.exhausted, 1u);
+    EXPECT_EQ(completion.attempts, 2u);  // first attempt + one retry
+    EXPECT_TRUE(completion.injected);
+    EXPECT_EQ(completion.fail_offset, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -79,7 +79,10 @@ TEST(FileBackend, ByteAccessMatchesVectorLayout) {
   backend.write_vector(2, out.data());
   double probe = -1.0;
   // Vector 2 starts at byte offset 2 * 16 * 8; element 5 is 5 doubles in.
-  backend.read_bytes((2 * 16 + 5) * sizeof(double), &probe, sizeof(double));
+  EXPECT_TRUE(backend
+                  .read_bytes_verified((2 * 16 + 5) * sizeof(double), &probe,
+                                       sizeof(double))
+                  .ok());
   EXPECT_EQ(probe, 5.0);
 }
 

@@ -44,9 +44,6 @@ TEST(MmapStore, FlushPersistsToFile) {
     store.flush();
   }
   // Re-open the raw file and check the byte layout.
-  FileBackendOptions raw;
-  raw.base_path = path;
-  raw.preallocate = false;
   {
     // Read vector 1 (offset 4 doubles), element 2.
     std::ifstream in(path, std::ios::binary);
