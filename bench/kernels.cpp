@@ -117,7 +117,8 @@ void BM_NewviewTipTip(benchmark::State& state) {
 BENCHMARK(BM_NewviewTipTip)->Arg(1200)->Arg(10000);
 
 void BM_NewviewTipInner(benchmark::State& state) {
-  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4, 4);
+  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4,
+                   static_cast<unsigned>(state.range(1)));
   for (auto _ : state) {
     newview(fx.dims, fx.tip_child(), fx.inner_right(), fx.parent.data(),
             fx.pscale.data());
@@ -126,7 +127,10 @@ void BM_NewviewTipInner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fx.dims.patterns));
 }
-BENCHMARK(BM_NewviewTipInner)->Arg(1200)->Arg(10000);
+BENCHMARK(BM_NewviewTipInner)
+    ->Args({1200, 4})
+    ->Args({10000, 4})
+    ->Args({1200, 20});
 
 void BM_EvaluateBranch(benchmark::State& state) {
   KernelFixture fx(static_cast<std::size_t>(state.range(0)),
@@ -152,12 +156,14 @@ BENCHMARK(BM_EvaluateBranch)
     ->Args({10000, 4, 4});
 
 void BM_EvaluateWithDerivatives(benchmark::State& state) {
-  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4, 4);
+  const unsigned states = static_cast<unsigned>(state.range(1));
+  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4, states);
   std::vector<double> dmat(fx.pmat_left.size());
   std::vector<double> d2mat(fx.pmat_left.size());
+  const std::size_t matrix = static_cast<std::size_t>(states) * states;
   for (unsigned c = 0; c < 4; ++c)
-    transition_derivatives(fx.eigen, 0.13, nullptr, dmat.data() + c * 16,
-                           d2mat.data() + c * 16);
+    transition_derivatives(fx.eigen, 0.13, nullptr, dmat.data() + c * matrix,
+                           d2mat.data() + c * matrix);
   EvalSide near_side{fx.left.data(), fx.lscale.data(), nullptr,
                      nullptr,        nullptr,          nullptr, nullptr};
   EvalSide far_side{fx.right.data(), fx.rscale.data(), nullptr,
@@ -171,7 +177,7 @@ void BM_EvaluateWithDerivatives(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fx.dims.patterns));
 }
-BENCHMARK(BM_EvaluateWithDerivatives)->Arg(1200);
+BENCHMARK(BM_EvaluateWithDerivatives)->Args({1200, 4})->Args({1200, 20});
 
 void BM_TransitionMatrix(benchmark::State& state) {
   const EigenSystem eigen = state.range(0) == 4

@@ -72,8 +72,8 @@ std::size_t newview_impl(const KernelDims& dims, const NewviewChild& left,
         if (v >= kScaleThreshold) all_small = false;
       }
     }
-    std::int32_t count = (left.scale_counts != nullptr ? left.scale_counts[p] : 0) +
-                         (right.scale_counts != nullptr ? right.scale_counts[p] : 0);
+    std::int32_t count = detail::scale_sum(left.scale_counts,
+                                           right.scale_counts, p);
     if (all_small) {
       ++scaled;
       // Scale repeatedly until the largest entry clears the threshold: a
@@ -174,28 +174,10 @@ BranchValue evaluate_impl(const KernelDims& dims, const double* freqs,
       site_d1 += d1c;
       site_d2 += d2c;
     }
-    site_l *= cat_weight;
-    site_d1 *= cat_weight;
-    site_d2 *= cat_weight;
-
-    const std::int32_t scale =
-        (near_side.scale_counts != nullptr ? near_side.scale_counts[p] : 0) +
-        (far_side.scale_counts != nullptr ? far_side.scale_counts[p] : 0);
-    const double w = weights != nullptr ? weights[p] : 1.0;
-    const double guarded = std::max(site_l, std::numeric_limits<double>::min());
-    result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
-    if (with_derivatives) {
-      const double d1_term = site_d1 / guarded;
-      const double d2_term = site_d2 / guarded - d1_term * d1_term;
-      // When site_l clamps to numeric_limits::min() (underflowed site) the
-      // ratios can overflow to Inf and poison d2 with NaN, derailing the
-      // Newton step in optimize_branch. An underflowed site carries no
-      // usable curvature signal, so drop its derivative contribution.
-      if (std::isfinite(d1_term) && std::isfinite(d2_term)) {
-        result.d1 += w * d1_term;
-        result.d2 += w * d2_term;
-      }
-    }
+    detail::add_site(result, site_l, site_d1, site_d2, cat_weight,
+                     detail::scale_sum(near_side.scale_counts,
+                                       far_side.scale_counts, p),
+                     weights != nullptr ? weights[p] : 1.0, with_derivatives);
   }
   return result;
 }
@@ -237,9 +219,8 @@ void per_pattern_impl(const KernelDims& dims, const double* freqs,
       site_l += lc;
     }
     site_l *= cat_weight;
-    const std::int32_t scale =
-        (near_side.scale_counts != nullptr ? near_side.scale_counts[p] : 0) +
-        (far_side.scale_counts != nullptr ? far_side.scale_counts[p] : 0);
+    const std::int32_t scale = detail::scale_sum(near_side.scale_counts,
+                                                 far_side.scale_counts, p);
     const double guarded = std::max(site_l, std::numeric_limits<double>::min());
     out[p] = std::log(guarded) + scale * kLogScaleUnit;
   }
@@ -312,6 +293,76 @@ bool pool_active(const KernelPool* pool, std::size_t blocks) {
   return pool != nullptr && pool->threads() > 1 && blocks > 1;
 }
 
+/// True when the AVX2 kernels take these dimensions on this CPU.
+bool avx2_dispatch(const KernelDims& dims) {
+  return (dims.states == 4 || dims.states == 20) &&
+         dims.categories <= detail::kSimdMaxCategories && cpu_has_avx2();
+}
+
+using NewviewRange = std::size_t (*)(const KernelDims&, const NewviewChild&,
+                                     const NewviewChild&, double*,
+                                     std::int32_t*, std::size_t, std::size_t);
+using EvaluateRange = BranchValue (*)(const KernelDims&, const double*,
+                                      const double*, const EvalSide&,
+                                      const EvalSide&, const double*,
+                                      const double*, const double*, bool,
+                                      std::size_t, std::size_t);
+
+std::size_t newview_blocks(NewviewRange range, const KernelDims& dims,
+                           const NewviewChild& left, const NewviewChild& right,
+                           double* parent, std::int32_t* parent_scale,
+                           KernelPool* pool) {
+  const std::size_t blocks = pattern_block_count(dims.patterns);
+  if (!pool_active(pool, blocks))
+    return range(dims, left, right, parent, parent_scale, 0, dims.patterns);
+  // Block outputs (parent slices, scale counts) are disjoint and the
+  // scaled-pattern tally is an exact integer sum, so any execution order
+  // yields the identical result.
+  std::vector<std::size_t> partials(blocks, 0);
+  pool->run_blocks(blocks, [&](std::size_t b) {
+    partials[b] = range(dims, left, right, parent, parent_scale,
+                        block_begin(b), block_end(b, dims.patterns));
+  });
+  std::size_t scaled = 0;
+  for (const std::size_t partial : partials) scaled += partial;
+  return scaled;
+}
+
+BranchValue evaluate_blocks(EvaluateRange range, const KernelDims& dims,
+                            const double* freqs, const double* weights,
+                            const EvalSide& near_side,
+                            const EvalSide& far_side, const double* pmats,
+                            const double* dmats, const double* d2mats,
+                            bool with_derivatives, KernelPool* pool) {
+  if (with_derivatives)
+    PLFOC_CHECK((dmats != nullptr && d2mats != nullptr) || far_side.is_tip());
+  const std::size_t blocks = pattern_block_count(dims.patterns);
+  if (blocks <= 1)
+    return range(dims, freqs, weights, near_side, far_side, pmats, dmats,
+                 d2mats, with_derivatives, 0, dims.patterns);
+  // Per-block partials are ALWAYS computed and combined serially in block
+  // order — also on the single-threaded path — so the floating-point
+  // association depends only on the pattern count, never the thread count.
+  std::vector<BranchValue> partials(blocks);
+  const auto body = [&](std::size_t b) {
+    partials[b] = range(dims, freqs, weights, near_side, far_side, pmats,
+                        dmats, d2mats, with_derivatives, block_begin(b),
+                        block_end(b, dims.patterns));
+  };
+  if (pool_active(pool, blocks)) {
+    pool->run_blocks(blocks, body);
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) body(b);
+  }
+  BranchValue result = partials[0];
+  for (std::size_t b = 1; b < blocks; ++b) {
+    result.log_likelihood += partials[b].log_likelihood;
+    result.d1 += partials[b].d1;
+    result.d2 += partials[b].d2;
+  }
+  return result;
+}
+
 }  // namespace
 
 void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
@@ -334,33 +385,28 @@ void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
 std::size_t newview_scalar(const KernelDims& dims, const NewviewChild& left,
                            const NewviewChild& right, double* parent,
                            std::int32_t* parent_scale) {
-  return newview_range(dims, left, right, parent, parent_scale, 0,
-                       dims.patterns);
+  return newview_blocks(newview_range, dims, left, right, parent,
+                        parent_scale, nullptr);
 }
 
 std::size_t newview(const KernelDims& dims, const NewviewChild& left,
                     const NewviewChild& right, double* parent,
                     std::int32_t* parent_scale, KernelPool* pool) {
-  const bool use_avx2 =
-      dims.states == 4 && dims.categories <= 16 && cpu_has_avx2();
-  const auto run_range = [&](std::size_t p_begin, std::size_t p_end) {
-    return use_avx2 ? detail::newview4_avx2(dims, left, right, parent,
-                                            parent_scale, p_begin, p_end)
-                    : newview_range(dims, left, right, parent, parent_scale,
-                                    p_begin, p_end);
-  };
-  const std::size_t blocks = pattern_block_count(dims.patterns);
-  if (!pool_active(pool, blocks)) return run_range(0, dims.patterns);
-  // Block outputs (parent slices, scale counts) are disjoint and the
-  // scaled-pattern tally is an exact integer sum, so any execution order
-  // yields the identical result.
-  std::vector<std::size_t> partials(blocks, 0);
-  pool->run_blocks(blocks, [&](std::size_t b) {
-    partials[b] = run_range(block_begin(b), block_end(b, dims.patterns));
-  });
-  std::size_t scaled = 0;
-  for (const std::size_t partial : partials) scaled += partial;
-  return scaled;
+  return newview_blocks(
+      avx2_dispatch(dims) ? detail::newview_avx2 : newview_range, dims, left,
+      right, parent, parent_scale, pool);
+}
+
+BranchValue evaluate_branch_scalar(const KernelDims& dims, const double* freqs,
+                                   const double* weights,
+                                   const EvalSide& near_side,
+                                   const EvalSide& far_side,
+                                   const double* pmats, const double* dmats,
+                                   const double* d2mats,
+                                   bool with_derivatives) {
+  return evaluate_blocks(evaluate_range, dims, freqs, weights, near_side,
+                         far_side, pmats, dmats, d2mats, with_derivatives,
+                         nullptr);
 }
 
 BranchValue evaluate_branch(const KernelDims& dims, const double* freqs,
@@ -368,34 +414,10 @@ BranchValue evaluate_branch(const KernelDims& dims, const double* freqs,
                             const EvalSide& far_side, const double* pmats,
                             const double* dmats, const double* d2mats,
                             bool with_derivatives, KernelPool* pool) {
-  if (with_derivatives)
-    PLFOC_CHECK((dmats != nullptr && d2mats != nullptr) || far_side.is_tip());
-  const std::size_t blocks = pattern_block_count(dims.patterns);
-  if (blocks <= 1)
-    return evaluate_range(dims, freqs, weights, near_side, far_side, pmats,
-                          dmats, d2mats, with_derivatives, 0, dims.patterns);
-  // Per-block partials are ALWAYS computed and combined serially in block
-  // order — also on the single-threaded path — so the floating-point
-  // association depends only on the pattern count, never the thread count.
-  std::vector<BranchValue> partials(blocks);
-  const auto body = [&](std::size_t b) {
-    partials[b] =
-        evaluate_range(dims, freqs, weights, near_side, far_side, pmats, dmats,
-                       d2mats, with_derivatives, block_begin(b),
-                       block_end(b, dims.patterns));
-  };
-  if (pool_active(pool, blocks)) {
-    pool->run_blocks(blocks, body);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) body(b);
-  }
-  BranchValue result = partials[0];
-  for (std::size_t b = 1; b < blocks; ++b) {
-    result.log_likelihood += partials[b].log_likelihood;
-    result.d1 += partials[b].d1;
-    result.d2 += partials[b].d2;
-  }
-  return result;
+  return evaluate_blocks(
+      avx2_dispatch(dims) ? detail::evaluate_avx2 : evaluate_range, dims,
+      freqs, weights, near_side, far_side, pmats, dmats, d2mats,
+      with_derivatives, pool);
 }
 
 }  // namespace plfoc

@@ -66,9 +66,10 @@ struct NewviewChild {
 /// likelihoods propagated across their branches. Writes parent (P*C*S) and
 /// parent_scale (per pattern, = children's counts + fresh scalings).
 /// Returns the number of patterns scaled in this call.
-/// Dispatches to an AVX2 path for 4-state data when the CPU supports it;
-/// the vector path performs the identical multiply/add sequence, so results
-/// are bit-identical to the portable kernel. When `pool` is non-null the
+/// Dispatches to the AVX2 kernel for 4- and 20-state data with at most 16
+/// categories when the CPU supports it; every vector lane performs the
+/// scalar kernel's multiply/add sequence (no FMA), so results are
+/// bit-identical to newview_scalar. When `pool` is non-null the
 /// pattern blocks run in parallel on its thread team (block writes are
 /// disjoint and the scaled-pattern count is an exact integer sum, so the
 /// result does not depend on the thread count).
@@ -120,11 +121,22 @@ void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
 /// The sums are always reduced per pattern block in serial block order
 /// (whether or not `pool` is supplied), which pins the floating-point
 /// association to the partition and keeps the value bit-identical for any
-/// thread count.
+/// thread count. Dispatches to AVX2 under the same conditions as newview,
+/// bit-identical to evaluate_branch_scalar.
 BranchValue evaluate_branch(const KernelDims& dims, const double* freqs,
                             const double* weights, const EvalSide& near_side,
                             const EvalSide& far_side, const double* pmats,
                             const double* dmats, const double* d2mats,
                             bool with_derivatives, KernelPool* pool = nullptr);
+
+/// The portable evaluate_branch, bypassing SIMD dispatch (reference for
+/// tests/benches). Same block partition and serial block reduction.
+BranchValue evaluate_branch_scalar(const KernelDims& dims, const double* freqs,
+                                   const double* weights,
+                                   const EvalSide& near_side,
+                                   const EvalSide& far_side,
+                                   const double* pmats, const double* dmats,
+                                   const double* d2mats,
+                                   bool with_derivatives);
 
 }  // namespace plfoc

@@ -1,12 +1,15 @@
-// AVX2 specialisation of the 4-state newview kernel.
+// AVX2 newview and evaluate_branch for 4- and 20-state data.
 //
-// One __m256d holds the four states of a (pattern, category) block; the
-// child propagation SUM_y P[x][y] * v[y] is computed per x-lane by
-// broadcasting v[y] against the transposed matrix column — the identical
-// left-to-right multiply/add sequence the scalar kernel performs, so the
-// results are bit-for-bit equal (deliberately no FMA: fused rounding would
-// break the equality, and with it the suite's cross-configuration
-// bit-identity checks).
+// One template family over the state count S: the S states of a (pattern,
+// category) block are S/4 __m256d x-lanes. propagate<S> computes each lane's
+// 0 + P[x][0]*v[0] + ... + P[x][S-1]*v[S-1] in y order, from the transposed
+// matrix and a broadcast v[y], as a separate multiply then add — the
+// identical sequence the scalar kernel performs per x, so the results are
+// bit-for-bit equal (deliberately no FMA: fused rounding would break the
+// equality, and with it the suite's cross-configuration bit-identity
+// checks; the kernel-no-fma lint rule enforces it). Reductions across x stay
+// scalar and in x order for the same reason. The loops over lanes are fully
+// unrolled so that the accumulators stay in registers.
 #include <immintrin.h>
 
 #include "likelihood/kernels_internal.hpp"
@@ -16,116 +19,255 @@ namespace plfoc::detail {
 
 namespace {
 
-/// Transposed 4x4 transition matrix: column y as a vector over x.
-struct TransposedP {
-  __m256d col[4];
-};
-
-__attribute__((target("avx2"))) inline TransposedP transpose(
-    const double* p) {
-  TransposedP out;
-  for (int y = 0; y < 4; ++y)
-    out.col[y] = _mm256_set_pd(p[3 * 4 + y], p[2 * 4 + y], p[1 * 4 + y],
-                               p[0 * 4 + y]);
-  return out;
-}
-
-/// (0 + P[:,0]*v0 + P[:,1]*v1 + P[:,2]*v2 + P[:,3]*v3) — the scalar order.
-__attribute__((target("avx2"))) inline __m256d propagate(
-    const TransposedP& pt, const double* child) {
-  __m256d acc = _mm256_setzero_pd();
-  for (int y = 0; y < 4; ++y) {
-    const __m256d vy = _mm256_set1_pd(child[y]);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(pt.col[y], vy));
+/// Writes each category's row-major S×S matrix transposed, so that row y of
+/// the result holds column y of P as contiguous x lanes.
+template <unsigned S>
+void transpose(const double* pmats, unsigned cats, double* out) {
+  for (unsigned c = 0; c < cats; ++c) {
+    const double* p = pmats + static_cast<std::size_t>(c) * S * S;
+    double* t = out + static_cast<std::size_t>(c) * S * S;
+    for (unsigned x = 0; x < S; ++x)
+      for (unsigned y = 0; y < S; ++y) t[y * S + x] = p[x * S + y];
   }
-  return acc;
 }
 
-}  // namespace
+/// out[x] = 0 + P[x][0]*v[0] + ... + P[x][S-1]*v[S-1] — the scalar order.
+/// `pt` is one category's transposed matrix (32-byte aligned).
+template <unsigned S>
+__attribute__((target("avx2"))) inline void propagate(const double* pt,
+                                                      const double* v,
+                                                      __m256d* out) {
+#pragma GCC unroll 8
+  for (unsigned k = 0; k < S / 4; ++k) out[k] = _mm256_setzero_pd();
+  for (unsigned y = 0; y < S; ++y) {
+    const __m256d vy = _mm256_set1_pd(v[y]);
+#pragma GCC unroll 8
+    for (unsigned k = 0; k < S / 4; ++k)
+      out[k] = _mm256_add_pd(
+          out[k], _mm256_mul_pd(_mm256_load_pd(pt + y * S + 4 * k), vy));
+  }
+}
 
-__attribute__((target("avx2"))) std::size_t newview4_avx2(
+/// Loads S values starting at `from` as S/4 lanes.
+template <unsigned S>
+__attribute__((target("avx2"))) inline void load_lanes(const double* from,
+                                                       __m256d* out) {
+#pragma GCC unroll 8
+  for (unsigned k = 0; k < S / 4; ++k) out[k] = _mm256_loadu_pd(from + 4 * k);
+}
+
+/// Propagated likelihood of one newview child at (p, c): the folded lookup
+/// row for a tip, propagate<S> for an inner child.
+template <unsigned S>
+__attribute__((target("avx2"))) inline void child_lanes(
+    const NewviewChild& child, const double* transposed, unsigned cats,
+    std::size_t p, unsigned c, __m256d* out) {
+  if (child.is_tip()) {
+    load_lanes<S>(child.lookup +
+                      (static_cast<std::size_t>(child.codes[p]) * cats + c) * S,
+                  out);
+  } else {
+    propagate<S>(transposed + static_cast<std::size_t>(c) * S * S,
+                 child.vector + (p * cats + c) * S, out);
+  }
+}
+
+template <unsigned S>
+__attribute__((target("avx2"))) std::size_t newview_lanes(
     const KernelDims& dims, const NewviewChild& left,
     const NewviewChild& right, double* parent, std::int32_t* parent_scale,
     std::size_t p_begin, std::size_t p_end) {
-  PLFOC_CHECK(dims.states == 4);
+  constexpr unsigned kLanes = S / 4;
   const unsigned cats = dims.categories;
-  PLFOC_CHECK(cats <= 16);
-  const std::size_t block = static_cast<std::size_t>(cats) * 4;
+  const std::size_t block = static_cast<std::size_t>(cats) * S;
   const __m256d threshold = _mm256_set1_pd(kScaleThreshold);
   const __m256d multiplier = _mm256_set1_pd(kScaleMultiplier);
+  const __m256d zero = _mm256_setzero_pd();
   std::size_t scaled = 0;
 
-  TransposedP left_t[16];
-  TransposedP right_t[16];
-  if (!left.is_tip())
-    for (unsigned c = 0; c < cats; ++c)
-      left_t[c] = transpose(left.pmat + static_cast<std::size_t>(c) * 16);
-  if (!right.is_tip())
-    for (unsigned c = 0; c < cats; ++c)
-      right_t[c] = transpose(right.pmat + static_cast<std::size_t>(c) * 16);
+  // Both children's transposed matrices, packed from the front so that a
+  // call touches only the stack pages of the categories it has.
+  alignas(32) double transposed[2 * kSimdMaxCategories * S * S];
+  double* const left_t = transposed;
+  double* const right_t = transposed + static_cast<std::size_t>(cats) * S * S;
+  if (!left.is_tip()) transpose<S>(left.pmat, cats, left_t);
+  if (!right.is_tip()) transpose<S>(right.pmat, cats, right_t);
 
   for (std::size_t p = p_begin; p < p_end; ++p) {
     double* parent_block = parent + p * block;
-    // all_small lane-mask: 1 where the value is below the scaling threshold.
     bool all_small = true;
     for (unsigned c = 0; c < cats; ++c) {
-      __m256d l;
-      if (left.is_tip()) {
-        l = _mm256_loadu_pd(left.lookup +
-                            (static_cast<std::size_t>(left.codes[p]) * cats +
-                             c) *
-                                4);
-      } else {
-        l = propagate(left_t[c],
-                      left.vector + p * block + static_cast<std::size_t>(c) * 4);
+      __m256d l[kLanes];
+      __m256d r[kLanes];
+      child_lanes<S>(left, left_t, cats, p, c, l);
+      child_lanes<S>(right, right_t, cats, p, c, r);
+      double* out = parent_block + static_cast<std::size_t>(c) * S;
+#pragma GCC unroll 8
+      for (unsigned k = 0; k < kLanes; ++k) {
+        const __m256d v = _mm256_mul_pd(l[k], r[k]);
+        _mm256_storeu_pd(out + 4 * k, v);
+        // The scalar test is v >= threshold; an ordered compare keeps NaN
+        // lanes "small" there too.
+        if (_mm256_movemask_pd(_mm256_cmp_pd(v, threshold, _CMP_GE_OQ)) != 0)
+          all_small = false;
       }
-      __m256d r;
-      if (right.is_tip()) {
-        r = _mm256_loadu_pd(right.lookup +
-                            (static_cast<std::size_t>(right.codes[p]) * cats +
-                             c) *
-                                4);
-      } else {
-        r = propagate(right_t[c], right.vector + p * block +
-                                      static_cast<std::size_t>(c) * 4);
-      }
-      const __m256d out = _mm256_mul_pd(l, r);
-      _mm256_storeu_pd(parent_block + static_cast<std::size_t>(c) * 4, out);
-      // v >= threshold on any lane => not all small.
-      const __m256d below = _mm256_cmp_pd(out, threshold, _CMP_LT_OQ);
-      if (_mm256_movemask_pd(below) != 0xF) all_small = false;
     }
-    std::int32_t count =
-        (left.scale_counts != nullptr ? left.scale_counts[p] : 0) +
-        (right.scale_counts != nullptr ? right.scale_counts[p] : 0);
+    std::int32_t count = scale_sum(left.scale_counts, right.scale_counts, p);
     if (all_small) {
       ++scaled;
-      // Repeat until the largest entry clears the threshold (see the scalar
-      // kernel for the rationale).
+      // The scalar rule: repeat until the largest entry clears the
+      // threshold, stopping on a block with no positive entry (an all-zero
+      // block never clears it). "max >= threshold" is "some lane >=
+      // threshold", and "max == 0" is "no lane > 0".
       while (all_small) {
-        all_small = true;
+        bool any_large = false;
         bool any_positive = false;
-        for (unsigned c = 0; c < cats; ++c) {
-          double* out = parent_block + static_cast<std::size_t>(c) * 4;
-          const __m256d scaled_block =
-              _mm256_mul_pd(_mm256_loadu_pd(out), multiplier);
-          _mm256_storeu_pd(out, scaled_block);
-          const __m256d below =
-              _mm256_cmp_pd(scaled_block, threshold, _CMP_LT_OQ);
-          if (_mm256_movemask_pd(below) != 0xF) all_small = false;
-          const __m256d positive =
-              _mm256_cmp_pd(scaled_block, _mm256_setzero_pd(), _CMP_GT_OQ);
-          if (_mm256_movemask_pd(positive) != 0) any_positive = true;
+        for (std::size_t i = 0; i < block; i += 4) {
+          const __m256d v =
+              _mm256_mul_pd(_mm256_loadu_pd(parent_block + i), multiplier);
+          _mm256_storeu_pd(parent_block + i, v);
+          any_large |=
+              _mm256_movemask_pd(_mm256_cmp_pd(v, threshold, _CMP_GE_OQ)) != 0;
+          any_positive |=
+              _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_GT_OQ)) != 0;
         }
         ++count;
-        // Matches the scalar kernel's max_value == 0.0 break: an all-zero
-        // block never clears the threshold, so stop instead of spinning.
         if (!any_positive) break;
+        all_small = !any_large;
       }
     }
     parent_scale[p] = count;
   }
   return scaled;
+}
+
+/// Sums S values in x order, starting from 0 — the scalar accumulation.
+template <unsigned S>
+inline double sum_in_order(const double* values) {
+  double sum = 0.0;
+  for (unsigned x = 0; x < S; ++x) sum += values[x];
+  return sum;
+}
+
+template <unsigned S, bool kDerivatives>
+__attribute__((target("avx2"))) BranchValue evaluate_lanes(
+    const KernelDims& dims, const double* freqs, const double* weights,
+    const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
+    const double* dmats, const double* d2mats, std::size_t p_begin,
+    std::size_t p_end) {
+  constexpr unsigned kLanes = S / 4;
+  const unsigned cats = dims.categories;
+  const std::size_t block = static_cast<std::size_t>(cats) * S;
+  const double cat_weight = 1.0 / cats;
+
+  // The transposed P (and dP, d²P) of every category, packed from the
+  // front as in newview_lanes.
+  alignas(32) double
+      transposed[(kDerivatives ? 3 : 1) * kSimdMaxCategories * S * S];
+  double* const pt = transposed;
+  double* const dpt = pt + static_cast<std::size_t>(cats) * S * S;
+  double* const d2pt = dpt + static_cast<std::size_t>(cats) * S * S;
+  if (!far_side.is_tip()) {
+    transpose<S>(pmats, cats, pt);
+    if constexpr (kDerivatives) {
+      transpose<S>(dmats, cats, dpt);
+      transpose<S>(d2mats, cats, d2pt);
+    }
+  }
+  __m256d freq[kLanes];
+  load_lanes<S>(freqs, freq);
+
+  BranchValue result;
+  for (std::size_t p = p_begin; p < p_end; ++p) {
+    double site_l = 0.0;
+    double site_d1 = 0.0;
+    double site_d2 = 0.0;
+    for (unsigned c = 0; c < cats; ++c) {
+      // Far side propagated across the branch (and its t-derivatives).
+      __m256d far[kLanes];
+      __m256d dfar[kLanes];
+      __m256d d2far[kLanes];
+      if (far_side.is_tip()) {
+        const std::size_t at =
+            (static_cast<std::size_t>(far_side.codes[p]) * cats + c) * S;
+        load_lanes<S>(far_side.lookup_p + at, far);
+        if constexpr (kDerivatives) {
+          load_lanes<S>(far_side.lookup_d1 + at, dfar);
+          load_lanes<S>(far_side.lookup_d2 + at, d2far);
+        }
+      } else {
+        const double* vec = far_side.vector + p * block +
+                            static_cast<std::size_t>(c) * S;
+        const std::size_t at = static_cast<std::size_t>(c) * S * S;
+        propagate<S>(pt + at, vec, far);
+        if constexpr (kDerivatives) {
+          propagate<S>(dpt + at, vec, dfar);
+          propagate<S>(d2pt + at, vec, d2far);
+        }
+      }
+      // Near side values at this (pattern, category).
+      const double* near =
+          near_side.is_tip()
+              ? near_side.indicator +
+                    static_cast<std::size_t>(near_side.codes[p]) * S
+              : near_side.vector + p * block + static_cast<std::size_t>(c) * S;
+      // base = freqs[x] * near[x]; the products base * far[x] are
+      // element-wise, their sum over x is not.
+      alignas(32) double prod[S];
+      alignas(32) double dprod[S];
+      alignas(32) double d2prod[S];
+#pragma GCC unroll 8
+      for (unsigned k = 0; k < kLanes; ++k) {
+        const __m256d base =
+            _mm256_mul_pd(freq[k], _mm256_loadu_pd(near + 4 * k));
+        _mm256_store_pd(prod + 4 * k, _mm256_mul_pd(base, far[k]));
+        if constexpr (kDerivatives) {
+          _mm256_store_pd(dprod + 4 * k, _mm256_mul_pd(base, dfar[k]));
+          _mm256_store_pd(d2prod + 4 * k, _mm256_mul_pd(base, d2far[k]));
+        }
+      }
+      site_l += sum_in_order<S>(prod);
+      if constexpr (kDerivatives) {
+        site_d1 += sum_in_order<S>(dprod);
+        site_d2 += sum_in_order<S>(d2prod);
+      }
+    }
+    add_site(result, site_l, site_d1, site_d2, cat_weight,
+             scale_sum(near_side.scale_counts, far_side.scale_counts, p),
+             weights != nullptr ? weights[p] : 1.0, kDerivatives);
+  }
+  return result;
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) std::size_t newview_avx2(
+    const KernelDims& dims, const NewviewChild& left,
+    const NewviewChild& right, double* parent, std::int32_t* parent_scale,
+    std::size_t p_begin, std::size_t p_end) {
+  PLFOC_CHECK(dims.categories <= kSimdMaxCategories);
+  if (dims.states == 4)
+    return newview_lanes<4>(dims, left, right, parent, parent_scale, p_begin,
+                            p_end);
+  PLFOC_CHECK(dims.states == 20);
+  return newview_lanes<20>(dims, left, right, parent, parent_scale, p_begin,
+                           p_end);
+}
+
+__attribute__((target("avx2"))) BranchValue evaluate_avx2(
+    const KernelDims& dims, const double* freqs, const double* weights,
+    const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
+    const double* dmats, const double* d2mats, bool with_derivatives,
+    std::size_t p_begin, std::size_t p_end) {
+  PLFOC_CHECK(dims.categories <= kSimdMaxCategories);
+  PLFOC_CHECK(dims.states == 4 || dims.states == 20);
+  const auto kernel = dims.states == 4
+                          ? (with_derivatives ? evaluate_lanes<4, true>
+                                              : evaluate_lanes<4, false>)
+                          : (with_derivatives ? evaluate_lanes<20, true>
+                                              : evaluate_lanes<20, false>);
+  return kernel(dims, freqs, weights, near_side, far_side, pmats, dmats,
+                d2mats, p_begin, p_end);
 }
 
 }  // namespace plfoc::detail

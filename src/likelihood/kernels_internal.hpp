@@ -2,20 +2,71 @@
 // vectorised specialisations. Not part of the public API.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "likelihood/kernels.hpp"
 
 namespace plfoc::detail {
 
-/// AVX2 implementation of the 4-state newview over patterns
-/// [p_begin, p_end) — the block-parallel driver hands each pattern block to
-/// one call. Performs per-lane exactly the same multiply/add sequence as the
-/// scalar kernel (no FMA contraction), so results are bit-identical — the
-/// cross-backend determinism guarantee is unaffected by dispatch. Compiled
-/// with a per-function target attribute; only call when cpu_has_avx2()
-/// (util/cpu_features.hpp).
-std::size_t newview4_avx2(const KernelDims& dims, const NewviewChild& left,
-                          const NewviewChild& right, double* parent,
-                          std::int32_t* parent_scale, std::size_t p_begin,
+/// Largest category count the AVX2 kernels take; their per-category
+/// transposed matrices live in fixed stack buffers of this size.
+inline constexpr unsigned kSimdMaxCategories = 16;
+
+/// Summed child scaling counts of pattern p (a tip side has none).
+inline std::int32_t scale_sum(const std::int32_t* a, const std::int32_t* b,
+                              std::size_t p) {
+  return (a != nullptr ? a[p] : 0) + (b != nullptr ? b[p] : 0);
+}
+
+/// Folds one pattern's category sums into the branch value: the 1/C weight,
+/// the min() guard, log, the scaling correction, and the drop of a
+/// non-finite derivative term. Shared by the scalar and AVX2 evaluate
+/// kernels, so everything after the category loop is one code path.
+inline void add_site(BranchValue& result, double site_l, double site_d1,
+                     double site_d2, double cat_weight, std::int32_t scale,
+                     double w, bool with_derivatives) {
+  site_l *= cat_weight;
+  site_d1 *= cat_weight;
+  site_d2 *= cat_weight;
+  const double guarded = std::max(site_l, std::numeric_limits<double>::min());
+  result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
+  if (with_derivatives) {
+    const double d1_term = site_d1 / guarded;
+    const double d2_term = site_d2 / guarded - d1_term * d1_term;
+    // When site_l clamps to numeric_limits::min() (underflowed site) the
+    // ratios can overflow to Inf and poison d2 with NaN, derailing the
+    // Newton step in optimize_branch. An underflowed site carries no
+    // usable curvature signal, so drop its derivative contribution.
+    if (std::isfinite(d1_term) && std::isfinite(d2_term)) {
+      result.d1 += w * d1_term;
+      result.d2 += w * d2_term;
+    }
+  }
+}
+
+/// AVX2 newview over patterns [p_begin, p_end) for 4- and 20-state data
+/// with at most kSimdMaxCategories categories — the block-parallel driver
+/// hands each pattern block to one call. Each lane performs exactly the
+/// scalar kernel's multiply/add sequence (no FMA), so the parent vector,
+/// scale counts and return value are bit-identical to newview_scalar.
+/// Compiled with a per-function target attribute; only call when
+/// cpu_has_avx2() (util/cpu_features.hpp).
+std::size_t newview_avx2(const KernelDims& dims, const NewviewChild& left,
+                         const NewviewChild& right, double* parent,
+                         std::int32_t* parent_scale, std::size_t p_begin,
+                         std::size_t p_end);
+
+/// AVX2 evaluate_branch over patterns [p_begin, p_end), same preconditions
+/// and bit-identity guarantee as newview_avx2: the propagation and the
+/// element-wise products are vectorised, the per-category x-sums run in
+/// scalar x order, and add_site finishes each pattern.
+BranchValue evaluate_avx2(const KernelDims& dims, const double* freqs,
+                          const double* weights, const EvalSide& near_side,
+                          const EvalSide& far_side, const double* pmats,
+                          const double* dmats, const double* d2mats,
+                          bool with_derivatives, std::size_t p_begin,
                           std::size_t p_end);
 
 }  // namespace plfoc::detail

@@ -91,6 +91,15 @@ struct CancelState {
   std::atomic<std::uint64_t> trip_at{0};
   std::atomic<std::uint8_t> trip_reason{
       static_cast<std::uint8_t>(CancelReason::kExplicit)};
+  /// Deterministic test hook: the check() that brings `progress` to this
+  /// count parks until released. 0 = off.
+  std::atomic<std::uint64_t> hold_at{0};
+  /// kHoldIdle until that check() parks (kHoldParked); kHoldReleased once
+  /// release_hold() ran, before or after the park.
+  std::atomic<std::uint32_t> hold_state{kHoldIdle};
+  static constexpr std::uint32_t kHoldIdle = 0;
+  static constexpr std::uint32_t kHoldParked = 1;
+  static constexpr std::uint32_t kHoldReleased = 2;
 };
 }  // namespace detail
 
@@ -182,6 +191,31 @@ class CancelToken {
     state_->trip_at.store(count, std::memory_order_release);
   }
 
+  /// Deterministic test hook: the check() that brings progress to `count`
+  /// parks its thread, once, until release_hold(). A test can so hold a
+  /// worker mid-evaluation for exactly as long as it needs, where a "slow"
+  /// job only makes the race unlikely. The parked check() then goes on to
+  /// throw if the token was cancelled meanwhile.
+  void set_hold_at(std::uint64_t count) {
+    if (!state_) return;
+    state_->hold_at.store(count, std::memory_order_release);
+  }
+
+  /// Blocks until a check() has parked on the hold (or it was released).
+  void wait_until_held() const {
+    if (!state_) return;
+    state_->hold_state.wait(detail::CancelState::kHoldIdle,
+                            std::memory_order_acquire);
+  }
+
+  /// Lets the parked check() continue; a hold not reached yet never parks.
+  void release_hold() {
+    if (!state_) return;
+    state_->hold_state.store(detail::CancelState::kHoldReleased,
+                             std::memory_order_release);
+    state_->hold_state.notify_all();
+  }
+
   /// The cooperative check point: bump progress, then throw CancelledError
   /// if the token has been tripped or its deadline has passed. Called
   /// *before* the work unit it guards, so nothing is half-done on throw.
@@ -193,6 +227,7 @@ class CancelToken {
     if (trip != 0 && done >= trip)
       cancel(static_cast<CancelReason>(
           state_->trip_reason.load(std::memory_order_relaxed)));
+    if (done == state_->hold_at.load(std::memory_order_acquire)) park();
     if (state_->cancelled.load(std::memory_order_acquire))
       throw CancelledError(reason());
     const std::int64_t deadline =
@@ -204,6 +239,17 @@ class CancelToken {
   }
 
  private:
+  void park() {
+    std::uint32_t idle = detail::CancelState::kHoldIdle;
+    if (!state_->hold_state.compare_exchange_strong(
+            idle, detail::CancelState::kHoldParked,
+            std::memory_order_acq_rel))
+      return;  // released before it was reached
+    state_->hold_state.notify_all();
+    state_->hold_state.wait(detail::CancelState::kHoldParked,
+                            std::memory_order_acquire);
+  }
+
   static std::int64_t now_ns() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())

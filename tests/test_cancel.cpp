@@ -1,7 +1,8 @@
 // Cooperative cancellation and deadlines (util/cancel.hpp + the plumbing
 // through Session, the stores, the engine, and the Service):
 //  * token semantics — null tokens are free, first trip reason wins, the
-//    deterministic trip_at hook fires on the progress counter;
+//    deterministic trip_at hook fires on the progress counter, the hold
+//    hook parks one check() until released;
 //  * a cancelled-mid-evaluation Session unwinds as typed CancelledError,
 //    leaves the store consistent, and re-evaluates bit-identically after
 //    the token is replaced (the acceptance contract for PR "end-to-end
@@ -145,6 +146,42 @@ TEST(CancelToken, TripAtCarriesTheRequestedReason) {
     EXPECT_EQ(error.reason(), CancelReason::kDeadline);
   }
   EXPECT_EQ(token.reason(), CancelReason::kDeadline);
+}
+
+TEST(CancelToken, HoldParksTheCheckThatReachesTheCountUntilReleased) {
+  CancelToken token = CancelToken::make();
+  token.set_hold_at(3);
+  std::atomic<int> passed{0};
+  bool threw = false;
+  std::thread worker([&] {
+    try {
+      for (int i = 0; i < 5; ++i) {
+        token.check();
+        passed.fetch_add(1);
+      }
+    } catch (const CancelledError&) {
+      threw = true;
+    }
+  });
+  token.wait_until_held();
+  // Parked inside check 3: two checks returned, the third has not.
+  EXPECT_EQ(token.progress(), 3u);
+  EXPECT_EQ(passed.load(), 2);
+  // A cancel that lands while parked surfaces as soon as the hold lifts.
+  token.cancel();
+  token.release_hold();
+  worker.join();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(passed.load(), 2);
+}
+
+TEST(CancelToken, HoldReleasedBeforeItIsReachedNeverParks) {
+  CancelToken token = CancelToken::make();
+  token.set_hold_at(2);
+  token.release_hold();
+  for (int i = 0; i < 4; ++i) EXPECT_NO_THROW(token.check());
+  token.wait_until_held();  // returns at once: already released
+  EXPECT_EQ(token.progress(), 4u);
 }
 
 TEST(CancelToken, SharedStateAcrossCopies) {
@@ -415,15 +452,23 @@ TEST(ServiceCancel, DrainFlushQueuedWhileACancelledJobUnwinds) {
   Service service(options);
   JobSpec running = slow_service_job(21);
   CancelToken token = CancelToken::make();
+  // Park the worker at check point 5, mid-evaluation, until the flush has
+  // made the backlog terminal: a free worker could otherwise run a queued
+  // job before the flush sees it.
+  token.set_hold_at(5);
   running.session.cancel = token;
   const JobId running_id = service.submit(std::move(running));
-  while (token.progress() < 5)
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  token.wait_until_held();
   std::vector<JobId> queued;
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
     queued.push_back(service.submit(service_job(seed, Backend::kInRam)));
   token.cancel(CancelReason::kExplicit);
+  std::thread releaser([&] {
+    for (const JobId id : queued) service.wait(id);
+    token.release_hold();
+  });
   const DrainReport report = service.drain(DrainMode::kFlushQueued);
+  releaser.join();
   ASSERT_EQ(report.results.size(), 4u);
 
   const JobResult head = service.wait(running_id);

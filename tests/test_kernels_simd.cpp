@@ -1,14 +1,21 @@
-// SIMD dispatch: the AVX2 4-state newview must be bit-identical to the
-// portable kernel (same multiply/add order, no FMA), so that runtime dispatch
-// never perturbs the suite's cross-backend determinism guarantees.
+// SIMD dispatch: the AVX2 newview and evaluate_branch kernels (4 and 20
+// states) must be bit-identical to the portable kernels (same multiply/add
+// order, no FMA, x-sums in x order), so that runtime dispatch never perturbs
+// the suite's cross-backend determinism guarantees. Every comparison is on
+// the bits: parent vectors, scale counts, scaled-pattern counts and all
+// three BranchValue fields.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "likelihood/kernels.hpp"
 #include "likelihood/kernels_internal.hpp"
 #include "model/eigen.hpp"
 #include "model/gamma.hpp"
+#include "model/protein_matrices.hpp"
 #include "model/transition.hpp"
 #include "util/cpu_features.hpp"
 #include "util/rng.hpp"
@@ -16,22 +23,34 @@
 namespace plfoc {
 namespace {
 
+/// Random kernel inputs for S states, C categories and `patterns` sites:
+/// two inner vectors with scale counts, per-category P (and dP, d²P for the
+/// left branch), tip codes with P/dP/d²P-folded lookup tables and 0/1
+/// indicator rows, frequencies and site weights.
 struct Inputs {
   KernelDims dims;
+  unsigned codes_count;
   std::vector<double> left;
   std::vector<double> right;
   std::vector<std::int32_t> lscale;
   std::vector<std::int32_t> rscale;
   std::vector<double> pmat_left;
   std::vector<double> pmat_right;
+  std::vector<double> dmat;
+  std::vector<double> d2mat;
   std::vector<std::uint8_t> codes;
   std::vector<double> lookup;
+  std::vector<double> lookup_d1;
+  std::vector<double> lookup_d2;
+  std::vector<double> indicator;
+  std::vector<double> freqs;
+  std::vector<double> weights;
 
-  Inputs(std::size_t patterns, unsigned cats, std::uint64_t seed,
-         bool tiny_values = false)
-      : dims{patterns, cats, 4} {
+  Inputs(unsigned states, std::size_t patterns, unsigned cats,
+         std::uint64_t seed, bool tiny_values = false)
+      : dims{patterns, cats, states}, codes_count(states == 4 ? 16 : 24) {
     Rng rng(seed);
-    const std::size_t width = patterns * cats * 4;
+    const std::size_t width = patterns * cats * states;
     left.resize(width);
     right.resize(width);
     const double lo = tiny_values ? 1e-80 : 0.01;
@@ -40,18 +59,66 @@ struct Inputs {
       left[i] = rng.uniform(lo, hi);
       right[i] = rng.uniform(lo, hi);
     }
-    lscale.assign(patterns, 1);
-    rscale.assign(patterns, 2);
-    const EigenSystem eigen = decompose(
-        gtr({1.2, 4.5, 0.8, 1.1, 5.2, 1.0}, {0.3, 0.22, 0.24, 0.24}));
+    lscale.resize(patterns);
+    rscale.resize(patterns);
+    for (std::size_t p = 0; p < patterns; ++p) {
+      lscale[p] = static_cast<std::int32_t>(rng.below(3));
+      rscale[p] = static_cast<std::int32_t>(rng.below(3));
+    }
+    const EigenSystem eigen =
+        states == 4 ? decompose(gtr({1.2, 4.5, 0.8, 1.1, 5.2, 1.0},
+                                    {0.3, 0.22, 0.24, 0.24}))
+                    : decompose(synthetic_protein_model(3));
     const auto rates = discrete_gamma_rates(0.7, cats);
     category_transition_matrices(eigen, 0.17, rates, pmat_left);
     category_transition_matrices(eigen, 0.33, rates, pmat_right);
+    const std::size_t matrix = static_cast<std::size_t>(states) * states;
+    dmat.resize(cats * matrix);
+    d2mat.resize(cats * matrix);
+    for (unsigned c = 0; c < cats; ++c)
+      transition_derivatives(eigen, 0.17 * rates[c], nullptr,
+                             dmat.data() + c * matrix,
+                             d2mat.data() + c * matrix);
     codes.resize(patterns);
     for (std::size_t p = 0; p < patterns; ++p)
-      codes[p] = static_cast<std::uint8_t>(1u << rng.below(4));
-    lookup.resize(16 * cats * 4);
-    for (double& v : lookup) v = rng.uniform(0.01, 1.0);
+      codes[p] = static_cast<std::uint8_t>(
+          states == 4 ? 1u << rng.below(4) : rng.below(codes_count));
+    const std::size_t rows = static_cast<std::size_t>(codes_count) * cats;
+    lookup.resize(rows * states);
+    lookup_d1.resize(rows * states);
+    lookup_d2.resize(rows * states);
+    for (std::size_t i = 0; i < lookup.size(); ++i) {
+      lookup[i] = rng.uniform(0.01, 1.0);
+      lookup_d1[i] = rng.uniform(-1.0, 1.0);
+      lookup_d2[i] = rng.uniform(-1.0, 1.0);
+    }
+    indicator.resize(static_cast<std::size_t>(codes_count) * states);
+    for (double& v : indicator) v = static_cast<double>(rng.below(2));
+    freqs.resize(states);
+    double total = 0.0;
+    for (double& f : freqs) total += (f = rng.uniform(0.5, 1.5));
+    for (double& f : freqs) f /= total;
+    weights.resize(patterns);
+    for (double& w : weights) w = static_cast<double>(1 + rng.below(4));
+  }
+
+  /// Drives evaluate_branch into its two guards: every third pattern's
+  /// left vector drops to subnormal values, so an inner-inner site clamps
+  /// to numeric_limits::min(); and code 0's far-side lookup row folds to a
+  /// zero likelihood with huge derivatives, so its d1/d2 ratios overflow
+  /// and the isfinite rule drops them. Every fifth pattern gets code 0.
+  void make_underflow() {
+    const std::size_t block =
+        static_cast<std::size_t>(dims.categories) * dims.states;
+    for (std::size_t p = 0; p < dims.patterns; p += 3)
+      for (std::size_t i = 0; i < block; ++i) left[p * block + i] *= 1e-310;
+    for (std::size_t p = 0; p < dims.patterns; p += 5) codes[p] = 0;
+    for (std::size_t i = 0; i < block; ++i) {
+      lookup[i] = 0.0;
+      lookup_d1[i] = 1e10;
+      lookup_d2[i] = 1e10;
+    }
+    for (unsigned x = 0; x < dims.states; ++x) indicator[x] = 1.0;
   }
 
   NewviewChild inner_left() const {
@@ -63,12 +130,51 @@ struct Inputs {
   NewviewChild tip() const {
     return {nullptr, nullptr, nullptr, codes.data(), lookup.data()};
   }
+
+  EvalSide inner_near() const {
+    return {right.data(), rscale.data(), nullptr, nullptr,
+            nullptr,      nullptr,       nullptr};
+  }
+  EvalSide inner_far() const {
+    return {left.data(), lscale.data(), nullptr, nullptr,
+            nullptr,     nullptr,       nullptr};
+  }
+  EvalSide tip_near() const {
+    return {nullptr, nullptr, codes.data(), indicator.data(),
+            nullptr, nullptr, nullptr};
+  }
+  EvalSide tip_far() const {
+    return {nullptr,       nullptr,          codes.data(),    nullptr,
+            lookup.data(), lookup_d1.data(), lookup_d2.data()};
+  }
 };
+
+void expect_same_bits(const std::vector<double>& expected,
+                      const std::vector<double>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[i]),
+              std::bit_cast<std::uint64_t>(actual[i]))
+        << "element " << i << ": " << expected[i] << " vs " << actual[i];
+}
+
+void expect_same_bits(const BranchValue& expected, const BranchValue& actual) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.log_likelihood),
+            std::bit_cast<std::uint64_t>(actual.log_likelihood))
+      << expected.log_likelihood << " vs " << actual.log_likelihood;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.d1),
+            std::bit_cast<std::uint64_t>(actual.d1))
+      << expected.d1 << " vs " << actual.d1;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected.d2),
+            std::bit_cast<std::uint64_t>(actual.d2))
+      << expected.d2 << " vs " << actual.d2;
+}
 
 void expect_bit_identical(const Inputs& in, const NewviewChild& left,
                           const NewviewChild& right) {
   if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
-  const std::size_t width = in.dims.patterns * in.dims.categories * 4;
+  const std::size_t width =
+      in.dims.patterns * in.dims.categories * in.dims.states;
   std::vector<double> scalar_out(width);
   std::vector<double> simd_out(width, -1.0);
   std::vector<std::int32_t> scalar_scale(in.dims.patterns);
@@ -77,67 +183,188 @@ void expect_bit_identical(const Inputs& in, const NewviewChild& left,
       newview_scalar(in.dims, left, right, scalar_out.data(),
                      scalar_scale.data());
   const std::size_t simd_scaled =
-      detail::newview4_avx2(in.dims, left, right, simd_out.data(),
-                            simd_scale.data(), 0, in.dims.patterns);
+      detail::newview_avx2(in.dims, left, right, simd_out.data(),
+                           simd_scale.data(), 0, in.dims.patterns);
   EXPECT_EQ(scalar_scaled, simd_scaled);
   EXPECT_EQ(scalar_scale, simd_scale);
-  for (std::size_t i = 0; i < width; ++i)
-    ASSERT_EQ(scalar_out[i], simd_out[i]) << "element " << i;
+  expect_same_bits(scalar_out, simd_out);
 }
 
+/// The AVX2 evaluate kernel against the scalar one, twice: over the first
+/// pattern block directly (no dispatch involved), and through the public
+/// evaluate_branch over every block (dispatch plus the serial block
+/// reduction).
+void expect_bit_identical(const Inputs& in, const EvalSide& near_side,
+                          const EvalSide& far_side, bool with_derivatives) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  const double* dmats = with_derivatives ? in.dmat.data() : nullptr;
+  const double* d2mats = with_derivatives ? in.d2mat.data() : nullptr;
+  KernelDims first = in.dims;
+  first.patterns = std::min(in.dims.patterns, kPatternBlock);
+  expect_same_bits(
+      evaluate_branch_scalar(first, in.freqs.data(), in.weights.data(),
+                             near_side, far_side, in.pmat_left.data(), dmats,
+                             d2mats, with_derivatives),
+      detail::evaluate_avx2(first, in.freqs.data(), in.weights.data(),
+                            near_side, far_side, in.pmat_left.data(), dmats,
+                            d2mats, with_derivatives, 0, first.patterns));
+  expect_same_bits(
+      evaluate_branch_scalar(in.dims, in.freqs.data(), in.weights.data(),
+                             near_side, far_side, in.pmat_left.data(), dmats,
+                             d2mats, with_derivatives),
+      evaluate_branch(in.dims, in.freqs.data(), in.weights.data(), near_side,
+                      far_side, in.pmat_left.data(), dmats, d2mats,
+                      with_derivatives));
+}
+
+// --------------------------------------------------------------- newview
+
 TEST(KernelsSimd, InnerInnerBitIdentical) {
-  const Inputs in(137, 4, 1);
+  const Inputs in(4, 137, 4, 1);
   expect_bit_identical(in, in.inner_left(), in.inner_right());
 }
 
 TEST(KernelsSimd, TipInnerBitIdentical) {
-  const Inputs in(137, 4, 2);
+  const Inputs in(4, 137, 4, 2);
   expect_bit_identical(in, in.tip(), in.inner_right());
 }
 
 TEST(KernelsSimd, TipTipBitIdentical) {
-  const Inputs in(137, 4, 3);
+  const Inputs in(4, 137, 4, 3);
   expect_bit_identical(in, in.tip(), in.tip());
 }
 
 TEST(KernelsSimd, SingleCategoryBitIdentical) {
-  const Inputs in(64, 1, 4);
+  const Inputs in(4, 64, 1, 4);
   expect_bit_identical(in, in.inner_left(), in.inner_right());
 }
 
 TEST(KernelsSimd, ScalingPathBitIdentical) {
   // Tiny values force the scaling branch: counts and multiplied values must
   // match exactly too.
-  const Inputs in(50, 4, 5, /*tiny_values=*/true);
+  const Inputs in(4, 50, 4, 5, /*tiny_values=*/true);
   expect_bit_identical(in, in.inner_left(), in.inner_right());
 }
 
-TEST(KernelsSimd, ZeroBlockTerminatesAndMatchesScalar) {
-  // Regression for the unbounded rescale loop: a pattern whose children
-  // multiply to exactly 0.0 can never clear the scale threshold. Both
-  // kernels must break out (identically, preserving bit-identity) instead of
-  // spinning forever. Zero one child's vector for a few patterns; tiny
-  // values elsewhere keep the scaling branch hot.
-  Inputs in(50, 4, 7, /*tiny_values=*/true);
+/// Zeroes one child's vector for every fifth pattern: those blocks multiply
+/// to exactly 0.0 and can never clear the scale threshold.
+void zero_left_blocks(Inputs& in) {
+  const std::size_t block =
+      static_cast<std::size_t>(in.dims.categories) * in.dims.states;
   for (std::size_t p = 0; p < in.dims.patterns; p += 5)
-    for (unsigned i = 0; i < in.dims.categories * 4; ++i)
-      in.left[p * in.dims.categories * 4 + i] = 0.0;
+    for (std::size_t i = 0; i < block; ++i) in.left[p * block + i] = 0.0;
+}
+
+TEST(KernelsSimd, ZeroBlockTerminatesAndMatchesScalar) {
+  // Regression for the unbounded rescale loop: both kernels must break out
+  // of a zero block (identically, preserving bit-identity) instead of
+  // spinning forever; tiny values elsewhere keep the scaling branch hot.
+  Inputs in(4, 50, 4, 7, /*tiny_values=*/true);
+  zero_left_blocks(in);
+  expect_bit_identical(in, in.inner_left(), in.inner_right());
+}
+
+TEST(KernelsSimd, Newview20InnerInnerBitIdentical) {
+  const Inputs in(20, 137, 4, 11);
+  expect_bit_identical(in, in.inner_left(), in.inner_right());
+}
+
+TEST(KernelsSimd, Newview20TipInnerBitIdentical) {
+  const Inputs in(20, 137, 4, 12);
+  expect_bit_identical(in, in.tip(), in.inner_right());
+  expect_bit_identical(in, in.inner_left(), in.tip());
+}
+
+TEST(KernelsSimd, Newview20TipTipBitIdentical) {
+  const Inputs in(20, 137, 4, 13);
+  expect_bit_identical(in, in.tip(), in.tip());
+}
+
+TEST(KernelsSimd, Newview20SingleCategoryBitIdentical) {
+  const Inputs in(20, 64, 1, 14);
+  expect_bit_identical(in, in.inner_left(), in.inner_right());
+}
+
+TEST(KernelsSimd, Newview20ScalingPathBitIdentical) {
+  const Inputs in(20, 50, 4, 15, /*tiny_values=*/true);
+  expect_bit_identical(in, in.inner_left(), in.inner_right());
+}
+
+TEST(KernelsSimd, Newview20ZeroBlockTerminatesAndMatchesScalar) {
+  Inputs in(20, 50, 4, 16, /*tiny_values=*/true);
+  zero_left_blocks(in);
   expect_bit_identical(in, in.inner_left(), in.inner_right());
 }
 
 TEST(KernelsSimd, PublicNewviewDispatchesConsistently) {
   // Whatever path newview() picks, it must agree with the scalar reference.
-  const Inputs in(90, 4, 6);
-  const std::size_t width = in.dims.patterns * 16;
-  std::vector<double> a(width);
-  std::vector<double> b(width);
-  std::vector<std::int32_t> sa(in.dims.patterns);
-  std::vector<std::int32_t> sb(in.dims.patterns);
-  newview(in.dims, in.inner_left(), in.inner_right(), a.data(), sa.data());
-  newview_scalar(in.dims, in.inner_left(), in.inner_right(), b.data(),
-                 sb.data());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(sa, sb);
+  for (const unsigned states : {4u, 20u}) {
+    SCOPED_TRACE(states);
+    const Inputs in(states, 90, 4, 6);
+    const std::size_t width = in.dims.patterns * 4 * states;
+    std::vector<double> a(width);
+    std::vector<double> b(width);
+    std::vector<std::int32_t> sa(in.dims.patterns);
+    std::vector<std::int32_t> sb(in.dims.patterns);
+    newview(in.dims, in.inner_left(), in.inner_right(), a.data(), sa.data());
+    newview_scalar(in.dims, in.inner_left(), in.inner_right(), b.data(),
+                   sb.data());
+    expect_same_bits(b, a);
+    EXPECT_EQ(sa, sb);
+  }
+}
+
+// ------------------------------------------------------- evaluate_branch
+
+/// 601 patterns: three pattern blocks, the last ragged and not a multiple
+/// of the four-lane width.
+constexpr std::size_t kEvalPatterns = 601;
+static_assert(kEvalPatterns > 2 * kPatternBlock && kEvalPatterns % 4 != 0);
+
+/// Every combination of far side {tip, inner} × near side {tip, inner} ×
+/// {with, without derivatives} on one input set.
+void expect_all_sides_bit_identical(const Inputs& in) {
+  for (const bool derivatives : {false, true})
+    for (const bool far_tip : {false, true})
+      for (const bool near_tip : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "derivatives=" << derivatives << " far="
+                     << (far_tip ? "tip" : "inner")
+                     << " near=" << (near_tip ? "tip" : "inner"));
+        expect_bit_identical(in, near_tip ? in.tip_near() : in.inner_near(),
+                             far_tip ? in.tip_far() : in.inner_far(),
+                             derivatives);
+      }
+}
+
+TEST(KernelsSimd, EvaluateBitIdenticalAcrossSidesStatesAndCategories) {
+  std::uint64_t seed = 20;
+  for (const unsigned states : {4u, 20u})
+    for (const unsigned cats : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "states=" << states << " categories=" << cats);
+      expect_all_sides_bit_identical(
+          Inputs(states, kEvalPatterns, cats, ++seed));
+    }
+}
+
+TEST(KernelsSimd, EvaluateUnderflowClampAndFiniteDropBitIdentical) {
+  std::uint64_t seed = 40;
+  for (const unsigned states : {4u, 20u})
+    for (const unsigned cats : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "states=" << states << " categories=" << cats);
+      Inputs in(states, kEvalPatterns, cats, ++seed);
+      in.make_underflow();
+      expect_all_sides_bit_identical(in);
+      // The code-0 tip sites really reach the isfinite drop: without it
+      // their d1/d2 ratios are infinite and poison the totals.
+      const BranchValue value = evaluate_branch_scalar(
+          in.dims, in.freqs.data(), in.weights.data(), in.inner_near(),
+          in.tip_far(), in.pmat_left.data(), in.dmat.data(), in.d2mat.data(),
+          true);
+      EXPECT_TRUE(std::isfinite(value.d1) && std::isfinite(value.d2));
+    }
 }
 
 }  // namespace

@@ -615,19 +615,27 @@ TEST(Service, DrainFlushQueuedCancelsPerTenant) {
   ServiceOptions options;
   options.workers = 1;
   Service service(options);
-  // The worker picks up the slow job; everything behind it stays queued
-  // long enough for the flush to see it.
+  // The worker picks up the slow job and parks in its first check point
+  // until the flush has made everything behind it terminal, so the backlog
+  // cannot reach the worker however fast the job runs.
   JobSpec slow = make_slow_job(5);
   slow.tenant = "running";
+  CancelToken hold = CancelToken::make();
+  hold.set_hold_at(1);
+  slow.session.cancel = hold;
   const JobId running = service.submit(std::move(slow));
   // Don't flush until the worker has actually popped the slow job, or the
   // flush would cancel it while still queued.
-  while (service.queued_jobs() != 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  hold.wait_until_held();
   std::vector<JobId> queued;
   for (std::uint64_t i = 0; i < 3; ++i)
     queued.push_back(service.submit(tenant_job(20 + i, "waiting")));
+  std::thread releaser([&] {
+    for (const JobId id : queued) service.wait(id);
+    hold.release_hold();
+  });
   const DrainReport report = service.drain(DrainMode::kFlushQueued);
+  releaser.join();
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.per_tenant.at("running").completed, 1u);
   EXPECT_EQ(report.per_tenant.at("waiting").cancelled, 3u);
