@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "model/gamma.hpp"
 #include "model/protein_matrices.hpp"
 #include "model/transition.hpp"
+#include "msa/fasta.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -191,6 +193,61 @@ void BM_TransitionMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitionMatrix)->Arg(4)->Arg(20);
+
+// The socket server's submit path: parse the server-side FASTA, then count
+// its GTR frequencies. Text is written the way write_fasta_file writes it
+// (80 columns), with about 2% gaps and ambiguity codes.
+std::string random_fasta_text(std::size_t taxa, std::size_t sites,
+                              DataType type) {
+  const std::string common =
+      type == DataType::kDna ? "ACGT" : "ARNDCQEGHILKMFPSTWYV";
+  const std::string rare = type == DataType::kDna ? "-NRY" : "-XBZ";
+  Rng rng(11);
+  Alignment alignment(type, sites);
+  std::string row(sites, ' ');
+  for (std::size_t t = 0; t < taxa; ++t) {
+    for (char& c : row)
+      c = rng.below(50) == 0 ? rare[rng.below(rare.size())]
+                             : common[rng.below(common.size())];
+    alignment.add_sequence("taxon" + std::to_string(t), row);
+  }
+  std::ostringstream out;
+  write_fasta(out, alignment);
+  return out.str();
+}
+
+void BM_ReadFasta(benchmark::State& state) {
+  const std::string text = random_fasta_text(
+      static_cast<std::size_t>(state.range(0)),
+      static_cast<std::size_t>(state.range(1)), DataType::kDna);
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const Alignment alignment = read_fasta(in, DataType::kDna);
+    benchmark::DoNotOptimize(alignment.row(0).data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadFasta)
+    ->Args({128, 1000})
+    ->Args({1024, 2000})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EmpiricalFrequencies(benchmark::State& state) {
+  const DataType type =
+      state.range(0) == 4 ? DataType::kDna : DataType::kProtein;
+  std::istringstream in(random_fasta_text(128, 1000, type));
+  const Alignment alignment = read_fasta(in, type);
+  for (auto _ : state) {
+    const std::vector<double> freqs = alignment.empirical_frequencies();
+    benchmark::DoNotOptimize(freqs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 1000);
+}
+BENCHMARK(BM_EmpiricalFrequencies)
+    ->Arg(4)
+    ->Arg(20)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // --json mode: thread-scaling sweep with a machine-readable report.

@@ -65,13 +65,13 @@ JobSpec make_job(const SearchDataset& dataset, std::size_t index) {
   return spec;
 }
 
+/// Nearest-rank percentile: the ceil(p * n)-th smallest value.
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  const std::size_t index = std::min(
-      values.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(values.size())));
-  return values[index];
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(values.size())));
+  return values[std::clamp<std::size_t>(rank, 1, values.size()) - 1];
 }
 
 struct NetworkCell {

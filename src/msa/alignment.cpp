@@ -1,5 +1,7 @@
 #include "msa/alignment.hpp"
 
+#include <array>
+#include <bit>
 #include <numeric>
 
 #include "util/checks.hpp"
@@ -11,10 +13,7 @@ void Alignment::add_sequence(std::string name, std::string_view characters) {
                 "sequence '" + name + "' has length " +
                     std::to_string(characters.size()) + ", expected " +
                     std::to_string(num_sites_));
-  std::vector<std::uint8_t> codes;
-  codes.reserve(characters.size());
-  for (char c : characters) codes.push_back(encode_char(type_, c));
-  add_encoded(std::move(name), std::move(codes));
+  add_encoded(std::move(name), encode_sequence(type_, characters));
 }
 
 void Alignment::add_encoded(std::string name, std::vector<std::uint8_t> codes) {
@@ -55,19 +54,36 @@ double Alignment::total_weight() const {
 
 std::vector<double> Alignment::empirical_frequencies() const {
   const unsigned states = num_states(type_);
-  std::vector<double> counts(states, 0.0);
-  for (std::size_t taxon = 0; taxon < rows_.size(); ++taxon) {
-    for (std::size_t site = 0; site < num_sites_; ++site) {
-      const double w = weights_.empty() ? 1.0 : weights_[site];
-      const std::uint32_t mask = code_state_mask(type_, rows_[taxon][site]);
-      unsigned bits = 0;
-      for (unsigned s = 0; s < states; ++s) bits += (mask >> s) & 1u;
-      PLFOC_DCHECK(bits > 0);
-      const double share = w / bits;
-      for (unsigned s = 0; s < states; ++s)
-        if ((mask >> s) & 1u) counts[s] += share;
-    }
+  // Per-code state mask, popcount and share of a unit weight. Indexed by the
+  // raw code byte; codes that are not valid tips keep mask 0 and add nothing.
+  std::array<std::uint32_t, 256> masks{};
+  std::array<double, 256> bits{};
+  std::array<double, 256> unit_share{};
+  for (unsigned code = type_ == DataType::kDna ? 1 : 0;
+       code < num_codes(type_); ++code) {
+    masks[code] = code_state_mask(type_, static_cast<std::uint8_t>(code));
+    bits[code] = std::popcount(masks[code]);
+    unit_share[code] = 1.0 / bits[code];
   }
+  // Every sum must take its shares in (taxon, site) order: frequencies, and
+  // through them every logL, are pinned bit for bit.
+  std::array<double, 32> sums{};
+  const auto count = [&](auto share_at) {
+    for (const std::vector<std::uint8_t>& row : rows_)
+      for (std::size_t site = 0; site < num_sites_; ++site) {
+        const std::uint8_t code = row[site];
+        const double share = share_at(code, site);
+        for (std::uint32_t m = masks[code]; m != 0; m &= m - 1)
+          sums[std::countr_zero(m)] += share;
+      }
+  };
+  if (weights_.empty())
+    count([&](std::uint8_t code, std::size_t) { return unit_share[code]; });
+  else
+    count([&](std::uint8_t code, std::size_t site) {
+      return weights_[site] / bits[code];
+    });
+  std::vector<double> counts(sums.begin(), sums.begin() + states);
   double total = std::accumulate(counts.begin(), counts.end(), 0.0);
   if (total <= 0.0) return std::vector<double>(states, 1.0 / states);
   for (double& c : counts) c /= total;

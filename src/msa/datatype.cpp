@@ -55,10 +55,26 @@ constexpr char kAaLetters[20] = {'A', 'R', 'N', 'D', 'C', 'Q', 'E',
                                  'G', 'H', 'I', 'L', 'K', 'M', 'F',
                                  'P', 'S', 'T', 'W', 'Y', 'V'};
 
-int aa_index(char upper) {
+// Table entry for a character the data type rejects (valid codes are < 24).
+constexpr std::uint8_t kInvalidCode = 0xFF;
+
+std::uint8_t aa_code_for(char c) {
+  const char upper =
+      static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   for (unsigned i = 0; i < kAaStates; ++i)
-    if (kAaLetters[i] == upper) return static_cast<int>(i);
-  return -1;
+    if (kAaLetters[i] == upper) return static_cast<std::uint8_t>(i);
+  switch (upper) {
+    case 'B': return 20;
+    case 'Z': return 21;
+    case 'J': return 22;
+    case 'X':
+    case '-':
+    case '?':
+    case '.':
+    case '~':
+    case '*': return 23;
+    default: return kInvalidCode;
+  }
 }
 
 std::uint32_t aa_mask_for_code(std::uint8_t code) {
@@ -72,6 +88,32 @@ std::uint32_t aa_mask_for_code(std::uint8_t code) {
   }
 }
 
+// One 256-entry char -> code table per data type, built once from the
+// non-throwing mappings above so encoding is a lookup per character.
+using CodeTable = std::array<std::uint8_t, 256>;
+
+template <typename Map>
+CodeTable build_code_table(Map map) {
+  CodeTable table{};
+  for (unsigned c = 0; c < table.size(); ++c)
+    table[c] = map(static_cast<char>(c));
+  return table;
+}
+
+const CodeTable& code_table(DataType type) {
+  static const CodeTable dna = build_code_table([](char c) {
+    const std::uint8_t mask = dna_mask_for(c);
+    return mask != 0 ? mask : kInvalidCode;
+  });
+  static const CodeTable protein = build_code_table(aa_code_for);
+  return type == DataType::kDna ? dna : protein;
+}
+
+[[noreturn]] void throw_invalid_char(DataType type, char c) {
+  const char* kind = type == DataType::kDna ? "DNA" : "protein";
+  throw Error(std::string("invalid ") + kind + " character '" + c + "'");
+}
+
 }  // namespace
 
 unsigned num_states(DataType type) {
@@ -83,28 +125,21 @@ unsigned num_codes(DataType type) {
 }
 
 std::uint8_t encode_char(DataType type, char c) {
-  if (type == DataType::kDna) {
-    const std::uint8_t mask = dna_mask_for(c);
-    PLFOC_REQUIRE(mask != 0,
-                  std::string("invalid DNA character '") + c + "'");
-    return mask;
+  const std::uint8_t code = code_table(type)[static_cast<unsigned char>(c)];
+  if (code == kInvalidCode) throw_invalid_char(type, c);
+  return code;
+}
+
+std::vector<std::uint8_t> encode_sequence(DataType type,
+                                          std::string_view characters) {
+  const CodeTable& table = code_table(type);
+  std::vector<std::uint8_t> codes(characters.size());
+  for (std::size_t i = 0; i < characters.size(); ++i) {
+    const std::uint8_t code = table[static_cast<unsigned char>(characters[i])];
+    if (code == kInvalidCode) throw_invalid_char(type, characters[i]);
+    codes[i] = code;
   }
-  const char upper = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  const int idx = aa_index(upper);
-  if (idx >= 0) return static_cast<std::uint8_t>(idx);
-  switch (upper) {
-    case 'B': return 20;
-    case 'Z': return 21;
-    case 'J': return 22;
-    case 'X':
-    case '-':
-    case '?':
-    case '.':
-    case '~':
-    case '*': return 23;
-    default:
-      throw Error(std::string("invalid protein character '") + c + "'");
-  }
+  return codes;
 }
 
 std::uint32_t code_state_mask(DataType type, std::uint8_t code) {

@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace plfoc {
 
@@ -29,6 +31,11 @@ unsigned num_codes(DataType type);
 /// not valid for the data type. Case-insensitive; '-', '?', '.', '~' and the
 /// full-ambiguity letters (N / X) all map to the all-states code.
 std::uint8_t encode_char(DataType type, char c);
+
+/// Encode a whole sequence, character by character as encode_char does;
+/// throws plfoc::Error (encode_char's message) at the first invalid one.
+std::vector<std::uint8_t> encode_sequence(DataType type,
+                                          std::string_view characters);
 
 /// Bitmask over model states compatible with `code` (bit i = state i).
 std::uint32_t code_state_mask(DataType type, std::uint8_t code);

@@ -1,21 +1,14 @@
 #include "msa/fasta.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <sstream>
 
 #include "util/checks.hpp"
 
 namespace plfoc {
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
-  return s.substr(begin, end - begin);
-}
+// std::isspace in the "C" locale, without the locale lookup per character.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 }  // namespace
 
@@ -24,20 +17,30 @@ Alignment read_fasta(std::istream& in, DataType type) {
   std::vector<std::string> seqs;
   std::string line;
   while (std::getline(in, line)) {
-    const std::string t = trim(line);
-    if (t.empty()) continue;
-    if (t[0] == '>') {
+    const std::size_t end = line.size();
+    std::size_t begin = 0;
+    while (begin < end && is_space(line[begin])) ++begin;
+    if (begin == end) continue;
+    if (line[begin] == '>') {
       // Header: taxon name is the first whitespace-delimited token.
-      std::istringstream header(t.substr(1));
-      std::string name;
-      header >> name;
-      PLFOC_REQUIRE(!name.empty(), "FASTA header with empty name");
-      names.push_back(name);
+      std::size_t first = begin + 1;
+      while (first < end && is_space(line[first])) ++first;
+      std::size_t last = first;
+      while (last < end && !is_space(line[last])) ++last;
+      PLFOC_REQUIRE(last > first, "FASTA header with empty name");
+      names.emplace_back(line, first, last - first);
       seqs.emplace_back();
     } else {
       PLFOC_REQUIRE(!names.empty(), "FASTA sequence data before first header");
-      for (char c : t)
-        if (!std::isspace(static_cast<unsigned char>(c))) seqs.back().push_back(c);
+      // Append the whitespace-free spans of the line.
+      std::string& seq = seqs.back();
+      for (std::size_t pos = begin; pos < end;) {
+        std::size_t stop = pos;
+        while (stop < end && !is_space(line[stop])) ++stop;
+        seq.append(line, pos, stop - pos);
+        pos = stop;
+        while (pos < end && is_space(line[pos])) ++pos;
+      }
     }
   }
   PLFOC_REQUIRE(!names.empty(), "empty FASTA input");

@@ -2,12 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "msa/patterns.hpp"
 #include "util/checks.hpp"
+#include "util/rng.hpp"
 
 namespace plfoc {
 namespace {
+
+// Reference: the per-site popcount loop empirical_frequencies used before it
+// precomputed per-code shares. The production loop must match it bit for bit.
+std::vector<double> reference_frequencies(const Alignment& alignment) {
+  const DataType type = alignment.data_type();
+  const std::vector<double>& weights = alignment.weights();
+  const unsigned states = num_states(type);
+  std::vector<double> counts(states, 0.0);
+  for (std::size_t taxon = 0; taxon < alignment.num_taxa(); ++taxon) {
+    for (std::size_t site = 0; site < alignment.num_sites(); ++site) {
+      const double w = weights.empty() ? 1.0 : weights[site];
+      const std::uint32_t mask =
+          code_state_mask(type, alignment.row(taxon)[site]);
+      unsigned bits = 0;
+      for (unsigned s = 0; s < states; ++s) bits += (mask >> s) & 1u;
+      const double share = w / bits;
+      for (unsigned s = 0; s < states; ++s)
+        if ((mask >> s) & 1u) counts[s] += share;
+    }
+  }
+  double total = std::accumulate(counts.begin(), counts.end(), 0.0);
+  if (total <= 0.0) return std::vector<double>(states, 1.0 / states);
+  for (double& c : counts) c /= total;
+  constexpr double kFloor = 1e-6;
+  bool floored = false;
+  for (double& c : counts)
+    if (c < kFloor) {
+      c = kFloor;
+      floored = true;
+    }
+  if (floored) {
+    total = std::accumulate(counts.begin(), counts.end(), 0.0);
+    for (double& c : counts) c /= total;
+  }
+  return counts;
+}
+
+void expect_bit_identical(const Alignment& alignment, const std::string& what) {
+  const std::vector<double> want = reference_frequencies(alignment);
+  const std::vector<double> got = alignment.empirical_frequencies();
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t s = 0; s < want.size(); ++s)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s]),
+              std::bit_cast<std::uint64_t>(want[s]))
+        << what << " state " << s << ": " << got[s] << " vs " << want[s];
+}
+
+// Every character the data type accepts, ambiguity codes, gaps and lower case
+// included.
+std::string alphabet(DataType type) {
+  return type == DataType::kDna
+             ? "ACGTURYSWKMBDHVNOX-?.~acgturyswkmbdhvnox"
+             : "ARNDCQEGHILKMFPSTWYVBZJX-?.~*arndcqeghilkmfpstwyvbzjx";
+}
+
+Alignment random_alignment(Rng& rng, DataType type) {
+  // Draw from a random subset of the alphabet so some alignments leave
+  // states unobserved and hit the frequency floor.
+  const std::string all = alphabet(type);
+  std::string letters;
+  const std::uint64_t keep = 1 + rng.below(all.size());
+  for (std::uint64_t i = 0; i < keep; ++i)
+    letters.push_back(all[rng.below(all.size())]);
+  const std::size_t taxa = 1 + rng.below(12);
+  const std::size_t sites = 1 + rng.below(80);
+  Alignment alignment(type, sites);
+  for (std::size_t t = 0; t < taxa; ++t) {
+    std::string row(sites, ' ');
+    for (char& c : row) c = letters[rng.below(letters.size())];
+    alignment.add_sequence("t" + std::to_string(t), row);
+  }
+  return alignment;
+}
 
 Alignment small() {
   Alignment alignment(DataType::kDna, 4);
@@ -99,6 +178,38 @@ TEST(Alignment, EmpiricalFrequenciesTFloorIsPositive) {
   alignment.add_sequence("b", "AA");
   const auto freqs = alignment.empirical_frequencies();
   for (double f : freqs) EXPECT_GT(f, 0.0);  // floored, never exactly zero
+}
+
+TEST(Alignment, EmpiricalFrequenciesBitIdenticalToReference) {
+  Rng rng(20260117);
+  for (int trial = 0; trial < 240; ++trial) {
+    const DataType type = trial % 2 == 0 ? DataType::kDna : DataType::kProtein;
+    const Alignment alignment = random_alignment(rng, type);
+    const std::string what = "trial " + std::to_string(trial);
+    expect_bit_identical(alignment, what + " unweighted");
+    expect_bit_identical(compress_patterns(alignment).compressed,
+                         what + " weighted");
+  }
+}
+
+TEST(Alignment, EmpiricalFrequenciesBitIdenticalOnEdgeCases) {
+  for (DataType type : {DataType::kDna, DataType::kProtein}) {
+    const std::string name = datatype_name(type);
+    // All gaps: every state gets the same share.
+    Alignment gaps(type, 7);
+    gaps.add_sequence("a", "-------");
+    gaps.add_sequence("b", "?.~----");
+    expect_bit_identical(gaps, name + " all-gap");
+    // One observed state: the others take the 1e-6 floor.
+    Alignment single(type, 5);
+    single.add_sequence("a", "aaaaa");
+    single.add_sequence("b", "AAAAA");
+    expect_bit_identical(single, name + " single state");
+    expect_bit_identical(compress_patterns(single).compressed,
+                         name + " single state weighted");
+    // No taxa: the uniform fallback.
+    expect_bit_identical(Alignment(type, 3), name + " no taxa");
+  }
 }
 
 TEST(Alignment, AddEncodedMatchesAddSequence) {

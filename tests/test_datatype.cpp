@@ -2,10 +2,119 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "util/checks.hpp"
 
 namespace plfoc {
 namespace {
+
+// Reference encoder: the toupper + switch and linear amino-acid search that
+// encode_char used before it became a table lookup. The table must agree
+// with it on every byte, codes and error messages alike.
+std::uint8_t reference_encode_char(DataType type, char c) {
+  const char upper =
+      static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  if (type == DataType::kDna) {
+    switch (upper) {
+      case 'A': return 1;
+      case 'C': return 2;
+      case 'G': return 4;
+      case 'T':
+      case 'U': return 8;
+      case 'R': return 1 | 4;
+      case 'Y': return 2 | 8;
+      case 'S': return 2 | 4;
+      case 'W': return 1 | 8;
+      case 'K': return 4 | 8;
+      case 'M': return 1 | 2;
+      case 'B': return 2 | 4 | 8;
+      case 'D': return 1 | 4 | 8;
+      case 'H': return 1 | 2 | 8;
+      case 'V': return 1 | 2 | 4;
+      case 'N':
+      case 'O':
+      case 'X':
+      case '-':
+      case '?':
+      case '.':
+      case '~': return 15;
+      default:
+        throw Error(std::string("invalid DNA character '") + c + "'");
+    }
+  }
+  const std::string letters = "ARNDCQEGHILKMFPSTWYV";
+  const std::size_t idx = letters.find(upper);
+  if (idx != std::string::npos)
+    return static_cast<std::uint8_t>(idx);
+  switch (upper) {
+    case 'B': return 20;
+    case 'Z': return 21;
+    case 'J': return 22;
+    case 'X':
+    case '-':
+    case '?':
+    case '.':
+    case '~':
+    case '*': return 23;
+    default:
+      throw Error(std::string("invalid protein character '") + c + "'");
+  }
+}
+
+struct Encoded {
+  int code = -1;      // -1 when encoding threw
+  std::string error;  // what() of the thrown Error
+};
+
+template <typename Encode>
+Encoded encode_with(Encode encode) {
+  try {
+    return {encode(), ""};
+  } catch (const Error& e) {
+    return {-1, e.what()};
+  }
+}
+
+TEST(DataType, TableMatchesReferenceOnEveryByte) {
+  for (DataType type : {DataType::kDna, DataType::kProtein}) {
+    for (int byte = 0; byte < 256; ++byte) {
+      const char c = static_cast<char>(byte);
+      const Encoded want =
+          encode_with([&] { return reference_encode_char(type, c); });
+      const Encoded got = encode_with([&] { return encode_char(type, c); });
+      const std::string what = datatype_name(type) + " byte " +
+                               std::to_string(byte);
+      EXPECT_EQ(got.code, want.code) << what;
+      EXPECT_EQ(got.error, want.error) << what;
+    }
+  }
+}
+
+TEST(DataType, EncodeSequenceMatchesEncodeChar) {
+  for (DataType type : {DataType::kDna, DataType::kProtein}) {
+    std::string all;
+    for (int byte = 0; byte < 256; ++byte) {
+      const char c = static_cast<char>(byte);
+      if (encode_with([&] { return encode_char(type, c); }).code >= 0)
+        all.push_back(c);
+    }
+    const std::vector<std::uint8_t> codes = encode_sequence(type, all);
+    ASSERT_EQ(codes.size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+      EXPECT_EQ(codes[i], encode_char(type, all[i])) << all[i];
+    // The first invalid character is the one reported.
+    const char bad = type == DataType::kDna ? 'Z' : 'O';
+    const Encoded seq = encode_with([&] {
+      encode_sequence(type, all + bad + '1');
+      return 0;
+    });
+    EXPECT_EQ(seq.error,
+              encode_with([&] { return encode_char(type, bad); }).error);
+  }
+}
 
 TEST(DataType, BasicCounts) {
   EXPECT_EQ(num_states(DataType::kDna), 4u);
