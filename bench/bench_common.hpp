@@ -8,9 +8,13 @@
 //   full  — paper dimensions, denser scans (long).
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "search/search.hpp"
@@ -127,6 +131,40 @@ inline void print_header(const char* title, const SearchDataset& dataset,
               "compression computed per run), scale=%s\n",
               dataset.taxa, dataset.sites, dataset.alignment.num_sites(),
               scale_name(scale));
+}
+
+/// Host facts for a BENCH_*.json file (CPU model, logical cores, physical
+/// RAM, compiler), so a committed number says what it was measured on.
+inline std::string host_facts_json() {
+  std::string cpu = "unknown";
+  if (std::FILE* info = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, info) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr)
+        continue;
+      cpu.clear();
+      for (const char* c = colon + 1; *c != '\0' && *c != '\n'; ++c)
+        if (*c != '"' && *c != '\\' && !(cpu.empty() && *c == ' '))
+          cpu.push_back(*c);
+      break;
+    }
+    std::fclose(info);
+  }
+  const double ram_gib = static_cast<double>(sysconf(_SC_PHYS_PAGES)) *
+                         static_cast<double>(sysconf(_SC_PAGESIZE)) /
+                         (1024.0 * 1024.0 * 1024.0);
+  char buffer[768];
+  std::snprintf(buffer, sizeof buffer,
+                "{\"cpu\":\"%s\",\"logical_cores\":%u,\"ram_gib\":%.1f,"
+                "\"compiler\":\"%s\"}",
+                cpu.c_str(), std::thread::hardware_concurrency(), ram_gib,
+#ifdef __clang__
+                "clang " __clang_version__);
+#else
+                "gcc " __VERSION__);
+#endif
+  return buffer;
 }
 
 }  // namespace plfoc::bench

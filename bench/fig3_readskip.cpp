@@ -22,9 +22,9 @@ int main() {
       ReplacementPolicy::kTopological, ReplacementPolicy::kLfu,
       ReplacementPolicy::kRandom, ReplacementPolicy::kLru};
 
-  std::printf("%-12s %6s %14s %14s %14s %16s\n", "strategy", "f",
+  std::printf("%-12s %6s %14s %14s %14s %16s %10s %10s\n", "strategy", "f",
               "miss_rate_%", "read_rate_%", "reads_elided_%",
-              "io_ops_saved_%");
+              "io_ops_saved_%", "misses", "reads");
   for (ReplacementPolicy policy : policies) {
     for (double f : fractions) {
       SessionOptions options;
@@ -51,9 +51,11 @@ int main() {
               ? 0.0
               : 100.0 * static_cast<double>(io_without - io_with_skip) /
                     static_cast<double>(io_without);
-      std::printf("%-12s %6.2f %14.3f %14.3f %14.1f %16.1f\n",
+      std::printf("%-12s %6.2f %14.3f %14.3f %14.1f %16.1f %10llu %10llu\n",
                   policy_name(policy), f, 100.0 * stats.miss_rate(),
-                  100.0 * stats.read_rate(), elided, io_saved);
+                  100.0 * stats.read_rate(), elided, io_saved,
+                  static_cast<unsigned long long>(stats.misses),
+                  static_cast<unsigned long long>(stats.file_reads));
       std::fflush(stdout);
     }
   }

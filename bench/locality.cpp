@@ -20,10 +20,11 @@ struct PhaseRow {
 };
 
 void print_row(const PhaseRow& row, std::uint64_t total_accesses) {
-  std::printf("%-24s %12llu %10.1f %14.3f %12.1f\n", row.phase,
+  std::printf("%-24s %12llu %10.1f %10llu %14.3f %12.1f\n", row.phase,
               static_cast<unsigned long long>(row.stats.accesses),
               100.0 * static_cast<double>(row.stats.accesses) /
                   static_cast<double>(total_accesses),
+              static_cast<unsigned long long>(row.stats.misses),
               100.0 * row.stats.miss_rate(), row.seconds);
 }
 
@@ -71,8 +72,8 @@ int main() {
   std::uint64_t total = 0;
   for (const PhaseRow& row : rows) total += row.stats.accesses;
 
-  std::printf("%-24s %12s %10s %14s %12s\n", "phase", "accesses", "share_%",
-              "miss_rate_%", "seconds");
+  std::printf("%-24s %12s %10s %10s %14s %12s\n", "phase", "accesses",
+              "share_%", "misses", "miss_rate_%", "seconds");
   for (const PhaseRow& row : rows) print_row(row, total);
 
   // The paper's qualitative claims, checked mechanically:

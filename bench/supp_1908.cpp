@@ -24,8 +24,9 @@ int main() {
       ReplacementPolicy::kTopological, ReplacementPolicy::kLfu,
       ReplacementPolicy::kRandom, ReplacementPolicy::kLru};
 
-  std::printf("%-12s %6s %14s %14s %14s\n", "strategy", "f", "miss_rate_%",
-              "read_rate_%", "reads_elided_%");
+  std::printf("%-12s %6s %14s %14s %14s %10s %10s %10s\n", "strategy", "f",
+              "miss_rate_%", "read_rate_%", "reads_elided_%", "accesses",
+              "misses", "reads");
   for (ReplacementPolicy policy : policies) {
     for (double f : fractions) {
       SessionOptions options;
@@ -41,9 +42,12 @@ int main() {
               ? 0.0
               : 100.0 * static_cast<double>(stats.skipped_reads) /
                     static_cast<double>(stats.misses);
-      std::printf("%-12s %6.2f %14.3f %14.3f %14.1f\n", policy_name(policy), f,
-                  100.0 * stats.miss_rate(), 100.0 * stats.read_rate(),
-                  elided);
+      std::printf("%-12s %6.2f %14.3f %14.3f %14.1f %10llu %10llu %10llu\n",
+                  policy_name(policy), f, 100.0 * stats.miss_rate(),
+                  100.0 * stats.read_rate(), elided,
+                  static_cast<unsigned long long>(stats.accesses),
+                  static_cast<unsigned long long>(stats.misses),
+                  static_cast<unsigned long long>(stats.file_reads));
       std::fflush(stdout);
     }
   }

@@ -100,7 +100,6 @@ void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
     // Per-traversal-step cancellation point — the serial-path granularity
     // bound (with a kernel pool, run_blocks checks per pattern block too).
     cancel_.check();
-    if (journal_ != nullptr) journal_->push_back(step.parent);
     // Let the prefetch worker run ahead of this step's reads.
     if (prefetcher_ != nullptr) prefetcher_->notify_progress(reads_consumed);
     // Acquire order: children (reads) before the parent (write). Leases pin
@@ -341,9 +340,9 @@ std::uint64_t LikelihoodEngine::recover_vector(std::uint32_t index,
                                                double* dst) {
   const NodeId node = tree_.inner_node(index);
   const NodeId toward = orientation_.towards(node);
-  // An unoriented vector has no defined content — nothing to recover (and
-  // nothing a future computation would read without recomputing it anyway).
-  if (toward == kNoNode) return 0;
+  // Unoriented, or oriented towards a former neighbour (after an NNI trial):
+  // nothing to recover, and nothing a computation reads without recomputing.
+  if (toward == kNoNode || !tree_.has_edge(node, toward)) return 0;
 
   // Same child enumeration as plan_subtree: neighbors order minus the parent,
   // so left/right keep their transition-matrix association and the recomputed

@@ -102,8 +102,8 @@ class LikelihoodEngine {
   /// access only the two vectors at the branch ends). Returns the log
   /// likelihood at the optimised length. With `update_invalidation` false the
   /// engine does NOT mark vectors containing the branch stale — callers that
-  /// immediately roll the change back (lazy SPR trials) handle staleness
-  /// themselves via the recompute journal.
+  /// immediately roll the change back (lazy-SPR and NNI trials) restore the
+  /// length and invalidate the vectors at the edited nodes themselves.
   double optimize_branch(NodeId a, NodeId b, int max_iterations = 32,
                          bool update_invalidation = true);
 
@@ -128,13 +128,6 @@ class LikelihoodEngine {
   /// valid, so a re-evaluation after cancellation resumes incrementally and
   /// stays bit-identical to an uninterrupted run.
   void set_cancel_token(CancelToken token) { cancel_ = std::move(token); }
-
-  /// While set, execute() appends the parent node of every pruning operation
-  /// it performs. The lazy-SPR search uses this to invalidate exactly the
-  /// vectors a trial move recomputed when the move is rolled back.
-  void set_recompute_journal(std::vector<NodeId>* journal) {
-    journal_ = journal;
-  }
 
   /// Per-pattern scaling counters of an inner node (RAM-resident; see
   /// DESIGN.md — they are <= 1/32 of vector memory under DNA Γ4).
@@ -185,7 +178,6 @@ class LikelihoodEngine {
   std::vector<std::int32_t> scale_counts_;  ///< num_inner × patterns
   Prefetcher* prefetcher_ = nullptr;
   KernelPool* kernel_pool_ = nullptr;
-  std::vector<NodeId>* journal_ = nullptr;
   CancelToken cancel_;  ///< null by default: per-step checks are free
 
   // Scratch buffers reused across operations (sized on first use).

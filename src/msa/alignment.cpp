@@ -23,11 +23,21 @@ void Alignment::add_encoded(std::string name, std::vector<std::uint8_t> codes) {
   PLFOC_REQUIRE(find_taxon(name) < 0, "duplicate taxon name '" + name + "'");
   names_.push_back(std::move(name));
   rows_.push_back(std::move(codes));
+  const bool rehash = 2 * names_.size() > taxon_slots_.size();
+  if (rehash) taxon_slots_.assign(std::bit_ceil(4 * names_.size()), 0);
+  const std::size_t mask = taxon_slots_.size() - 1;
+  for (std::size_t t = rehash ? 0 : names_.size() - 1; t < names_.size(); ++t) {
+    std::size_t i = std::hash<std::string_view>{}(names_[t]) & mask;
+    while (taxon_slots_[i] != 0) i = (i + 1) & mask;
+    taxon_slots_[i] = static_cast<std::uint32_t>(t + 1);
+  }
 }
 
 long Alignment::find_taxon(std::string_view name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<long>(i);
+  const std::size_t mask = taxon_slots_.size() - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(name) & mask;
+       !taxon_slots_.empty() && taxon_slots_[i] != 0; i = (i + 1) & mask)
+    if (names_[taxon_slots_[i] - 1] == name) return taxon_slots_[i] - 1L;
   return -1;
 }
 

@@ -58,6 +58,8 @@ class Alignment {
   DataType type_ = DataType::kDna;
   std::size_t num_sites_ = 0;
   std::vector<std::string> names_;
+  /// find_taxon's open-addressing hash index: taxon + 1 per slot, 0 = empty.
+  std::vector<std::uint32_t> taxon_slots_;
   std::vector<std::vector<std::uint8_t>> rows_;
   std::vector<double> weights_;
 };

@@ -22,7 +22,6 @@ NniResult nni_search(LikelihoodEngine& engine, const NniOptions& options) {
   // best move. Greedier first-improvement variants are cheaper per round but
   // drift into worse local optima (they take the first uphill step even when
   // the reversal of a recent perturbation offers a far larger gain).
-  std::vector<NodeId> journal;
   for (int round = 0; round < options.max_rounds; ++round) {
     ++result.rounds_run;
 
@@ -38,8 +37,6 @@ NniResult nni_search(LikelihoodEngine& engine, const NniOptions& options) {
       const double len_ab = tree.branch_length(a, b);
       for (int variant = 0; variant < 2; ++variant) {
         ++result.variants_tried;
-        journal.clear();
-        engine.set_recompute_journal(&journal);
         const NniMove move = apply_nni(tree, a, b, variant);
         orientation.invalidate(a);
         orientation.invalidate(b);
@@ -52,12 +49,13 @@ NniResult nni_search(LikelihoodEngine& engine, const NniOptions& options) {
           best_move = move;  // the *physical* move; variant ids go stale
           have_best = true;
         }
-        // Roll back: restore topology and length, invalidate exactly the
-        // vectors the trial recomputed.
+        // Roll back. Only a's and b's vectors summarise a changed subtree;
+        // any other the trial computed lies inside one of the four clades,
+        // which moved whole, so it stays valid. A moved clade root may stay
+        // oriented towards its old neighbour across the edge (harmless: only
+        // this edge's interchanges reconnect them, with the same clade).
         undo_nni(tree, move);
         tree.set_branch_length(a, b, len_ab);
-        engine.set_recompute_journal(nullptr);
-        for (NodeId node : journal) orientation.invalidate(node);
         orientation.invalidate(a);
         orientation.invalidate(b);
       }

@@ -65,7 +65,6 @@ SprResult spr_search(LikelihoodEngine& engine, const SprOptions& options) {
   double current_ll = engine.log_likelihood();
   result.initial_log_likelihood = current_ll;
 
-  std::vector<NodeId> journal;
   std::vector<TraversalStep> steps;
 
   for (int round = 0; round < options.rounds; ++round) {
@@ -97,8 +96,8 @@ SprResult spr_search(LikelihoodEngine& engine, const SprOptions& options) {
         orientation.invalidate(s);
         invalidate_for_change(tree, orientation, u);
 
-        // Pre-validate the pruned clade's root vector once (outside the
-        // journal: the clade is identical before and after the prune).
+        // Pre-validate the pruned clade's root vector once: the clade is
+        // identical before and after the prune.
         if (tree.is_inner(r)) {
           steps.clear();
           plan_subtree(tree, orientation, r, s, /*full=*/false, steps);
@@ -111,10 +110,8 @@ SprResult spr_search(LikelihoodEngine& engine, const SprOptions& options) {
         double best_ll = -std::numeric_limits<double>::infinity();
         std::pair<NodeId, NodeId> best_edge{kNoNode, kNoNode};
 
-        engine.set_recompute_journal(&journal);
         for (const auto& [x, y] : candidates) {
           ++result.insertions_tried;
-          journal.clear();
           // --- try: splice s into (x, y) -----------------------------------
           const double len_xy = tree.branch_length(x, y);
           const double half = std::max(len_xy * 0.5, kTinyLength);
@@ -139,16 +136,17 @@ SprResult spr_search(LikelihoodEngine& engine, const SprOptions& options) {
           }
 
           // --- roll back ---------------------------------------------------
+          // Only s's vector contains the splice, and x's and y's point at s.
+          // Any other vector the trial computed lies behind x or y, holds a
+          // subtree of the pruned tree without s, and so stays valid.
           tree.disconnect(s, x);
           tree.disconnect(s, y);
           tree.connect(x, y, len_xy);
           tree.set_branch_length(s, r, len_sr);
-          for (NodeId node : journal) orientation.invalidate(node);
           orientation.invalidate(s);
           if (tree.is_inner(x)) orientation.invalidate(x);
           if (tree.is_inner(y)) orientation.invalidate(y);
         }
-        engine.set_recompute_journal(nullptr);
 
         // --- undo the prune -----------------------------------------------
         tree.disconnect(u, v);

@@ -117,6 +117,17 @@ TEST(Alignment, FindTaxon) {
   EXPECT_EQ(alignment.find_taxon("zz"), -1);
 }
 
+TEST(Alignment, FindTaxonAcrossIndexGrowth) {
+  Alignment alignment(DataType::kDna, 1);
+  for (int t = 0; t < 300; ++t)
+    alignment.add_sequence("taxon" + std::to_string(t), "A");
+  for (int t = 0; t < 300; ++t)
+    EXPECT_EQ(alignment.find_taxon("taxon" + std::to_string(t)), t);
+  EXPECT_EQ(alignment.find_taxon("taxon300"), -1);
+  EXPECT_EQ(alignment.find_taxon(""), -1);
+  EXPECT_EQ(Alignment(DataType::kDna, 1).find_taxon("a"), -1);
+}
+
 TEST(Alignment, RejectsWrongLength) {
   Alignment alignment(DataType::kDna, 4);
   EXPECT_THROW(alignment.add_sequence("a", "ACG"), Error);
@@ -127,6 +138,25 @@ TEST(Alignment, RejectsDuplicateNames) {
   Alignment alignment(DataType::kDna, 2);
   alignment.add_sequence("a", "AC");
   EXPECT_THROW(alignment.add_sequence("a", "GT"), Error);
+}
+
+TEST(Alignment, DuplicateNameMessageNamesTheTaxon) {
+  Alignment alignment(DataType::kDna, 2);
+  alignment.add_sequence("a", "AC");
+  alignment.add_sequence("b", "GT");
+  try {
+    alignment.add_encoded("b", {1, 2});
+    FAIL() << "duplicate name accepted";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "duplicate taxon name 'b'");
+  }
+  // The rejected row left no trace, and a row rejected for its length does
+  // not reserve its name.
+  EXPECT_EQ(alignment.num_taxa(), 2u);
+  EXPECT_EQ(alignment.find_taxon("b"), 1);
+  EXPECT_THROW(alignment.add_sequence("c", "ACG"), Error);
+  alignment.add_sequence("c", "GG");
+  EXPECT_EQ(alignment.find_taxon("c"), 2);
 }
 
 TEST(Alignment, RejectsEmptyName) {
