@@ -152,6 +152,8 @@ void save_checkpoint_file(const std::string& path,
   std::ofstream out(path, std::ios::binary);
   PLFOC_REQUIRE(out.good(), "cannot open checkpoint file '" + path + "'");
   write_checkpoint(out, make_checkpoint(engine));
+  out.flush();
+  PLFOC_REQUIRE(out.good(), "cannot write checkpoint file '" + path + "'");
 }
 
 Checkpoint load_checkpoint_file(const std::string& path) {

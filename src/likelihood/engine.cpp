@@ -211,40 +211,6 @@ double LikelihoodEngine::log_likelihood(NodeId a, NodeId b) {
   return evaluate_at(a, b, tree_.branch_length(a, b), false).log_likelihood;
 }
 
-std::vector<double> LikelihoodEngine::pattern_log_likelihoods(NodeId a,
-                                                              NodeId b) {
-  const std::vector<TraversalStep> steps =
-      plan_for_branch(tree_, orientation_, a, b, /*full=*/false);
-  execute(steps);
-  // Same near/far assignment as evaluate_at.
-  NodeId near = a;
-  NodeId far = b;
-  if (tree_.is_tip(far) && !tree_.is_tip(near)) std::swap(near, far);
-  PLFOC_CHECK(!tree_.is_tip(far));
-  category_transition_matrices(eigen_, tree_.branch_length(a, b), rates_,
-                               pmat_left_);
-  EvalSide near_side{};
-  EvalSide far_side{};
-  VectorLease near_lease;
-  if (tree_.is_tip(near)) {
-    near_side.codes = tips_.tip_codes(near);
-    near_side.indicator = tips_.indicator(0);
-  } else {
-    near_lease = store_.acquire(vector_index(near), AccessMode::kRead);
-    near_side.vector = near_lease.data();
-    near_side.scale_counts = scale_data(near);
-  }
-  VectorLease far_lease =
-      store_.acquire(vector_index(far), AccessMode::kRead);
-  far_side.vector = far_lease.data();
-  far_side.scale_counts = scale_data(far);
-  std::vector<double> out(dims_.patterns);
-  per_pattern_log_likelihoods(dims_, config_.substitution.frequencies.data(),
-                              near_side, far_side, pmat_left_.data(),
-                              out.data(), kernel_pool_);
-  return out;
-}
-
 double LikelihoodEngine::log_likelihood() {
   const auto [a, b] = tree_.default_root_branch();
   return log_likelihood(a, b);

@@ -82,11 +82,6 @@ class LikelihoodEngine {
   /// partial traversal needed to validate both endpoint vectors.
   double log_likelihood(NodeId a, NodeId b);
 
-  /// Per-pattern log likelihoods (scaling applied, pattern weights NOT
-  /// applied — combine with alignment().weights() for totals or RELL
-  /// bootstrap resampling). Plans/executes the traversal like
-  /// log_likelihood(a, b).
-  std::vector<double> pattern_log_likelihoods(NodeId a, NodeId b);
   /// Log likelihood at the default root branch.
   double log_likelihood();
   /// Recompute *every* ancestral vector (the paper's -f z worst case), then

@@ -1,12 +1,12 @@
 // Persistent thread team for block-parallel PLF kernels.
 //
 // A KernelPool is created once per Session (sized by --threads) and reused
-// for every newview / evaluate_branch / per_pattern_log_likelihoods call, so
-// the kernels never pay thread creation on the hot path. Work is handed out
-// as pattern-block indices from an atomic counter: WHICH thread runs WHICH
-// block is nondeterministic, but callers only write block-disjoint outputs
-// and reduce per-block partials serially in block order, so every result is
-// independent of the thread count (see docs/parallelism.md).
+// for every newview / evaluate_branch call, so the kernels never pay thread
+// creation on the hot path. Work is handed out as pattern-block indices from
+// an atomic counter: WHICH thread runs WHICH block is nondeterministic, but
+// callers only write block-disjoint outputs and reduce per-block partials
+// serially in block order, so every result is independent of the thread
+// count (see docs/parallelism.md).
 #pragma once
 
 #include <atomic>

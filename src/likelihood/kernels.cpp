@@ -1,7 +1,6 @@
 #include "likelihood/kernels.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "likelihood/kernel_pool.hpp"
@@ -182,50 +181,6 @@ BranchValue evaluate_impl(const KernelDims& dims, const double* freqs,
   return result;
 }
 
-template <unsigned S>
-void per_pattern_impl(const KernelDims& dims, const double* freqs,
-                      const EvalSide& near_side, const EvalSide& far_side,
-                      const double* pmats, double* out, std::size_t p_begin,
-                      std::size_t p_end) {
-  const unsigned states = S != 0 ? S : dims.states;
-  const unsigned cats = dims.categories;
-  const std::size_t block = static_cast<std::size_t>(cats) * states;
-  const double cat_weight = 1.0 / cats;
-  double fb[32];
-  PLFOC_CHECK(states <= 32);
-  for (std::size_t p = p_begin; p < p_end; ++p) {
-    double site_l = 0.0;
-    for (unsigned c = 0; c < cats; ++c) {
-      const double* far;
-      if (far_side.is_tip()) {
-        far = far_side.lookup_p +
-              (static_cast<std::size_t>(far_side.codes[p]) * cats + c) * states;
-      } else {
-        propagate_inner<S>(pmats + static_cast<std::size_t>(c) * states * states,
-                           far_side.vector + p * block +
-                               static_cast<std::size_t>(c) * states,
-                           states, fb);
-        far = fb;
-      }
-      const double* near;
-      if (near_side.is_tip()) {
-        near = near_side.indicator +
-               static_cast<std::size_t>(near_side.codes[p]) * states;
-      } else {
-        near = near_side.vector + p * block + static_cast<std::size_t>(c) * states;
-      }
-      double lc = 0.0;
-      for (unsigned x = 0; x < states; ++x) lc += freqs[x] * near[x] * far[x];
-      site_l += lc;
-    }
-    site_l *= cat_weight;
-    const std::int32_t scale = detail::scale_sum(near_side.scale_counts,
-                                                 far_side.scale_counts, p);
-    const double guarded = std::max(site_l, std::numeric_limits<double>::min());
-    out[p] = std::log(guarded) + scale * kLogScaleUnit;
-  }
-}
-
 std::size_t newview_range(const KernelDims& dims, const NewviewChild& left,
                           const NewviewChild& right, double* parent,
                           std::int32_t* parent_scale, std::size_t p_begin,
@@ -260,26 +215,6 @@ BranchValue evaluate_range(const KernelDims& dims, const double* freqs,
     default:
       return evaluate_impl<0>(dims, freqs, weights, near_side, far_side, pmats,
                               dmats, d2mats, with_derivatives, p_begin, p_end);
-  }
-}
-
-void per_pattern_range(const KernelDims& dims, const double* freqs,
-                       const EvalSide& near_side, const EvalSide& far_side,
-                       const double* pmats, double* out, std::size_t p_begin,
-                       std::size_t p_end) {
-  switch (dims.states) {
-    case 4:
-      per_pattern_impl<4>(dims, freqs, near_side, far_side, pmats, out,
-                          p_begin, p_end);
-      break;
-    case 20:
-      per_pattern_impl<20>(dims, freqs, near_side, far_side, pmats, out,
-                           p_begin, p_end);
-      break;
-    default:
-      per_pattern_impl<0>(dims, freqs, near_side, far_side, pmats, out,
-                          p_begin, p_end);
-      break;
   }
 }
 
@@ -364,23 +299,6 @@ BranchValue evaluate_blocks(EvaluateRange range, const KernelDims& dims,
 }
 
 }  // namespace
-
-void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
-                                 const EvalSide& near_side,
-                                 const EvalSide& far_side, const double* pmats,
-                                 double* out, KernelPool* pool) {
-  const std::size_t blocks = pattern_block_count(dims.patterns);
-  if (!pool_active(pool, blocks)) {
-    per_pattern_range(dims, freqs, near_side, far_side, pmats, out, 0,
-                      dims.patterns);
-    return;
-  }
-  // Each block writes a disjoint slice of out; no reduction needed.
-  pool->run_blocks(blocks, [&](std::size_t b) {
-    per_pattern_range(dims, freqs, near_side, far_side, pmats, out,
-                      block_begin(b), block_end(b, dims.patterns));
-  });
-}
 
 std::size_t newview_scalar(const KernelDims& dims, const NewviewChild& left,
                            const NewviewChild& right, double* parent,

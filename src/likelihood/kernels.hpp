@@ -105,14 +105,6 @@ struct BranchValue {
   double d2 = 0.0;  ///< d² log L / d t²
 };
 
-/// Per-pattern log likelihoods across a branch (scaling corrections applied,
-/// site weights NOT applied — callers combine with their weight vector, e.g.
-/// for RELL bootstrapping). `out` must hold dims.patterns doubles.
-void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
-                                 const EvalSide& near_side,
-                                 const EvalSide& far_side, const double* pmats,
-                                 double* out, KernelPool* pool = nullptr);
-
 /// Log likelihood (and optionally its first two branch-length derivatives)
 /// across a branch with per-category transition matrices pmats (C×S×S) and,
 /// when `with_derivatives`, dmats/d2mats. `near_side` is conditioned on data

@@ -12,11 +12,4 @@ std::uint64_t MemoryModel::ooc_bytes_for_fraction(double fraction) const {
       fraction, static_cast<std::size_t>(vector_count())));
 }
 
-std::uint64_t MemoryModel::ooc_bytes_for_budget(
-    std::uint64_t budget_bytes) const {
-  const std::uint64_t w = vector_bytes();
-  const std::uint64_t slots = budget_bytes / (w == 0 ? 1 : w);
-  return ooc_slot_bytes(static_cast<std::size_t>(slots < 3 ? 3 : slots));
-}
-
 }  // namespace plfoc

@@ -60,9 +60,6 @@ struct MemoryModel {
   /// Slot memory implied by the paper's fraction parameter f
   /// (m = max(3, round(f * (n-2))); matches OocStoreOptions).
   std::uint64_t ooc_bytes_for_fraction(double fraction) const;
-  /// Slot memory an out-of-core store actually allocates under a byte budget
-  /// (floor to whole slots, clamped to the 3-slot minimum).
-  std::uint64_t ooc_bytes_for_budget(std::uint64_t budget_bytes) const;
   /// Smallest paged-store budget that satisfies its 3-vector working-set
   /// requirement (see PagedStore's constructor check).
   std::uint64_t min_paged_bytes(std::size_t page_bytes = 4096) const {

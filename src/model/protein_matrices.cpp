@@ -1,57 +1,11 @@
 #include "model/protein_matrices.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <numeric>
+#include <string>
 
-#include "util/checks.hpp"
 #include "util/rng.hpp"
 
 namespace plfoc {
-
-SubstitutionModel read_paml_dat(std::istream& in, std::string name) {
-  constexpr unsigned kStates = 20;
-  // PAML stores the strict lower triangle row by row: row i (1..19) has i
-  // entries, entry (i, j) = rho between states i and j.
-  std::vector<double> lower(kStates * (kStates - 1) / 2, 0.0);
-  for (double& value : lower)
-    PLFOC_REQUIRE(static_cast<bool>(in >> value),
-                  "PAML .dat: unexpected end of exchangeability data");
-  std::vector<double> freqs(kStates, 0.0);
-  for (double& value : freqs)
-    PLFOC_REQUIRE(static_cast<bool>(in >> value),
-                  "PAML .dat: unexpected end of frequency data");
-  // Normalise frequencies (published files often sum to 0.999999...).
-  const double total = std::accumulate(freqs.begin(), freqs.end(), 0.0);
-  PLFOC_REQUIRE(total > 0.0, "PAML .dat: non-positive frequency sum");
-  for (double& f : freqs) f /= total;
-
-  SubstitutionModel model;
-  model.name = std::move(name);
-  model.type = DataType::kProtein;
-  model.frequencies = std::move(freqs);
-  // Reindex lower-triangle (i>j) storage into our upper-triangle (i<j) order:
-  // lower row i has entries for j = 0..i-1 and lower[(i,j)] == rho_{ji}.
-  model.exchangeabilities.assign(kStates * (kStates - 1) / 2, 0.0);
-  std::size_t cursor = 0;
-  for (unsigned i = 1; i < kStates; ++i)
-    for (unsigned j = 0; j < i; ++j)
-      model.exchangeabilities[SubstitutionModel::pair_index(j, i, kStates)] =
-          lower[cursor++];
-  model.validate();
-  return model;
-}
-
-SubstitutionModel read_paml_dat_file(const std::string& path) {
-  std::ifstream in(path);
-  PLFOC_REQUIRE(in.good(), "cannot open PAML .dat file '" + path + "'");
-  // Model name = file stem.
-  const std::size_t slash = path.find_last_of('/');
-  std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos) name.resize(dot);
-  return read_paml_dat(in, std::move(name));
-}
 
 SubstitutionModel synthetic_protein_model(std::uint64_t seed) {
   constexpr unsigned kStates = 20;

@@ -7,26 +7,15 @@
 // matrix invites silent transcription errors); instead:
 //
 //  * `poisson_protein()` (rate_matrix.hpp) is a real published model;
-//  * `read_paml_dat()` loads any empirical matrix from the standard PAML
-//    .dat format (lower-triangular exchangeabilities followed by 20
-//    frequencies), so WAG.dat / LG.dat etc. drop in unchanged;
 //  * `synthetic_protein_model(seed)` produces a deterministic, strictly
 //    positive, heterogeneous reversible matrix for tests and benchmarks.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 
 #include "model/rate_matrix.hpp"
 
 namespace plfoc {
-
-/// Parse a PAML .dat empirical amino-acid model file: 19 rows of the strict
-/// lower triangle of the symmetric exchangeability matrix, then 20
-/// equilibrium frequencies. Whitespace/newline layout is free-form.
-SubstitutionModel read_paml_dat(std::istream& in, std::string name);
-SubstitutionModel read_paml_dat_file(const std::string& path);
 
 /// Deterministic pseudo-empirical 20-state model: heterogeneous
 /// exchangeabilities and frequencies derived from `seed`. Valid and

@@ -77,6 +77,8 @@ void write_fasta_file(const std::string& path, const Alignment& alignment,
   std::ofstream out(path);
   PLFOC_REQUIRE(out.good(), "cannot open '" + path + "' for writing");
   write_fasta(out, alignment, wrap);
+  out.flush();
+  PLFOC_REQUIRE(out.good(), "cannot write '" + path + "'");
 }
 
 }  // namespace plfoc

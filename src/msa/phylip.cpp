@@ -119,10 +119,4 @@ void write_phylip(std::ostream& out, const Alignment& alignment) {
     out << alignment.name(taxon) << ' ' << alignment.text(taxon) << '\n';
 }
 
-void write_phylip_file(const std::string& path, const Alignment& alignment) {
-  std::ofstream out(path);
-  PLFOC_REQUIRE(out.good(), "cannot open '" + path + "' for writing");
-  write_phylip(out, alignment);
-}
-
 }  // namespace plfoc

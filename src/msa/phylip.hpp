@@ -16,6 +16,5 @@ Alignment read_phylip(std::istream& in, DataType type);
 Alignment read_phylip_file(const std::string& path, DataType type);
 
 void write_phylip(std::ostream& out, const Alignment& alignment);
-void write_phylip_file(const std::string& path, const Alignment& alignment);
 
 }  // namespace plfoc

@@ -40,9 +40,7 @@
 #include "ooc/stats.hpp"               // IWYU pragma: export
 #include "ooc/storage.hpp"             // IWYU pragma: export
 #include "ooc/tiered_store.hpp"        // IWYU pragma: export
-#include "search/bootstrap.hpp"        // IWYU pragma: export
 #include "search/mcmc.hpp"             // IWYU pragma: export
-#include "search/nni.hpp"              // IWYU pragma: export
 #include "search/parsimony.hpp"        // IWYU pragma: export
 #include "search/search.hpp"           // IWYU pragma: export
 #include "search/spr.hpp"              // IWYU pragma: export

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 
 #include "tree/topology_moves.hpp"
 #include "util/checks.hpp"
@@ -114,16 +112,8 @@ McmcResult run_mcmc(LikelihoodEngine& engine, Rng& rng,
     result.best_log_posterior =
         std::max(result.best_log_posterior, log_posterior);
     if (options.sample_every != 0 &&
-        (iteration + 1) % options.sample_every == 0) {
+        (iteration + 1) % options.sample_every == 0)
       result.trace.push_back(log_posterior);
-      if (options.sample_topologies) {
-        std::vector<std::string> order;
-        order.reserve(tree.num_taxa());
-        for (NodeId tip = 0; tip < tree.num_taxa(); ++tip)
-          order.push_back(tree.taxon_name(tip));
-        result.sampled_splits.push_back(tree_splits(tree, order));
-      }
-    }
   }
   result.final_log_posterior = log_posterior;
   PLFOC_LOG(kInfo) << "mcmc: " << options.iterations << " iterations, "
@@ -131,23 +121,6 @@ McmcResult run_mcmc(LikelihoodEngine& engine, Rng& rng,
                    << " branch, " << result.nni_accepts << "/"
                    << result.nni_proposals << " NNI accepts";
   return result;
-}
-
-std::vector<std::pair<Split, double>> split_frequencies(
-    const std::vector<std::vector<Split>>& sampled_splits) {
-  std::map<Split, std::size_t> counts;
-  for (const auto& sample : sampled_splits)
-    for (const Split& split : sample) ++counts[split];
-  std::vector<std::pair<Split, double>> out;
-  out.reserve(counts.size());
-  const double total = static_cast<double>(sampled_splits.size());
-  for (const auto& [split, count] : counts)
-    out.emplace_back(split, static_cast<double>(count) / total);
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  return out;
 }
 
 }  // namespace plfoc

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "likelihood/engine.hpp"
-#include "tree/compare.hpp"
 #include "util/rng.hpp"
 
 namespace plfoc {
@@ -30,9 +29,6 @@ struct McmcOptions {
   double branch_prior_mean = 0.1;
   /// Record the log posterior every `sample_every` iterations (0 = never).
   std::uint64_t sample_every = 20;
-  /// Also record the sampled topologies (their non-trivial splits), enabling
-  /// posterior split frequencies. Costs O(n) per sample.
-  bool sample_topologies = false;
 };
 
 struct McmcResult {
@@ -44,9 +40,6 @@ struct McmcResult {
   double final_log_posterior = 0.0;
   double best_log_posterior = 0.0;
   std::vector<double> trace;  ///< sampled log posteriors
-  /// When sample_topologies: per sample, the tree's sorted non-trivial
-  /// splits (see tree/compare.hpp), over the tree's tip-id taxon order.
-  std::vector<std::vector<Split>> sampled_splits;
 
   double branch_acceptance() const {
     return branch_proposals == 0
@@ -68,10 +61,5 @@ double log_branch_prior(const Tree& tree, double prior_mean);
 /// bit-identical across storage backends.
 McmcResult run_mcmc(LikelihoodEngine& engine, Rng& rng,
                     const McmcOptions& options = {});
-
-/// Posterior frequency of every split seen in the samples, as
-/// (split, fraction-of-samples) pairs sorted by decreasing frequency.
-std::vector<std::pair<Split, double>> split_frequencies(
-    const std::vector<std::vector<Split>>& sampled_splits);
 
 }  // namespace plfoc

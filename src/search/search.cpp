@@ -21,10 +21,6 @@ SearchResult run_search(LikelihoodEngine& engine, const SearchOptions& options) 
   result.spr = spr_search(engine, options.spr);
 
   result.final_log_likelihood = result.spr.final_log_likelihood;
-  if (options.nni_polish) {
-    result.nni = nni_search(engine, options.nni);
-    result.final_log_likelihood = result.nni.final_log_likelihood;
-  }
   if (options.final_smoothing_passes > 0)
     result.final_log_likelihood =
         engine.optimize_all_branches(options.final_smoothing_passes);

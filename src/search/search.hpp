@@ -4,7 +4,6 @@
 #pragma once
 
 #include "likelihood/model_opt.hpp"
-#include "search/nni.hpp"
 #include "search/spr.hpp"
 
 namespace plfoc {
@@ -14,9 +13,6 @@ struct SearchOptions {
   bool optimize_model = true;
   ModelOptOptions model;
   SprOptions spr;
-  /// Polish the SPR result with a best-improvement NNI climb.
-  bool nni_polish = false;
-  NniOptions nni;
   int final_smoothing_passes = 1;
 };
 
@@ -25,7 +21,6 @@ struct SearchResult {
   double after_smoothing = 0.0;
   double after_model_opt = 0.0;
   SprResult spr;
-  NniResult nni;
   double final_log_likelihood = 0.0;
 };
 

@@ -6,12 +6,9 @@
 namespace plfoc {
 namespace {
 
-Alignment prepare_alignment(Alignment alignment, bool compress,
-                            std::vector<std::size_t>* site_to_pattern) {
+Alignment prepare_alignment(Alignment alignment, bool compress) {
   if (!compress || !alignment.weights().empty()) return alignment;
-  CompressionResult result = compress_patterns(alignment);
-  *site_to_pattern = std::move(result.site_to_pattern);
-  return std::move(result.compressed);
+  return compress_patterns(alignment).compressed;
 }
 
 }  // namespace
@@ -45,8 +42,7 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
                  SessionOptions options)
     : options_(std::move(options)),
       alignment_(prepare_alignment(std::move(alignment),
-                                   options_.compress_patterns,
-                                   &site_to_pattern_)),
+                                   options_.compress_patterns)),
       tree_(std::move(tree)) {
   options_.validate();
   const std::size_t count = tree_.num_inner();
@@ -182,17 +178,6 @@ EvalResult Session::evaluate() {
   // draining its queue when the traversal finishes.
   result.stats = store_->stats_snapshot();
   return result;
-}
-
-std::vector<double> Session::site_log_likelihoods() {
-  const auto [a, b] = tree_.default_root_branch();
-  const std::vector<double> per_pattern =
-      engine_->pattern_log_likelihoods(a, b);
-  if (site_to_pattern_.empty()) return per_pattern;
-  std::vector<double> out(site_to_pattern_.size());
-  for (std::size_t site = 0; site < out.size(); ++site)
-    out[site] = per_pattern[site_to_pattern_[site]];
-  return out;
 }
 
 }  // namespace plfoc

@@ -161,12 +161,6 @@ class Session {
   /// on unwind, and the next evaluate() recomputes exactly those.
   void set_cancel_token(CancelToken token);
 
-  /// Per-site log likelihoods in *original alignment column order* (pattern
-  /// values expanded through the compression map; identical to the pattern
-  /// values when compression is disabled). Evaluated at the default root
-  /// branch.
-  std::vector<double> site_log_likelihoods();
-
   /// The one-shot job path shared by the CLI's evaluate mode and the batch
   /// service workers: evaluate the log likelihood at the default root branch
   /// and report wall time plus a snapshot of the store's I/O statistics.
@@ -174,7 +168,6 @@ class Session {
 
  private:
   SessionOptions options_;
-  std::vector<std::size_t> site_to_pattern_;  ///< empty when not compressed
   Alignment alignment_;  ///< pattern-compressed when requested
   Tree tree_;
   std::unique_ptr<AncestralStore> store_;

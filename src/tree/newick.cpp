@@ -229,6 +229,8 @@ void write_newick_file(const std::string& path, const Tree& tree) {
   std::ofstream out(path);
   PLFOC_REQUIRE(out.good(), "cannot open '" + path + "' for writing");
   out << to_newick(tree) << '\n';
+  out.flush();
+  PLFOC_REQUIRE(out.good(), "cannot write '" + path + "'");
 }
 
 }  // namespace plfoc

@@ -96,13 +96,4 @@ void undo_nni(Tree& tree, const NniMove& move) {
   tree.connect(move.b, move.moved_from_b, move.len_b_child);
 }
 
-void redo_nni(Tree& tree, const NniMove& move) {
-  PLFOC_CHECK(tree.has_edge(move.a, move.moved_from_a));
-  PLFOC_CHECK(tree.has_edge(move.b, move.moved_from_b));
-  tree.disconnect(move.a, move.moved_from_a);
-  tree.disconnect(move.b, move.moved_from_b);
-  tree.connect(move.a, move.moved_from_b, move.len_b_child);
-  tree.connect(move.b, move.moved_from_a, move.len_a_child);
-}
-
 }  // namespace plfoc

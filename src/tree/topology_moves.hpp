@@ -43,16 +43,10 @@ struct NniMove {
 /// Swap one non-shared neighbour of `a` with one of `b` across inner edge
 /// (a, b). `variant` in {0, 1} selects which of b's two candidates is used.
 /// NOTE: the variant -> physical-move mapping depends on the current
-/// neighbour slot order, which disconnect/connect cycles permute. To repeat
-/// a specific move later (e.g. re-applying the best of several trialled
-/// moves), replay the recorded NniMove with redo_nni instead of trusting a
-/// variant index.
+/// neighbour slot order, which disconnect/connect cycles permute, so a
+/// variant index does not name the same move after an undo.
 NniMove apply_nni(Tree& tree, NodeId a, NodeId b, int variant);
 
 void undo_nni(Tree& tree, const NniMove& move);
-
-/// Re-apply exactly the physical swap recorded in `move` (the tree must be
-/// in the same pre-move state, e.g. right after undo_nni).
-void redo_nni(Tree& tree, const NniMove& move);
 
 }  // namespace plfoc

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <sstream>
 
@@ -100,6 +102,12 @@ TEST(Checkpoint, RejectsTruncated) {
   const std::string full = io.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_checkpoint(cut), Error);
+}
+
+TEST(Checkpoint, FileWriterReportsWriteErrors) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  Fixture fx(19);
+  EXPECT_THROW(save_checkpoint_file("/dev/full", fx.engine), Error);
 }
 
 TEST(Checkpoint, RejectsMissingFile) {

@@ -188,6 +188,26 @@ TEST_F(CliFixture, BadConfigurationsThrow) {
   }
 }
 
+// A run whose outputs cannot reach the disk must fail, not report them
+// written; plfoc's main turns the Error into a non-zero exit status.
+TEST_F(CliFixture, OutputWriteErrorsFailTheRun) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  {
+    CliConfig config = base_config();
+    config.save_checkpoint_path = "/dev/full";
+    std::ostringstream out;
+    EXPECT_THROW(run_cli(config, out), Error);
+    EXPECT_EQ(out.str().find("checkpoint written"), std::string::npos);
+  }
+  {
+    CliConfig config = base_config();
+    config.out_tree_path = "/dev/full";
+    std::ostringstream out;
+    EXPECT_THROW(run_cli(config, out), Error);
+    EXPECT_EQ(out.str().find("tree written"), std::string::npos);
+  }
+}
+
 TEST_F(CliFixture, CheckpointSaveAndResume) {
   const std::string ckpt = tmp_path("ckpt.bin");
   // Run a search and checkpoint the result.

@@ -220,6 +220,15 @@ TEST(Concurrency, PrefetchStagedInstallRacesDemandTraffic) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
+  // Demand traffic runs at least kRounds rounds, then keeps going until the
+  // hammer has installed something, so the race always happens however the
+  // threads are scheduled. The cap turns a hammer that never installs into
+  // a failed expectation below rather than a hang.
+  const auto hammer_installed = [&] {
+    const OocStats stats = store.stats_snapshot();
+    return stats.prefetch_reads + stats.prefetch_stale > 0;
+  };
+  const int kMaxRounds = kRounds * 1000;
   std::vector<std::thread> threads;
   threads.emplace_back([&] {  // the prefetch hammer
     std::uint32_t state = 12345u;
@@ -232,7 +241,9 @@ TEST(Concurrency, PrefetchStagedInstallRacesDemandTraffic) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const std::uint32_t base = static_cast<std::uint32_t>(t) * kPerThread;
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0;
+           round < kRounds || (round < kMaxRounds && !hammer_installed());
+           ++round) {
         for (std::uint32_t k = 0; k < kPerThread; ++k) {
           const std::uint32_t index = base + k;
           const double tag = index * 1000.0 + round;

@@ -198,38 +198,6 @@ TEST(Engine, VectorWidthFormula) {
   EXPECT_EQ(LikelihoodEngine::vector_width(protein, 4), 50u * 4 * 20);
 }
 
-TEST(Engine, PatternLogLikelihoodsSumToTotal) {
-  auto [tree, alignment] = simulated(9, 80, 41, 4, 0.7);
-  Alignment compressed = compress_patterns(alignment).compressed;
-  const SubstitutionModel model =
-      gtr({1.2, 4.5, 0.8, 1.1, 5.2, 1.0}, {0.3, 0.22, 0.24, 0.24});
-  EngineFixture fx(std::move(compressed), std::move(tree), model, 4, 0.7);
-  const auto [a, b] = fx.tree.default_root_branch();
-  const double total = fx.engine.log_likelihood(a, b);
-  const std::vector<double> per_pattern =
-      fx.engine.pattern_log_likelihoods(a, b);
-  ASSERT_EQ(per_pattern.size(), fx.alignment.num_sites());
-  double sum = 0.0;
-  for (std::size_t p = 0; p < per_pattern.size(); ++p)
-    sum += fx.alignment.weights()[p] * per_pattern[p];
-  EXPECT_NEAR(sum, total, 1e-8);
-  for (double value : per_pattern) EXPECT_LT(value, 0.0);
-}
-
-TEST(Engine, PatternLogLikelihoodsBranchInvariant) {
-  auto [tree, alignment] = simulated(8, 40, 43, 2, 1.0);
-  EngineFixture fx(std::move(alignment), std::move(tree), jc69(), 2, 1.0);
-  const auto edges = fx.tree.edges();
-  const std::vector<double> reference =
-      fx.engine.pattern_log_likelihoods(edges[0].first, edges[0].second);
-  for (std::size_t k = 1; k < edges.size(); k += 3) {
-    const std::vector<double> other =
-        fx.engine.pattern_log_likelihoods(edges[k].first, edges[k].second);
-    for (std::size_t p = 0; p < reference.size(); ++p)
-      ASSERT_NEAR(other[p], reference[p], 1e-9) << "edge " << k;
-  }
-}
-
 TEST(Engine, ProteinLikelihoodMatchesReference) {
   Rng rng(43);
   Tree tree = random_tree(5, rng);

@@ -268,23 +268,6 @@ TEST(Kernels, BlockParallelEvaluateBitIdenticalToSerial) {
   }
 }
 
-TEST(Kernels, BlockParallelPerPatternBitIdenticalToSerial) {
-  const BlockInputs in(107);
-  EvalSide a{in.left.data(), in.lscale.data(), nullptr, nullptr,
-             nullptr,        nullptr,          nullptr};
-  EvalSide b{in.right.data(), in.rscale.data(), nullptr, nullptr,
-             nullptr,         nullptr,          nullptr};
-  std::vector<double> serial_out(in.dims.patterns);
-  per_pattern_log_likelihoods(in.dims, in.freqs.data(), a, b,
-                              in.pmat_right.data(), serial_out.data());
-  KernelPool pool(4);
-  std::vector<double> pool_out(in.dims.patterns, -1.0);
-  per_pattern_log_likelihoods(in.dims, in.freqs.data(), a, b,
-                              in.pmat_right.data(), pool_out.data(), &pool);
-  for (std::size_t p = 0; p < in.dims.patterns; ++p)
-    ASSERT_EQ(pool_out[p], serial_out[p]) << "pattern " << p;
-}
-
 TEST(Kernels, ScalingPreservesLikelihood) {
   // log(value * threshold * multiplier) must equal log(value) + kLogScaleUnit
   // bookkeeping: check the constants are exact inverses.

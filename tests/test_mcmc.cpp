@@ -166,38 +166,6 @@ TEST(Mcmc, BitIdenticalAcrossStorageBackends) {
   EXPECT_EQ(tiered_result.trace, reference.trace);
 }
 
-TEST(Mcmc, SplitFrequenciesFromSampledTopologies) {
-  Fixture fx(41, 12, 300);
-  Rng rng(43);
-  McmcOptions options;
-  options.iterations = 1500;
-  options.sample_every = 25;
-  options.sample_topologies = true;
-  const McmcResult result = run_mcmc(fx.engine, rng, options);
-  ASSERT_EQ(result.sampled_splits.size(), result.trace.size());
-  const auto frequencies = split_frequencies(result.sampled_splits);
-  ASSERT_FALSE(frequencies.empty());
-  double previous = 1.0 + 1e-12;
-  for (const auto& [split, frequency] : frequencies) {
-    EXPECT_GT(frequency, 0.0);
-    EXPECT_LE(frequency, 1.0);
-    EXPECT_LE(frequency, previous);  // sorted by decreasing frequency
-    previous = frequency;
-  }
-  // With 12 taxa there are 9 non-trivial splits per sample; well-supported
-  // data should keep several of them at (near-)unit posterior frequency.
-  EXPECT_DOUBLE_EQ(frequencies.front().second, 1.0);
-}
-
-TEST(Mcmc, SamplingTopologiesOffByDefault) {
-  Fixture fx(47);
-  Rng rng(53);
-  McmcOptions options;
-  options.iterations = 100;
-  const McmcResult result = run_mcmc(fx.engine, rng, options);
-  EXPECT_TRUE(result.sampled_splits.empty());
-}
-
 TEST(Mcmc, NniDisabledWithZeroProbability) {
   Fixture fx(31);
   Rng rng(37);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "util/checks.hpp"
 
 namespace plfoc {
@@ -109,6 +111,12 @@ TEST(Newick, RoundTripPreservesTopologyAndLengths) {
       const NodeId bj = again.find_taxon(tree.taxon_name(j));
       EXPECT_NEAR(path_length(tree, ai, aj), path_length(again, bi, bj), 1e-9);
     }
+}
+
+TEST(Newick, FileWriterReportsWriteErrors) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const Tree tree = parse_newick("(a:0.1,b:0.2,c:0.3);");
+  EXPECT_THROW(write_newick_file("/dev/full", tree), Error);
 }
 
 TEST(Newick, FiveTaxonLadder) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -305,6 +307,13 @@ TEST(Phylip, RoundTripThroughWriter) {
 TEST(Files, MissingFileThrows) {
   EXPECT_THROW(read_fasta_file("/nonexistent/x.fa", DataType::kDna), Error);
   EXPECT_THROW(read_phylip_file("/nonexistent/x.phy", DataType::kDna), Error);
+}
+
+TEST(Files, FastaWriterReportsWriteErrors) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  std::istringstream in(">a\nACGT\n>b\nTTAA\n");
+  const Alignment alignment = read_fasta(in, DataType::kDna);
+  EXPECT_THROW(write_fasta_file("/dev/full", alignment), Error);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 
 #include "model/protein_matrices.hpp"
 #include "likelihood/model_opt.hpp"
-#include "search/nni.hpp"
+#include "search/spr.hpp"
 #include "search/stepwise.hpp"
 #include "session.hpp"
 #include "sim/simulate.hpp"
@@ -69,13 +69,15 @@ TEST(ProteinEndToEnd, BranchAndAlphaOptimisationWork) {
   EXPECT_GE(after_alpha, smoothed - 1e-6);
 }
 
-TEST(ProteinEndToEnd, NniSearchRunsOutOfCore) {
+TEST(ProteinEndToEnd, SprSearchRunsOutOfCore) {
   const ProteinData data(7, 8, 40);
   Rng rng(11);
   Tree start = stepwise_addition_tree(data.alignment, rng);
   Session session(data.alignment, start, synthetic_protein_model(9),
                   ooc_options(0.25, ReplacementPolicy::kRandom));
-  const NniResult result = nni_search(session.engine());
+  SprOptions spr;
+  spr.rounds = 1;
+  const SprResult result = spr_search(session.engine(), spr);
   EXPECT_GE(result.final_log_likelihood,
             result.initial_log_likelihood - 1e-9);
   EXPECT_NEAR(session.engine().log_likelihood(),

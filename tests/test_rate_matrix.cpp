@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "model/protein_matrices.hpp"
 #include "util/checks.hpp"
@@ -102,34 +101,6 @@ TEST(ProteinMatrices, SyntheticDetailedBalance) {
     for (unsigned j = 0; j < 20; ++j)
       EXPECT_NEAR(model.frequencies[i] * q[i * 20 + j],
                   model.frequencies[j] * q[j * 20 + i], 1e-12);
-}
-
-TEST(ProteinMatrices, PamlDatRoundTrip) {
-  // Serialise a synthetic model into PAML layout and parse it back.
-  const SubstitutionModel original = synthetic_protein_model(11);
-  std::ostringstream out;
-  out.precision(17);
-  for (unsigned i = 1; i < 20; ++i) {
-    for (unsigned j = 0; j < i; ++j)
-      out << original
-                 .exchangeabilities[SubstitutionModel::pair_index(j, i, 20)]
-          << ' ';
-    out << '\n';
-  }
-  for (double f : original.frequencies) out << f << ' ';
-  std::istringstream in(out.str());
-  const SubstitutionModel parsed = read_paml_dat(in, "roundtrip");
-  ASSERT_EQ(parsed.exchangeabilities.size(), 190u);
-  for (std::size_t k = 0; k < 190; ++k)
-    EXPECT_NEAR(parsed.exchangeabilities[k], original.exchangeabilities[k],
-                1e-6 * original.exchangeabilities[k] + 1e-12);
-  for (unsigned s = 0; s < 20; ++s)
-    EXPECT_NEAR(parsed.frequencies[s], original.frequencies[s], 1e-9);
-}
-
-TEST(ProteinMatrices, PamlDatRejectsTruncated) {
-  std::istringstream in("1.0 2.0 3.0");
-  EXPECT_THROW(read_paml_dat(in, "bad"), Error);
 }
 
 }  // namespace

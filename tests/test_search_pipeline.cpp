@@ -1,5 +1,5 @@
 // End-to-end checks of the run_search orchestration (smoothing -> model
-// optimisation -> lazy SPR -> optional NNI polish -> final smoothing).
+// optimisation -> lazy SPR -> final smoothing).
 #include <gtest/gtest.h>
 
 #include "search/search.hpp"
@@ -48,20 +48,6 @@ TEST(SearchPipeline, StagesAreMonotone) {
             result.spr.final_log_likelihood - 1e-6);
 }
 
-TEST(SearchPipeline, NniPolishRunsAndHelpsOrIsNeutral) {
-  Pipeline p(23);
-  Session session(p.data.alignment, p.start, benchmark_gtr(),
-                  SessionOptions{});
-  SearchOptions options;
-  options.spr.rounds = 1;
-  options.spr.radius_max = 2;  // weak SPR leaves work for NNI
-  options.nni_polish = true;
-  const SearchResult result = run_search(session.engine(), options);
-  EXPECT_GE(result.nni.final_log_likelihood,
-            result.spr.final_log_likelihood - 1e-9);
-  EXPECT_GE(result.nni.variants_tried, 1u);
-}
-
 TEST(SearchPipeline, ModelOptimizationCanBeDisabled) {
   Pipeline p(29);
   Session session(p.data.alignment, p.start, benchmark_gtr(),
@@ -74,14 +60,13 @@ TEST(SearchPipeline, ModelOptimizationCanBeDisabled) {
   EXPECT_EQ(session.engine().config().alpha, alpha_before);
 }
 
-TEST(SearchPipeline, FullPipelineBitIdenticalOutOfCoreWithNni) {
+TEST(SearchPipeline, FullPipelineBitIdenticalOutOfCore) {
   Pipeline p(31, 14, 90);
   const auto run_one = [&](SessionOptions session_options) {
     Session session(p.data.alignment, p.start, benchmark_gtr(),
                     std::move(session_options));
     SearchOptions options;
     options.spr.rounds = 1;
-    options.nni_polish = true;
     const SearchResult result = run_search(session.engine(), options);
     return std::make_pair(result.final_log_likelihood,
                           to_newick(session.engine().tree()));
@@ -104,7 +89,6 @@ TEST(SearchPipeline, ImprovesTowardTruthTopology) {
   SearchOptions options;
   options.spr.rounds = 3;
   options.spr.radius_max = 8;
-  options.nni_polish = true;
   run_search(session.engine(), options);
   const unsigned rf_end = robinson_foulds(session.engine().tree(), p.data.tree);
   EXPECT_LE(rf_end, rf_start);

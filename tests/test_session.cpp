@@ -199,42 +199,6 @@ TEST(Session, SinglePrecisionDiskStaysAccurate) {
             session_d.stats().bytes_written);
 }
 
-TEST(Session, SiteLogLikelihoodsExpandCompression) {
-  // Build an alignment with guaranteed duplicate columns.
-  Alignment alignment(DataType::kDna, 8);
-  alignment.add_sequence("a", "AACCGGTT");
-  alignment.add_sequence("b", "AACCGGTT");
-  alignment.add_sequence("c", "CCAATTGG");
-  alignment.add_sequence("d", "CCAATTGG");
-  Tree tree = parse_newick("((a:0.1,b:0.1):0.2,(c:0.1,d:0.1):0.2);");
-  Alignment alignment_copy = alignment;
-  Tree tree_copy = tree;
-
-  SessionOptions compressed;
-  compressed.compress_patterns = true;
-  Session with(std::move(alignment), std::move(tree), jc69(), compressed);
-  ASSERT_LT(with.patterns(), 8u);
-  const std::vector<double> expanded = with.site_log_likelihoods();
-  ASSERT_EQ(expanded.size(), 8u);
-
-  SessionOptions raw;
-  raw.compress_patterns = false;
-  Session without(std::move(alignment_copy), std::move(tree_copy), jc69(),
-                  raw);
-  const std::vector<double> direct = without.site_log_likelihoods();
-  ASSERT_EQ(direct.size(), 8u);
-  double total_expanded = 0.0;
-  double total_direct = 0.0;
-  for (std::size_t site = 0; site < 8; ++site) {
-    EXPECT_NEAR(expanded[site], direct[site], 1e-10) << "site " << site;
-    total_expanded += expanded[site];
-    total_direct += direct[site];
-  }
-  // Duplicate columns carry identical values.
-  EXPECT_EQ(expanded[0], expanded[1]);
-  EXPECT_NEAR(total_expanded, total_direct, 1e-9);
-}
-
 TEST(Session, TieredBackendWorks) {
   PlannedDataset data = small_dataset();
   SessionOptions options;

@@ -10,7 +10,7 @@
 
 #include "ooc/inram_store.hpp"
 #include "ooc/ooc_store.hpp"
-#include "search/nni.hpp"
+#include "search/mcmc.hpp"
 #include "search/stepwise.hpp"
 #include "sim/simulate.hpp"
 #include "tree/newick.hpp"
@@ -197,6 +197,23 @@ void expect_valid_vectors_exact(LikelihoodEngine& engine,
   EXPECT_GT(checked, 0u);
 }
 
+/// The store the validity audits run on: in RAM, or out-of-core with 5
+/// Random-replacement slots so most vectors cycle through the file.
+std::unique_ptr<AncestralStore> make_audit_store(std::uint64_t seed,
+                                                 const Tree& tree,
+                                                 std::size_t width,
+                                                 bool out_of_core) {
+  if (!out_of_core)
+    return std::make_unique<InRamStore>(tree.num_inner(), width);
+  OocStoreOptions options;
+  options.num_slots = 5;
+  options.policy = ReplacementPolicy::kRandom;
+  options.seed = seed;
+  options.file.base_path = temp_vector_file_path("sprvalid");
+  return std::make_unique<OutOfCoreStore>(tree.num_inner(), width,
+                                          std::move(options));
+}
+
 // Trial rollback invalidates only the vectors at the nodes a trial edited;
 // everything else the trial computed stays valid. "Valid" must still mean
 // "exactly what a recomputation gives", on RAM and out-of-core stores alike.
@@ -210,18 +227,7 @@ TEST(SprSearch, ValidVectorsEqualRecomputationAfterSearch) {
           SearchFixture::make_alignment(seed, 80, truth);
       Tree tree = SearchFixture::make_start(seed, alignment, true);
       const std::size_t width = LikelihoodEngine::vector_width(alignment, 2);
-      std::unique_ptr<AncestralStore> store;
-      if (out_of_core) {
-        OocStoreOptions options;
-        options.num_slots = 5;
-        options.policy = ReplacementPolicy::kRandom;
-        options.seed = seed;
-        options.file.base_path = temp_vector_file_path("sprvalid");
-        store = std::make_unique<OutOfCoreStore>(tree.num_inner(), width,
-                                                 std::move(options));
-      } else {
-        store = std::make_unique<InRamStore>(tree.num_inner(), width);
-      }
+      const auto store = make_audit_store(seed, tree, width, out_of_core);
       LikelihoodEngine engine(alignment, tree, ModelConfig{jc69(), 2, 1.0},
                               *store);
       SprOptions spr;
@@ -229,7 +235,33 @@ TEST(SprSearch, ValidVectorsEqualRecomputationAfterSearch) {
       spr.prune_stride = 1;
       spr_search(engine, spr);
       expect_valid_vectors_exact(engine, alignment);
-      nni_search(engine);
+    }
+  }
+}
+
+// MCMC rolls back a rejected NNI proposal by invalidating only a and b, the
+// two nodes the swap edited. The vectors the proposal's evaluation computed
+// elsewhere, and the clade roots left oriented towards a former neighbour,
+// must still satisfy the same audit.
+TEST(SprSearch, ValidVectorsEqualRecomputationAfterMcmc) {
+  for (const std::uint64_t seed : {3u, 7u, 11u, 19u}) {
+    for (const bool out_of_core : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (out_of_core ? " out-of-core" : " in-ram"));
+      const Tree truth = SearchFixture::make_truth(seed, 12);
+      const Alignment alignment =
+          SearchFixture::make_alignment(seed, 80, truth);
+      Tree tree = SearchFixture::make_start(seed, alignment, true);
+      const std::size_t width = LikelihoodEngine::vector_width(alignment, 2);
+      const auto store = make_audit_store(seed, tree, width, out_of_core);
+      LikelihoodEngine engine(alignment, tree, ModelConfig{jc69(), 2, 1.0},
+                              *store);
+      McmcOptions options;
+      options.iterations = 400;
+      options.nni_probability = 0.5;
+      Rng rng(seed);
+      const McmcResult result = run_mcmc(engine, rng, options);
+      EXPECT_GT(result.nni_proposals, result.nni_accepts);
       expect_valid_vectors_exact(engine, alignment);
     }
   }
