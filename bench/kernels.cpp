@@ -194,6 +194,25 @@ void BM_TransitionMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionMatrix)->Arg(4)->Arg(20);
 
+// One Newton iteration's matrix build: P, dP and d²P for every category.
+void BM_TransitionDerivatives(benchmark::State& state) {
+  const EigenSystem eigen = state.range(0) == 4
+                                ? decompose(jc69())
+                                : decompose(synthetic_protein_model(3));
+  const std::vector<double> rates = discrete_gamma_rates(0.6, 4);
+  std::vector<double> p;
+  std::vector<double> dp;
+  std::vector<double> d2p;
+  for (auto _ : state) {
+    category_transition_derivatives(eigen, 0.2, rates, p, dp, d2p);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::DoNotOptimize(dp.data());
+    benchmark::DoNotOptimize(d2p.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TransitionDerivatives)->Arg(4)->Arg(20);
+
 // The socket server's submit path: parse the server-side FASTA, then count
 // its GTR frequencies. Text is written the way write_fasta_file writes it
 // (80 columns), with about 2% gaps and ambiguity codes.

@@ -158,25 +158,11 @@ BranchValue LikelihoodEngine::evaluate_at(NodeId a, NodeId b, double t,
   if (tree_.is_tip(far) && !tree_.is_tip(near)) std::swap(near, far);
   PLFOC_CHECK(!tree_.is_tip(far));  // n >= 3 has no tip-tip edges
 
-  category_transition_matrices(eigen_, t, rates_, pmat_left_);
-  if (with_derivatives) {
-    const unsigned s = dims_.states;
-    dmat_.resize(static_cast<std::size_t>(dims_.categories) * s * s);
-    d2mat_.resize(dmat_.size());
-    for (unsigned c = 0; c < dims_.categories; ++c) {
-      // d/dt P(r_c t) = r_c P'(r_c t): chain rule over the category rate.
-      transition_derivatives(eigen_, t * rates_[c], nullptr,
-                             dmat_.data() + static_cast<std::size_t>(c) * s * s,
-                             d2mat_.data() + static_cast<std::size_t>(c) * s * s);
-      const double r = rates_[c];
-      double* d1 = dmat_.data() + static_cast<std::size_t>(c) * s * s;
-      double* d2 = d2mat_.data() + static_cast<std::size_t>(c) * s * s;
-      for (unsigned i = 0; i < s * s; ++i) {
-        d1[i] *= r;
-        d2[i] *= r * r;
-      }
-    }
-  }
+  if (with_derivatives)
+    category_transition_derivatives(eigen_, t, rates_, pmat_left_, dmat_,
+                                    d2mat_);
+  else
+    category_transition_matrices(eigen_, t, rates_, pmat_left_);
 
   EvalSide near_side{};
   EvalSide far_side{};

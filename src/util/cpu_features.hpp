@@ -1,7 +1,8 @@
 // Runtime CPU feature detection for the SIMD code paths (the AVX2 newview
-// and evaluate_branch kernels for 4 and 20 states, the AVX2 record
-// checksum). Each path keeps a scalar twin that computes identical results,
-// so dispatch never changes an output.
+// and evaluate_branch kernels for 4 and 20 states, the AVX2 transition-matrix
+// build V diag(w) V^{-1} for 4 and 20 states, the AVX2 record checksum).
+// Each path keeps a scalar twin that computes identical results, so dispatch
+// never changes an output.
 #pragma once
 
 namespace plfoc {

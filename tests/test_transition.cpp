@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "model/gamma.hpp"
 #include "model/protein_matrices.hpp"
+#include "util/cpu_features.hpp"
+#include "util/rng.hpp"
 
 namespace plfoc {
 namespace {
@@ -137,6 +143,128 @@ TEST(Transition, TwentyStateRowsSumToOne) {
     double row = 0.0;
     for (unsigned j = 0; j < 20; ++j) row += p[i * 20 + j];
     EXPECT_NEAR(row, 1.0, 1e-8);
+  }
+}
+
+/// The scalar triple loop every build path must reproduce bit for bit:
+/// out = V diag(w) V^{-1}, each entry summed in k order from 0.
+void reference_reconstruct(const EigenSystem& eigen, const double* weights,
+                           double* out) {
+  const unsigned s = eigen.states;
+  for (unsigned i = 0; i < s; ++i) {
+    for (unsigned j = 0; j < s; ++j) {
+      double sum = 0.0;
+      for (unsigned k = 0; k < s; ++k)
+        sum += eigen.right[i * s + k] * weights[k] * eigen.inverse[k * s + j];
+      out[i * s + j] = sum;
+    }
+  }
+}
+
+/// A 6-state system, a state count no SIMD path handles: V is the
+/// orthogonal eigenvector matrix of a seeded negative semi-definite
+/// symmetric matrix, so V^{-1} = Vᵀ and every λ_k <= 0.
+EigenSystem six_state_system() {
+  constexpr unsigned kStates = 6;
+  Rng rng(19);
+  std::vector<double> a(kStates * kStates);
+  for (double& x : a) x = rng.uniform(-1.0, 1.0);
+  std::vector<double> symmetric(kStates * kStates, 0.0);
+  for (unsigned i = 0; i < kStates; ++i)
+    for (unsigned j = 0; j < kStates; ++j)
+      for (unsigned k = 0; k < kStates; ++k)
+        symmetric[i * kStates + j] -= a[i * kStates + k] * a[j * kStates + k];
+  EigenSystem sys;
+  sys.states = kStates;
+  jacobi_eigen(symmetric, kStates, sys.eigenvalues, sys.right);
+  sys.inverse.resize(kStates * kStates);
+  for (unsigned i = 0; i < kStates; ++i)
+    for (unsigned j = 0; j < kStates; ++j)
+      sys.inverse[j * kStates + i] = sys.right[i * kStates + j];
+  return sys;
+}
+
+std::vector<EigenSystem> bit_identity_systems() {
+  return {decompose(test_gtr()), decompose(synthetic_protein_model(21)),
+          six_state_system()};
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Transition, Avx2ReconstructionBitIdenticalToScalar) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  for (const EigenSystem& sys : bit_identity_systems()) {
+    const unsigned s = sys.states;
+    for (double t : {0.0, 1e-8, 0.37, 50.0, 300.0}) {
+      SCOPED_TRACE(::testing::Message() << "states=" << s << " t=" << t);
+      std::vector<double> w0(s);
+      std::vector<double> w1(s);
+      std::vector<double> w2(s);
+      for (unsigned k = 0; k < s; ++k) {
+        const double lambda = sys.eigenvalues[k];
+        const double e = std::exp(lambda * t);
+        w0[k] = e;
+        w1[k] = lambda * e;
+        w2[k] = lambda * lambda * e;
+      }
+      std::vector<double> want_p(s * s);
+      std::vector<double> want_dp(s * s);
+      std::vector<double> want_d2p(s * s);
+      reference_reconstruct(sys, w0.data(), want_p.data());
+      for (double& x : want_p) x = std::max(x, 0.0);
+      reference_reconstruct(sys, w1.data(), want_dp.data());
+      reference_reconstruct(sys, w2.data(), want_d2p.data());
+
+      std::vector<double> p(s * s);
+      std::vector<double> dp(s * s);
+      std::vector<double> d2p(s * s);
+      transition_derivatives(sys, t, p.data(), dp.data(), d2p.data());
+      EXPECT_TRUE(same_bits(p, want_p));
+      EXPECT_TRUE(same_bits(dp, want_dp));
+      EXPECT_TRUE(same_bits(d2p, want_d2p));
+      std::vector<double> alone(s * s);
+      transition_matrix(sys, t, alone.data());
+      EXPECT_TRUE(same_bits(alone, want_p));
+    }
+  }
+}
+
+TEST(Transition, CategoryDerivativesMatchComposition) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "no AVX2 on this host";
+  for (const EigenSystem& sys : bit_identity_systems()) {
+    const unsigned s = sys.states;
+    for (unsigned categories : {1u, 4u, 16u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "states=" << s << " categories=" << categories);
+      const std::vector<double> rates =
+          categories == 1 ? std::vector<double>{1.0}
+                          : discrete_gamma_rates(0.7, categories);
+      const double t = 0.23;
+      std::vector<double> want_p;
+      category_transition_matrices(sys, t, rates, want_p);
+      std::vector<double> want_dp(want_p.size());
+      std::vector<double> want_d2p(want_p.size());
+      for (unsigned c = 0; c < categories; ++c) {
+        double* d1 = want_dp.data() + c * s * s;
+        double* d2 = want_d2p.data() + c * s * s;
+        transition_derivatives(sys, t * rates[c], nullptr, d1, d2);
+        const double r = rates[c];
+        for (unsigned i = 0; i < s * s; ++i) {
+          d1[i] *= r;
+          d2[i] *= r * r;
+        }
+      }
+      std::vector<double> p;
+      std::vector<double> dp;
+      std::vector<double> d2p;
+      category_transition_derivatives(sys, t, rates, p, dp, d2p);
+      EXPECT_TRUE(same_bits(p, want_p));
+      EXPECT_TRUE(same_bits(dp, want_dp));
+      EXPECT_TRUE(same_bits(d2p, want_d2p));
+    }
   }
 }
 
