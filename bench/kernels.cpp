@@ -86,6 +86,19 @@ struct KernelFixture {
   NewviewChild tip_child() const {
     return {nullptr, nullptr, nullptr, codes.data(), lookup.data()};
   }
+
+  /// dP and d²P of the left branch for every category: one Newton step's
+  /// derivative matrices.
+  void derivative_matrices(std::vector<double>& dmat,
+                           std::vector<double>& d2mat) const {
+    dmat.resize(pmat_left.size());
+    d2mat.resize(pmat_left.size());
+    const std::size_t matrix = static_cast<std::size_t>(dims.states) *
+                               dims.states;
+    for (unsigned c = 0; c < dims.categories; ++c)
+      transition_derivatives(eigen, 0.13, nullptr, dmat.data() + c * matrix,
+                             d2mat.data() + c * matrix);
+  }
 };
 
 void BM_NewviewInnerInner(benchmark::State& state) {
@@ -138,10 +151,8 @@ void BM_EvaluateBranch(benchmark::State& state) {
   KernelFixture fx(static_cast<std::size_t>(state.range(0)),
                    static_cast<unsigned>(state.range(1)),
                    static_cast<unsigned>(state.range(2)));
-  EvalSide near_side{fx.left.data(), fx.lscale.data(), nullptr,
-                     nullptr,        nullptr,          nullptr, nullptr};
-  EvalSide far_side{fx.right.data(), fx.rscale.data(), nullptr,
-                    nullptr,         nullptr,          nullptr, nullptr};
+  EvalSide near_side{fx.left.data(), fx.lscale.data()};
+  EvalSide far_side{fx.right.data(), fx.rscale.data()};
   for (auto _ : state) {
     const BranchValue value =
         evaluate_branch(fx.dims, fx.freqs.data(), fx.weights.data(), near_side,
@@ -158,18 +169,13 @@ BENCHMARK(BM_EvaluateBranch)
     ->Args({10000, 4, 4});
 
 void BM_EvaluateWithDerivatives(benchmark::State& state) {
-  const unsigned states = static_cast<unsigned>(state.range(1));
-  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4, states);
-  std::vector<double> dmat(fx.pmat_left.size());
-  std::vector<double> d2mat(fx.pmat_left.size());
-  const std::size_t matrix = static_cast<std::size_t>(states) * states;
-  for (unsigned c = 0; c < 4; ++c)
-    transition_derivatives(fx.eigen, 0.13, nullptr, dmat.data() + c * matrix,
-                           d2mat.data() + c * matrix);
-  EvalSide near_side{fx.left.data(), fx.lscale.data(), nullptr,
-                     nullptr,        nullptr,          nullptr, nullptr};
-  EvalSide far_side{fx.right.data(), fx.rscale.data(), nullptr,
-                    nullptr,         nullptr,          nullptr, nullptr};
+  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4,
+                   static_cast<unsigned>(state.range(1)));
+  std::vector<double> dmat;
+  std::vector<double> d2mat;
+  fx.derivative_matrices(dmat, d2mat);
+  EvalSide near_side{fx.left.data(), fx.lscale.data()};
+  EvalSide far_side{fx.right.data(), fx.rscale.data()};
   for (auto _ : state) {
     const BranchValue value = evaluate_branch(
         fx.dims, fx.freqs.data(), fx.weights.data(), near_side, far_side,
@@ -179,7 +185,13 @@ void BM_EvaluateWithDerivatives(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fx.dims.patterns));
 }
-BENCHMARK(BM_EvaluateWithDerivatives)->Args({1200, 4})->Args({1200, 20});
+// {200, 4} is search-dna's pattern count; {203, 4} leaves 3 patterns over
+// after the 4-state kernel's four-pattern groups.
+BENCHMARK(BM_EvaluateWithDerivatives)
+    ->Args({1200, 4})
+    ->Args({200, 4})
+    ->Args({203, 4})
+    ->Args({1200, 20});
 
 void BM_TransitionMatrix(benchmark::State& state) {
   const EigenSystem eigen = state.range(0) == 4
@@ -306,12 +318,14 @@ int run_json_sweep(const std::string& json_path,
   for (const std::size_t patterns : pattern_counts) {
     for (const unsigned categories : category_counts) {
       KernelFixture fx(patterns, categories, 4);
-      EvalSide near_side{fx.left.data(), fx.lscale.data(), nullptr,
-                         nullptr,        nullptr,          nullptr, nullptr};
-      EvalSide far_side{fx.right.data(), fx.rscale.data(), nullptr,
-                        nullptr,         nullptr,          nullptr, nullptr};
+      EvalSide near_side{fx.left.data(), fx.lscale.data()};
+      EvalSide far_side{fx.right.data(), fx.rscale.data()};
+      std::vector<double> dmat;
+      std::vector<double> d2mat;
+      fx.derivative_matrices(dmat, d2mat);
       double newview_base = 0.0;
       double evaluate_base = 0.0;
+      double derivatives_base = 0.0;
       for (const unsigned threads : thread_counts) {
         KernelPool pool(threads);
         KernelPool* handle = threads > 1 ? &pool : nullptr;
@@ -340,6 +354,21 @@ int run_json_sweep(const std::string& json_path,
         if (evaluate_base == 0.0) evaluate_base = ev.seconds_per_call;
         ev.speedup_vs_1 = evaluate_base / ev.seconds_per_call;
         rows.push_back(ev);
+
+        // Newton's kernel: the same evaluation with both derivatives.
+        SweepRow evd{"evaluate_branch_d", patterns, categories, threads};
+        evd.seconds_per_call = time_per_call([&] {
+          const BranchValue value = evaluate_branch(
+              fx.dims, fx.freqs.data(), fx.weights.data(), near_side,
+              far_side, fx.pmat_left.data(), dmat.data(), d2mat.data(), true,
+              handle);
+          benchmark::DoNotOptimize(value);
+        });
+        evd.patterns_per_second =
+            static_cast<double>(patterns) / evd.seconds_per_call;
+        if (derivatives_base == 0.0) derivatives_base = evd.seconds_per_call;
+        evd.speedup_vs_1 = derivatives_base / evd.seconds_per_call;
+        rows.push_back(evd);
       }
     }
   }

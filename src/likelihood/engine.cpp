@@ -151,8 +151,8 @@ BranchValue LikelihoodEngine::evaluate_at(NodeId a, NodeId b, double t,
                                           bool with_derivatives) {
   PLFOC_CHECK(tree_.has_edge(a, b));
   // The near side contributes raw conditionals; the far side is propagated
-  // across the branch. A tip can serve either role; when exactly one side is
-  // a tip we put it near (cheap indicator gather).
+  // across the branch. A tip end always goes near (cheap indicator gather):
+  // evaluate_branch takes no tip on the far side.
   NodeId near = a;
   NodeId far = b;
   if (tree_.is_tip(far) && !tree_.is_tip(near)) std::swap(near, far);

@@ -182,8 +182,6 @@ class LikelihoodEngine {
   std::vector<double> d2mat_;
   std::vector<double> lookup_left_;
   std::vector<double> lookup_right_;
-  std::vector<double> lookup_d1_;
-  std::vector<double> lookup_d2_;
 };
 
 }  // namespace plfoc

@@ -112,9 +112,9 @@ BranchValue evaluate_impl(const KernelDims& dims, const double* freqs,
   const std::size_t block = static_cast<std::size_t>(cats) * states;
   const double cat_weight = 1.0 / cats;
 
-  double fb[32];
-  double dfb[32];
-  double d2fb[32];
+  double far[32];
+  double dfar[32];
+  double d2far[32];
   PLFOC_CHECK(states <= 32);
 
   BranchValue result;
@@ -124,31 +124,13 @@ BranchValue evaluate_impl(const KernelDims& dims, const double* freqs,
     double site_d2 = 0.0;
     for (unsigned c = 0; c < cats; ++c) {
       // Far side propagated across the branch (and its t-derivatives).
-      const double* far;
-      const double* dfar = nullptr;
-      const double* d2far = nullptr;
-      if (far_side.is_tip()) {
-        const std::size_t at =
-            (static_cast<std::size_t>(far_side.codes[p]) * cats + c) * states;
-        far = far_side.lookup_p + at;
-        if (with_derivatives) {
-          dfar = far_side.lookup_d1 + at;
-          d2far = far_side.lookup_d2 + at;
-        }
-      } else {
-        const double* vec = far_side.vector + p * block +
-                            static_cast<std::size_t>(c) * states;
-        propagate_inner<S>(pmats + static_cast<std::size_t>(c) * states * states,
-                           vec, states, fb);
-        far = fb;
-        if (with_derivatives) {
-          propagate_inner<S>(dmats + static_cast<std::size_t>(c) * states * states,
-                             vec, states, dfb);
-          propagate_inner<S>(d2mats + static_cast<std::size_t>(c) * states * states,
-                             vec, states, d2fb);
-          dfar = dfb;
-          d2far = d2fb;
-        }
+      const double* vec = far_side.vector + p * block +
+                          static_cast<std::size_t>(c) * states;
+      const std::size_t at = static_cast<std::size_t>(c) * states * states;
+      propagate_inner<S>(pmats + at, vec, states, far);
+      if (with_derivatives) {
+        propagate_inner<S>(dmats + at, vec, states, dfar);
+        propagate_inner<S>(d2mats + at, vec, states, d2far);
       }
       // Near side values at this (pattern, category).
       const double* near;
@@ -269,8 +251,8 @@ BranchValue evaluate_blocks(EvaluateRange range, const KernelDims& dims,
                             const EvalSide& far_side, const double* pmats,
                             const double* dmats, const double* d2mats,
                             bool with_derivatives, KernelPool* pool) {
-  if (with_derivatives)
-    PLFOC_CHECK((dmats != nullptr && d2mats != nullptr) || far_side.is_tip());
+  PLFOC_CHECK(!far_side.is_tip());
+  if (with_derivatives) PLFOC_CHECK(dmats != nullptr && d2mats != nullptr);
   const std::size_t blocks = pattern_block_count(dims.patterns);
   if (blocks <= 1)
     return range(dims, freqs, weights, near_side, far_side, pmats, dmats,

@@ -4,8 +4,8 @@
 // Data layout of an ancestral probability vector: pattern-major,
 //   v[p * C * S + c * S + x]
 // for pattern p, rate category c, state x. Tips enter either through a
-// per-branch lookup table (newview / cross-branch side of evaluate) or the
-// raw 0/1 indicator (near side of evaluate); see likelihood/tip_states.hpp.
+// per-branch lookup table (newview) or the raw 0/1 indicator (the near side
+// of evaluate); see likelihood/tip_states.hpp.
 #pragma once
 
 #include <cmath>
@@ -84,17 +84,14 @@ std::size_t newview_scalar(const KernelDims& dims, const NewviewChild& left,
 
 /// One side of a branch likelihood evaluation.
 ///  * inner: `vector` + `scale_counts`;
-///  * tip: `codes` + `indicator` (near side, codes×S) and — when this side
-///    sits across the branch from the root — `lookup_*` tables (codes×C×S)
-///    folded with P, dP, d²P respectively (lookup_d1/d2 only for derivatives).
+///  * tip: `codes` + `indicator` (codes×S 0/1 rows). Only the near side may
+///    be a tip: a tree with n >= 3 has no tip-tip edge, so the caller puts
+///    the tip end near and the far side is always inner.
 struct EvalSide {
   const double* vector = nullptr;
   const std::int32_t* scale_counts = nullptr;
   const std::uint8_t* codes = nullptr;
   const double* indicator = nullptr;
-  const double* lookup_p = nullptr;
-  const double* lookup_d1 = nullptr;
-  const double* lookup_d2 = nullptr;
 
   bool is_tip() const { return codes != nullptr; }
 };
@@ -108,8 +105,9 @@ struct BranchValue {
 /// Log likelihood (and optionally its first two branch-length derivatives)
 /// across a branch with per-category transition matrices pmats (C×S×S) and,
 /// when `with_derivatives`, dmats/d2mats. `near_side` is conditioned on data
-/// on its side only; `far_side` is propagated across the branch. `weights`
-/// are per-pattern multiplicities, `freqs` the equilibrium frequencies.
+/// on its side only; `far_side`, always an inner vector, is propagated
+/// across the branch. `weights` are per-pattern multiplicities, `freqs` the
+/// equilibrium frequencies.
 /// The sums are always reduced per pattern block in serial block order
 /// (whether or not `pool` is supplied), which pins the floating-point
 /// association to the partition and keeps the value bit-identical for any

@@ -7,10 +7,19 @@
 // identical sequence the scalar kernel performs per x, so the results are
 // bit-for-bit equal (deliberately no FMA: fused rounding would break the
 // equality, and with it the suite's cross-configuration bit-identity
-// checks; the kernel-no-fma lint rule enforces it). Reductions across x stay
-// scalar and in x order for the same reason. The loops over lanes are fully
-// unrolled so that the accumulators stay in registers.
+// checks; the kernel-no-fma lint rule enforces it). The loops over lanes are
+// fully unrolled so that the accumulators stay in registers.
+//
+// A reduction across x must also keep the scalar order, so no horizontal
+// add (the kernel-no-hadd lint rule). newview needs none. The 4-state
+// evaluate turns the x-sums vertical instead: it transposes four patterns'
+// blocks so that lane i holds pattern i, and each lane then runs the scalar
+// sequence of multiplies and adds (evaluate_quads). The 20-state evaluate,
+// and the 0–3 patterns a 4-state block leaves over, keep S/4 x-lanes per
+// pattern and sum across x in scalar code, in x order.
 #include <immintrin.h>
+
+#include <limits>
 
 #include "likelihood/kernels_internal.hpp"
 #include "util/checks.hpp"
@@ -149,12 +158,15 @@ inline double sum_in_order(const double* values) {
   return sum;
 }
 
+/// The per-pattern evaluate over [p_begin, p_end), added to `result` in
+/// pattern order: each (pattern, category) block's S states are S/4
+/// x-lanes, and the x-sums run in scalar x order.
 template <unsigned S, bool kDerivatives>
-__attribute__((target("avx2"))) BranchValue evaluate_lanes(
+__attribute__((target("avx2"))) void evaluate_patterns(
     const KernelDims& dims, const double* freqs, const double* weights,
     const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
     const double* dmats, const double* d2mats, std::size_t p_begin,
-    std::size_t p_end) {
+    std::size_t p_end, BranchValue& result) {
   constexpr unsigned kLanes = S / 4;
   const unsigned cats = dims.categories;
   const std::size_t block = static_cast<std::size_t>(cats) * S;
@@ -167,17 +179,14 @@ __attribute__((target("avx2"))) BranchValue evaluate_lanes(
   double* const pt = transposed;
   double* const dpt = pt + static_cast<std::size_t>(cats) * S * S;
   double* const d2pt = dpt + static_cast<std::size_t>(cats) * S * S;
-  if (!far_side.is_tip()) {
-    transpose<S>(pmats, cats, pt);
-    if constexpr (kDerivatives) {
-      transpose<S>(dmats, cats, dpt);
-      transpose<S>(d2mats, cats, d2pt);
-    }
+  transpose<S>(pmats, cats, pt);
+  if constexpr (kDerivatives) {
+    transpose<S>(dmats, cats, dpt);
+    transpose<S>(d2mats, cats, d2pt);
   }
   __m256d freq[kLanes];
   load_lanes<S>(freqs, freq);
 
-  BranchValue result;
   for (std::size_t p = p_begin; p < p_end; ++p) {
     double site_l = 0.0;
     double site_d1 = 0.0;
@@ -187,23 +196,13 @@ __attribute__((target("avx2"))) BranchValue evaluate_lanes(
       __m256d far[kLanes];
       __m256d dfar[kLanes];
       __m256d d2far[kLanes];
-      if (far_side.is_tip()) {
-        const std::size_t at =
-            (static_cast<std::size_t>(far_side.codes[p]) * cats + c) * S;
-        load_lanes<S>(far_side.lookup_p + at, far);
-        if constexpr (kDerivatives) {
-          load_lanes<S>(far_side.lookup_d1 + at, dfar);
-          load_lanes<S>(far_side.lookup_d2 + at, d2far);
-        }
-      } else {
-        const double* vec = far_side.vector + p * block +
-                            static_cast<std::size_t>(c) * S;
-        const std::size_t at = static_cast<std::size_t>(c) * S * S;
-        propagate<S>(pt + at, vec, far);
-        if constexpr (kDerivatives) {
-          propagate<S>(dpt + at, vec, dfar);
-          propagate<S>(d2pt + at, vec, d2far);
-        }
+      const double* vec =
+          far_side.vector + p * block + static_cast<std::size_t>(c) * S;
+      const std::size_t at = static_cast<std::size_t>(c) * S * S;
+      propagate<S>(pt + at, vec, far);
+      if constexpr (kDerivatives) {
+        propagate<S>(dpt + at, vec, dfar);
+        propagate<S>(d2pt + at, vec, d2far);
       }
       // Near side values at this (pattern, category).
       const double* near =
@@ -236,6 +235,161 @@ __attribute__((target("avx2"))) BranchValue evaluate_lanes(
              scale_sum(near_side.scale_counts, far_side.scale_counts, p),
              weights != nullptr ? weights[p] : 1.0, kDerivatives);
   }
+}
+
+/// Loads four 4-state rows and transposes them: out[y] holds state y of
+/// every row, row i in lane i.
+__attribute__((target("avx2"))) inline void transpose_rows(
+    const double* r0, const double* r1, const double* r2, const double* r3,
+    __m256d* out) {
+  const __m256d t0 =
+      _mm256_unpacklo_pd(_mm256_loadu_pd(r0), _mm256_loadu_pd(r1));
+  const __m256d t1 =
+      _mm256_unpackhi_pd(_mm256_loadu_pd(r0), _mm256_loadu_pd(r1));
+  const __m256d t2 =
+      _mm256_unpacklo_pd(_mm256_loadu_pd(r2), _mm256_loadu_pd(r3));
+  const __m256d t3 =
+      _mm256_unpackhi_pd(_mm256_loadu_pd(r2), _mm256_loadu_pd(r3));
+  out[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  out[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  out[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  out[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// Four consecutive blocks of `stride` doubles from `first`, transposed.
+__attribute__((target("avx2"))) inline void transpose_blocks(
+    const double* first, std::size_t stride, __m256d* out) {
+  transpose_rows(first, first + stride, first + 2 * stride, first + 3 * stride,
+                 out);
+}
+
+/// out[x] = 0 + m[x][0]*v[0] + ... + m[x][3]*v[3] in every lane — the
+/// scalar order, with each entry of the row-major 4×4 matrix `m` broadcast
+/// to the four patterns.
+__attribute__((target("avx2"))) inline void propagate_quad(const double* m,
+                                                           const __m256d* v,
+                                                           __m256d* out) {
+#pragma GCC unroll 4
+  for (unsigned x = 0; x < 4; ++x) {
+    __m256d sum = _mm256_setzero_pd();
+#pragma GCC unroll 4
+    for (unsigned y = 0; y < 4; ++y)
+      sum = _mm256_add_pd(
+          sum, _mm256_mul_pd(_mm256_broadcast_sd(m + 4 * x + y), v[y]));
+    out[x] = sum;
+  }
+}
+
+/// 0 + base[0]*far[0] + ... + base[3]*far[3] in every lane, in x order.
+__attribute__((target("avx2"))) inline __m256d dot_quad(const __m256d* base,
+                                                        const __m256d* far) {
+  __m256d sum = _mm256_setzero_pd();
+#pragma GCC unroll 4
+  for (unsigned x = 0; x < 4; ++x)
+    sum = _mm256_add_pd(sum, _mm256_mul_pd(base[x], far[x]));
+  return sum;
+}
+
+/// The 4-state evaluate with four patterns per vector, pattern i of a quad
+/// in lane i: transposing the blocks makes every per-state sum vertical, so
+/// each lane runs the scalar kernel's exact multiply/add sequence with no
+/// horizontal add. Adds the quads in [p_begin, p_end) to `result` in
+/// pattern order and returns the first pattern of the 0–3 left over.
+template <bool kDerivatives>
+__attribute__((target("avx2"))) std::size_t evaluate_quads(
+    const KernelDims& dims, const double* freqs, const double* weights,
+    const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
+    const double* dmats, const double* d2mats, std::size_t p_begin,
+    std::size_t p_end, BranchValue& result) {
+  const unsigned cats = dims.categories;
+  const std::size_t block = static_cast<std::size_t>(cats) * 4;
+  const __m256d cat_weight = _mm256_set1_pd(1.0 / cats);
+  const __m256d min_site = _mm256_set1_pd(std::numeric_limits<double>::min());
+  __m256d freq[4];
+#pragma GCC unroll 4
+  for (unsigned x = 0; x < 4; ++x) freq[x] = _mm256_set1_pd(freqs[x]);
+
+  std::size_t p = p_begin;
+  for (; p_end - p >= 4; p += 4) {
+    // A tip's base = freqs[x] * indicator[x] is the same in every category.
+    __m256d base[4] = {};
+    if (near_side.is_tip()) {
+      const std::uint8_t* codes = near_side.codes + p;
+      const double* indicator = near_side.indicator;
+      transpose_rows(indicator + static_cast<std::size_t>(codes[0]) * 4,
+                     indicator + static_cast<std::size_t>(codes[1]) * 4,
+                     indicator + static_cast<std::size_t>(codes[2]) * 4,
+                     indicator + static_cast<std::size_t>(codes[3]) * 4, base);
+#pragma GCC unroll 4
+      for (unsigned x = 0; x < 4; ++x)
+        base[x] = _mm256_mul_pd(freq[x], base[x]);
+    }
+    __m256d site_l = _mm256_setzero_pd();
+    __m256d site_d1 = _mm256_setzero_pd();
+    __m256d site_d2 = _mm256_setzero_pd();
+    for (unsigned c = 0; c < cats; ++c) {
+      const std::size_t offset = p * block + static_cast<std::size_t>(c) * 4;
+      if (!near_side.is_tip()) {
+        transpose_blocks(near_side.vector + offset, block, base);
+#pragma GCC unroll 4
+        for (unsigned x = 0; x < 4; ++x)
+          base[x] = _mm256_mul_pd(freq[x], base[x]);
+      }
+      __m256d v[4];
+      transpose_blocks(far_side.vector + offset, block, v);
+      const std::size_t at = static_cast<std::size_t>(c) * 16;
+      __m256d far[4];
+      propagate_quad(pmats + at, v, far);
+      site_l = _mm256_add_pd(site_l, dot_quad(base, far));
+      if constexpr (kDerivatives) {
+        propagate_quad(dmats + at, v, far);
+        site_d1 = _mm256_add_pd(site_d1, dot_quad(base, far));
+        propagate_quad(d2mats + at, v, far);
+        site_d2 = _mm256_add_pd(site_d2, dot_quad(base, far));
+      }
+    }
+    // add_site's element-wise head, lane by lane. max(min, site) is
+    // std::max(site, min): both return site when it is NaN.
+    const __m256d guarded =
+        _mm256_max_pd(min_site, _mm256_mul_pd(site_l, cat_weight));
+    alignas(32) double g[4];
+    alignas(32) double d1[4] = {};
+    alignas(32) double d2[4] = {};
+    _mm256_store_pd(g, guarded);
+    if constexpr (kDerivatives) {
+      const __m256d d1_term =
+          _mm256_div_pd(_mm256_mul_pd(site_d1, cat_weight), guarded);
+      const __m256d d2_term = _mm256_sub_pd(
+          _mm256_div_pd(_mm256_mul_pd(site_d2, cat_weight), guarded),
+          _mm256_mul_pd(d1_term, d1_term));
+      _mm256_store_pd(d1, d1_term);
+      _mm256_store_pd(d2, d2_term);
+    }
+    for (unsigned i = 0; i < 4; ++i)
+      accumulate_site(
+          result, g[i], d1[i], d2[i],
+          scale_sum(near_side.scale_counts, far_side.scale_counts, p + i),
+          weights != nullptr ? weights[p + i] : 1.0, kDerivatives);
+  }
+  return p;
+}
+
+template <unsigned S, bool kDerivatives>
+__attribute__((target("avx2"))) BranchValue evaluate_lanes(
+    const KernelDims& dims, const double* freqs, const double* weights,
+    const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
+    const double* dmats, const double* d2mats, std::size_t p_begin,
+    std::size_t p_end) {
+  BranchValue result;
+  std::size_t p = p_begin;
+  if constexpr (S == 4)
+    p = evaluate_quads<kDerivatives>(dims, freqs, weights, near_side,
+                                     far_side, pmats, dmats, d2mats, p_begin,
+                                     p_end, result);
+  if (p < p_end)
+    evaluate_patterns<S, kDerivatives>(dims, freqs, weights, near_side,
+                                       far_side, pmats, dmats, d2mats, p,
+                                       p_end, result);
   return result;
 }
 

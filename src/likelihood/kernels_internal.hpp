@@ -20,10 +20,29 @@ inline std::int32_t scale_sum(const std::int32_t* a, const std::int32_t* b,
   return (a != nullptr ? a[p] : 0) + (b != nullptr ? b[p] : 0);
 }
 
+/// The ordered tail of add_site: log and the scaling correction of the
+/// guarded site likelihood, and the drop of a non-finite derivative term,
+/// added to `result` with the pattern's weight. The AVX2 evaluate kernel
+/// computes the element-wise head for four patterns at once and calls this
+/// for each in pattern order.
+inline void accumulate_site(BranchValue& result, double guarded,
+                            double d1_term, double d2_term, std::int32_t scale,
+                            double w, bool with_derivatives) {
+  result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
+  // When site_l clamps to numeric_limits::min() (underflowed site) the
+  // ratios can overflow to Inf and poison d2 with NaN, derailing the Newton
+  // step in optimize_branch. An underflowed site carries no usable
+  // curvature signal, so drop its derivative contribution.
+  if (with_derivatives && std::isfinite(d1_term) && std::isfinite(d2_term)) {
+    result.d1 += w * d1_term;
+    result.d2 += w * d2_term;
+  }
+}
+
 /// Folds one pattern's category sums into the branch value: the 1/C weight,
-/// the min() guard, log, the scaling correction, and the drop of a
-/// non-finite derivative term. Shared by the scalar and AVX2 evaluate
-/// kernels, so everything after the category loop is one code path.
+/// the min() guard and the two ratios, then accumulate_site. Shared by the
+/// scalar and AVX2 evaluate kernels, so everything after the category loop
+/// is one code path.
 inline void add_site(BranchValue& result, double site_l, double site_d1,
                      double site_d2, double cat_weight, std::int32_t scale,
                      double w, bool with_derivatives) {
@@ -31,19 +50,14 @@ inline void add_site(BranchValue& result, double site_l, double site_d1,
   site_d1 *= cat_weight;
   site_d2 *= cat_weight;
   const double guarded = std::max(site_l, std::numeric_limits<double>::min());
-  result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
+  double d1_term = 0.0;
+  double d2_term = 0.0;
   if (with_derivatives) {
-    const double d1_term = site_d1 / guarded;
-    const double d2_term = site_d2 / guarded - d1_term * d1_term;
-    // When site_l clamps to numeric_limits::min() (underflowed site) the
-    // ratios can overflow to Inf and poison d2 with NaN, derailing the
-    // Newton step in optimize_branch. An underflowed site carries no
-    // usable curvature signal, so drop its derivative contribution.
-    if (std::isfinite(d1_term) && std::isfinite(d2_term)) {
-      result.d1 += w * d1_term;
-      result.d2 += w * d2_term;
-    }
+    d1_term = site_d1 / guarded;
+    d2_term = site_d2 / guarded - d1_term * d1_term;
   }
+  accumulate_site(result, guarded, d1_term, d2_term, scale, w,
+                  with_derivatives);
 }
 
 /// AVX2 newview over patterns [p_begin, p_end) for 4- and 20-state data
@@ -58,10 +72,13 @@ std::size_t newview_avx2(const KernelDims& dims, const NewviewChild& left,
                          std::int32_t* parent_scale, std::size_t p_begin,
                          std::size_t p_end);
 
-/// AVX2 evaluate_branch over patterns [p_begin, p_end), same preconditions
-/// and bit-identity guarantee as newview_avx2: the propagation and the
-/// element-wise products are vectorised, the per-category x-sums run in
-/// scalar x order, and add_site finishes each pattern.
+/// AVX2 evaluate_branch over patterns [p_begin, p_end) with an inner far
+/// side, same preconditions and bit-identity guarantee as newview_avx2.
+/// 4-state data runs four patterns per vector, one per lane, so the
+/// per-category x-sums are vertical adds in scalar x order; the 0–3
+/// patterns left over, and 20-state data, run one pattern at a time with
+/// S/4 x-lanes and scalar x-sums. Either way the patterns reach
+/// accumulate_site in pattern order.
 BranchValue evaluate_avx2(const KernelDims& dims, const double* freqs,
                           const double* weights, const EvalSide& near_side,
                           const EvalSide& far_side, const double* pmats,

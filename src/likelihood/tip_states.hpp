@@ -4,8 +4,9 @@
 // problematic"). Each tip keeps its encoded code bytes; for a concrete branch
 // the engine builds a per-code lookup table
 //   table[code][c][x] = Σ_y P_c(t)[x][y] · 1{state y compatible with code}
-// so the newview/evaluate kernels handle a tip child with one table row
-// gather per site instead of an S-element dot product.
+// so the newview kernel handles a tip child with one table row gather per
+// site instead of an S-element dot product. evaluate_branch reads a tip,
+// always on its near side, through the raw 0/1 indicator rows.
 #pragma once
 
 #include <cstdint>

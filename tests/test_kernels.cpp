@@ -145,28 +145,23 @@ TEST(Kernels, ZeroBlockRescaleTerminates) {
 
 TEST(Kernels, UnderflowedSiteDoesNotPoisonDerivatives) {
   // Regression for the derivative guard in evaluate_branch: when a site's
-  // likelihood clamps to DBL_MIN (here: exactly zero via a zeroed P-lookup)
-  // while the derivative folds stay nonzero, the d1/d2 ratios overflow to
-  // Inf and d2 becomes Inf - Inf = NaN. The guard must drop that site's
+  // likelihood clamps to DBL_MIN (here: exactly zero via a zero P) while
+  // the derivative matrices stay nonzero, the d1/d2 ratios overflow to Inf
+  // and d2 becomes Inf - Inf = NaN. The guard must drop that site's
   // derivative contribution instead of poisoning the totals.
   const KernelDims dims{1, 1, 4};
   const double freqs[4] = {0.25, 0.25, 0.25, 0.25};
   const std::vector<double> near = {1.0, 1.0, 1.0, 1.0};
+  const std::vector<double> far = {1.0, 1.0, 1.0, 1.0};
   const std::vector<std::int32_t> zero = {0};
-  const std::vector<std::uint8_t> codes = {1};
-  // P-folded lookup all zero (site likelihood 0), derivative folds large.
-  std::vector<double> lp(16 * 4, 0.0);
-  std::vector<double> ld1(16 * 4, 10.0);
-  std::vector<double> ld2(16 * 4, 10.0);
-  EvalSide near_side{near.data(), zero.data(), nullptr, nullptr,
-                     nullptr,     nullptr,     nullptr};
-  EvalSide tip_far{nullptr,   nullptr,    codes.data(), nullptr,
-                   lp.data(), ld1.data(), ld2.data()};
-  std::vector<double> pmat(16, 0.0);
-  for (unsigned i = 0; i < 4; ++i) pmat[i * 4 + i] = 1.0;
-  const BranchValue value = evaluate_branch(dims, freqs, nullptr, near_side,
-                                            tip_far, pmat.data(), pmat.data(),
-                                            pmat.data(), true);
+  EvalSide near_side{near.data(), zero.data()};
+  EvalSide far_side{far.data(), zero.data()};
+  // P all zero (site likelihood 0), dP and d2P large.
+  const std::vector<double> pmat(16, 0.0);
+  const std::vector<double> dmat(16, 10.0);
+  const BranchValue value =
+      evaluate_branch(dims, freqs, nullptr, near_side, far_side, pmat.data(),
+                      dmat.data(), dmat.data(), true);
   // site_l == 0 -> clamped to numeric_limits::min(); logL is finite...
   EXPECT_NEAR(value.log_likelihood,
               std::log(std::numeric_limits<double>::min()), 1e-12);
@@ -248,10 +243,8 @@ TEST(Kernels, BlockParallelNewviewBitIdenticalToSerial) {
 
 TEST(Kernels, BlockParallelEvaluateBitIdenticalToSerial) {
   const BlockInputs in(103);
-  EvalSide a{in.left.data(), in.lscale.data(), nullptr, nullptr,
-             nullptr,        nullptr,          nullptr};
-  EvalSide b{in.right.data(), in.rscale.data(), nullptr, nullptr,
-             nullptr,         nullptr,          nullptr};
+  EvalSide a{in.left.data(), in.lscale.data()};
+  EvalSide b{in.right.data(), in.rscale.data()};
   const BranchValue serial = evaluate_branch(
       in.dims, in.freqs.data(), in.weights.data(), a, b, in.pmat_right.data(),
       in.dmat.data(), in.d2mat.data(), true);
@@ -282,10 +275,8 @@ TEST(Kernels, EvaluateMatchesManualSingleSite) {
   const std::vector<double> near = {0.3, 0.4, 0.2, 0.1};
   const std::vector<double> far = {0.2, 0.2, 0.5, 0.1};
   const std::vector<std::int32_t> zero = {0};
-  EvalSide a{near.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
-  EvalSide b{far.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
+  EvalSide a{near.data(), zero.data()};
+  EvalSide b{far.data(), zero.data()};
   const BranchValue value = evaluate_branch(
       dims, freqs, nullptr, a, b, setup.pmat_left.data(), nullptr, nullptr,
       false);
@@ -308,15 +299,12 @@ TEST(Kernels, EvaluateAppliesWeightsAndScaleCounts) {
   const std::vector<std::int32_t> zero = {0};
   const std::vector<std::int32_t> two = {2};
   const std::vector<double> weights = {3.0};
-  EvalSide a{near.data(), two.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
-  EvalSide b{far.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
+  EvalSide a{near.data(), two.data()};
+  EvalSide b{far.data(), zero.data()};
   const BranchValue weighted = evaluate_branch(
       dims, freqs, weights.data(), a, b, setup.pmat_left.data(), nullptr,
       nullptr, false);
-  EvalSide a0{near.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-              nullptr};
+  EvalSide a0{near.data(), zero.data()};
   const BranchValue plain = evaluate_branch(
       dims, freqs, nullptr, a0, b, setup.pmat_left.data(), nullptr, nullptr,
       false);
@@ -332,10 +320,8 @@ TEST(Kernels, EvaluateDerivativesMatchFiniteDifference) {
   const std::vector<double> near = {0.3, 0.4, 0.2, 0.1};
   const std::vector<double> far = {0.2, 0.2, 0.5, 0.1};
   const std::vector<std::int32_t> zero = {0};
-  EvalSide a{near.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
-  EvalSide b{far.data(), zero.data(), nullptr, nullptr, nullptr, nullptr,
-             nullptr};
+  EvalSide a{near.data(), zero.data()};
+  EvalSide b{far.data(), zero.data()};
 
   const auto value_at = [&](double t, bool deriv) {
     std::vector<double> p(16);
@@ -354,66 +340,6 @@ TEST(Kernels, EvaluateDerivativesMatchFiniteDifference) {
   EXPECT_NEAR(center.d2,
               (ll_plus - 2 * center.log_likelihood + ll_minus) / (h * h),
               1e-2);
-}
-
-TEST(Kernels, EvaluateTipFarSideWithDerivatives) {
-  // A tip can sit on the far side of the evaluated branch if the caller
-  // supplies lookup tables folded with P, dP and d2P; check against the
-  // equivalent dense-vector formulation.
-  const EigenSystem eigen = decompose(jc69());
-  const KernelDims dims{2, 1, 4};
-  const double freqs[4] = {0.25, 0.25, 0.25, 0.25};
-  const double t = 0.3;
-  std::vector<double> p(16);
-  std::vector<double> dp(16);
-  std::vector<double> d2p(16);
-  transition_derivatives(eigen, t, p.data(), dp.data(), d2p.data());
-
-  // Tip codes {A, G}; build the three lookup tables by explicit fold.
-  const std::vector<std::uint8_t> codes = {1, 4};
-  const auto fold = [](const std::vector<double>& m, unsigned state) {
-    std::vector<double> out(4);
-    for (unsigned x = 0; x < 4; ++x) out[x] = m[x * 4 + state];
-    return out;
-  };
-  std::vector<double> lp(16 * 4, 0.0);
-  std::vector<double> ld1(16 * 4, 0.0);
-  std::vector<double> ld2(16 * 4, 0.0);
-  for (const auto& [code, state] :
-       std::vector<std::pair<unsigned, unsigned>>{{1, 0}, {4, 2}}) {
-    const auto cp = fold(p, state);
-    const auto cd1 = fold(dp, state);
-    const auto cd2 = fold(d2p, state);
-    for (unsigned x = 0; x < 4; ++x) {
-      lp[code * 4 + x] = cp[x];
-      ld1[code * 4 + x] = cd1[x];
-      ld2[code * 4 + x] = cd2[x];
-    }
-  }
-  const std::vector<double> near = {0.2, 0.5, 0.1, 0.2, 0.4, 0.1, 0.4, 0.1};
-  const std::vector<std::int32_t> zero = {0, 0};
-
-  EvalSide near_side{near.data(), zero.data(), nullptr, nullptr,
-                     nullptr,     nullptr,     nullptr};
-  EvalSide tip_far{nullptr,   nullptr,   codes.data(), nullptr,
-                   lp.data(), ld1.data(), ld2.data()};
-  const BranchValue via_lookup = evaluate_branch(
-      dims, freqs, nullptr, near_side, tip_far, p.data(), dp.data(),
-      d2p.data(), true);
-
-  // Dense equivalent: expand the tips into indicator vectors.
-  std::vector<double> dense(8, 0.0);
-  dense[0 * 4 + 0] = 1.0;  // A
-  dense[1 * 4 + 2] = 1.0;  // G
-  EvalSide dense_far{dense.data(), zero.data(), nullptr, nullptr,
-                     nullptr,      nullptr,     nullptr};
-  const BranchValue via_dense = evaluate_branch(
-      dims, freqs, nullptr, near_side, dense_far, p.data(), dp.data(),
-      d2p.data(), true);
-
-  EXPECT_NEAR(via_lookup.log_likelihood, via_dense.log_likelihood, 1e-12);
-  EXPECT_NEAR(via_lookup.d1, via_dense.d1, 1e-10);
-  EXPECT_NEAR(via_lookup.d2, via_dense.d2, 1e-10);
 }
 
 TEST(Kernels, GenericStateFallbackMatchesSpecialized) {

@@ -25,8 +25,8 @@ namespace {
 
 /// Random kernel inputs for S states, C categories and `patterns` sites:
 /// two inner vectors with scale counts, per-category P (and dP, d²P for the
-/// left branch), tip codes with P/dP/d²P-folded lookup tables and 0/1
-/// indicator rows, frequencies and site weights.
+/// left branch), tip codes with a P-folded lookup table and 0/1 indicator
+/// rows, frequencies and site weights.
 struct Inputs {
   KernelDims dims;
   unsigned codes_count;
@@ -40,8 +40,6 @@ struct Inputs {
   std::vector<double> d2mat;
   std::vector<std::uint8_t> codes;
   std::vector<double> lookup;
-  std::vector<double> lookup_d1;
-  std::vector<double> lookup_d2;
   std::vector<double> indicator;
   std::vector<double> freqs;
   std::vector<double> weights;
@@ -85,13 +83,7 @@ struct Inputs {
           states == 4 ? 1u << rng.below(4) : rng.below(codes_count));
     const std::size_t rows = static_cast<std::size_t>(codes_count) * cats;
     lookup.resize(rows * states);
-    lookup_d1.resize(rows * states);
-    lookup_d2.resize(rows * states);
-    for (std::size_t i = 0; i < lookup.size(); ++i) {
-      lookup[i] = rng.uniform(0.01, 1.0);
-      lookup_d1[i] = rng.uniform(-1.0, 1.0);
-      lookup_d2[i] = rng.uniform(-1.0, 1.0);
-    }
+    for (double& v : lookup) v = rng.uniform(0.01, 1.0);
     indicator.resize(static_cast<std::size_t>(codes_count) * states);
     for (double& v : indicator) v = static_cast<double>(rng.below(2));
     freqs.resize(states);
@@ -102,23 +94,26 @@ struct Inputs {
     for (double& w : weights) w = static_cast<double>(1 + rng.below(4));
   }
 
-  /// Drives evaluate_branch into its two guards: every third pattern's
-  /// left vector drops to subnormal values, so an inner-inner site clamps
-  /// to numeric_limits::min(); and code 0's far-side lookup row folds to a
-  /// zero likelihood with huge derivatives, so its d1/d2 ratios overflow
-  /// and the isfinite rule drops them. Every fifth pattern gets code 0.
+  /// Drives evaluate_branch into its two guards on an inner far side (the
+  /// left vector). Every third pattern's far block drops to subnormal
+  /// values, so its site clamps to numeric_limits::min(). Column 0 of every
+  /// dP and d²P is huge, and far state 0 is zero except on every fifth
+  /// pattern: there the d1 ratio squared overflows and the isfinite rule
+  /// drops the site's derivative terms. The other sites keep finite ones.
   void make_underflow() {
+    const unsigned states = dims.states;
     const std::size_t block =
-        static_cast<std::size_t>(dims.categories) * dims.states;
-    for (std::size_t p = 0; p < dims.patterns; p += 3)
-      for (std::size_t i = 0; i < block; ++i) left[p * block + i] *= 1e-310;
-    for (std::size_t p = 0; p < dims.patterns; p += 5) codes[p] = 0;
-    for (std::size_t i = 0; i < block; ++i) {
-      lookup[i] = 0.0;
-      lookup_d1[i] = 1e10;
-      lookup_d2[i] = 1e10;
+        static_cast<std::size_t>(dims.categories) * states;
+    for (std::size_t p = 0; p < dims.patterns; ++p)
+      for (std::size_t i = 0; i < block; ++i) {
+        double& v = left[p * block + i];
+        if (p % 5 != 0 && i % states == 0) v = 0.0;
+        if (p % 3 == 0) v *= 1e-310;
+      }
+    for (std::size_t i = 0; i < dmat.size(); i += states) {
+      dmat[i] = 1e200;
+      d2mat[i] = 1e200;
     }
-    for (unsigned x = 0; x < dims.states; ++x) indicator[x] = 1.0;
   }
 
   NewviewChild inner_left() const {
@@ -131,21 +126,10 @@ struct Inputs {
     return {nullptr, nullptr, nullptr, codes.data(), lookup.data()};
   }
 
-  EvalSide inner_near() const {
-    return {right.data(), rscale.data(), nullptr, nullptr,
-            nullptr,      nullptr,       nullptr};
-  }
-  EvalSide inner_far() const {
-    return {left.data(), lscale.data(), nullptr, nullptr,
-            nullptr,     nullptr,       nullptr};
-  }
+  EvalSide inner_near() const { return {right.data(), rscale.data()}; }
+  EvalSide inner_far() const { return {left.data(), lscale.data()}; }
   EvalSide tip_near() const {
-    return {nullptr, nullptr, codes.data(), indicator.data(),
-            nullptr, nullptr, nullptr};
-  }
-  EvalSide tip_far() const {
-    return {nullptr,       nullptr,          codes.data(),    nullptr,
-            lookup.data(), lookup_d1.data(), lookup_d2.data()};
+    return {nullptr, nullptr, codes.data(), indicator.data()};
   }
 };
 
@@ -321,20 +305,17 @@ TEST(KernelsSimd, PublicNewviewDispatchesConsistently) {
 constexpr std::size_t kEvalPatterns = 601;
 static_assert(kEvalPatterns > 2 * kPatternBlock && kEvalPatterns % 4 != 0);
 
-/// Every combination of far side {tip, inner} × near side {tip, inner} ×
-/// {with, without derivatives} on one input set.
+/// Both near sides {tip, inner} × {with, without derivatives} against the
+/// inner far side, on one input set.
 void expect_all_sides_bit_identical(const Inputs& in) {
   for (const bool derivatives : {false, true})
-    for (const bool far_tip : {false, true})
-      for (const bool near_tip : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "derivatives=" << derivatives << " far="
-                     << (far_tip ? "tip" : "inner")
-                     << " near=" << (near_tip ? "tip" : "inner"));
-        expect_bit_identical(in, near_tip ? in.tip_near() : in.inner_near(),
-                             far_tip ? in.tip_far() : in.inner_far(),
-                             derivatives);
-      }
+    for (const bool near_tip : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "derivatives=" << derivatives
+                   << " near=" << (near_tip ? "tip" : "inner"));
+      expect_bit_identical(in, near_tip ? in.tip_near() : in.inner_near(),
+                           in.inner_far(), derivatives);
+    }
 }
 
 TEST(KernelsSimd, EvaluateBitIdenticalAcrossSidesStatesAndCategories) {
@@ -357,14 +338,79 @@ TEST(KernelsSimd, EvaluateUnderflowClampAndFiniteDropBitIdentical) {
       Inputs in(states, kEvalPatterns, cats, ++seed);
       in.make_underflow();
       expect_all_sides_bit_identical(in);
-      // The code-0 tip sites really reach the isfinite drop: without it
-      // their d1/d2 ratios are infinite and poison the totals.
+      // The every-fifth sites really reach the isfinite drop: without it
+      // their d2 terms are -Inf and poison the totals, and the other sites
+      // still contribute finite derivatives.
       const BranchValue value = evaluate_branch_scalar(
           in.dims, in.freqs.data(), in.weights.data(), in.inner_near(),
-          in.tip_far(), in.pmat_left.data(), in.dmat.data(), in.d2mat.data(),
-          true);
+          in.inner_far(), in.pmat_left.data(), in.dmat.data(),
+          in.d2mat.data(), true);
       EXPECT_TRUE(std::isfinite(value.d1) && std::isfinite(value.d2));
+      EXPECT_NE(value.d1, 0.0);
     }
+}
+
+/// Input variants for the 4-state seam test, each aimed at one way the
+/// four-patterns-per-vector kernel could drift from the scalar one.
+enum class Seam { kPlain, kNegativeZero, kNaN, kSubnormal };
+
+/// Applies `seam` to 4-state inputs:
+///  * kNegativeZero: every dP and d²P entry negative, and every other
+///    pattern's far block zero, so those lanes sum products of -0.0;
+///  * kNaN: one NaN in the near vector (inner: the middle pattern's state 1
+///    in category 0; tip: the middle pattern reads indicator row 0, whose
+///    state 1 is NaN);
+///  * kSubnormal: every other pattern's far block scaled into the
+///    subnormal range, so its site clamps.
+void apply_seam(Inputs& in, Seam seam) {
+  const std::size_t block = static_cast<std::size_t>(in.dims.categories) * 4;
+  const std::size_t mid = in.dims.patterns / 2;
+  switch (seam) {
+    case Seam::kPlain:
+      break;
+    case Seam::kNegativeZero:
+      for (double& v : in.dmat) v = -std::abs(v) - 0.5;
+      for (double& v : in.d2mat) v = -std::abs(v) - 0.5;
+      for (std::size_t p = 0; p < in.dims.patterns; p += 2)
+        for (std::size_t i = 0; i < block; ++i) in.left[p * block + i] = 0.0;
+      break;
+    case Seam::kNaN:
+      in.right[mid * block + 1] = std::nan("");
+      in.codes[mid] = 0;
+      in.indicator[0] = 1.0;
+      in.indicator[1] = std::nan("");
+      in.indicator[2] = 1.0;
+      in.indicator[3] = 1.0;
+      break;
+    case Seam::kSubnormal:
+      for (std::size_t p = 1; p < in.dims.patterns; p += 2)
+        for (std::size_t i = 0; i < block; ++i)
+          in.left[p * block + i] *= 1e-310;
+      break;
+  }
+}
+
+TEST(KernelsSimd, EvaluateFourPatternLanesBitIdenticalAtEverySeam) {
+  // Pattern counts 1–9 give every leftover length 0–3 with zero, one and
+  // two four-pattern groups; 255/256/257 end a pattern block with 3 left
+  // over, none, and a one-pattern second block; 601 has a ragged third
+  // block. evaluate_branch must equal evaluate_branch_scalar bit for bit.
+  const std::size_t counts[] = {1,   2,   3,   4,   5,   6,  7,
+                                8,   9,   255, 256, 257, 601};
+  const Seam seams[] = {Seam::kPlain, Seam::kNegativeZero, Seam::kNaN,
+                        Seam::kSubnormal};
+  std::uint64_t seed = 60;
+  for (const Seam seam : seams)
+    for (const std::size_t patterns : counts)
+      for (const unsigned cats : {1u, 4u, 16u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seam=" << static_cast<int>(seam)
+                     << " patterns=" << patterns << " categories=" << cats);
+        Inputs in(4, patterns, cats, ++seed);
+        apply_seam(in, seam);
+        expect_all_sides_bit_identical(in);
+        if (HasFatalFailure() || IsSkipped()) return;
+      }
 }
 
 }  // namespace

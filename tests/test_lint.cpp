@@ -128,8 +128,9 @@ TEST(LintLexer, ParsesSuppressions) {
 TEST(LintManifest, RealManifestParsesAndDeclaresTheContractRules) {
   const Manifest manifest = RealManifest();
   for (const char* rule :
-       {"raw-io", "kernel-determinism", "kernel-no-fma", "mt-unsafe-libc",
-        "raw-capability", "record-checksum", "stats-audit-coverage"}) {
+       {"raw-io", "kernel-determinism", "kernel-no-fma", "kernel-no-hadd",
+        "mt-unsafe-libc", "raw-capability", "record-checksum",
+        "stats-audit-coverage"}) {
     EXPECT_TRUE(manifest.HasRule(rule)) << rule;
   }
   EXPECT_FALSE(manifest.HasRule("no-such-rule"));
