@@ -6,10 +6,13 @@
 // Thread-scaling mode (docs/parallelism.md): `kernels --json <path>
 // [--threads 1,2,4]` skips google-benchmark and instead sweeps the
 // block-parallel kernels over patterns x categories x threads, writing a
-// machine-readable JSON report with per-cell throughput and speedup_vs_1.
+// machine-readable JSON report with per-cell throughput and speedup_vs_1,
+// both from the median of five timing windows (min and max are reported).
 // CI's bench smoke runs this at --threads 1,2 and uploads the artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -283,30 +286,58 @@ BENCHMARK(BM_EmpiricalFrequencies)
 // ---------------------------------------------------------------------------
 // --json mode: thread-scaling sweep with a machine-readable report.
 
+/// Seconds per kernel call over kWindows timing windows.
+struct CallTiming {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 struct SweepRow {
   const char* kernel;
   std::size_t patterns;
   unsigned categories;
   unsigned threads;
-  double seconds_per_call = 0.0;
-  double patterns_per_second = 0.0;
-  double speedup_vs_1 = 1.0;
+  CallTiming seconds_per_call{};  ///< written as seconds_per_call (median),
+                                  ///< seconds_per_call_min and _max
+  double patterns_per_second = 0.0;  ///< from the median
+  double speedup_vs_1 = 1.0;         ///< median against the 1-thread median
 };
 
-/// Wall-time one kernel invocation, auto-scaling repetitions until the
-/// measurement window is long enough to trust on a noisy CI host.
+constexpr int kWindows = 5;
+constexpr double kMinWindowSeconds = 0.02;
+
+/// Wall-time one kernel invocation: scale the repetitions until one window
+/// lasts kMinWindowSeconds, then time kWindows such windows. A single
+/// window swings with whatever else the host runs; the median of several
+/// does not, and min/max show the spread.
 template <typename Fn>
-double time_per_call(const Fn& fn) {
+CallTiming time_per_call(const Fn& fn) {
   fn();  // warm-up (page-in, pool wake-up)
   std::size_t reps = 1;
   for (;;) {
     Timer timer;
     for (std::size_t r = 0; r < reps; ++r) fn();
-    const double elapsed = timer.seconds();
-    if (elapsed >= 0.05 || reps >= (1u << 20))
-      return elapsed / static_cast<double>(reps);
+    if (timer.seconds() >= kMinWindowSeconds || reps >= (1u << 20)) break;
     reps *= 4;
   }
+  std::array<double, kWindows> windows{};
+  for (double& window : windows) {
+    Timer timer;
+    for (std::size_t r = 0; r < reps; ++r) fn();
+    window = timer.seconds() / static_cast<double>(reps);
+  }
+  std::sort(windows.begin(), windows.end());
+  return {windows[kWindows / 2], windows.front(), windows.back()};
+}
+
+/// Fill the derived columns from the median; `base` is the kernel's
+/// 1-thread median, set by the first row of a thread sweep.
+void finish_row(SweepRow& row, double& base) {
+  const double median = row.seconds_per_call.median;
+  row.patterns_per_second = static_cast<double>(row.patterns) / median;
+  if (base == 0.0) base = median;
+  row.speedup_vs_1 = base / median;
 }
 
 int run_json_sweep(const std::string& json_path,
@@ -336,10 +367,7 @@ int run_json_sweep(const std::string& json_path,
                   fx.parent.data(), fx.pscale.data(), handle);
           benchmark::DoNotOptimize(fx.parent.data());
         });
-        nv.patterns_per_second =
-            static_cast<double>(patterns) / nv.seconds_per_call;
-        if (newview_base == 0.0) newview_base = nv.seconds_per_call;
-        nv.speedup_vs_1 = newview_base / nv.seconds_per_call;
+        finish_row(nv, newview_base);
         rows.push_back(nv);
 
         SweepRow ev{"evaluate_branch", patterns, categories, threads};
@@ -349,10 +377,7 @@ int run_json_sweep(const std::string& json_path,
               far_side, fx.pmat_left.data(), nullptr, nullptr, false, handle);
           benchmark::DoNotOptimize(value);
         });
-        ev.patterns_per_second =
-            static_cast<double>(patterns) / ev.seconds_per_call;
-        if (evaluate_base == 0.0) evaluate_base = ev.seconds_per_call;
-        ev.speedup_vs_1 = evaluate_base / ev.seconds_per_call;
+        finish_row(ev, evaluate_base);
         rows.push_back(ev);
 
         // Newton's kernel: the same evaluation with both derivatives.
@@ -364,10 +389,7 @@ int run_json_sweep(const std::string& json_path,
               handle);
           benchmark::DoNotOptimize(value);
         });
-        evd.patterns_per_second =
-            static_cast<double>(patterns) / evd.seconds_per_call;
-        if (derivatives_base == 0.0) derivatives_base = evd.seconds_per_call;
-        evd.speedup_vs_1 = derivatives_base / evd.seconds_per_call;
+        finish_row(evd, derivatives_base);
         rows.push_back(evd);
       }
     }
@@ -380,16 +402,20 @@ int run_json_sweep(const std::string& json_path,
   }
   std::fprintf(out, "{\n  \"benchmark\": \"kernels\",\n");
   std::fprintf(out, "  \"pattern_block\": %zu,\n", kPatternBlock);
+  std::fprintf(out, "  \"windows_per_cell\": %d,\n", kWindows);
   std::fprintf(out, "  \"states\": 4,\n  \"sweep\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"patterns\": %zu, "
                  "\"categories\": %u, \"threads\": %u, "
-                 "\"seconds_per_call\": %.9e, \"patterns_per_second\": %.6e, "
-                 "\"speedup_vs_1\": %.4f}%s\n",
+                 "\"seconds_per_call\": %.9e, "
+                 "\"seconds_per_call_min\": %.9e, "
+                 "\"seconds_per_call_max\": %.9e, "
+                 "\"patterns_per_second\": %.6e, \"speedup_vs_1\": %.4f}%s\n",
                  row.kernel, row.patterns, row.categories, row.threads,
-                 row.seconds_per_call, row.patterns_per_second,
+                 row.seconds_per_call.median, row.seconds_per_call.min,
+                 row.seconds_per_call.max, row.patterns_per_second,
                  row.speedup_vs_1, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -23,21 +23,6 @@
 #include "util/timer.hpp"
 
 namespace plfoc {
-namespace {
-
-const char* backend_label(Backend backend) {
-  switch (backend) {
-    case Backend::kInRam: return "inram";
-    case Backend::kOutOfCore: return "ooc";
-    case Backend::kPaged: return "paged";
-    case Backend::kTiered: return "tiered";
-    case Backend::kMmap: return "mmap";
-  }
-  return "?";
-}
-
-}  // namespace
-
 CliConfig parse_cli(int argc, const char* const* argv) {
   CliConfig config;
   ArgParser parser(
@@ -52,7 +37,7 @@ CliConfig parse_cli(int argc, const char* const* argv) {
       .add_uint("categories", &config.categories, "discrete-Γ categories")
       .add_double("alpha", &config.alpha, "initial Γ shape parameter")
       .add_string("backend", &config.backend,
-                  "storage backend: inram | ooc | paged | tiered | mmap")
+                  "storage backend: inram | ooc | paged | mmap")
       .add_uint("memory-limit", &config.memory_limit,
                 "ancestral-vector RAM budget in bytes (RAxML's -L)")
       .add_double("ram-fraction", &config.ram_fraction,
@@ -172,8 +157,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
       backing = &ooc->file();
     else if (const PagedStore* paged = session.paged())
       backing = &paged->file();
-    else if (const TieredStore* tiered = session.tiered())
-      backing = &tiered->file();
     if (backing != nullptr)
       out << "io engine: " << backing->io_engine_name() << " (depth "
           << backing->io_depth() << (config.direct_io ? ", O_DIRECT" : "")
@@ -216,12 +199,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
     // Snapshot rather than stats(): the robustness counters live in backend
     // atomics and are only overlaid by stats_snapshot().
     out << "storage: " << session.store().stats_snapshot().summary() << "\n";
-    if (TieredStore* tiered = session.tiered()) {
-      const TierStats& tier = tiered->tier_stats();
-      out << "tiers: " << tier.promotions << " promotions, "
-          << tier.demotions << " demotions, "
-          << (tier.bytes_transferred >> 20) << " MiB host<->device\n";
-    }
   }
   if (!config.save_checkpoint_path.empty()) {
     save_checkpoint_file(config.save_checkpoint_path, session.engine());
@@ -346,7 +323,7 @@ int run_batch_cli(const BatchConfig& config, std::ostream& out) {
     switch (result.status) {
       case JobStatus::kDone:
         out << "logL = " << result.log_likelihood << " ["
-            << backend_label(result.admitted_backend)
+            << backend_name(result.admitted_backend)
             << (result.degraded ? ", degraded" : "") << "] "
             << result.wall_seconds << " s";
         if (config.print_stats)

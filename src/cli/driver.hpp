@@ -38,7 +38,7 @@ struct CliConfig {
   std::uint64_t categories = 4;
   double alpha = 1.0;
   // storage
-  std::string backend = "inram";     // inram | ooc | paged | tiered
+  std::string backend = "inram";     // inram | ooc | paged | mmap
   std::uint64_t memory_limit = 0;    // bytes (-L)
   double ram_fraction = 0.0;         // f
   std::string strategy = "lru";      // random | lru | lfu | topological

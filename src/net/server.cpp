@@ -41,17 +41,6 @@ void set_nonblocking(int fd) {
                 "cannot make socket non-blocking");
 }
 
-const char* backend_wire_name(Backend backend) {
-  switch (backend) {
-    case Backend::kInRam: return "inram";
-    case Backend::kOutOfCore: return "ooc";
-    case Backend::kPaged: return "paged";
-    case Backend::kTiered: return "tiered";
-    case Backend::kMmap: return "mmap";
-  }
-  return "?";
-}
-
 /// make_job_spec tags errors with the (meaningless, for wire submits)
 /// "jobfile line 0:" prefix; strip it before it reaches a client.
 std::string strip_line_tag(std::string what) {
@@ -564,7 +553,7 @@ ResultResponse Server::make_result_response(std::uint64_t request_id,
   response.error = result.error;
   response.wall_seconds = result.wall_seconds;
   response.queue_seconds = result.queue_seconds;
-  response.backend = backend_wire_name(result.admitted_backend);
+  response.backend = backend_name(result.admitted_backend);
   response.attempts = result.attempts;
   return response;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/logging.hpp"
 
@@ -54,9 +55,7 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
       slot_count_(std::min(options_.num_slots, count)),
       tier_(count, slot_count_, width,
             StrategyConfig{options_.policy, count, options_.seed,
-                           options_.tree},
-            "all RAM slots are pinned; the store needs more slots than "
-            "concurrently held leases"),
+                           options_.tree}),
 #ifdef PLFOC_AUDIT
       auditor_(count, slot_count_),
 #endif
@@ -273,28 +272,63 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   return tier_.data(slot);
 }
 
+// The body juggles the caller's lock (unlocks around the re-entrant recovery
+// hook, relocks before touching the table); do_acquire calls this with
+// mutex_ held, which is what the declaration's analysis checks.
 void OutOfCoreStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
-                                      const VerifyResult& verify) {
-  tier_.recover_or_throw(
-      lock, recovery_hook_, stats_locked(), index, verify,
-      "out-of-core swap-in", [&](bool recovered) PLFOC_REQUIRES(mutex_) {
-        file_.copy_counters(stats_locked());
-        if (recovered && options_.disk_precision == DiskPrecision::kSingle) {
-          // Match what an intact disk read would have delivered: the
-          // recomputed doubles round-trip through the on-disk float
-          // representation.
-          double* data = tier_.data(tier_.slot_of(index));
-          for (std::size_t i = 0; i < width_; ++i)
-            data[i] = static_cast<double>(static_cast<float>(data[i]));
-        }
-        PLFOC_AUDIT_EVENT("recovery",
-                          auditor_.record_recovery(index, recovered));
-        if (!recovered) {
-          PLFOC_AUDIT_TABLE("integrity failure");
-          PLFOC_AUDIT_EVENT("integrity stats",
-                            auditor_.check_stats(stats_locked()));
-        }
-      });
+                                      const VerifyResult& verify)
+    PLFOC_NO_THREAD_SAFETY_ANALYSIS {
+  const std::uint32_t slot = tier_.slot_of(index);
+  std::uint64_t recomputed = 0;
+  if (recovery_hook_) {
+    double* dst = tier_.data(slot);  // pinned: stable across the unlock
+    lock.unlock();
+    try {
+      recomputed = recovery_hook_(index, dst);
+    } catch (...) {
+      recomputed = 0;  // a throwing hook is an unrecoverable vector
+    }
+    lock.lock();
+  }
+  // Count the whole episode at resolution, under one lock hold: nested
+  // acquires inside the hook take stats snapshots mid-flight and must never
+  // see the recoveries + unrecovered == failures identity half-updated.
+  OocStats& stats = stats_locked();
+  ++stats.integrity_failures;
+  if (recomputed > 0) {
+    ++stats.integrity_recoveries;
+    stats.recovery_recomputes += recomputed;
+    // The healed content supersedes the corrupt file record; the dirty bit
+    // routes it back to the file through the normal write-back path.
+    tier_[slot].dirty = true;
+    file_.copy_counters(stats);
+    if (options_.disk_precision == DiskPrecision::kSingle) {
+      // Match what an intact disk read would have delivered: the recomputed
+      // doubles round-trip through the on-disk float representation.
+      double* data = tier_.data(slot);
+      for (std::size_t i = 0; i < width_; ++i)
+        data[i] = static_cast<double>(static_cast<float>(data[i]));
+    }
+    PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, true));
+    return;
+  }
+  ++stats.integrity_unrecovered;
+  // Undo the install: the acquire is failing, so its pin and residency must
+  // not outlive this throw (callers never see the lease).
+  PLFOC_CHECK(tier_[slot].pins == 1);
+  tier_.detach(index);
+  file_.copy_counters(stats);
+  PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, false));
+  PLFOC_AUDIT_TABLE("integrity failure");
+  PLFOC_AUDIT_EVENT("integrity stats", auditor_.check_stats(stats));
+  throw IntegrityError(
+      "out-of-core swap-in", index, verify.expected_generation,
+      verify.found_generation, verify.injected,
+      std::string(verify.status_name()) +
+          (recovery_hook_
+               ? "; recomputation failed (children unmaterialized during a "
+                 "read-skip window, or no free slot)"
+               : "; no recovery hook registered"));
 }
 
 void OutOfCoreStore::do_release(std::uint32_t index) {

@@ -160,9 +160,13 @@ class OutOfCoreStore final : public AncestralStore {
       PLFOC_REQUIRES(mutex_);
   void file_write(std::uint32_t index, const double* src)
       PLFOC_REQUIRES(mutex_);
-  /// SlotTier::recover_or_throw plus this store's precision rounding,
-  /// counter mirroring and audit events. Requires: `lock` is the scoped
-  /// acquisition of mutex_, `index` installed and pinned once.
+  /// A verified swap-in of `index` (installed and pinned once) failed its
+  /// check. Runs recovery_hook_ with `lock` — the scoped acquisition of
+  /// mutex_ — released, since the hook's child acquires re-enter this
+  /// store; the pin keeps the slot stable meanwhile. The episode is counted
+  /// under one lock hold. Healed: the slot is marked dirty, because the
+  /// recomputed content supersedes the corrupt record. Otherwise the
+  /// install is undone and IntegrityError is thrown.
   void recover_or_throw(MutexLock& lock, std::uint32_t index,
                         const VerifyResult& verify) PLFOC_REQUIRES(mutex_);
 

@@ -1,22 +1,19 @@
 #include "ooc/slot_tier.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "util/checks.hpp"
 
 namespace plfoc {
 
 SlotTier::SlotTier(std::size_t vector_count, std::size_t slot_count,
-                   std::size_t width, const StrategyConfig& strategy,
-                   const char* all_pinned_error)
+                   std::size_t width, const StrategyConfig& strategy)
     : width_(width),
       arena_(slot_count * width),
       slots_(slot_count),
       vector_slot_(vector_count, kOocNoSlot),
       prefetched_unread_(vector_count, false),
-      strategy_(make_strategy(strategy)),
-      all_pinned_error_(all_pinned_error) {}
+      strategy_(make_strategy(strategy)) {}
 
 SlotTier::Claim SlotTier::try_claim(std::uint32_t incoming,
                                     const std::vector<bool>* claimed) {
@@ -46,7 +43,9 @@ SlotTier::Claim SlotTier::try_claim(std::uint32_t incoming,
 
 SlotTier::Claim SlotTier::claim(std::uint32_t incoming) {
   const Claim claim = try_claim(incoming);
-  PLFOC_REQUIRE(claim.slot != kOocNoSlot, all_pinned_error_);
+  PLFOC_REQUIRE(claim.slot != kOocNoSlot,
+                "all RAM slots are pinned; the store needs more slots than "
+                "concurrently held leases");
   return claim;
 }
 
@@ -85,55 +84,6 @@ void SlotTier::detach(std::uint32_t vector) {
   strategy_->on_evict(vector);
   vector_slot_[vector] = kOocNoSlot;
   slots_[slot] = OocSlot{};
-}
-
-// The body juggles the caller's lock (unlocks around the re-entrant recovery
-// hook, relocks before touching the table); the stores call this with their
-// mutex held, which is what their own analysis checks.
-void SlotTier::recover_or_throw(MutexLock& lock,
-                                const AncestralStore::RecoveryHook& hook,
-                                OocStats& stats, std::uint32_t index,
-                                const VerifyResult& verify, const char* op,
-                                const std::function<void(bool)>& resolved)
-    PLFOC_NO_THREAD_SAFETY_ANALYSIS {
-  const std::uint32_t slot = vector_slot_[index];
-  std::uint64_t recomputed = 0;
-  if (hook) {
-    double* dst = data(slot);  // pinned: stable across the unlock
-    lock.unlock();
-    try {
-      recomputed = hook(index, dst);
-    } catch (...) {
-      recomputed = 0;  // a throwing hook is an unrecoverable vector
-    }
-    lock.lock();
-  }
-  // Count the whole episode at resolution, under one lock hold: nested
-  // acquires inside the hook take stats snapshots mid-flight and must never
-  // see the recoveries + unrecovered == failures identity half-updated.
-  ++stats.integrity_failures;
-  if (recomputed > 0) {
-    ++stats.integrity_recoveries;
-    stats.recovery_recomputes += recomputed;
-    // The healed content supersedes the corrupt file record; the dirty bit
-    // routes it back to the file through the normal write-back path.
-    slots_[slot].dirty = true;
-    if (resolved) resolved(true);
-    return;
-  }
-  ++stats.integrity_unrecovered;
-  // Undo the install: the acquire is failing, so its pin and residency must
-  // not outlive this throw (callers never see the lease).
-  PLFOC_CHECK(slots_[slot].pins == 1);
-  detach(index);
-  if (resolved) resolved(false);
-  throw IntegrityError(
-      op, index, verify.expected_generation, verify.found_generation,
-      verify.injected,
-      std::string(verify.status_name()) +
-          (hook ? "; recomputation failed (children unmaterialized during a "
-                  "read-skip window, or no free slot)"
-                : "; no recovery hook registered"));
 }
 
 }  // namespace plfoc

@@ -1,24 +1,21 @@
-// One slot table of the out-of-core slot manager (Sec. 3.2-3.4): m RAM slots,
-// the vector -> slot residency map and the replacement strategy, plus the
-// bookkeeping every store must do the same way (free-slot-first claims, the
-// candidate order handed to choose_victim, eviction and install accounting).
-// OutOfCoreStore is one tier over its FileBackend; TieredStore stacks two.
+// The slot table of the out-of-core slot manager (Sec. 3.2-3.4): m RAM
+// slots, the vector -> slot residency map and the replacement strategy, plus
+// the bookkeeping behind every swap (free-slot-first claims, the candidate
+// order handed to choose_victim, eviction and install accounting).
+// OutOfCoreStore owns one over its FileBackend.
 //
-// A tier does no I/O and takes no lock: the owning store holds its mutex
-// around every call (the tier member is PLFOC_GUARDED_BY it) and does the
+// The table does no I/O and takes no lock: OutOfCoreStore holds its mutex
+// around every call (the member is PLFOC_GUARDED_BY it) and does the
 // transfers itself. docs/storage-layer.md, section 6, has the design.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "ooc/audit.hpp"
-#include "ooc/file_backend.hpp"
 #include "ooc/replacement.hpp"
-#include "ooc/storage.hpp"
+#include "ooc/stats.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/mutex.hpp"
 
 namespace plfoc {
 
@@ -31,14 +28,11 @@ class SlotTier {
     std::uint32_t victim = kOocNoVector;
   };
 
-  /// `all_pinned_error` is the message claim() throws when every slot is
-  /// pinned.
   SlotTier(std::size_t vector_count, std::size_t slot_count,
-           std::size_t width, const StrategyConfig& strategy,
-           const char* all_pinned_error);
+           std::size_t width, const StrategyConfig& strategy);
 
   std::size_t size() const { return slots_.size(); }
-  /// Slot buffer: stable for the tier's lifetime, so a pinned lease may
+  /// Slot buffer: stable for the table's lifetime, so a pinned lease may
   /// keep using it after the store's lock is released.
   double* data(std::uint32_t slot) {
     return arena_.data() + static_cast<std::size_t>(slot) * width_;
@@ -62,7 +56,7 @@ class SlotTier {
   /// Returns slot == kOocNoSlot when every slot is pinned or claimed.
   Claim try_claim(std::uint32_t incoming,
                   const std::vector<bool>* claimed = nullptr);
-  /// try_claim() that throws Error(all_pinned_error) instead.
+  /// try_claim() that throws Error instead.
   Claim claim(std::uint32_t incoming);
 
   /// Make `vector` resident in the free `slot` (map entry, then on_load).
@@ -83,25 +77,10 @@ class SlotTier {
   /// done: counts stats.evictions, and stats.prefetch_wasted when a
   /// prefetch staged it and no acquire used it, then detach()es it.
   void evict(std::uint32_t vector, OocStats& stats);
-  /// Drop `vector` without counting an eviction (a demotion, a promotion
-  /// out of the RAM tier, an undone install): on_evict, then clear its map
-  /// entry and its slot record, pins and dirty bit included.
+  /// Drop `vector` without counting an eviction (an undone install):
+  /// on_evict, then clear its map entry and its slot record, pins and dirty
+  /// bit included.
   void detach(std::uint32_t vector);
-
-  /// A verified swap-in of `index` (installed in this tier and pinned once)
-  /// failed its check. Runs `hook` with `lock` — the caller's hold on the
-  /// store mutex guarding this tier — released, since the hook's child
-  /// acquires re-enter the store; the pin keeps the slot stable meanwhile.
-  /// The episode is counted in `stats` under one lock hold, and `resolved`
-  /// (store-specific bookkeeping) runs with the outcome. Healed: the slot
-  /// is marked dirty, because the recomputed content supersedes the
-  /// corrupt record. Otherwise the install is undone and IntegrityError
-  /// with operation name `op` is thrown.
-  void recover_or_throw(MutexLock& lock,
-                        const AncestralStore::RecoveryHook& hook,
-                        OocStats& stats, std::uint32_t index,
-                        const VerifyResult& verify, const char* op,
-                        const std::function<void(bool)>& resolved = {});
 
  private:
   std::size_t width_;
@@ -114,7 +93,6 @@ class SlotTier {
   /// the slot churned for nothing).
   std::vector<bool> prefetched_unread_;
   std::unique_ptr<ReplacementStrategy> strategy_;
-  const char* all_pinned_error_;
 };
 
 }  // namespace plfoc

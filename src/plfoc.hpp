@@ -39,7 +39,6 @@
 #include "ooc/replacement.hpp"         // IWYU pragma: export
 #include "ooc/stats.hpp"               // IWYU pragma: export
 #include "ooc/storage.hpp"             // IWYU pragma: export
-#include "ooc/tiered_store.hpp"        // IWYU pragma: export
 #include "search/mcmc.hpp"             // IWYU pragma: export
 #include "search/parsimony.hpp"        // IWYU pragma: export
 #include "search/search.hpp"           // IWYU pragma: export

@@ -86,14 +86,36 @@ void apply_key(JobFileEntry* entry, const std::string& key,
 
 }  // namespace
 
+namespace {
+
+struct BackendName {
+  Backend backend;
+  const char* name;
+};
+
+constexpr BackendName kBackendNames[] = {
+    {Backend::kInRam, "inram"},
+    {Backend::kOutOfCore, "ooc"},
+    {Backend::kPaged, "paged"},
+    {Backend::kMmap, "mmap"},
+};
+
+}  // namespace
+
+const char* backend_name(Backend backend) {
+  for (const BackendName& entry : kBackendNames)
+    if (entry.backend == backend) return entry.name;
+  return "?";
+}
+
 Backend parse_backend_name(const std::string& name) {
-  if (name == "inram") return Backend::kInRam;
-  if (name == "ooc") return Backend::kOutOfCore;
-  if (name == "paged") return Backend::kPaged;
-  if (name == "tiered") return Backend::kTiered;
-  if (name == "mmap") return Backend::kMmap;
-  throw Error("unknown backend '" + name +
-              "' (inram | ooc | paged | tiered | mmap)");
+  std::string choices;
+  for (const BackendName& entry : kBackendNames) {
+    if (name == entry.name) return entry.backend;
+    choices += choices.empty() ? "" : " | ";
+    choices += entry.name;
+  }
+  throw Error("unknown backend '" + name + "' (" + choices + ")");
 }
 
 DataType parse_data_type_name(const std::string& name) {

@@ -7,7 +7,7 @@
 //   msa      alignment file path
 //   tree     Newick file path, or '-' for a stepwise-addition starting tree
 //   model    jc | k80 | hky | gtr | poisson
-//   backend  inram | ooc | paged | tiered | mmap
+//   backend  inram | ooc | paged | mmap
 //   f        RAM fraction in (0,1], or '-' when unset (pair with budget=)
 //
 // Optional keys: name=, seed=, format= (fasta|phylip), data-type=
@@ -66,7 +66,9 @@ struct JobFileEntry {
   double deadline_seconds = 0;  ///< deadline= key (seconds; 0 = none)
 };
 
-/// Shared CLI/jobfile vocabulary. All throw plfoc::Error on unknown names.
+/// Shared CLI/jobfile/wire vocabulary. The parsers throw plfoc::Error on
+/// unknown names; parse_backend_name(backend_name(b)) == b for every b.
+const char* backend_name(Backend backend);
 Backend parse_backend_name(const std::string& name);
 DataType parse_data_type_name(const std::string& name);
 /// `kappa` feeds k80/hky; frequency-parameterised models use the

@@ -14,13 +14,10 @@ JobDemand JobDemand::from_spec(const JobSpec& spec) {
   demand.ram_fraction = spec.session.ram_fraction;
   demand.ram_budget_bytes = spec.session.ram_budget_bytes;
   demand.page_bytes = spec.session.page_bytes;
-  demand.tiered_fast_slots = spec.session.tiered_fast_slots;
-  demand.tiered_ram_slots = spec.session.tiered_ram_slots;
   return demand;
 }
 
 std::uint64_t JobDemand::desired_bytes() const {
-  const std::size_t count = static_cast<std::size_t>(memory.vector_count());
   switch (backend) {
     case Backend::kInRam:
       return memory.ancestral_bytes();
@@ -33,9 +30,6 @@ std::uint64_t JobDemand::desired_bytes() const {
       return ram_budget_bytes;
     case Backend::kPaged:
       return ram_budget_bytes;
-    case Backend::kTiered:
-      return memory.ooc_slot_bytes(std::min(tiered_fast_slots, count) +
-                                   std::min(tiered_ram_slots, count));
     case Backend::kMmap:
       return 0;  // OS page cache; not slot memory this service manages
   }

@@ -45,8 +45,6 @@ struct JobDemand {
   double ram_fraction = 0.0;
   std::uint64_t ram_budget_bytes = 0;
   std::size_t page_bytes = 4096;
-  std::size_t tiered_fast_slots = 0;
-  std::size_t tiered_ram_slots = 0;
 
   static JobDemand from_spec(const JobSpec& spec);
 

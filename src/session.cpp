@@ -32,7 +32,6 @@ void SessionOptions::validate() const {
                     "paged backend takes ram_budget_bytes, not ram_fraction");
       break;
     case Backend::kInRam:
-    case Backend::kTiered:
     case Backend::kMmap:
       break;  // memory-limit fields are ignored by these backends
   }
@@ -102,29 +101,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       paged.file.direct_io = options_.direct_io;
       paged.file.shared_engine = options_.shared_aio_engine;
       store_ = std::make_unique<PagedStore>(count, width, std::move(paged));
-      break;
-    }
-    case Backend::kTiered: {
-      TieredStoreOptions tiered;
-      tiered.fast_slots = options_.tiered_fast_slots;
-      tiered.ram_slots = options_.tiered_ram_slots;
-      tiered.fast_policy = ReplacementPolicy::kLru;
-      tiered.ram_policy = options_.policy;
-      tiered.read_skipping = options_.read_skipping;
-      tiered.seed = options_.seed;
-      tiered.tree = &tree_;
-      tiered.file.base_path = options_.vector_file.empty()
-                                  ? temp_vector_file_path("tiered")
-                                  : options_.vector_file;
-      tiered.file.device = options_.device;
-      tiered.file.faults = options_.faults;
-      tiered.file.retry = options_.io_retry;
-      tiered.file.io_engine = options_.io_engine;
-      tiered.file.io_depth = options_.io_depth;
-      tiered.file.io_permute_seed = options_.io_permute_seed;
-      tiered.file.direct_io = options_.direct_io;
-      tiered.file.shared_engine = options_.shared_aio_engine;
-      store_ = std::make_unique<TieredStore>(count, width, std::move(tiered));
       break;
     }
     case Backend::kMmap: {

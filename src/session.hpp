@@ -18,7 +18,6 @@
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
 #include "ooc/mmap_store.hpp"
-#include "ooc/tiered_store.hpp"
 
 namespace plfoc {
 
@@ -26,7 +25,6 @@ enum class Backend {
   kInRam,      ///< the standard implementation (everything resident)
   kOutOfCore,  ///< the paper's slot manager
   kPaged,      ///< deterministic OS-paging baseline (Fig. 5 "Standard")
-  kTiered,     ///< three-layer disk/RAM/accelerator hierarchy (Sec. 5)
   kMmap,       ///< memory-mapped file, OS page cache does the caching
 };
 
@@ -60,13 +58,11 @@ struct SessionOptions {
   std::string vector_file;
   unsigned num_files = 1;
   std::size_t page_bytes = 4096;  ///< paged backend only
-  std::size_t tiered_fast_slots = 8;   ///< tiered backend: accelerator slots
-  std::size_t tiered_ram_slots = 32;   ///< tiered backend: host-RAM slots
   /// Virtual device cost model applied to all backing-file I/O (see
   /// ooc/file_backend.hpp); disabled by default.
   DeviceModel device;
   /// Seeded fault-injection schedule applied to the backing file of every
-  /// file-backed backend (out-of-core / paged / tiered); disabled by default.
+  /// file-backed backend (out-of-core / paged); disabled by default.
   /// The mmap and in-RAM backends have no syscall I/O path and ignore it.
   /// Every backing file (and the mmap mapping) carries per-vector checksums
   /// verified at swap-in / re-fault; a mismatch self-heals through the
@@ -78,7 +74,7 @@ struct SessionOptions {
   /// surfaces as IoError.
   RetryPolicy io_retry;
   /// Async I/O engine for the backing file of every file-backed backend
-  /// (out-of-core / paged / tiered): kSync keeps the historical sequential
+  /// (out-of-core / paged): kSync keeps the historical sequential
   /// syscalls; kThreads is the portable submission/completion thread pool;
   /// kUring is Linux io_uring (degrades to kThreads when the host lacks
   /// support); kDeterministic is the test engine that delivers completions
@@ -147,7 +143,6 @@ class Session {
     return dynamic_cast<OutOfCoreStore*>(store_.get());
   }
   PagedStore* paged() { return dynamic_cast<PagedStore*>(store_.get()); }
-  TieredStore* tiered() { return dynamic_cast<TieredStore*>(store_.get()); }
   MmapStore* mmap_backend() { return dynamic_cast<MmapStore*>(store_.get()); }
 
   std::size_t patterns() const { return alignment_.num_sites(); }

@@ -11,7 +11,7 @@
 //   AncestralStore::acquire()  — before any slot mutation (every backend);
 //   LikelihoodEngine::execute  — once per traversal step;
 //   KernelPool::run_blocks     — before each pattern-block claim;
-//   OutOfCoreStore/TieredStore — between AIO prefetch batches (advisory:
+//   OutOfCoreStore             — between AIO prefetch batches (advisory:
 //                                prefetch paths return early instead of
 //                                throwing, because they run on the
 //                                Prefetcher's worker thread).

@@ -189,10 +189,10 @@ struct Candidate {
 /// read-skip setting for the out-of-core store (fault schedule on every
 /// other combination, kernel threads rotating through 1/2/4, io-engine
 /// rotating through sync / thread-pool / deterministic-permuted), the paged
-/// and tiered hierarchies under faults, the mmap backend (no syscall path,
-/// no faults), explicitly multithreaded and permuted-completion
-/// configurations, and a prefetch axis (policy x engine with a Prefetcher
-/// attached, covering the on_prefetch_install aging path). 18 candidates per
+/// store under faults, the mmap backend (no syscall path, no faults),
+/// explicitly multithreaded and permuted-completion configurations, and a
+/// prefetch axis (policy x engine with a Prefetcher attached, covering the
+/// on_prefetch_install aging path). 16 candidates per
 /// trial, every one compared bitwise against the single-threaded in-RAM
 /// reference — the thread axis extends the Sec. 4.1 equivalence guarantee to
 /// the block-parallel kernels, and the engine axis extends it to
@@ -250,24 +250,6 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
   paged.options.faults = faults;
   paged.label = "paged/faults";
   candidates.push_back(std::move(paged));
-
-  Candidate tiered;
-  tiered.options.backend = Backend::kTiered;
-  tiered.options.tiered_fast_slots = 3;
-  tiered.options.tiered_ram_slots = 4;
-  tiered.options.seed = plan.dataset.seed;
-  tiered.options.faults = faults;
-  tiered.label = "tiered/faults/eng-sync";
-  candidates.push_back(std::move(tiered));
-
-  // The tiered hierarchy's overlapped spill+read path under permuted
-  // completion delivery (the RAM-victim cascade is its own state machine,
-  // distinct from the flat store's evict+read overlap).
-  Candidate tiered_det = candidates.back();
-  tiered_det.options.io_engine = AioEngineKind::kDeterministic;
-  tiered_det.options.io_permute_seed = plan.fault_seed ^ 0x5eedu;
-  tiered_det.label = "tiered/faults/eng-det";
-  candidates.push_back(std::move(tiered_det));
 
   Candidate mmapped;
   mmapped.options.backend = Backend::kMmap;

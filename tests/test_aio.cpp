@@ -9,9 +9,9 @@
 //    per-op fault/retry state machine at submission granularity.
 //
 //  * Store-level: the completion-order determinism contract. Every
-//    OutOfCoreStore / TieredStore / batched-Prefetcher evaluation must
-//    produce log likelihoods BIT-IDENTICAL to the in-RAM reference no matter
-//    what order the engine delivers completions in — proven by sweeping ~50
+//    OutOfCoreStore / batched-Prefetcher evaluation must produce log
+//    likelihoods BIT-IDENTICAL to the in-RAM reference no matter what
+//    order the engine delivers completions in — proven by sweeping ~50
 //    seeded permutations (including the identity and the full reversal)
 //    through the DeterministicAioEngine, with StoreAuditor::check_stats
 //    passing on every final counter snapshot.
@@ -33,7 +33,6 @@
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
 #include "ooc/prefetch.hpp"
-#include "ooc/tiered_store.hpp"
 #include "session.hpp"
 #include "util/hash.hpp"
 
@@ -513,25 +512,6 @@ TEST(AioBatch, ResetStatsClearsIoCountersAcrossStores) {
     expect_zero_io_counters(store.stats_snapshot(), "ooc");
   }
   {
-    TieredStoreOptions options;
-    options.fast_slots = 3;
-    options.ram_slots = 2;
-    options.file.base_path = temp_vector_file_path("aio-reset-tiered");
-    options.file.io_engine = AioEngineKind::kDeterministic;
-    TieredStore store(8, width, options);
-    for (std::uint32_t idx = 0; idx < 8; ++idx) {
-      auto lease = store.acquire(idx, AccessMode::kWrite);
-      lease.data()[0] = idx;
-    }
-    // Disk misses through the overlapped swap path: dirty RAM spills ride
-    // two-op engine batches.
-    for (std::uint32_t idx = 0; idx < 8; ++idx)
-      store.acquire(idx, AccessMode::kRead);
-    ASSERT_GT(store.stats_snapshot().io_batches, 0u);
-    store.reset_stats();
-    expect_zero_io_counters(store.stats_snapshot(), "tiered");
-  }
-  {
     PagedStoreOptions options;
     options.page_bytes = 512;  // minimum legal page
     options.budget_bytes = 8 * options.page_bytes;
@@ -678,30 +658,6 @@ TEST(AioPermutations, OocStoreBitIdenticalAcrossCompletionOrders) {
   }
 }
 
-TEST(AioPermutations, TieredStoreBitIdenticalAcrossCompletionOrders) {
-  const fuzz::TrialPlan plan = sweep_plan();
-  SessionOptions reference;
-  reference.backend = Backend::kInRam;
-  const std::vector<double> expected = fuzz::run_candidate(plan, reference);
-
-  const std::vector<std::uint64_t> seeds = permutation_seeds();
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    SessionOptions options;
-    options.backend = Backend::kTiered;
-    options.tiered_fast_slots = 3;  // forces the RAM-victim spill cascade
-    options.tiered_ram_slots = 4;
-    options.seed = plan.dataset.seed;
-    options.io_engine = AioEngineKind::kDeterministic;
-    options.io_permute_seed = seeds[k];
-    if (k % 3 == 0) options.faults = fuzz::trial_faults(plan);
-    OocStats stats;
-    const std::vector<double> series =
-        fuzz::run_candidate(plan, options, &stats);
-    ASSERT_EQ(series, expected) << "tiered permutation seed " << seeds[k];
-    expect_clean_audit(stats, seeds[k], "tiered");
-  }
-}
-
 /// run_candidate with a Prefetcher attached to the engine, so the batched
 /// prefetch path (prefetch_batch staging whole lookahead windows as one
 /// engine batch) runs concurrently with the demand accesses.
@@ -774,16 +730,6 @@ TEST(AioPermutations, AsyncEnginesBitIdenticalToSyncBaseline) {
     ooc.io_depth = 8;
     EXPECT_EQ(fuzz::run_candidate(plan, ooc), expected)
         << "ooc engine " << aio_engine_name(engine);
-
-    SessionOptions tiered;
-    tiered.backend = Backend::kTiered;
-    tiered.tiered_fast_slots = 3;
-    tiered.tiered_ram_slots = 4;
-    tiered.seed = plan.dataset.seed;
-    tiered.io_engine = engine;
-    tiered.io_depth = 8;
-    EXPECT_EQ(fuzz::run_candidate(plan, tiered), expected)
-        << "tiered engine " << aio_engine_name(engine);
   }
 }
 

@@ -272,26 +272,19 @@ TEST(SessionCancel, ThreadedKernelPoolUnwindsAndRecovers) {
   }
 }
 
-TEST(SessionCancel, TieredAndPagedBackendsUnwindToo) {
-  for (const Backend backend : {Backend::kTiered, Backend::kPaged}) {
-    SCOPED_TRACE(static_cast<int>(backend));
-    CancelToken token = CancelToken::make();
-    token.set_trip_at(4);
-    SessionOptions options;
-    options.backend = backend;
-    if (backend == Backend::kPaged) options.ram_budget_bytes = 1 << 18;
-    if (backend == Backend::kTiered) {
-      options.tiered_fast_slots = 4;
-      options.tiered_ram_slots = 8;
-    }
-    options.cancel = token;
-    PlannedDataset data = cancel_dataset();
-    Session session(std::move(data.alignment), std::move(data.tree),
-                    benchmark_gtr(), std::move(options));
-    EXPECT_THROW(session.evaluate(), CancelledError);
-    session.set_cancel_token(CancelToken());
-    EXPECT_EQ(session.evaluate().log_likelihood, inram_reference());
-  }
+TEST(SessionCancel, PagedBackendUnwindsToo) {
+  CancelToken token = CancelToken::make();
+  token.set_trip_at(4);
+  SessionOptions options;
+  options.backend = Backend::kPaged;
+  options.ram_budget_bytes = 1 << 18;
+  options.cancel = token;
+  PlannedDataset data = cancel_dataset();
+  Session session(std::move(data.alignment), std::move(data.tree),
+                  benchmark_gtr(), std::move(options));
+  EXPECT_THROW(session.evaluate(), CancelledError);
+  session.set_cancel_token(CancelToken());
+  EXPECT_EQ(session.evaluate().log_likelihood, inram_reference());
 }
 
 // ------------------------------------------------------ Service plumbing

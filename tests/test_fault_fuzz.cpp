@@ -138,16 +138,6 @@ TEST(FaultFuzz, CorruptionSelfHealsBitIdenticalOrFailsTyped) {
     }
     {
       fuzz::Candidate candidate;
-      candidate.options.backend = Backend::kTiered;
-      candidate.options.tiered_fast_slots = 3;
-      candidate.options.tiered_ram_slots = 4;
-      candidate.options.seed = plan.dataset.seed;
-      candidate.options.faults = fuzz::trial_corrupting_faults(plan);
-      candidate.label = "tiered/corrupt";
-      candidates.push_back(std::move(candidate));
-    }
-    {
-      fuzz::Candidate candidate;
       candidate.options.backend = Backend::kPaged;
       candidate.options.ram_budget_bytes = 1u << 18;
       candidate.options.faults = fuzz::trial_corrupting_faults(plan);
@@ -266,8 +256,7 @@ TEST(FaultFuzz, ExhaustionIsTypedAcrossBackends) {
   lethal.kinds = kFaultEio;
   lethal.burst = 1u << 20;
 
-  for (const Backend backend :
-       {Backend::kOutOfCore, Backend::kPaged, Backend::kTiered}) {
+  for (const Backend backend : {Backend::kOutOfCore, Backend::kPaged}) {
     SessionOptions options;
     options.backend = backend;
     if (backend == Backend::kOutOfCore) options.ram_fraction = 0.35;
@@ -277,8 +266,8 @@ TEST(FaultFuzz, ExhaustionIsTypedAcrossBackends) {
     options.io_retry.backoff_initial_us = 0;
     try {
       (void)fuzz::run_candidate(plan, std::move(options));
-      // A run that needed no file I/O at all (tiny dataset fitting the RAM
-      // tier) legitimately succeeds; anything that touched the file cannot.
+      // A run that needed no file I/O at all legitimately succeeds; anything
+      // that touched the file cannot.
     } catch (const IoError& error) {
       EXPECT_TRUE(error.injected());
       EXPECT_GE(error.attempts(), 2u);

@@ -156,14 +156,6 @@ TEST(Mcmc, BitIdenticalAcrossStorageBackends) {
     EXPECT_EQ(result.nni_accepts, reference.nni_accepts);
     EXPECT_EQ(result.trace, reference.trace);
   }
-
-  SessionOptions tiered;
-  tiered.backend = Backend::kTiered;
-  tiered.tiered_fast_slots = 3;
-  tiered.tiered_ram_slots = 4;
-  const McmcResult tiered_result = run_chain(tiered);
-  EXPECT_EQ(tiered_result.final_log_posterior, reference.final_log_posterior);
-  EXPECT_EQ(tiered_result.trace, reference.trace);
 }
 
 TEST(Mcmc, NniDisabledWithZeroProbability) {

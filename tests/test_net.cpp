@@ -107,7 +107,7 @@ TEST(Protocol, ResultResponseTransportsLogLBitExactly) {
   msg.error = "";
   msg.wall_seconds = 0.25;
   msg.queue_seconds = 0.125;
-  msg.backend = "tiered";
+  msg.backend = "paged";
   msg.attempts = 2;
   const ResultResponse back = decode_result_response(
       frame_of(encode_result_response(msg)));
@@ -616,7 +616,19 @@ TEST_F(LoopbackFixture, BadSubmissionsGetTypedErrorsNotCrashes) {
   ASSERT_TRUE(mismatch.error.has_value());
   EXPECT_NE(mismatch.error->message.find("digest"), std::string::npos);
 
-  // The connection survived all three rejections.
+  // A backend name outside the table.
+  SubmitRequest bad_backend = submit_request_from_entry(entry, "t", 5);
+  bad_backend.backend = "warp";
+  client.submit(bad_backend);
+  const ClientResponse unknown = client.wait(5);
+  ASSERT_TRUE(unknown.error.has_value());
+  EXPECT_EQ(unknown.error->code, WireErrorCode::kBadRequest);
+  EXPECT_NE(unknown.error->message.find(
+                "unknown backend 'warp' (inram | ooc | paged | mmap)"),
+            std::string::npos)
+      << unknown.error->message;
+
+  // The connection survived all four rejections.
   client.ping();
   // And the server still evaluates good jobs.
   entry.model = "jc";

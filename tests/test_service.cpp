@@ -481,6 +481,8 @@ TEST(Jobfile, RejectsMalformedLinesWithLineNumbers) {
   expect_error("a.fasta t.nwk gtr\n", "expected");
   expect_error("a.fasta t.nwk gtr ooc 1.5\n", "(0, 1]");
   expect_error("a.fasta t.nwk gtr warp 0.5\n", "unknown backend");
+  expect_error("a.fasta t.nwk gtr tiered 0.5\n",
+               "unknown backend 'tiered' (inram | ooc | paged | mmap)");
   expect_error("a.fasta t.nwk gtr ooc 0.5 bogus=1\n", "unknown option");
   expect_error("a.fasta t.nwk gtr ooc 0.5 seed=xyz\n", "bad integer");
   // A policy typo is line-tagged AND spells out the accepted vocabulary.
@@ -706,6 +708,10 @@ TEST(Service, TinyRamShareStillMakesProgress) {
 
 TEST(Jobfile, SharedVocabularyMatchesDriver) {
   EXPECT_EQ(parse_backend_name("paged"), Backend::kPaged);
+  for (const Backend backend : {Backend::kInRam, Backend::kOutOfCore,
+                                Backend::kPaged, Backend::kMmap})
+    EXPECT_EQ(parse_backend_name(backend_name(backend)), backend)
+        << backend_name(backend);
   EXPECT_EQ(parse_data_type_name("protein"), DataType::kProtein);
   EXPECT_THROW(parse_backend_name("x"), Error);
   EXPECT_THROW(parse_data_type_name("x"), Error);

@@ -199,19 +199,6 @@ TEST(Session, SinglePrecisionDiskStaysAccurate) {
             session_d.stats().bytes_written);
 }
 
-TEST(Session, TieredBackendWorks) {
-  PlannedDataset data = small_dataset();
-  SessionOptions options;
-  options.backend = Backend::kTiered;
-  options.tiered_fast_slots = 3;
-  options.tiered_ram_slots = 4;
-  Session session(std::move(data.alignment), std::move(data.tree),
-                  benchmark_gtr(), options);
-  ASSERT_NE(session.tiered(), nullptr);
-  EXPECT_TRUE(std::isfinite(session.engine().log_likelihood()));
-  EXPECT_GT(session.tiered()->tier_stats().promotions, 0u);
-}
-
 TEST(Session, TopologicalPolicyWiresTreeAutomatically) {
   PlannedDataset data = small_dataset();
   SessionOptions options;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ooc/ooc_store.hpp"
-#include "ooc/tiered_store.hpp"
 #include "tree/random_tree.hpp"
 #include "util/rng.hpp"
 
@@ -120,31 +119,21 @@ std::string describe(const OocStats& s) {
   return out.str();
 }
 
-std::string describe(const TierStats& s) {
-  std::ostringstream out;
-  out << "pro=" << s.promotions << " dem=" << s.demotions
-      << " fh=" << s.fast_hits << " rh=" << s.ram_hits
-      << " bt=" << s.bytes_transferred;
-  return out.str();
-}
-
 struct Golden {
   const char* name;
   const char* stats;
-  const char* tier;  ///< TieredStore only
   std::uint64_t file_hash;
   std::uint64_t digest;
 };
 
 /// On a mismatch, print the observed values in the table's own syntax.
 void expect_golden(const Golden& golden, const std::string& stats,
-                   const std::string& tier, std::uint64_t file,
-                   std::uint64_t digest) {
-  const bool match = stats == golden.stats && tier == golden.tier &&
-                     file == golden.file_hash && digest == golden.digest;
+                   std::uint64_t file, std::uint64_t digest) {
+  const bool match = stats == golden.stats && file == golden.file_hash &&
+                     digest == golden.digest;
   EXPECT_TRUE(match) << "observed:\n    {\"" << golden.name << "\",\n     \""
-                     << stats << "\",\n     \"" << tier << "\", 0x" << std::hex
-                     << file << "ull, 0x" << digest << "ull},";
+                     << stats << "\",\n     0x" << std::hex << file
+                     << "ull, 0x" << digest << "ull},";
 }
 
 Tree trace_tree() {
@@ -156,73 +145,57 @@ Tree trace_tree() {
 const Golden kOocGolden[] = {
     {"random/sync/double",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 pfr=0 pfs=0 pfw=0 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
+     0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
     {"random/sync/single",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 pfr=0 pfs=0 pfw=0 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0xd1b25a88c923159full, 0x82b623589fe6c97dull},
+     0xd1b25a88c923159full, 0x82b623589fe6c97dull},
     {"random/deterministic/double",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 pfr=0 pfs=0 pfw=0 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=191 co=19 wco=19",
-     "", 0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
+     0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
     {"random/deterministic/single",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 pfr=0 pfs=0 pfw=0 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=111 co=19 wco=19",
-     "", 0xd1b25a88c923159full, 0x82b623589fe6c97dull},
+     0xd1b25a88c923159full, 0x82b623589fe6c97dull},
     {"lru/sync/double",
      "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 pfr=0 pfs=0 pfw=0 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
+     0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
     {"lru/sync/single",
      "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 pfr=0 pfs=0 pfw=0 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
+     0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
     {"lru/deterministic/double",
      "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 pfr=0 pfs=0 pfw=0 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=188 co=24 wco=24",
-     "", 0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
+     0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
     {"lru/deterministic/single",
      "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 pfr=0 pfs=0 pfw=0 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=100 co=24 wco=24",
-     "", 0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
+     0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
     {"lfu/sync/double",
      "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 pfr=0 pfs=0 pfw=0 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
+     0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
     {"lfu/sync/single",
      "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 pfr=0 pfs=0 pfw=0 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0x65eba992050096fdull, 0x82b623589fe6c97dull},
+     0x65eba992050096fdull, 0x82b623589fe6c97dull},
     {"lfu/deterministic/double",
      "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 pfr=0 pfs=0 pfw=0 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=203 co=10 wco=10",
-     "", 0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
+     0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
     {"lfu/deterministic/single",
      "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 pfr=0 pfs=0 pfw=0 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=109 co=10 wco=10",
-     "", 0x65eba992050096fdull, 0x82b623589fe6c97dull},
+     0x65eba992050096fdull, 0x82b623589fe6c97dull},
     {"topological/sync/double",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 pfr=0 pfs=0 pfw=0 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
+     0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
     {"topological/sync/single",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 pfr=0 pfs=0 pfw=0 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "", 0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
+     0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
     {"topological/deterministic/double",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 pfr=0 pfs=0 pfw=0 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=198 co=16 wco=16",
-     "", 0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
+     0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
     {"topological/deterministic/single",
      "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 pfr=0 pfs=0 pfw=0 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=110 co=16 wco=16",
-     "", 0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
-};
-
-const Golden kTieredGolden[] = {
-    {"lru/sync",
-     "acc=617 hit=192 miss=425 cold=20 ev=277 rd=129 wr=232 skip=157 pfr=0 pfs=0 pfw=0 br=24768 bw=44544 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "pro=425 dem=421 fh=192 rh=139 bt=162432", 0x6d751a74bc52de8aull, 0x82b623589fe6c97dull},
-    {"lru/deterministic",
-     "acc=617 hit=192 miss=425 cold=20 ev=277 rd=129 wr=232 skip=157 pfr=0 pfs=0 pfw=0 br=24768 bw=44544 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=54 co=0 wco=0",
-     "pro=425 dem=421 fh=192 rh=139 bt=162432", 0x6d751a74bc52de8aull, 0x82b623589fe6c97dull},
-    {"random/sync",
-     "acc=617 hit=192 miss=425 cold=20 ev=280 rd=131 wr=230 skip=158 pfr=0 pfs=0 pfw=0 br=25152 bw=44160 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
-     "pro=425 dem=421 fh=192 rh=136 bt=162432", 0x9d04bd847c72cfb8ull, 0x82b623589fe6c97dull},
-    {"random/deterministic",
-     "acc=617 hit=192 miss=425 cold=20 ev=280 rd=131 wr=230 skip=158 pfr=0 pfs=0 pfw=0 br=25152 bw=44160 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=55 co=0 wco=0",
-     "pro=425 dem=421 fh=192 rh=136 bt=162432", 0x9d04bd847c72cfb8ull, 0x82b623589fe6c97dull},
+     0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
 };
 // clang-format on
 
-template <std::size_t N>
-const Golden* find_golden(const Golden (&table)[N], const std::string& name) {
-  for (const Golden& golden : table)
+const Golden* find_golden(const std::string& name) {
+  for (const Golden& golden : kOocGolden)
     if (name == golden.name) return &golden;
   return nullptr;
 }
@@ -254,39 +227,11 @@ TEST(StoreTrace, OutOfCoreStoreCountersAndFileMatchGolden) {
         options.file.io_permute_seed = 3;
         OutOfCoreStore store(kCount, kWidth, options);
         const std::uint64_t digest = run_trace(store);
-        const Golden* golden = find_golden(kOocGolden, name);
+        const Golden* golden = find_golden(name);
         ASSERT_NE(golden, nullptr) << "no golden entry for " << name;
-        expect_golden(*golden, describe(store.stats_snapshot()), "",
+        expect_golden(*golden, describe(store.stats_snapshot()),
                       file_hash(options.file.base_path), digest);
       }
-    }
-  }
-}
-
-TEST(StoreTrace, TieredStoreCountersAndFileMatchGolden) {
-  for (ReplacementPolicy ram_policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kRandom}) {
-    for (AioEngineKind engine :
-         {AioEngineKind::kSync, AioEngineKind::kDeterministic}) {
-      const std::string name =
-          std::string(policy_name(ram_policy)) + "/" + aio_engine_name(engine);
-      SCOPED_TRACE(name);
-      TieredStoreOptions options;
-      options.fast_slots = 4;
-      options.ram_slots = 5;
-      options.fast_policy = ReplacementPolicy::kLru;
-      options.ram_policy = ram_policy;
-      options.seed = 17;
-      options.file.base_path = temp_vector_file_path("trace");
-      options.file.io_engine = engine;
-      options.file.io_permute_seed = 3;
-      TieredStore store(kCount, kWidth, options);
-      const std::uint64_t digest = run_trace(store);
-      const Golden* golden = find_golden(kTieredGolden, name);
-      ASSERT_NE(golden, nullptr) << "no golden entry for " << name;
-      expect_golden(*golden, describe(store.stats_snapshot()),
-                    describe(store.tier_stats()),
-                    file_hash(options.file.base_path), digest);
     }
   }
 }
