@@ -86,7 +86,12 @@ CliConfig parse_cli(int argc, const char* const* argv) {
 
 int run_cli(const CliConfig& config, std::ostream& out) {
   Timer total;
+  // Every name option resolves before any input is read, so a misspelt
+  // name fails before an alignment parse or a starting-tree build.
   const DataType data_type = parse_data_type_name(config.data_type);
+  const Backend backend = parse_backend_name(config.backend);
+  const ReplacementPolicy policy = parse_policy(config.strategy);
+  const AioEngineKind io_engine = parse_aio_engine(config.io_engine);
   Alignment alignment = [&] {
     if (config.format == "fasta")
       return read_fasta_file(config.msa_path, data_type);
@@ -127,17 +132,17 @@ int run_cli(const CliConfig& config, std::ostream& out) {
                            ? resume->categories
                            : static_cast<unsigned>(config.categories);
   options.alpha = resume.has_value() ? resume->alpha : config.alpha;
-  options.backend = parse_backend_name(config.backend);
+  options.backend = backend;
   options.ram_budget_bytes = config.memory_limit;
   options.ram_fraction = config.ram_fraction;
-  options.policy = parse_policy(config.strategy);
+  options.policy = policy;
   options.read_skipping = !config.no_read_skipping;
   options.seed = config.seed;
   options.vector_file = config.vector_file;
   if (!config.inject_faults.empty())
     options.faults = FaultConfig::parse(config.inject_faults);
   options.io_retry.max_retries = static_cast<unsigned>(config.io_retries);
-  options.io_engine = parse_aio_engine(config.io_engine);
+  options.io_engine = io_engine;
   options.io_depth = static_cast<unsigned>(config.io_depth);
   options.direct_io = config.direct_io;
   options.threads = static_cast<unsigned>(config.threads);

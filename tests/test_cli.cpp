@@ -175,6 +175,17 @@ TEST_F(CliFixture, BadConfigurationsThrow) {
                 std::string::npos)
           << error.what();
     }
+    // The name fails before the alignment is read.
+    EXPECT_EQ(out.str().find("alignment:"), std::string::npos) << out.str();
+  }
+  // The other name options also fail typed before any parse.
+  for (std::string CliConfig::*name :
+       {&CliConfig::strategy, &CliConfig::io_engine, &CliConfig::data_type}) {
+    CliConfig config = base_config();
+    config.*name = "bogus";
+    std::ostringstream out;
+    EXPECT_THROW(run_cli(config, out), Error);
+    EXPECT_EQ(out.str().find("alignment:"), std::string::npos) << out.str();
   }
   {
     CliConfig config = base_config();

@@ -6,6 +6,8 @@
 // under every strategy and fraction, and the paged baseline.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "search/search.hpp"
 #include "search/stepwise.hpp"
 #include "session.hpp"
@@ -75,6 +77,12 @@ struct OocCase {
   ReplacementPolicy policy;
   double fraction;
 };
+
+// gtest prints the parameter into every test's listed name; without this
+// it prints the struct's raw bytes, uninitialised padding included.
+void PrintTo(const OocCase& param, std::ostream* out) {
+  *out << policy_name(param.policy) << ", RAM fraction " << param.fraction;
+}
 
 class OocEquivalence : public BackendEquivalence,
                        public ::testing::WithParamInterface<OocCase> {};

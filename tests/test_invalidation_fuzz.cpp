@@ -8,6 +8,8 @@
 // incremental likelihood equals a brute-force full recomputation.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "likelihood/engine.hpp"
 #include "ooc/inram_store.hpp"
 #include "ooc/ooc_store.hpp"
@@ -24,6 +26,13 @@ struct FuzzCase {
   std::size_t taxa;
   bool out_of_core;
 };
+
+// gtest prints the parameter into every test's listed name; without this
+// it prints the struct's raw bytes, uninitialised padding included.
+void PrintTo(const FuzzCase& param, std::ostream* out) {
+  *out << "seed " << param.seed << ", " << param.taxa << " taxa, "
+       << (param.out_of_core ? "out of core" : "in RAM");
+}
 
 class InvalidationFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
