@@ -130,14 +130,19 @@ void BM_NewviewInnerInner(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fx.dims.patterns));
 }
+// {200, 4, 4} is search-dna's geometry; {203, 4, 4} leaves 3 patterns over
+// after the 4-state kernel's four-pattern groups.
 BENCHMARK(BM_NewviewInnerInner)
     ->Args({1200, 4, 4})
+    ->Args({200, 4, 4})
+    ->Args({203, 4, 4})
     ->Args({1200, 1, 4})
     ->Args({1200, 4, 20})
     ->Args({10000, 4, 4});
 
 void BM_NewviewTipTip(benchmark::State& state) {
-  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4, 4);
+  KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4,
+                   static_cast<unsigned>(state.range(1)));
   for (auto _ : state) {
     newview(fx.dims, fx.tip_child(), fx.tip_child(), fx.parent.data(),
             fx.pscale.data());
@@ -146,7 +151,11 @@ void BM_NewviewTipTip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(fx.dims.patterns));
 }
-BENCHMARK(BM_NewviewTipTip)->Arg(1200)->Arg(10000);
+BENCHMARK(BM_NewviewTipTip)
+    ->Args({1200, 4})
+    ->Args({200, 4})
+    ->Args({203, 4})
+    ->Args({10000, 4});
 
 void BM_NewviewTipInner(benchmark::State& state) {
   KernelFixture fx(static_cast<std::size_t>(state.range(0)), 4,
@@ -161,6 +170,8 @@ void BM_NewviewTipInner(benchmark::State& state) {
 }
 BENCHMARK(BM_NewviewTipInner)
     ->Args({1200, 4})
+    ->Args({200, 4})
+    ->Args({203, 4})
     ->Args({10000, 4})
     ->Args({1200, 20});
 
@@ -397,6 +408,7 @@ int run_json_sweep(const std::string& json_path,
       std::vector<double> protein_d2mat;
       protein.derivative_matrices(protein_dmat, protein_d2mat);
       double newview_base = 0.0;
+      double tip_inner_base = 0.0;
       double evaluate_base = 0.0;
       double derivatives_base = 0.0;
       double tip_base = 0.0;
@@ -412,6 +424,17 @@ int run_json_sweep(const std::string& json_path,
         });
         finish_row(nv, newview_base);
         rows.push_back(nv);
+
+        // A tip child and an inner one, the commonest child pair of
+        // search-dna's newviews.
+        SweepRow nvt{"newview_tip_inner", patterns, categories, threads};
+        nvt.seconds_per_call = time_per_call([&] {
+          newview(fx.dims, fx.tip_child(), fx.inner_right(), fx.parent.data(),
+                  fx.pscale.data(), handle);
+          benchmark::DoNotOptimize(fx.parent.data());
+        });
+        finish_row(nvt, tip_inner_base);
+        rows.push_back(nvt);
 
         SweepRow ev{"evaluate_branch", patterns, categories, threads};
         ev.seconds_per_call = time_per_call([&] {

@@ -92,6 +92,12 @@ int run_cli(const CliConfig& config, std::ostream& out) {
   const Backend backend = parse_backend_name(config.backend);
   const ReplacementPolicy policy = parse_policy(config.strategy);
   const AioEngineKind io_engine = parse_aio_engine(config.io_engine);
+  if (config.mode != "evaluate" && config.mode != "traverse" &&
+      config.mode != "search" && config.mode != "mcmc")
+    throw Error("unknown --mode '" + config.mode +
+                "' (evaluate | search | traverse | mcmc)");
+  // A checkpoint brings its own model, so --model is read only without one.
+  if (config.load_checkpoint_path.empty()) check_model_name(config.model);
   Alignment alignment = [&] {
     if (config.format == "fasta")
       return read_fasta_file(config.msa_path, data_type);
@@ -185,7 +191,7 @@ int run_cli(const CliConfig& config, std::ostream& out) {
         << result.final_log_likelihood << " (alpha "
         << session.engine().config().alpha << ", "
         << result.spr.moves_accepted << " SPR moves)\n";
-  } else if (config.mode == "mcmc") {
+  } else {  // mcmc
     McmcOptions mcmc;
     mcmc.iterations = config.mcmc_iterations;
     Rng chain_rng(config.seed + 1);
@@ -195,9 +201,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
         << result.best_log_posterior << "); acceptance branch "
         << result.branch_acceptance() << ", NNI " << result.nni_acceptance()
         << "\n";
-  } else {
-    throw Error("unknown --mode '" + config.mode +
-                "' (evaluate | search | traverse | mcmc)");
   }
 
   if (config.print_stats) {

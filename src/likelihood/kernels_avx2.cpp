@@ -1,23 +1,28 @@
 // AVX2 newview and evaluate_branch for 4- and 20-state data.
 //
-// One template family over the state count S: the S states of a (pattern,
-// category) block are S/4 __m256d x-lanes. propagate<S> computes each lane's
-// 0 + P[x][0]*v[0] + ... + P[x][S-1]*v[S-1] in y order, from the transposed
-// matrix and a broadcast v[y], as a separate multiply then add — the
-// identical sequence the scalar kernel performs per x, so the results are
-// bit-for-bit equal (deliberately no FMA: fused rounding would break the
-// equality, and with it the suite's cross-configuration bit-identity
-// checks; the kernel-no-fma lint rule enforces it). The loops over lanes are
-// fully unrolled so that the accumulators stay in registers.
+// Every lane performs the scalar kernel's multiplies and adds in the scalar
+// order: each x-sum is 0 + M[x][0]*v[0] + ... + M[x][S-1]*v[S-1] in y order,
+// as a separate multiply then add, so the results are bit-for-bit equal
+// (deliberately no FMA: fused rounding would break the equality, and with
+// it the suite's cross-configuration bit-identity checks; the kernel-no-fma
+// lint rule enforces it). A reduction across x must also keep the scalar
+// order, so no horizontal add (the kernel-no-hadd lint rule). The loops
+// over lanes are fully unrolled so that the accumulators stay in registers.
 //
-// A reduction across x must also keep the scalar order, so no horizontal
-// add (the kernel-no-hadd lint rule). newview needs none. The 4-state
-// evaluate turns the x-sums vertical instead: it transposes four patterns'
-// blocks so that lane i holds pattern i, and each lane then runs the scalar
-// sequence of multiplies and adds (evaluate_quads). The 20-state evaluate
-// with an inner near side, and the 0–3 patterns a 4-state block leaves
-// over, keep S/4 x-lanes per pattern and sum across x in scalar code, in x
+// 20 states: the S states of a (pattern, category) block are S/4 __m256d
+// x-lanes. propagate<S> computes each lane's x-sums from the transposed
+// matrix and a broadcast v[y]; newview needs no sum across x, and the
+// evaluate with an inner near side sums across x in scalar code, in x
 // order.
+//
+// 4 states: four patterns per vector, pattern i of a quad in lane i. Both
+// kernels transpose the quad's blocks so that vector y holds state y of
+// every pattern; each lane then runs the scalar sequence with P[x][y]
+// broadcast from the row-major matrix, and every sum over states is a
+// vertical add (newview_quads, evaluate_quads). newview transposes the
+// products back before it stores them. The 0–3 patterns a block leaves
+// over form a last quad whose missing lanes read zeros (kZeroRow) and
+// reach neither the parent vector nor the branch value.
 //
 // A tip on the near side needs only the states its code allows: every other
 // term of the x-sum is an exact ±0 as long as its far_x is finite, which a
@@ -92,6 +97,8 @@ __attribute__((target("avx2"))) inline void child_lanes(
   }
 }
 
+/// The 20-state newview: each (pattern, category) block's S states are S/4
+/// x-lanes.
 template <unsigned S>
 __attribute__((target("avx2"))) std::size_t newview_lanes(
     const KernelDims& dims, const NewviewChild& left,
@@ -248,8 +255,23 @@ __attribute__((target("avx2"))) void evaluate_patterns(
   }
 }
 
+/// Transposes four vectors as a 4×4 matrix: lane i of out[y] is lane y of
+/// in[i].
+__attribute__((target("avx2"))) inline void transpose_quad(const __m256d* in,
+                                                           __m256d* out) {
+  const __m256d t0 = _mm256_unpacklo_pd(in[0], in[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(in[0], in[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(in[2], in[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(in[2], in[3]);
+  out[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  out[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  out[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  out[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
 /// Loads four 4-state rows and transposes them: out[y] holds state y of
-/// every row, row i in lane i.
+/// every row, row i in lane i. This is transpose_quad of the four loads,
+/// written out so that the loads fold into the unpacks.
 __attribute__((target("avx2"))) inline void transpose_rows(
     const double* r0, const double* r1, const double* r2, const double* r3,
     __m256d* out) {
@@ -265,13 +287,6 @@ __attribute__((target("avx2"))) inline void transpose_rows(
   out[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
   out[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
   out[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/// Four consecutive blocks of `stride` doubles from `first`, transposed.
-__attribute__((target("avx2"))) inline void transpose_blocks(
-    const double* first, std::size_t stride, __m256d* out) {
-  transpose_rows(first, first + stride, first + 2 * stride, first + 3 * stride,
-                 out);
 }
 
 // ------------------------------------------------------- the tip near side
@@ -371,8 +386,10 @@ __attribute__((target("avx2"))) inline bool far_block_within(
   return _mm256_movemask_pd(ok) == 0xF;
 }
 
-/// Zeros that stand in for the rows of the categories past the last one.
-alignas(32) constexpr double kZeroRow[20] = {};
+/// Zeros that stand in for missing rows: the categories past the last one
+/// (up to 20 entries), and in a 4-state quad the patterns past the last
+/// one (a 4-entry row per category).
+alignas(32) constexpr double kZeroRow[4 * kSimdMaxCategories] = {};
 
 /// Four rows of S entries, row i at first + i·stride, transposed: out[y]
 /// holds entry y of every row, row i in lane i. Rows from `rows` on read
@@ -519,13 +536,147 @@ __attribute__((target("avx2"))) inline __m256d dot_quad(const __m256d* base,
   return sum;
 }
 
+/// Row pointers of a 4-state quad, the patterns first..first+count-1 (count
+/// 1–4) in lanes 0..count-1: lane i reads table + k·stride, where k is
+/// codes[first + i] (a tip's lookup or indicator table) or first + i (an
+/// inner vector) when codes is null. Lanes from count on read kZeroRow.
+inline void quad_rows(const double* table, std::size_t stride,
+                      const std::uint8_t* codes, std::size_t first,
+                      unsigned count, const double** rows) {
+  if (codes == nullptr) {
+#pragma GCC unroll 4
+    for (unsigned i = 0; i < 4; ++i)
+      rows[i] = i < count ? table + (first + i) * stride : kZeroRow;
+  } else {
+#pragma GCC unroll 4
+    for (unsigned i = 0; i < 4; ++i)
+      rows[i] = i < count ? table + codes[first + i] * stride : kZeroRow;
+  }
+}
+
+/// A newview child's quad_rows: a tip's rows are its lookup table's rows
+/// for the patterns' codes.
+inline void child_rows(const NewviewChild& child, std::size_t block,
+                       std::size_t first, unsigned count, const double** rows) {
+  if (child.is_tip())
+    quad_rows(child.lookup, block, child.codes, first, count, rows);
+  else
+    quad_rows(child.vector, block, nullptr, first, count, rows);
+}
+
+/// The quad's rows at offset `at`, transposed: out[y] holds state y of
+/// lane i's row in lane i.
+__attribute__((target("avx2"))) inline void transpose_at(
+    const double* const* rows, std::size_t at, __m256d* out) {
+  transpose_rows(rows[0] + at, rows[1] + at, rows[2] + at, rows[3] + at, out);
+}
+
+/// The 4-state newview with four patterns per vector, pattern i of a quad
+/// in lane i. Per category, an inner child's blocks are transposed and
+/// propagated by propagate_quad, a tip child's folded lookup rows are
+/// transposed as they are, and the product l_x·r_x is transposed back and
+/// stored: each lane runs the scalar kernel's multiply/add sequence. The
+/// 0–3 patterns a block leaves over form a last quad whose missing lanes
+/// read zeros and store nowhere. Scaling then runs per pattern, in pattern
+/// order, by the scalar rule.
+__attribute__((target("avx2"))) std::size_t newview_quads(
+    const KernelDims& dims, const NewviewChild& left,
+    const NewviewChild& right, double* parent, std::int32_t* parent_scale,
+    std::size_t p_begin, std::size_t p_end) {
+  const unsigned cats = dims.categories;
+  const std::size_t block = static_cast<std::size_t>(cats) * 4;
+  const __m256d threshold = _mm256_set1_pd(kScaleThreshold);
+  const __m256d multiplier = _mm256_set1_pd(kScaleMultiplier);
+  const __m256d zero = _mm256_setzero_pd();
+  // Where the missing lanes of a last quad store.
+  alignas(32) double discard[4 * kSimdMaxCategories];
+  std::size_t scaled = 0;
+
+  // One quad, patterns p..p+count-1. Inlined at both calls below, so the
+  // full quads run with count = 4 known.
+  const auto quad = [&](std::size_t p, unsigned count)
+      __attribute__((target("avx2"), always_inline)) {
+    const double* left_rows[4];
+    const double* right_rows[4];
+    child_rows(left, block, p, count, left_rows);
+    child_rows(right, block, p, count, right_rows);
+    double* out[4];
+    for (unsigned i = 0; i < 4; ++i)
+      out[i] = i < count ? parent + (p + i) * block : discard;
+    // Lane i is set once pattern p + i has an entry >= threshold. The
+    // scalar test is v >= threshold; an ordered compare keeps NaN entries
+    // "small" there too.
+    __m256d large = _mm256_setzero_pd();
+    for (unsigned c = 0; c < cats; ++c) {
+      const std::size_t at = static_cast<std::size_t>(c) * 4;
+      __m256d l[4];
+      __m256d r[4];
+      __m256d v[4];
+      if (left.is_tip()) {
+        transpose_at(left_rows, at, l);
+      } else {
+        transpose_at(left_rows, at, v);
+        propagate_quad(left.pmat + at * 4, v, l);
+      }
+      if (right.is_tip()) {
+        transpose_at(right_rows, at, r);
+      } else {
+        transpose_at(right_rows, at, v);
+        propagate_quad(right.pmat + at * 4, v, r);
+      }
+#pragma GCC unroll 4
+      for (unsigned x = 0; x < 4; ++x) {
+        v[x] = _mm256_mul_pd(l[x], r[x]);
+        large =
+            _mm256_or_pd(large, _mm256_cmp_pd(v[x], threshold, _CMP_GE_OQ));
+      }
+      __m256d rows[4];
+      transpose_quad(v, rows);
+#pragma GCC unroll 4
+      for (unsigned i = 0; i < 4; ++i) _mm256_storeu_pd(out[i] + at, rows[i]);
+    }
+    const int large_lanes = _mm256_movemask_pd(large);
+    for (unsigned i = 0; i < count; ++i) {
+      std::int32_t scale =
+          scale_sum(left.scale_counts, right.scale_counts, p + i);
+      bool all_small = (large_lanes >> i & 1) == 0;
+      if (all_small) {
+        ++scaled;
+        // The scalar rule, as in newview_lanes.
+        while (all_small) {
+          bool any_large = false;
+          bool any_positive = false;
+          for (std::size_t k = 0; k < block; k += 4) {
+            const __m256d v =
+                _mm256_mul_pd(_mm256_loadu_pd(out[i] + k), multiplier);
+            _mm256_storeu_pd(out[i] + k, v);
+            any_large |= _mm256_movemask_pd(
+                             _mm256_cmp_pd(v, threshold, _CMP_GE_OQ)) != 0;
+            any_positive |=
+                _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_GT_OQ)) != 0;
+          }
+          ++scale;
+          if (!any_positive) break;
+          all_small = !any_large;
+        }
+      }
+      parent_scale[p + i] = scale;
+    }
+  };
+  std::size_t p = p_begin;
+  for (; p_end - p >= 4; p += 4) quad(p, 4);
+  if (p < p_end) quad(p, static_cast<unsigned>(p_end - p));
+  return scaled;
+}
+
 /// The 4-state evaluate with four patterns per vector, pattern i of a quad
 /// in lane i: transposing the blocks makes every per-state sum vertical, so
 /// each lane runs the scalar kernel's exact multiply/add sequence with no
-/// horizontal add. Adds the quads in [p_begin, p_end) to `result` in
-/// pattern order and returns the first pattern of the 0–3 left over.
+/// horizontal add. The 0–3 patterns a block leaves over form a last quad
+/// whose missing lanes read zeros; only the real lanes reach
+/// accumulate_site, in pattern order.
 template <bool kDerivatives>
-__attribute__((target("avx2"))) std::size_t evaluate_quads(
+__attribute__((target("avx2"))) void evaluate_quads(
     const KernelDims& dims, const double* freqs, const double* weights,
     const EvalSide& near_side, const EvalSide& far_side, const double* pmats,
     const double* dmats, const double* d2mats, std::size_t p_begin,
@@ -538,17 +689,20 @@ __attribute__((target("avx2"))) std::size_t evaluate_quads(
 #pragma GCC unroll 4
   for (unsigned x = 0; x < 4; ++x) freq[x] = _mm256_set1_pd(freqs[x]);
 
-  std::size_t p = p_begin;
-  for (; p_end - p >= 4; p += 4) {
+  // One quad, patterns p..p+count-1. Inlined at both calls below, so the
+  // full quads run with count = 4 known.
+  const auto quad = [&](std::size_t p, unsigned count)
+      __attribute__((target("avx2"), always_inline)) {
+    const double* far_rows[4];
+    quad_rows(far_side.vector, block, nullptr, p, count, far_rows);
+    const double* near_rows[4];
+    quad_rows(near_side.is_tip() ? near_side.indicator : near_side.vector,
+              near_side.is_tip() ? 4 : block, near_side.codes, p, count,
+              near_rows);
     // A tip's base = freqs[x] * indicator[x] is the same in every category.
     __m256d base[4] = {};
     if (near_side.is_tip()) {
-      const std::uint8_t* codes = near_side.codes + p;
-      const double* indicator = near_side.indicator;
-      transpose_rows(indicator + static_cast<std::size_t>(codes[0]) * 4,
-                     indicator + static_cast<std::size_t>(codes[1]) * 4,
-                     indicator + static_cast<std::size_t>(codes[2]) * 4,
-                     indicator + static_cast<std::size_t>(codes[3]) * 4, base);
+      transpose_at(near_rows, 0, base);
 #pragma GCC unroll 4
       for (unsigned x = 0; x < 4; ++x)
         base[x] = _mm256_mul_pd(freq[x], base[x]);
@@ -557,23 +711,22 @@ __attribute__((target("avx2"))) std::size_t evaluate_quads(
     __m256d site_d1 = _mm256_setzero_pd();
     __m256d site_d2 = _mm256_setzero_pd();
     for (unsigned c = 0; c < cats; ++c) {
-      const std::size_t offset = p * block + static_cast<std::size_t>(c) * 4;
+      const std::size_t at = static_cast<std::size_t>(c) * 4;
       if (!near_side.is_tip()) {
-        transpose_blocks(near_side.vector + offset, block, base);
+        transpose_at(near_rows, at, base);
 #pragma GCC unroll 4
         for (unsigned x = 0; x < 4; ++x)
           base[x] = _mm256_mul_pd(freq[x], base[x]);
       }
       __m256d v[4];
-      transpose_blocks(far_side.vector + offset, block, v);
-      const std::size_t at = static_cast<std::size_t>(c) * 16;
+      transpose_at(far_rows, at, v);
       __m256d far[4];
-      propagate_quad(pmats + at, v, far);
+      propagate_quad(pmats + at * 4, v, far);
       site_l = _mm256_add_pd(site_l, dot_quad(base, far));
       if constexpr (kDerivatives) {
-        propagate_quad(dmats + at, v, far);
+        propagate_quad(dmats + at * 4, v, far);
         site_d1 = _mm256_add_pd(site_d1, dot_quad(base, far));
-        propagate_quad(d2mats + at, v, far);
+        propagate_quad(d2mats + at * 4, v, far);
         site_d2 = _mm256_add_pd(site_d2, dot_quad(base, far));
       }
     }
@@ -594,13 +747,15 @@ __attribute__((target("avx2"))) std::size_t evaluate_quads(
       _mm256_store_pd(d1, d1_term);
       _mm256_store_pd(d2, d2_term);
     }
-    for (unsigned i = 0; i < 4; ++i)
+    for (unsigned i = 0; i < count; ++i)
       accumulate_site(
           result, g[i], d1[i], d2[i],
           scale_sum(near_side.scale_counts, far_side.scale_counts, p + i),
           weights != nullptr ? weights[p + i] : 1.0, kDerivatives);
-  }
-  return p;
+  };
+  std::size_t p = p_begin;
+  for (; p_end - p >= 4; p += 4) quad(p, 4);
+  if (p < p_end) quad(p, static_cast<unsigned>(p_end - p));
 }
 
 template <unsigned S, bool kDerivatives>
@@ -610,24 +765,19 @@ __attribute__((target("avx2"))) BranchValue evaluate_lanes(
     const double* dmats, const double* d2mats, std::size_t p_begin,
     std::size_t p_end) {
   BranchValue result;
-  if constexpr (S == 20) {
-    if (near_side.is_tip()) {
-      const double* const mats[3] = {pmats, dmats, d2mats};
-      evaluate_tip_patterns<S, kDerivatives>(dims, freqs, weights, near_side,
-                                             far_side, mats, p_begin, p_end,
-                                             result);
-      return result;
-    }
-  }
-  std::size_t p = p_begin;
-  if constexpr (S == 4)
-    p = evaluate_quads<kDerivatives>(dims, freqs, weights, near_side,
-                                     far_side, pmats, dmats, d2mats, p_begin,
-                                     p_end, result);
-  if (p < p_end)
+  if constexpr (S == 4) {
+    evaluate_quads<kDerivatives>(dims, freqs, weights, near_side, far_side,
+                                 pmats, dmats, d2mats, p_begin, p_end, result);
+  } else if (near_side.is_tip()) {
+    const double* const mats[3] = {pmats, dmats, d2mats};
+    evaluate_tip_patterns<S, kDerivatives>(dims, freqs, weights, near_side,
+                                           far_side, mats, p_begin, p_end,
+                                           result);
+  } else if (p_begin < p_end) {
     evaluate_patterns<S, kDerivatives>(dims, freqs, weights, near_side,
-                                       far_side, pmats, dmats, d2mats, p,
+                                       far_side, pmats, dmats, d2mats, p_begin,
                                        p_end, result);
+  }
   return result;
 }
 
@@ -639,8 +789,8 @@ __attribute__((target("avx2"))) std::size_t newview_avx2(
     std::size_t p_begin, std::size_t p_end) {
   PLFOC_CHECK(dims.categories <= kSimdMaxCategories);
   if (dims.states == 4)
-    return newview_lanes<4>(dims, left, right, parent, parent_scale, p_begin,
-                            p_end);
+    return newview_quads(dims, left, right, parent, parent_scale, p_begin,
+                         p_end);
   PLFOC_CHECK(dims.states == 20);
   return newview_lanes<20>(dims, left, right, parent, parent_scale, p_begin,
                            p_end);

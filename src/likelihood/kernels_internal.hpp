@@ -62,11 +62,14 @@ inline void add_site(BranchValue& result, double site_l, double site_d1,
 
 /// AVX2 newview over patterns [p_begin, p_end) for 4- and 20-state data
 /// with at most kSimdMaxCategories categories — the block-parallel driver
-/// hands each pattern block to one call. Each lane performs exactly the
-/// scalar kernel's multiply/add sequence (no FMA), so the parent vector,
-/// scale counts and return value are bit-identical to newview_scalar.
-/// Compiled with a per-function target attribute; only call when
-/// cpu_has_avx2() (util/cpu_features.hpp).
+/// hands each pattern block to one call. 4-state data runs four patterns
+/// per vector, one per lane, the 0–3 left over as a last quad padded with
+/// zeros; 20-state data runs one pattern at a time with S/4 x-lanes. Either
+/// way each lane performs exactly the scalar kernel's multiply/add sequence
+/// (no FMA), and scaling runs per pattern, in pattern order, so the parent
+/// vector, scale counts and return value are bit-identical to
+/// newview_scalar. Compiled with a per-function target attribute; only call
+/// when cpu_has_avx2() (util/cpu_features.hpp).
 std::size_t newview_avx2(const KernelDims& dims, const NewviewChild& left,
                          const NewviewChild& right, double* parent,
                          std::int32_t* parent_scale, std::size_t p_begin,
@@ -76,12 +79,12 @@ std::size_t newview_avx2(const KernelDims& dims, const NewviewChild& left,
 /// side, same preconditions and bit-identity guarantee as newview_avx2.
 /// 4-state data runs four patterns per vector, one per lane, so the
 /// per-category x-sums are vertical adds in scalar x order; the 0–3
-/// patterns left over, and 20-state data with an inner near side, run one
-/// pattern at a time with S/4 x-lanes and scalar x-sums. 20-state data with
-/// a tip near side runs four categories per vector, and a pattern whose far
-/// blocks pass a finiteness guard skips the states its code rules out:
-/// their terms are exact ±0 and change no bit. Either way the patterns
-/// reach accumulate_site in pattern order.
+/// patterns left over form a last quad padded with zeros. 20-state data
+/// with an inner near side runs one pattern at a time with S/4 x-lanes and
+/// scalar x-sums. 20-state data with a tip near side runs four categories
+/// per vector, and a pattern whose far blocks pass a finiteness guard skips
+/// the states its code rules out: their terms are exact ±0 and change no
+/// bit. Either way the patterns reach accumulate_site in pattern order.
 BranchValue evaluate_avx2(const KernelDims& dims, const double* freqs,
                           const double* weights, const EvalSide& near_side,
                           const EvalSide& far_side, const double* pmats,

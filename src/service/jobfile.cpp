@@ -124,17 +124,23 @@ DataType parse_data_type_name(const std::string& name) {
   throw Error("unknown data type '" + name + "' (dna | protein)");
 }
 
+void check_model_name(const std::string& model) {
+  for (const char* name : {"jc", "k80", "hky", "gtr", "poisson"})
+    if (model == name) return;
+  throw Error("unknown model '" + model +
+              "' (jc | k80 | hky | gtr | poisson)");
+}
+
 SubstitutionModel build_named_model(const std::string& model, double kappa,
                                     const Alignment& alignment) {
+  check_model_name(model);
   if (model == "jc") return jc69();
   if (model == "k80") return k80(kappa);
   if (model == "hky") return hky85(kappa, alignment.empirical_frequencies());
   if (model == "gtr")
     return gtr({1.0, 2.0, 1.0, 1.0, 2.0, 1.0},
                alignment.empirical_frequencies());
-  if (model == "poisson") return poisson_protein();
-  throw Error("unknown model '" + model +
-              "' (jc | k80 | hky | gtr | poisson)");
+  return poisson_protein();
 }
 
 std::vector<JobFileEntry> parse_job_lines(std::istream& in) {

@@ -71,6 +71,8 @@ struct JobFileEntry {
 const char* backend_name(Backend backend);
 Backend parse_backend_name(const std::string& name);
 DataType parse_data_type_name(const std::string& name);
+/// Throws plfoc::Error unless build_named_model knows `model`.
+void check_model_name(const std::string& model);
 /// `kappa` feeds k80/hky; frequency-parameterised models use the
 /// alignment's empirical base frequencies (the CLI driver's convention).
 SubstitutionModel build_named_model(const std::string& model, double kappa,

@@ -158,12 +158,6 @@ TEST_F(CliFixture, BadConfigurationsThrow) {
   }
   {
     CliConfig config = base_config();
-    config.mode = "dance";
-    std::ostringstream out;
-    EXPECT_THROW(run_cli(config, out), Error);
-  }
-  {
-    CliConfig config = base_config();
     config.backend = "cloud";
     std::ostringstream out;
     try {
@@ -178,20 +172,16 @@ TEST_F(CliFixture, BadConfigurationsThrow) {
     // The name fails before the alignment is read.
     EXPECT_EQ(out.str().find("alignment:"), std::string::npos) << out.str();
   }
-  // The other name options also fail typed before any parse.
+  // The other name options, --mode and --model among them, also fail typed
+  // before any parse.
   for (std::string CliConfig::*name :
-       {&CliConfig::strategy, &CliConfig::io_engine, &CliConfig::data_type}) {
+       {&CliConfig::strategy, &CliConfig::io_engine, &CliConfig::data_type,
+        &CliConfig::mode, &CliConfig::model}) {
     CliConfig config = base_config();
     config.*name = "bogus";
     std::ostringstream out;
     EXPECT_THROW(run_cli(config, out), Error);
     EXPECT_EQ(out.str().find("alignment:"), std::string::npos) << out.str();
-  }
-  {
-    CliConfig config = base_config();
-    config.model = "dayhoff";
-    std::ostringstream out;
-    EXPECT_THROW(run_cli(config, out), Error);
   }
   {
     CliConfig config = base_config();

@@ -6,12 +6,14 @@
 // three BranchValue fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "likelihood/kernel_pool.hpp"
 #include "likelihood/kernels.hpp"
 #include "likelihood/kernels_internal.hpp"
 #include "model/eigen.hpp"
@@ -298,6 +300,164 @@ TEST(KernelsSimd, PublicNewviewDispatchesConsistently) {
     expect_same_bits(b, a);
     EXPECT_EQ(sa, sb);
   }
+}
+
+/// Child inputs for the 4-state newview seam test, each aimed at one way
+/// the four-patterns-per-vector kernel could drift from the scalar one.
+enum class NewviewSeam { kPlain, kMixedScaling, kZeroBlocks, kNonFinite };
+
+/// Applies `seam` to 4-state inputs, to the inner vectors by pattern and to
+/// the tip lookup rows by code (DNA codes here are 1, 2, 4 and 8):
+///  * kMixedScaling: every seventh pattern and code 4 shrink by 1e-150, so
+///    they scale several times; patterns p % 3 != 1 and code 1 shrink by
+///    1e-12, so they scale once; the rest do not scale. Quads mix lanes
+///    that scale with lanes that do not;
+///  * kZeroBlocks: every fifth pattern's left block and code 2's rows are
+///    zero, so those products stay 0.0 and never clear the threshold, and
+///    every other pattern shrinks by 1e-12 so that the scaling loop runs;
+///  * kNonFinite: every third pattern shrinks by 1e-12 and its left block
+///    holds a NaN, +inf or -inf at one entry, so that entry decides whether
+///    the pattern scales (the scalar test counts a NaN as small); code 8's
+///    row holds +inf at state 1 and code 2's a NaN at state 3, in
+///    category 0.
+void apply_newview_seam(Inputs& in, NewviewSeam seam) {
+  const std::size_t block = static_cast<std::size_t>(in.dims.categories) * 4;
+  const auto shrink_pattern = [&](std::size_t p, double factor) {
+    for (std::size_t i = 0; i < block; ++i) {
+      in.left[p * block + i] *= factor;
+      in.right[p * block + i] *= factor;
+    }
+  };
+  const auto shrink_code = [&](std::size_t code, double factor) {
+    for (std::size_t i = 0; i < block; ++i)
+      in.lookup[code * block + i] *= factor;
+  };
+  switch (seam) {
+    case NewviewSeam::kPlain:
+      break;
+    case NewviewSeam::kMixedScaling:
+      for (std::size_t p = 0; p < in.dims.patterns; ++p) {
+        if (p % 7 == 0)
+          shrink_pattern(p, 1e-150);
+        else if (p % 3 != 1)
+          shrink_pattern(p, 1e-12);
+      }
+      shrink_code(4, 1e-150);
+      shrink_code(1, 1e-12);
+      break;
+    case NewviewSeam::kZeroBlocks:
+      for (std::size_t p = 0; p < in.dims.patterns; ++p) {
+        if (p % 5 == 0)
+          for (std::size_t i = 0; i < block; ++i) in.left[p * block + i] = 0.0;
+        else if (p % 2 == 0)
+          shrink_pattern(p, 1e-12);
+      }
+      shrink_code(2, 0.0);
+      break;
+    case NewviewSeam::kNonFinite: {
+      const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+      for (std::size_t p = 1; p < in.dims.patterns; p += 3) {
+        shrink_pattern(p, 1e-12);
+        in.left[p * block + (p % in.dims.categories) * 4 + p % 4] =
+            values[(p / 3) % 3];
+      }
+      in.lookup[8 * block + 1] = std::numeric_limits<double>::infinity();
+      in.lookup[2 * block + 3] = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+  }
+}
+
+/// newview_scalar against the AVX2 kernel: over every pattern in one call;
+/// over [h, P) and then [0, h) with h odd, so that the quads of the first
+/// call end ragged in front of patterns that are already written; and
+/// through the public newview on a 2-thread KernelPool, whose last pattern
+/// block ends ragged.
+void expect_newview_bit_identical(const Inputs& in, const NewviewChild& left,
+                                  const NewviewChild& right,
+                                  KernelPool& pool) {
+  expect_bit_identical(in, left, right);
+  if (testing::Test::HasFatalFailure() || testing::Test::IsSkipped()) return;
+  const std::size_t patterns = in.dims.patterns;
+  const std::size_t width = patterns * in.dims.categories * 4;
+  std::vector<double> scalar_out(width);
+  std::vector<std::int32_t> scalar_scale(patterns);
+  const std::size_t scalar_scaled = newview_scalar(
+      in.dims, left, right, scalar_out.data(), scalar_scale.data());
+
+  std::vector<double> split_out(width, -1.0);
+  std::vector<std::int32_t> split_scale(patterns, -9);
+  const std::size_t h = std::min(patterns, (patterns / 2) | 1);
+  std::size_t split_scaled = detail::newview_avx2(
+      in.dims, left, right, split_out.data(), split_scale.data(), h, patterns);
+  split_scaled += detail::newview_avx2(in.dims, left, right, split_out.data(),
+                                       split_scale.data(), 0, h);
+  EXPECT_EQ(scalar_scaled, split_scaled);
+  EXPECT_EQ(scalar_scale, split_scale);
+  expect_same_bits(scalar_out, split_out);
+  if (testing::Test::HasFatalFailure()) return;
+
+  std::vector<double> pool_out(width, -1.0);
+  std::vector<std::int32_t> pool_scale(patterns, -9);
+  EXPECT_EQ(scalar_scaled, newview(in.dims, left, right, pool_out.data(),
+                                   pool_scale.data(), &pool));
+  EXPECT_EQ(scalar_scale, pool_scale);
+  expect_same_bits(scalar_out, pool_out);
+}
+
+/// Whether some four-pattern group from pattern 0 has lanes that scaled
+/// beside lanes that did not.
+bool some_quad_scales_in_part(const Inputs& in) {
+  const std::size_t width = in.dims.patterns * in.dims.categories * 4;
+  std::vector<double> out(width);
+  std::vector<std::int32_t> scale(in.dims.patterns);
+  newview_scalar(in.dims, in.inner_left(), in.inner_right(), out.data(),
+                 scale.data());
+  for (std::size_t first = 0; first + 4 <= in.dims.patterns; first += 4) {
+    unsigned scaled = 0;
+    for (std::size_t p = first; p < first + 4; ++p)
+      scaled += scale[p] != in.lscale[p] + in.rscale[p] ? 1 : 0;
+    if (scaled != 0 && scaled != 4) return true;
+  }
+  return false;
+}
+
+TEST(KernelsSimd, NewviewFourPatternLanesBitIdenticalAtEverySeam) {
+  // The pattern counts of the evaluate seam test below: every leftover
+  // length 0–3 after zero, one and two quads, pattern blocks that end with
+  // 3 left over, none, or a one-pattern block, and a ragged third block.
+  // Each count runs every pair of child kinds, with 1, 4 and 16 categories.
+  const std::size_t counts[] = {1,   2,   3,   4,   5,   6,  7,
+                                8,   9,   255, 256, 257, 601};
+  const NewviewSeam seams[] = {NewviewSeam::kPlain, NewviewSeam::kMixedScaling,
+                               NewviewSeam::kZeroBlocks,
+                               NewviewSeam::kNonFinite};
+  KernelPool pool(2);
+  std::uint64_t seed = 200;
+  for (const NewviewSeam seam : seams)
+    for (const std::size_t patterns : counts)
+      for (const unsigned cats : {1u, 4u, 16u}) {
+        Inputs in(4, patterns, cats, ++seed);
+        apply_newview_seam(in, seam);
+        if (seam == NewviewSeam::kMixedScaling && patterns >= 8) {
+          ASSERT_TRUE(some_quad_scales_in_part(in)) << patterns;
+        }
+        const NewviewChild kinds[][2] = {{in.inner_left(), in.inner_right()},
+                                         {in.tip(), in.inner_right()},
+                                         {in.inner_left(), in.tip()},
+                                         {in.tip(), in.tip()}};
+        for (const auto& [left, right] : kinds) {
+          SCOPED_TRACE(testing::Message()
+                       << "seam=" << static_cast<int>(seam)
+                       << " patterns=" << patterns << " categories=" << cats
+                       << " left=" << (left.is_tip() ? "tip" : "inner")
+                       << " right=" << (right.is_tip() ? "tip" : "inner"));
+          expect_newview_bit_identical(in, left, right, pool);
+          if (HasFailure() || IsSkipped()) return;
+        }
+      }
 }
 
 // ------------------------------------------------------- evaluate_branch
