@@ -25,9 +25,13 @@
 #include "model/eigen.hpp"
 #include "model/gamma.hpp"
 #include "model/protein_matrices.hpp"
+#include "model/rate_matrix.hpp"
 #include "model/transition.hpp"
 #include "msa/datatype.hpp"
 #include "msa/fasta.hpp"
+#include "search/stepwise.hpp"
+#include "sim/simulate.hpp"
+#include "tree/random_tree.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -326,6 +330,31 @@ void BM_EmpiricalFrequencies(benchmark::State& state) {
 BENCHMARK(BM_EmpiricalFrequencies)
     ->Arg(4)
     ->Arg(20)
+    ->Unit(benchmark::kMicrosecond);
+
+// The parsimony starting tree every search builds first: taxa x sites x
+// states, with the search workloads' shapes (384 x 200 DNA out of core,
+// 8 x 256 protein in RAM).
+void BM_StepwiseAddition(benchmark::State& state) {
+  const auto taxa = static_cast<std::size_t>(state.range(0));
+  const auto sites = static_cast<std::size_t>(state.range(1));
+  const bool dna = state.range(2) == 4;
+  Rng rng(17);
+  const Tree truth = random_tree(taxa, rng);
+  const Alignment alignment =
+      simulate_alignment(truth, dna ? jc69() : poisson_protein(), sites, rng,
+                         SimulationOptions{4, 0.6});
+  for (auto _ : state) {
+    Rng order(3);
+    const Tree tree = stepwise_addition_tree(alignment, order);
+    benchmark::DoNotOptimize(tree.num_nodes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(taxa * sites));
+}
+BENCHMARK(BM_StepwiseAddition)
+    ->Args({384, 200, 4})
+    ->Args({8, 256, 20})
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

@@ -93,6 +93,13 @@ __attribute__((target("avx2"))) std::uint64_t record_checksum_avx2(
   const __m256i step = _mm256_set1_epi64x(static_cast<long long>(kKeyStep));
   constexpr int kSwapWords = _MM_SHUFFLE(1, 0, 3, 2);
   for (std::size_t s = bytes / kStripeBytes; s > 0; --s, p += kStripeBytes) {
+    // Write-back hashes a cold LRU victim; the hardware prefetcher alone
+    // leaves the loop waiting on memory. The address is formed as an integer
+    // because it may lie past the record's end, where a prefetch is only a
+    // hint and never faults.
+    _mm_prefetch(reinterpret_cast<const char*>(
+                     reinterpret_cast<std::uintptr_t>(p) + 2048),
+                 _MM_HINT_T0);
     const __m256i w_lo =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     const __m256i w_hi =

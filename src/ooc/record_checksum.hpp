@@ -5,7 +5,10 @@
 // hash sits on the Fig. 5 write-back path: a serial mix64 chain there costs
 // ~4x the pwrite it guards. This one is stripe-parallel — each 64-byte
 // stripe feeds eight independent 64-bit lanes with a keyed 32x32->64
-// multiply-accumulate — and runs an AVX2 body where the CPU has one.
+// multiply-accumulate — and runs an AVX2 body where the CPU has one. The
+// record hashed at write-back is a cold LRU victim, and hashing it cost
+// about as much as its payload pwrite, so the AVX2 body prefetches 2 KiB
+// ahead of the stripe it reads.
 #pragma once
 
 #include <cstddef>

@@ -1,34 +1,11 @@
 #include "search/parsimony.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/checks.hpp"
 
 namespace plfoc {
-namespace {
-
-/// Bind alignment rows to tree tips by name and expand to state-set masks.
-std::vector<std::vector<std::uint32_t>> tip_masks_for(
-    const Alignment& alignment, const Tree& tree) {
-  std::vector<std::vector<std::uint32_t>> masks(tree.num_taxa());
-  for (NodeId tip = 0; tip < tree.num_taxa(); ++tip) {
-    const long row = alignment.find_taxon(tree.taxon_name(tip));
-    PLFOC_REQUIRE(row >= 0, "tree taxon '" + tree.taxon_name(tip) +
-                                "' not found in the alignment");
-    const auto codes = alignment.row(static_cast<std::size_t>(row));
-    masks[tip].resize(codes.size());
-    for (std::size_t s = 0; s < codes.size(); ++s)
-      masks[tip][s] = code_state_mask(alignment.data_type(), codes[s]);
-  }
-  return masks;
-}
-
-std::vector<double> site_weights(const Alignment& alignment) {
-  if (!alignment.weights().empty()) return alignment.weights();
-  return std::vector<double>(alignment.num_sites(), 1.0);
-}
-
-}  // namespace
 
 std::vector<std::vector<std::uint32_t>> parsimony_masks(
     const Alignment& alignment) {
@@ -44,75 +21,54 @@ std::vector<std::vector<std::uint32_t>> parsimony_masks(
 
 double parsimony_score(const Tree& tree, const Alignment& alignment) {
   PLFOC_CHECK(tree.is_fully_connected());
-  const auto masks = tip_masks_for(alignment, tree);
-  const auto weights = site_weights(alignment);
-  const std::size_t sites = alignment.num_sites();
-
-  // Root at tip 0; iterative post-order over (node, parent) frames.
-  std::vector<std::vector<std::uint32_t>> sets(tree.num_nodes());
-  double score = 0.0;
-  struct Frame {
-    NodeId node, parent;
-    bool expanded;
-  };
-  const NodeId root_tip = 0;
-  const NodeId top = tree.neighbors(root_tip)[0];
-  std::vector<Frame> stack{{top, root_tip, false}};
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
-    if (tree.is_tip(frame.node)) continue;
-    if (!frame.expanded) {
-      stack.push_back({frame.node, frame.parent, true});
-      for (NodeId nbr : tree.neighbors(frame.node))
-        if (nbr != frame.parent) stack.push_back({nbr, frame.node, false});
-    } else {
-      NodeId children[2];
-      int count = 0;
-      for (NodeId nbr : tree.neighbors(frame.node))
-        if (nbr != frame.parent) children[count++] = nbr;
-      PLFOC_CHECK(count == 2);
-      const auto& left =
-          tree.is_tip(children[0]) ? masks[children[0]] : sets[children[0]];
-      const auto& right =
-          tree.is_tip(children[1]) ? masks[children[1]] : sets[children[1]];
-      auto& out = sets[frame.node];
-      out.resize(sites);
-      for (std::size_t s = 0; s < sites; ++s) {
-        const std::uint32_t x = left[s] & right[s];
-        if (x != 0) {
-          out[s] = x;
-        } else {
-          out[s] = left[s] | right[s];
-          score += weights[s];
-        }
-      }
-    }
-  }
-  // Final junction at the root tip.
-  const auto& below = tree.is_tip(top) ? masks[top] : sets[top];
-  for (std::size_t s = 0; s < sites; ++s)
-    if ((below[s] & masks[root_tip][s]) == 0) score += weights[s];
-  return score;
+  ParsimonyScorer scorer(alignment, tree);
+  scorer.refresh(0);
+  return scorer.component_score();
 }
 
 // --- ParsimonyScorer ---------------------------------------------------------
 
 ParsimonyScorer::ParsimonyScorer(const Alignment& alignment, const Tree& tree)
-    : alignment_(alignment),
-      tree_(tree),
-      tip_masks_(tip_masks_for(alignment, tree)),
-      weights_(site_weights(alignment)),
-      sites_(alignment.num_sites()) {
-  sets_.assign(tree.num_inner() * 3 * sites_, 0);
+    : tree_(tree),
+      states_(num_states(alignment.data_type())),
+      words_((alignment.num_sites() + 63) / 64),
+      set_words_(states_ * words_),
+      last_word_mask_(alignment.num_sites() % 64 == 0
+                          ? ~Word{0}
+                          : (Word{1} << (alignment.num_sites() % 64)) - 1) {
+  // Bind alignment rows to tree tips by name and slice their state masks,
+  // setting only the bits each site's mask holds.
+  tip_sets_.assign(tree.num_taxa() * set_words_, 0);
+  for (NodeId tip = 0; tip < tree.num_taxa(); ++tip) {
+    const long row = alignment.find_taxon(tree.taxon_name(tip));
+    PLFOC_REQUIRE(row >= 0, "tree taxon '" + tree.taxon_name(tip) +
+                                "' not found in the alignment");
+    const auto codes = alignment.row(static_cast<std::size_t>(row));
+    Word* set = tip_sets_.data() + tip * set_words_;
+    for (std::size_t s = 0; s < codes.size(); ++s) {
+      const Word bit = Word{1} << (s % 64);
+      for (std::uint32_t mask = code_state_mask(alignment.data_type(),
+                                                codes[s]);
+           mask != 0; mask &= mask - 1)
+        set[static_cast<std::size_t>(std::countr_zero(mask)) * words_ +
+            s / 64] |= bit;
+    }
+  }
+  const auto& weights = alignment.weights();
+  if (std::any_of(weights.begin(), weights.end(),
+                  [](double w) { return w != 1.0; }))
+    weights_ = weights;
+  sets_.assign(tree.num_inner() * 3 * set_words_, 0);
   set_valid_.assign(tree.num_inner() * 3, 0);
+  parent_of_.assign(tree.num_nodes(), kNoNode);
+  seen_.assign(tree.num_nodes(), 0);
 }
 
 std::size_t ParsimonyScorer::set_offset(NodeId inner, int slot) const {
   PLFOC_DCHECK(tree_.is_inner(inner) && slot >= 0 && slot < 3);
   return (static_cast<std::size_t>(tree_.inner_index(inner)) * 3 +
           static_cast<std::size_t>(slot)) *
-         sites_;
+         set_words_;
 }
 
 int ParsimonyScorer::neighbor_slot(NodeId node, NodeId neighbor) const {
@@ -123,115 +79,122 @@ int ParsimonyScorer::neighbor_slot(NodeId node, NodeId neighbor) const {
   return -1;
 }
 
-const std::uint32_t* ParsimonyScorer::directional(NodeId node,
-                                                  NodeId towards) const {
-  if (tree_.is_tip(node)) return tip_masks_[node].data();
+const ParsimonyScorer::Word* ParsimonyScorer::directional(
+    NodeId node, NodeId towards) const {
+  if (tree_.is_tip(node)) return tip_sets_.data() + node * set_words_;
   const int slot = neighbor_slot(node, towards);
   PLFOC_CHECK(set_valid_[static_cast<std::size_t>(tree_.inner_index(node)) * 3 +
                          static_cast<std::size_t>(slot)] != 0);
   return sets_.data() + set_offset(node, slot);
 }
 
-void ParsimonyScorer::refresh(NodeId any_node) {
-  // Collect the connected component and a BFS parent order from a tip root.
-  std::vector<NodeId> order;          // BFS order, root first
-  std::vector<NodeId> parent_of(tree_.num_nodes(), kNoNode);
-  std::vector<bool> seen(tree_.num_nodes(), false);
-  {
-    std::vector<NodeId> queue{any_node};
-    seen[any_node] = true;
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const NodeId node = queue[head++];
-      for (NodeId nbr : tree_.neighbors(node))
-        if (!seen[nbr]) {
-          seen[nbr] = true;
-          queue.push_back(nbr);
-        }
-    }
-    // Re-run BFS from a tip in the component for clean parent structure.
-    NodeId root_tip = kNoNode;
-    for (NodeId node : queue)
-      if (tree_.is_tip(node)) {
-        root_tip = node;
-        break;
-      }
-    PLFOC_CHECK(root_tip != kNoNode);
-    std::fill(seen.begin(), seen.end(), false);
-    order.clear();
-    order.push_back(root_tip);
-    seen[root_tip] = true;
-    head = 0;
-    while (head < order.size()) {
-      const NodeId node = order[head++];
-      for (NodeId nbr : tree_.neighbors(node))
-        if (!seen[nbr]) {
-          seen[nbr] = true;
-          parent_of[nbr] = node;
-          order.push_back(nbr);
-        }
-    }
+void ParsimonyScorer::add_misses(std::size_t word, Word misses,
+                                 double& sum) const {
+  if (weights_.empty()) {
+    // Whole numbers below 2^53 add exactly, so one add of the count equals
+    // one add of 1.0 per site.
+    sum += static_cast<double>(std::popcount(misses));
+    return;
   }
+  for (; misses != 0; misses &= misses - 1)
+    sum += weights_[word * 64 +
+                    static_cast<std::size_t>(std::countr_zero(misses))];
+}
+
+ParsimonyScorer::Word ParsimonyScorer::meets(const Word* a, const Word* b,
+                                              std::size_t word) const {
+  Word any = 0;
+  for (std::size_t k = 0; k < states_; ++k)
+    any |= a[k * words_ + word] & b[k * words_ + word];
+  return any;
+}
+
+void ParsimonyScorer::fitch_step(const Word* left, const Word* right,
+                                 Word* out, double* score) const {
+  for (std::size_t w = 0; w < words_; ++w) {
+    const Word empty = ~meets(left, right, w) & valid_bits(w);
+    for (std::size_t k = 0; k < states_; ++k) {
+      const Word l = left[k * words_ + w];
+      const Word r = right[k * words_ + w];
+      out[k * words_ + w] = (l & r) | (empty & (l | r));
+    }
+    if (score != nullptr) add_misses(w, empty, *score);
+  }
+}
+
+void ParsimonyScorer::refresh(NodeId any_node) {
+  // Root at the component's first tip in breadth-first order from
+  // `any_node`, then order the component breadth-first from that tip.
+  NodeId root_tip = tree_.is_tip(any_node) ? any_node : kNoNode;
+  order_.assign(1, any_node);
+  seen_[any_node] = 1;
+  for (std::size_t head = 0; root_tip == kNoNode && head < order_.size();) {
+    for (NodeId nbr : tree_.neighbors(order_[head++]))
+      if (seen_[nbr] == 0) {
+        seen_[nbr] = 1;
+        order_.push_back(nbr);
+        if (tree_.is_tip(nbr)) {
+          root_tip = nbr;
+          break;
+        }
+      }
+  }
+  PLFOC_CHECK(root_tip != kNoNode);
+  for (NodeId node : order_) seen_[node] = 0;
+  order_.assign(1, root_tip);
+  seen_[root_tip] = 1;
+  parent_of_[root_tip] = kNoNode;
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const NodeId node = order_[head];
+    for (NodeId nbr : tree_.neighbors(node))
+      if (seen_[nbr] == 0) {
+        seen_[nbr] = 1;
+        parent_of_[nbr] = node;
+        order_.push_back(nbr);
+      }
+  }
+  for (NodeId node : order_) seen_[node] = 0;
   std::fill(set_valid_.begin(), set_valid_.end(), 0);
   component_score_ = 0.0;
 
   // Upward pass (children before parents): D(u -> parent).
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     const NodeId u = *it;
     if (tree_.is_tip(u)) continue;
-    const NodeId p = parent_of[u];
+    const NodeId p = parent_of_[u];
     PLFOC_CHECK(p != kNoNode);
     NodeId children[2];
     int count = 0;
     for (NodeId nbr : tree_.neighbors(u))
       if (nbr != p) children[count++] = nbr;
     PLFOC_CHECK(count == 2);
-    const std::uint32_t* left = directional(children[0], u);
-    const std::uint32_t* right = directional(children[1], u);
     const int slot = neighbor_slot(u, p);
-    std::uint32_t* out = sets_.data() + set_offset(u, slot);
-    for (std::size_t s = 0; s < sites_; ++s) {
-      const std::uint32_t x = left[s] & right[s];
-      if (x != 0) {
-        out[s] = x;
-      } else {
-        out[s] = left[s] | right[s];
-        component_score_ += weights_[s];
-      }
-    }
+    fitch_step(directional(children[0], u), directional(children[1], u),
+               sets_.data() + set_offset(u, slot), &component_score_);
     set_valid_[static_cast<std::size_t>(tree_.inner_index(u)) * 3 +
                static_cast<std::size_t>(slot)] = 1;
   }
   // Root-tip junction cost.
-  const NodeId root_tip = order.front();
   if (tree_.degree(root_tip) == 1) {
-    const NodeId below = tree_.neighbors(root_tip)[0];
-    const std::uint32_t* set = directional(below, root_tip);
-    const std::uint32_t* mask = tip_masks_[root_tip].data();
-    for (std::size_t s = 0; s < sites_; ++s)
-      if ((set[s] & mask[s]) == 0) component_score_ += weights_[s];
+    const Word* set = directional(tree_.neighbors(root_tip)[0], root_tip);
+    const Word* mask = tip_sets_.data() + root_tip * set_words_;
+    for (std::size_t w = 0; w < words_; ++w)
+      add_misses(w, ~meets(set, mask, w) & valid_bits(w), component_score_);
   }
 
   // Downward pass (parents before children): D(u -> child).
-  for (NodeId u : order) {
+  for (NodeId u : order_) {
     if (tree_.is_tip(u)) continue;
-    const NodeId p = parent_of[u];
+    const NodeId p = parent_of_[u];
     NodeId children[2];
     int count = 0;
     for (NodeId nbr : tree_.neighbors(u))
       if (nbr != p) children[count++] = nbr;
     PLFOC_CHECK(count == 2);
     for (int c = 0; c < 2; ++c) {
-      const NodeId child = children[c];
-      const NodeId sibling = children[1 - c];
-      const std::uint32_t* from_parent = directional(p, u);
-      const std::uint32_t* from_sibling = directional(sibling, u);
-      const int slot = neighbor_slot(u, child);
-      std::uint32_t* out = sets_.data() + set_offset(u, slot);
-      for (std::size_t s = 0; s < sites_; ++s) {
-        const std::uint32_t x = from_parent[s] & from_sibling[s];
-        out[s] = (x != 0) ? x : (from_parent[s] | from_sibling[s]);
-      }
+      const int slot = neighbor_slot(u, children[c]);
+      fitch_step(directional(p, u), directional(children[1 - c], u),
+                 sets_.data() + set_offset(u, slot), nullptr);
       set_valid_[static_cast<std::size_t>(tree_.inner_index(u)) * 3 +
                  static_cast<std::size_t>(slot)] = 1;
     }
@@ -240,14 +203,19 @@ void ParsimonyScorer::refresh(NodeId any_node) {
 
 double ParsimonyScorer::insertion_cost(NodeId tip, NodeId a, NodeId b) const {
   PLFOC_CHECK(tree_.is_tip(tip));
-  const std::uint32_t* da = directional(a, b);
-  const std::uint32_t* db = directional(b, a);
-  const std::uint32_t* t = tip_masks_[tip].data();
+  const Word* da = directional(a, b);
+  const Word* db = directional(b, a);
+  const Word* t = tip_sets_.data() + tip * set_words_;
   double cost = 0.0;
-  for (std::size_t s = 0; s < sites_; ++s) {
-    std::uint32_t x = da[s] & db[s];
-    if (x == 0) x = da[s] | db[s];
-    if ((x & t[s]) == 0) cost += weights_[s];
+  for (std::size_t w = 0; w < words_; ++w) {
+    const Word empty = ~meets(da, db, w);
+    Word hit = 0;
+    for (std::size_t k = 0; k < states_; ++k) {
+      const Word l = da[k * words_ + w];
+      const Word r = db[k * words_ + w];
+      hit |= ((l & r) | (empty & (l | r))) & t[k * words_ + w];
+    }
+    add_misses(w, ~hit & valid_bits(w), cost);
   }
   return cost;
 }

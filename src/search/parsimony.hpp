@@ -1,9 +1,19 @@
-// Fitch parsimony on state-set bitmasks.
+// Fitch parsimony on bit-sliced state sets.
 //
 // Used to build reasonable starting trees by stepwise addition (RAxML seeds
 // its ML searches with randomised parsimony trees). Works on any data type:
 // a site's state set is the encode-time ambiguity mask (DNA) or the
 // code_state_mask (protein).
+//
+// A state set over all sites is stored as one bit-slice per state (4 for DNA,
+// 20 for protein). Slice k holds ceil(sites / 64) words; bit s of it says
+// state k is in site s's set, and the bits past the last site stay 0. One
+// Fitch step then treats 64 sites per word: with a_k = l_k & r_k,
+// empty = ~OR_k(a_k) marks the sites whose sets are disjoint, and
+// out_k = a_k | (empty & (l_k | r_k)). Unit weights count empty with a
+// popcount; other weights add weights[s] over the set bits of empty in
+// ascending site order, so every score is the per-site loop's double sum,
+// operand for operand.
 #pragma once
 
 #include <cstdint>
@@ -46,22 +56,42 @@ class ParsimonyScorer {
   double insertion_cost(NodeId tip, NodeId a, NodeId b) const;
 
  private:
-  /// Fitch set of the subtree on `node`'s side of edge (node, towards).
-  const std::uint32_t* directional(NodeId node, NodeId towards) const;
+  using Word = std::uint64_t;
 
-  const Alignment& alignment_;
+  /// Fitch set of the subtree on `node`'s side of edge (node, towards).
+  const Word* directional(NodeId node, NodeId towards) const;
+  /// Word `word` of OR_k(a_k & b_k): the sites where sets a and b meet.
+  Word meets(const Word* a, const Word* b, std::size_t word) const;
+  /// out = the Fitch set joining `left` and `right`. Adds the weight of each
+  /// site where they are disjoint to `score` unless it is null.
+  void fitch_step(const Word* left, const Word* right, Word* out,
+                  double* score) const;
+  /// Adds the weight of every site that is set in `misses`, word `word` of a
+  /// slice, to `sum`.
+  void add_misses(std::size_t word, Word misses, double& sum) const;
+  /// Word `word` of a slice with the bits past the last site cleared.
+  Word valid_bits(std::size_t word) const {
+    return word + 1 == words_ ? last_word_mask_ : ~Word{0};
+  }
+
   const Tree& tree_;
-  std::vector<std::vector<std::uint32_t>> tip_masks_;  ///< per tree tip
-  std::vector<double> weights_;
+  std::size_t states_;
+  std::size_t words_;      ///< words per slice: ceil(sites / 64)
+  std::size_t set_words_;  ///< states_ * words_
+  Word last_word_mask_;
+  std::vector<Word> tip_sets_;   ///< one set per tree tip
+  std::vector<double> weights_;  ///< empty for unit weights
   // Directional sets keyed by (inner node, neighbour slot): 3 per inner node.
-  std::vector<std::uint32_t> sets_;
+  std::vector<Word> sets_;
   std::vector<std::uint8_t> set_valid_;
-  std::size_t sites_;
   double component_score_ = 0.0;
+  // Breadth-first work arrays, kept across refreshes.
+  std::vector<NodeId> order_;
+  std::vector<NodeId> parent_of_;
+  std::vector<std::uint8_t> seen_;
 
   std::size_t set_offset(NodeId inner, int slot) const;
   int neighbor_slot(NodeId node, NodeId neighbor) const;
-  void compute_upward(NodeId node, NodeId parent, std::vector<double>& cost);
 };
 
 }  // namespace plfoc

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <string>
+#include <utility>
+
+#include "model/rate_matrix.hpp"
+#include "search/stepwise.hpp"
 #include "tree/newick.hpp"
 #include "tree/random_tree.hpp"
 #include "tree/topology_moves.hpp"
 #include "sim/simulate.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace plfoc {
@@ -147,6 +156,248 @@ TEST(Parsimony, NniNeverBeatsOptimalQuartet) {
     EXPECT_GE(parsimony_score(tree, alignment), best);
     undo_nni(tree, move);
   }
+}
+
+// --- Bit-sliced scorer vs a per-site oracle ----------------------------------
+
+/// The per-site Fitch scorer the bit-sliced one replaced: one uint32_t state
+/// mask per site, one branch and one double add per mismatching site. Same
+/// rooting and visiting order, so its sums are the reference bit patterns.
+class PerSiteScorer {
+ public:
+  PerSiteScorer(const Alignment& alignment, const Tree& tree)
+      : tree_(tree), sites_(alignment.num_sites()) {
+    const auto masks = parsimony_masks(alignment);
+    for (NodeId tip = 0; tip < tree.num_taxa(); ++tip)
+      tips_.push_back(masks[static_cast<std::size_t>(
+          alignment.find_taxon(tree.taxon_name(tip)))]);
+    weights_ = alignment.weights().empty()
+                   ? std::vector<double>(sites_, 1.0)
+                   : alignment.weights();
+    sets_.assign(tree.num_nodes() * 3, {});
+  }
+
+  void refresh(NodeId any_node) {
+    std::vector<NodeId> queue{any_node};
+    std::vector<bool> seen(tree_.num_nodes(), false);
+    seen[any_node] = true;
+    for (std::size_t head = 0; head < queue.size(); ++head)
+      for (NodeId nbr : tree_.neighbors(queue[head]))
+        if (!seen[nbr]) {
+          seen[nbr] = true;
+          queue.push_back(nbr);
+        }
+    NodeId root = kNoNode;
+    for (NodeId node : queue)
+      if (tree_.is_tip(node)) {
+        root = node;
+        break;
+      }
+    std::vector<NodeId> order{root};
+    std::vector<NodeId> parent(tree_.num_nodes(), kNoNode);
+    std::fill(seen.begin(), seen.end(), false);
+    seen[root] = true;
+    for (std::size_t head = 0; head < order.size(); ++head)
+      for (NodeId nbr : tree_.neighbors(order[head]))
+        if (!seen[nbr]) {
+          seen[nbr] = true;
+          parent[nbr] = order[head];
+          order.push_back(nbr);
+        }
+    score_ = 0.0;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const NodeId u = *it;
+      if (tree_.is_tip(u)) continue;
+      const auto kids = children(u, parent[u]);
+      join(set(kids[0], u), set(kids[1], u), at(u, parent[u]), &score_);
+    }
+    if (tree_.degree(root) == 1) {
+      const auto& below = set(tree_.neighbors(root)[0], root);
+      for (std::size_t s = 0; s < sites_; ++s)
+        if ((below[s] & tips_[root][s]) == 0) score_ += weights_[s];
+    }
+    for (NodeId u : order) {
+      if (tree_.is_tip(u)) continue;
+      const auto kids = children(u, parent[u]);
+      for (int c = 0; c < 2; ++c)
+        join(set(parent[u], u), set(kids[1 - c], u), at(u, kids[c]),
+             nullptr);
+    }
+  }
+
+  double score() const { return score_; }
+
+  double insertion_cost(NodeId tip, NodeId a, NodeId b) const {
+    const auto& da = set(a, b);
+    const auto& db = set(b, a);
+    double cost = 0.0;
+    for (std::size_t s = 0; s < sites_; ++s) {
+      std::uint32_t x = da[s] & db[s];
+      if (x == 0) x = da[s] | db[s];
+      if ((x & tips_[tip][s]) == 0) cost += weights_[s];
+    }
+    return cost;
+  }
+
+ private:
+  std::array<NodeId, 2> children(NodeId u, NodeId p) const {
+    std::array<NodeId, 2> kids{};
+    int count = 0;
+    for (NodeId nbr : tree_.neighbors(u))
+      if (nbr != p) kids[static_cast<std::size_t>(count++)] = nbr;
+    return kids;
+  }
+  std::size_t slot(NodeId node, NodeId towards) const {
+    const auto nbrs = tree_.neighbors(node);
+    return static_cast<std::size_t>(
+        std::find(nbrs.begin(), nbrs.end(), towards) - nbrs.begin());
+  }
+  std::vector<std::uint32_t>& at(NodeId node, NodeId towards) {
+    return sets_[node * 3 + slot(node, towards)];
+  }
+  const std::vector<std::uint32_t>& set(NodeId node, NodeId towards) const {
+    return tree_.is_tip(node) ? tips_[node]
+                              : sets_[node * 3 + slot(node, towards)];
+  }
+  void join(const std::vector<std::uint32_t>& left,
+            const std::vector<std::uint32_t>& right,
+            std::vector<std::uint32_t>& out, double* score) {
+    out.resize(sites_);
+    for (std::size_t s = 0; s < sites_; ++s) {
+      const std::uint32_t x = left[s] & right[s];
+      if (x != 0) {
+        out[s] = x;
+      } else {
+        out[s] = left[s] | right[s];
+        if (score != nullptr) *score += weights_[s];
+      }
+    }
+  }
+
+  const Tree& tree_;
+  std::size_t sites_;
+  std::vector<std::vector<std::uint32_t>> tips_;
+  std::vector<double> weights_;
+  std::vector<std::vector<std::uint32_t>> sets_;
+  double score_ = 0.0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Random rows over `alphabet`, added in reverse tree-tip order so the
+/// scorers must bind rows to tips by name.
+Alignment random_alignment(const Tree& tree, DataType type,
+                           const std::string& alphabet, std::size_t sites,
+                           Rng& rng) {
+  Alignment alignment(type, sites);
+  std::string row(sites, ' ');
+  for (NodeId tip = static_cast<NodeId>(tree.num_taxa()); tip-- > 0;) {
+    for (char& c : row) c = alphabet[rng.below(alphabet.size())];
+    alignment.add_sequence(tree.taxon_name(tip), row);
+  }
+  return alignment;
+}
+
+TEST(Parsimony, BitSlicedMatchesPerSiteOracle) {
+  struct Case {
+    DataType type;
+    std::string alphabet;
+  };
+  // All 15 DNA codes (gap and '?' are N); protein adds B, Z, J, X and gap.
+  const Case cases[] = {
+      {DataType::kDna, "ACGTRYSWKMBDHVN-?"},
+      {DataType::kProtein, "ARNDCQEGHILKMFPSTWYVBZJX-"}};
+  Rng rng(2024);
+  std::size_t checked = 0;
+  for (const Case& c : cases)
+    for (std::size_t sites : {1, 63, 64, 65, 200, 257})
+      for (int weighting = 0; weighting < 3; ++weighting) {
+        SCOPED_TRACE(std::to_string(num_states(c.type)) + " states, " +
+                     std::to_string(sites) + " sites, weighting " +
+                     std::to_string(weighting));
+        const std::size_t n = 11;
+        Tree tree = random_tree(n, rng);
+        Alignment alignment =
+            random_alignment(tree, c.type, c.alphabet, sites, rng);
+        if (weighting > 0) {
+          std::vector<double> weights(sites);
+          for (double& w : weights)
+            w = weighting == 1 ? static_cast<double>(1 + rng.below(5))
+                               : rng.uniform(0.01, 3.0);
+          alignment.set_weights(weights);
+        }
+        // The full tree, then the tree with the last tip pruned, as the
+        // partial trees of stepwise addition are.
+        for (int pruned = 0; pruned < 2; ++pruned) {
+          if (pruned == 1) {
+            const NodeId tip = static_cast<NodeId>(n - 1);
+            const NodeId s = tree.neighbors(tip)[0];
+            NodeId u = kNoNode;
+            NodeId v = kNoNode;
+            for (NodeId nbr : tree.neighbors(s))
+              if (nbr != tip) (u == kNoNode ? u : v) = nbr;
+            tree.disconnect(s, tip);
+            tree.disconnect(s, u);
+            tree.disconnect(s, v);
+            tree.connect(u, v, 0.1);
+          }
+          ParsimonyScorer scorer(alignment, tree);
+          PerSiteScorer oracle(alignment, tree);
+          const NodeId start = tree.inner_node(1);
+          scorer.refresh(start);
+          oracle.refresh(start);
+          EXPECT_TRUE(same_bits(scorer.component_score(), oracle.score()))
+              << scorer.component_score() << " vs " << oracle.score();
+          for (const auto& [a, b] : tree.edges()) {
+            if (tree.degree(a) == 0 || tree.degree(b) == 0) continue;
+            for (NodeId tip : {NodeId{0}, static_cast<NodeId>(n - 1)})
+              for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+                const double got = scorer.insertion_cost(tip, x, y);
+                const double want = oracle.insertion_cost(tip, x, y);
+                EXPECT_TRUE(same_bits(got, want))
+                    << "edge " << x << "-" << y << ": " << got << " vs "
+                    << want;
+                ++checked;
+              }
+          }
+          if (pruned == 0) {
+            PerSiteScorer from_tip(alignment, tree);
+            from_tip.refresh(0);
+            EXPECT_TRUE(
+                same_bits(parsimony_score(tree, alignment), from_tip.score()));
+          }
+        }
+      }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(Parsimony, StepwiseAdditionTreesArePinned) {
+  // Start trees recorded before the scorer was bit-sliced: the same data and
+  // seed must keep giving the same tree, branch lengths included.
+  Rng rng(31);
+  const Tree dna_truth = random_tree(384, rng);
+  const Alignment dna = simulate_alignment(dna_truth, jc69(), 210, rng,
+                                           SimulationOptions{4, 0.6});
+  Rng dna_rng(5);
+  const std::string dna_newick =
+      to_newick(stepwise_addition_tree(dna, dna_rng), 17);
+  EXPECT_EQ(dna_newick.size(), 18818u);
+  EXPECT_EQ(checksum64(0, dna_newick.data(), dna_newick.size()),
+            11584051227602664423ull);
+
+  const Tree aa_truth = random_tree(8, rng);
+  const Alignment protein = simulate_alignment(
+      aa_truth, poisson_protein(), 256, rng, SimulationOptions{4, 0.6});
+  Rng aa_rng(6);
+  EXPECT_EQ(to_newick(stepwise_addition_tree(protein, aa_rng), 17),
+            "(t3:0.0059837351857203597,t2:0.0039228515016794096,((t4:0."
+            "062976482811466145,t0:0.12956278953015585):0.062976482811466145,"
+            "((t5:0.024500677932840612,(t1:0.0026290826097431423,t7:0."
+            "034761898410966038):0.0026290826097431423):0.0026290826097431423,"
+            "t6:0.0017235106471492601):0.0026290826097431423):0."
+            "010516330438972569);");
 }
 
 }  // namespace
