@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <istream>
-#include <optional>
 #include <ostream>
 
-#include "likelihood/checkpoint.hpp"
 #include "likelihood/model_opt.hpp"
 #include "msa/fasta.hpp"
 #include "net/client.hpp"
@@ -75,10 +73,6 @@ CliConfig parse_cli(int argc, const char* const* argv) {
       .add_uint("seed", &config.seed, "random seed (full determinism)")
       .add_string("out-tree", &config.out_tree_path,
                   "write the final tree to this file")
-      .add_string("save-checkpoint", &config.save_checkpoint_path,
-                  "write a resumable checkpoint (tree + model) after the run")
-      .add_string("load-checkpoint", &config.load_checkpoint_path,
-                  "resume tree and model parameters from a checkpoint")
       .add_flag("stats", &config.print_stats, "print storage statistics");
   parser.parse(argc, argv);
   return config;
@@ -96,8 +90,7 @@ int run_cli(const CliConfig& config, std::ostream& out) {
       config.mode != "search" && config.mode != "mcmc")
     throw Error("unknown --mode '" + config.mode +
                 "' (evaluate | search | traverse | mcmc)");
-  // A checkpoint brings its own model, so --model is read only without one.
-  if (config.load_checkpoint_path.empty()) check_model_name(config.model);
+  check_model_name(config.model);
   Alignment alignment = [&] {
     if (config.format == "fasta")
       return read_fasta_file(config.msa_path, data_type);
@@ -110,16 +103,7 @@ int run_cli(const CliConfig& config, std::ostream& out) {
       << ")\n";
 
   Rng rng(config.seed);
-  std::optional<Checkpoint> resume;
-  if (!config.load_checkpoint_path.empty())
-    resume = load_checkpoint_file(config.load_checkpoint_path);
-
   Tree tree = [&] {
-    if (resume.has_value()) {
-      out << "resuming from checkpoint " << config.load_checkpoint_path
-          << "\n";
-      return restore_tree(*resume);
-    }
     if (!config.tree_path.empty()) return read_newick_file(config.tree_path);
     out << "building stepwise-addition starting tree...\n";
     return stepwise_addition_tree(alignment, rng);
@@ -128,16 +112,12 @@ int run_cli(const CliConfig& config, std::ostream& out) {
                 "tree and alignment have different taxon counts");
 
   SubstitutionModel model =
-      resume.has_value()
-          ? resume->model
-          : build_named_model(config.model, config.kappa, alignment);
+      build_named_model(config.model, config.kappa, alignment);
   out << "model: " << model.name << " + G" << config.categories << "\n";
 
   SessionOptions options;
-  options.categories = resume.has_value()
-                           ? resume->categories
-                           : static_cast<unsigned>(config.categories);
-  options.alpha = resume.has_value() ? resume->alpha : config.alpha;
+  options.categories = static_cast<unsigned>(config.categories);
+  options.alpha = config.alpha;
   options.backend = backend;
   options.ram_budget_bytes = config.memory_limit;
   options.ram_fraction = config.ram_fraction;
@@ -207,10 +187,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
     // Snapshot rather than stats(): the robustness counters live in backend
     // atomics and are only overlaid by stats_snapshot().
     out << "storage: " << session.store().stats_snapshot().summary() << "\n";
-  }
-  if (!config.save_checkpoint_path.empty()) {
-    save_checkpoint_file(config.save_checkpoint_path, session.engine());
-    out << "checkpoint written to " << config.save_checkpoint_path << "\n";
   }
   if (!config.out_tree_path.empty()) {
     write_newick_file(config.out_tree_path, session.tree());

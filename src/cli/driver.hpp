@@ -62,9 +62,6 @@ struct CliConfig {
   // output
   std::string out_tree_path;
   bool print_stats = false;
-  // checkpointing
-  std::string save_checkpoint_path;  ///< write tree+model state after the run
-  std::string load_checkpoint_path;  ///< resume tree+model state before it
 };
 
 /// Parse argv into a config; throws plfoc::Error (message includes usage)

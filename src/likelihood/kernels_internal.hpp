@@ -28,7 +28,13 @@ inline std::int32_t scale_sum(const std::int32_t* a, const std::int32_t* b,
 inline void accumulate_site(BranchValue& result, double guarded,
                             double d1_term, double d2_term, std::int32_t scale,
                             double w, bool with_derivatives) {
-  result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
+  // When both addends are NaN, x86 keeps the first operand's payload, and
+  // which one is first is the compiler's choice. A NaN sum is therefore
+  // stored as one fixed quiet NaN, so its bits never depend on codegen.
+  const double sum =
+      result.log_likelihood + w * (std::log(guarded) + scale * kLogScaleUnit);
+  result.log_likelihood =
+      std::isnan(sum) ? std::numeric_limits<double>::quiet_NaN() : sum;
   // When site_l clamps to numeric_limits::min() (underflowed site) the
   // ratios can overflow to Inf and poison d2 with NaN, derailing the Newton
   // step in optimize_branch. An underflowed site carries no usable

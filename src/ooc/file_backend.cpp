@@ -620,16 +620,6 @@ VerifyResult FileBackend::read_bytes_verified(std::uint64_t offset, void* dst,
   return result;
 }
 
-void FileBackend::write_bytes(std::uint64_t offset, const void* src,
-                              std::size_t bytes) {
-  PLFOC_CHECK(options_.num_files == 1);
-  PLFOC_DCHECK(offset + bytes <= total_bytes());
-  transfer_all(true, fds_[0], const_cast<void*>(src), bytes,
-               integrity_[0].payload_offset + offset);
-  update_blocks_after_byte_write(offset, src, bytes);
-  charge(bytes);
-}
-
 void FileBackend::write_ranges_clustered(const IoRange* ranges,
                                          std::size_t count, const void* base) {
   PLFOC_CHECK(options_.num_files == 1);
@@ -898,15 +888,6 @@ FsckReport FileBackend::fsck(const std::string& path) {
   }
   ::close(fd);
   return report;
-}
-
-void FileBackend::drop_page_cache() {
-  for (int fd : fds_) {
-    ::fsync(fd);
-#ifdef POSIX_FADV_DONTNEED
-    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-#endif
-  }
 }
 
 void FileBackend::sync() {

@@ -199,11 +199,6 @@ class FileBackend {
   VerifyResult read_bytes_verified(std::uint64_t offset, void* dst,
                                    std::size_t bytes);
 
-  /// Byte-granularity write into the single-file linear vector space
-  /// (vector i occupies [i*w, (i+1)*w)); re-checksums every block it
-  /// touches. Used by the paged baseline. Requires num_files == 1.
-  void write_bytes(std::uint64_t offset, const void* src, std::size_t bytes);
-
   /// One clustered write: several file ranges (offsets into the linear
   /// space, data taken from `base + offset`) written as a *single* device
   /// operation for accounting purposes — models the OS coalescing dirty
@@ -214,10 +209,6 @@ class FileBackend {
   };
   void write_ranges_clustered(const IoRange* ranges, std::size_t count,
                               const void* base);
-
-  /// Ask the OS to drop its page cache for the backing files so subsequent
-  /// reads hit the device (benchmark cold-cache mode). Best effort.
-  void drop_page_cache();
 
   /// fsync all backing files.
   void sync();

@@ -156,17 +156,4 @@ void MmapStore::drop_residency(std::uint32_t index) {
   ::madvise(span_begin, span, MADV_DONTNEED);
 }
 
-double MmapStore::resident_fraction() const {
-  const long page = ::sysconf(_SC_PAGESIZE);
-  const std::size_t pages =
-      (mapping_bytes_ + static_cast<std::size_t>(page) - 1) /
-      static_cast<std::size_t>(page);
-  std::vector<unsigned char> residency(pages, 0);
-  if (::mincore(mapping_, mapping_bytes_, residency.data()) != 0) return -1.0;
-  std::size_t resident = 0;
-  for (unsigned char byte : residency) resident += (byte & 1u);
-  return pages == 0 ? 0.0
-                    : static_cast<double>(resident) / static_cast<double>(pages);
-}
-
 }  // namespace plfoc

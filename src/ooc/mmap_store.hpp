@@ -41,10 +41,6 @@ class MmapStore final : public AncestralStore {
   /// msync the mapping to the file.
   void flush() override;
 
-  /// Fraction of the mapping currently resident in the page cache
-  /// (sampled with mincore; diagnostic only).
-  double resident_fraction() const;
-
   /// True when every page backing vector `index` is in the page cache.
   bool span_resident(std::uint32_t index) const;
 

@@ -93,7 +93,7 @@ class OutOfCoreStore final : public AncestralStore {
     return file_.async_io() ? file_.io_depth() : 1;
   }
 
-  /// Write all resident vectors back to the file (e.g. before checkpointing).
+  /// Write all resident vectors back to the file.
   void flush() override;
 
   /// Counters are mutated under mutex_ (including by the prefetch thread),

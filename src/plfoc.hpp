@@ -18,7 +18,6 @@
 #pragma once
 
 #include "likelihood/engine.hpp"       // IWYU pragma: export
-#include "likelihood/checkpoint.hpp"   // IWYU pragma: export
 #include "likelihood/memory_model.hpp" // IWYU pragma: export
 #include "likelihood/model_opt.hpp"    // IWYU pragma: export
 #include "model/eigen.hpp"             // IWYU pragma: export

@@ -7,18 +7,6 @@
 
 namespace plfoc {
 
-std::vector<std::vector<std::uint32_t>> parsimony_masks(
-    const Alignment& alignment) {
-  std::vector<std::vector<std::uint32_t>> masks(alignment.num_taxa());
-  for (std::size_t taxon = 0; taxon < alignment.num_taxa(); ++taxon) {
-    const auto codes = alignment.row(taxon);
-    masks[taxon].resize(codes.size());
-    for (std::size_t s = 0; s < codes.size(); ++s)
-      masks[taxon][s] = code_state_mask(alignment.data_type(), codes[s]);
-  }
-  return masks;
-}
-
 double parsimony_score(const Tree& tree, const Alignment& alignment) {
   PLFOC_CHECK(tree.is_fully_connected());
   ParsimonyScorer scorer(alignment, tree);

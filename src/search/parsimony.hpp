@@ -24,10 +24,6 @@
 
 namespace plfoc {
 
-/// Per-taxon per-site state-set masks for Fitch.
-std::vector<std::vector<std::uint32_t>> parsimony_masks(
-    const Alignment& alignment);
-
 /// Total (weighted) Fitch parsimony score of a fully connected tree. The
 /// alignment binds to tree tips by taxon name.
 double parsimony_score(const Tree& tree, const Alignment& alignment);

@@ -1,5 +1,6 @@
 #include "session.hpp"
 
+#include "ooc/mmap_store.hpp"
 #include "util/checks.hpp"
 #include "util/timer.hpp"
 

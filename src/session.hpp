@@ -17,7 +17,6 @@
 #include "ooc/inram_store.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
-#include "ooc/mmap_store.hpp"
 
 namespace plfoc {
 
@@ -143,7 +142,6 @@ class Session {
     return dynamic_cast<OutOfCoreStore*>(store_.get());
   }
   PagedStore* paged() { return dynamic_cast<PagedStore*>(store_.get()); }
-  MmapStore* mmap_backend() { return dynamic_cast<MmapStore*>(store_.get()); }
 
   std::size_t patterns() const { return alignment_.num_sites(); }
   std::size_t vector_width() const { return store_->width(); }

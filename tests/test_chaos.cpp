@@ -13,7 +13,7 @@
 // exact repro; replay with
 //   PLFOC_CHAOS_TRIALS=1 PLFOC_CHAOS_MASTER=<n> ./plfoc_chaos_tests
 // (a single trial derives its seed from the master unchanged).
-#include "net/chaos_socket.hpp"
+#include "chaos_socket.hpp"
 
 #include <gtest/gtest.h>
 

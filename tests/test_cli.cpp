@@ -195,48 +195,31 @@ TEST_F(CliFixture, BadConfigurationsThrow) {
 // written; plfoc's main turns the Error into a non-zero exit status.
 TEST_F(CliFixture, OutputWriteErrorsFailTheRun) {
   if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
-  {
-    CliConfig config = base_config();
-    config.save_checkpoint_path = "/dev/full";
-    std::ostringstream out;
-    EXPECT_THROW(run_cli(config, out), Error);
-    EXPECT_EQ(out.str().find("checkpoint written"), std::string::npos);
-  }
-  {
-    CliConfig config = base_config();
-    config.out_tree_path = "/dev/full";
-    std::ostringstream out;
-    EXPECT_THROW(run_cli(config, out), Error);
-    EXPECT_EQ(out.str().find("tree written"), std::string::npos);
-  }
+  CliConfig config = base_config();
+  config.out_tree_path = "/dev/full";
+  std::ostringstream out;
+  EXPECT_THROW(run_cli(config, out), Error);
+  EXPECT_EQ(out.str().find("tree written"), std::string::npos);
 }
 
-TEST_F(CliFixture, CheckpointSaveAndResume) {
-  const std::string ckpt = tmp_path("ckpt.bin");
-  // Run a search and checkpoint the result.
-  CliConfig first = base_config();
-  first.mode = "search";
-  first.save_checkpoint_path = ckpt;
-  std::ostringstream first_out;
-  EXPECT_EQ(run_cli(first, first_out), 0);
-  // Extract the final logL of the search.
-  const std::string text = first_out.str();
-  const std::size_t arrow = text.find("-> ");
-  ASSERT_NE(arrow, std::string::npos);
-  const std::string final_ll =
-      text.substr(arrow + 3, text.find(' ', arrow + 3) - (arrow + 3));
-
-  // Resume from the checkpoint and evaluate: same likelihood.
-  CliConfig second = base_config();
-  second.tree_path.clear();
-  second.load_checkpoint_path = ckpt;
-  std::ostringstream second_out;
-  EXPECT_EQ(run_cli(second, second_out), 0);
-  EXPECT_NE(second_out.str().find("resuming from checkpoint"),
-            std::string::npos);
-  EXPECT_NE(second_out.str().find(final_ll), std::string::npos)
-      << second_out.str();
-  std::remove(ckpt.c_str());
+// plfoc has no checkpoint options: the parser rejects both spellings as
+// unknown flags, before the missing alignment would be opened.
+TEST(CliParse, RemovedCheckpointFlagsAreRejected) {
+  for (const char* flag : {"--save-checkpoint", "--load-checkpoint"}) {
+    std::ostringstream out;
+    try {
+      const CliConfig config =
+          parse({"--msa", "/nonexistent.fa", flag, "x"});
+      run_cli(config, out);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("unknown flag '" + std::string(flag) + "'"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(out.str().find("alignment:"), std::string::npos) << out.str();
+  }
 }
 
 TEST_F(CliFixture, K80AndJcModels) {

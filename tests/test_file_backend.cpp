@@ -86,15 +86,6 @@ TEST(FileBackend, ByteAccessMatchesVectorLayout) {
   EXPECT_EQ(probe, 5.0);
 }
 
-TEST(FileBackend, ByteWriteVisibleToVectorRead) {
-  FileBackend backend(2, 4 * sizeof(double), temp_options("bw"));
-  const double value = 42.0;
-  backend.write_bytes(4 * sizeof(double), &value, sizeof(double));
-  std::vector<double> in(4);
-  backend.read_vector(1, in.data());
-  EXPECT_EQ(in[0], 42.0);
-}
-
 TEST(FileBackend, RemovesFilesOnClose) {
   FileBackendOptions options = temp_options("cleanup");
   const std::string path = options.base_path;
@@ -136,17 +127,6 @@ TEST(FileBackend, UnwritableDirectoryThrows) {
 
 TEST(FileBackend, TempPathsAreUnique) {
   EXPECT_NE(temp_vector_file_path("x"), temp_vector_file_path("x"));
-}
-
-TEST(FileBackend, DropPageCacheAndSyncDoNotCorrupt) {
-  FileBackend backend(4, 32 * sizeof(double), temp_options("sync"));
-  std::vector<double> out(32, 7.0);
-  backend.write_vector(1, out.data());
-  backend.sync();
-  backend.drop_page_cache();
-  std::vector<double> in(32);
-  backend.read_vector(1, in.data());
-  EXPECT_EQ(in, out);
 }
 
 }  // namespace

@@ -697,5 +697,25 @@ TEST(KernelsSimd, EvaluateTipNearProteinCodesBitIdentical) {
   expect_tip_near_bit_identical(DataType::kProtein);
 }
 
+// accumulate_site is the tail both evaluate paths share. When a NaN running
+// logL meets a NaN site term, the stored result is the one fixed quiet NaN,
+// whichever operand holds which payload. The inputs pass through volatiles
+// so the compiler cannot fold the sum at build time.
+TEST(KernelsSimd, AccumulateSiteStoresOneFixedNaN) {
+  const std::uint64_t payloads[] = {0xfff8000000000000u,   // x86's default
+                                    0x7ff8000000000123u};  // quiet, tagged
+  const std::uint64_t fixed =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  for (int order = 0; order < 2; ++order) {
+    volatile double running = std::bit_cast<double>(payloads[order]);
+    volatile double site = std::bit_cast<double>(payloads[1 - order]);
+    BranchValue result;
+    result.log_likelihood = running;
+    detail::accumulate_site(result, site, 0.0, 0.0, 0, 1.0, false);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.log_likelihood), fixed)
+        << "order " << order;
+  }
+}
+
 }  // namespace
 }  // namespace plfoc

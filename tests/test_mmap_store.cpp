@@ -66,17 +66,6 @@ TEST(MmapStore, RemovesFileByDefault) {
   EXPECT_NE(::stat(path.c_str(), &st), 0);
 }
 
-TEST(MmapStore, ResidentFractionIsSane) {
-  MmapStore store(16, 512, temp_options());
-  for (std::uint32_t idx = 0; idx < 16; ++idx) {
-    auto lease = store.acquire(idx, AccessMode::kWrite);
-    lease.data()[0] = 1.0;
-  }
-  const double fraction = store.resident_fraction();
-  EXPECT_GE(fraction, 0.0);
-  EXPECT_LE(fraction, 1.0);
-}
-
 TEST(MmapStore, SessionBackendMatchesInRamBitExactly) {
   DatasetPlan plan;
   plan.num_taxa = 12;
@@ -91,7 +80,7 @@ TEST(MmapStore, SessionBackendMatchesInRamBitExactly) {
   SessionOptions mm;
   mm.backend = Backend::kMmap;
   Session session(data.alignment, data.tree, benchmark_gtr(), mm);
-  ASSERT_NE(session.mmap_backend(), nullptr);
+  ASSERT_STREQ(session.store().backend_name(), "mmap");
   EXPECT_EQ(session.engine().log_likelihood(), expected);
 }
 
