@@ -24,6 +24,7 @@ int main() {
 
   const auto run = [&](SessionOptions options) {
     options.backend = Backend::kOutOfCore;
+    options.recompute_cherries = false;  // the paper's access stream
     options.policy = ReplacementPolicy::kLru;
     options.seed = 7;
     if (options.ram_fraction == 0.0) options.ram_fraction = 0.25;
@@ -72,6 +73,7 @@ int main() {
   for (bool single : {false, true}) {
     SessionOptions options;
     options.backend = Backend::kOutOfCore;
+    options.recompute_cherries = false;  // the paper's access stream
     options.policy = ReplacementPolicy::kLru;
     options.ram_fraction = 0.1;
     options.seed = 7;

@@ -55,6 +55,7 @@ RunResult run(const PlannedDataset& data, AioEngineKind engine,
               std::uint64_t latency_ns, ReplacementPolicy policy) {
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
+  options.recompute_cherries = false;  // the paper's access stream
   options.policy = policy;
   // Full swap path: every miss pays victim write-back + demand read, the
   // pair the stores hand to the engine as one overlapped batch. Skipping

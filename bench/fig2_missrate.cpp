@@ -33,6 +33,7 @@ int main() {
     for (double f : fractions) {
       SessionOptions options;
       options.backend = Backend::kOutOfCore;
+      options.recompute_cherries = false;  // the paper's access stream
       options.policy = policy;
       options.ram_fraction = f;
       options.seed = 7;

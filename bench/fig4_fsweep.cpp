@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     const std::size_t slots = OocStoreOptions::slots_from_fraction(f, vectors);
     SessionOptions options;
     options.backend = Backend::kOutOfCore;
+    options.recompute_cherries = false;  // the paper's access stream
     options.policy = ReplacementPolicy::kRandom;
     options.ram_fraction = f;
     options.seed = 7;

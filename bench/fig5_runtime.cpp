@@ -41,6 +41,7 @@ RunResult run_traversals(const PlannedDataset& data, const Variant& variant,
                          std::uint64_t budget_bytes, int traversals) {
   SessionOptions options;
   options.backend = variant.backend;
+  options.recompute_cherries = false;  // the paper's access stream
   options.policy = variant.policy;
   options.ram_budget_bytes = budget_bytes;
   options.compress_patterns = false;  // keep the exact planned footprint

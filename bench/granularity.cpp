@@ -61,6 +61,7 @@ int main() {
 
   SessionOptions ooc;
   ooc.backend = Backend::kOutOfCore;
+  ooc.recompute_cherries = false;  // the paper's access stream
   ooc.ram_budget_bytes = budget;
   ooc.policy = ReplacementPolicy::kLru;
   ooc.compress_patterns = false;

@@ -38,6 +38,7 @@ int main() {
 
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
+  options.recompute_cherries = false;  // the paper's access stream
   options.policy = ReplacementPolicy::kLru;
   options.ram_fraction = 0.05;
   options.seed = 11;

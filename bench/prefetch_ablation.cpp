@@ -25,6 +25,7 @@ AblationResult run(const PlannedDataset& data, bool with_prefetch,
                    std::uint64_t budget, int traversals) {
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
+  options.recompute_cherries = false;  // the paper's access stream
   options.policy = ReplacementPolicy::kLru;
   options.ram_budget_bytes = budget;
   options.compress_patterns = false;

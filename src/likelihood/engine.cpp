@@ -141,6 +141,11 @@ void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
 
     VectorLease parent_lease =
         store_.acquire(vector_index(step.parent), AccessMode::kWrite);
+    // A cherry's vector depends on nothing the store holds, so
+    // recover_vector can rebuild it from the tips more cheaply than the
+    // store can write it back and read it again.
+    if (left.codes != nullptr && right.codes != nullptr)
+      store_.mark_rebuildable(vector_index(step.parent));
     newview(dims_, left, right, parent_lease.data(), scale_data(step.parent),
             kernel_pool_);
     ++completed;
@@ -350,6 +355,8 @@ std::uint64_t LikelihoodEngine::recover_vector(std::uint32_t index,
     }
     // Scale counts are RAM-resident and recomputed to identical values.
     newview(dims_, left, right, dst, scale_data(node), kernel_pool_);
+  } catch (const CancelledError&) {
+    throw;  // the caller stopped the work: not a failed recomputation
   } catch (const Error&) {
     // Nested unrecoverable corruption, pinned-slot exhaustion, or I/O retry
     // exhaustion: report "not recomputable" and let the store throw typed.

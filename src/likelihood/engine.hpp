@@ -138,8 +138,10 @@ class LikelihoodEngine {
   /// is not recomputable: the node's orientation is invalid (its content was
   /// never defined), a child summarises the wrong direction, or a child
   /// acquire fails (nested unrecoverable corruption, pinned-slot exhaustion,
-  /// I/O retry exhaustion). Uses only local scratch — the engine's member
-  /// buffers belong to the interrupted operation's stack frame.
+  /// I/O retry exhaustion). A CancelledError propagates instead. Uses only
+  /// local scratch — the engine's member buffers belong to the interrupted
+  /// operation's stack frame. The store also calls it to rebuild a dropped
+  /// cherry, which execute() marks with AncestralStore::mark_rebuildable.
   std::uint64_t recover_vector(std::uint32_t index, double* dst);
 
  private:

@@ -17,7 +17,9 @@ StoreAuditor::StoreAuditor(std::size_t vector_count, std::size_t slot_count)
     : vector_count_(vector_count),
       slot_count_(slot_count),
       on_disk_(vector_count, false),
-      shadow_dirty_(vector_count, false) {}
+      shadow_dirty_(vector_count, false),
+      marked_(vector_count, false),
+      dropped_(vector_count, false) {}
 
 bool StoreAuditor::ever_on_disk(std::uint32_t index) const {
   return index < vector_count_ && on_disk_[index];
@@ -37,7 +39,11 @@ std::optional<std::string> StoreAuditor::record_acquire(std::uint32_t index,
     return describe("read skipping elided the read of a READ-mode access",
                     index);
   }
-  if (write_mode) shadow_dirty_[index] = true;
+  if (write_mode) {
+    shadow_dirty_[index] = true;
+    marked_[index] = false;
+    dropped_[index] = false;
+  }
   return std::nullopt;
 }
 
@@ -51,14 +57,46 @@ std::optional<std::string> StoreAuditor::record_file_write(
 }
 
 std::optional<std::string> StoreAuditor::record_evict(
-    std::uint32_t victim, std::uint32_t pins, bool write_back_scheduled) {
+    std::uint32_t victim, std::uint32_t pins, bool write_back_scheduled,
+    bool dropped) {
   if (victim >= vector_count_)
     return describe("eviction of out-of-range vector", victim);
   if (pins != 0)
     return describe("pinned vector selected as replacement victim", victim) +
            " with " + std::to_string(pins) + " live lease(s)";
-  if (shadow_dirty_[victim] && !write_back_scheduled)
+  if (write_back_scheduled && dropped)
+    return describe("victim both written back and dropped", victim);
+  if (dropped && !marked_[victim])
+    return describe("vector dropped without a rebuildable mark", victim);
+  if (shadow_dirty_[victim] && !write_back_scheduled && !dropped)
     return describe("dirty vector evicted without a write-back", victim);
+  return std::nullopt;
+}
+
+std::optional<std::string> StoreAuditor::record_drop(std::uint32_t victim) {
+  if (victim >= vector_count_)
+    return describe("drop of out-of-range vector", victim);
+  // The slot content is gone and the file record is stale: only a rebuild
+  // or a fresh write-mode acquire may bring the vector back.
+  dropped_[victim] = true;
+  shadow_dirty_[victim] = false;
+  return std::nullopt;
+}
+
+std::optional<std::string> StoreAuditor::record_mark(std::uint32_t index) {
+  if (index >= vector_count_)
+    return describe("rebuildable mark on out-of-range vector", index);
+  marked_[index] = true;
+  return std::nullopt;
+}
+
+std::optional<std::string> StoreAuditor::record_rebuild(std::uint32_t index) {
+  if (index >= vector_count_)
+    return describe("rebuild of out-of-range vector", index);
+  if (!dropped_[index])
+    return describe("rebuild of a vector that was never dropped", index);
+  dropped_[index] = false;
+  shadow_dirty_[index] = true;
   return std::nullopt;
 }
 
@@ -152,9 +190,15 @@ std::optional<std::string> StoreAuditor::check_stats(const OocStats& stats) {
   if (stats.cold_misses > stats.misses)
     return "cold_misses (" + std::to_string(stats.cold_misses) +
            ") exceeds misses (" + std::to_string(stats.misses) + ")";
-  if (stats.skipped_reads > stats.misses)
+  if (stats.skipped_reads + stats.recomputes > stats.misses)
     return "skipped_reads (" + std::to_string(stats.skipped_reads) +
+           ") + recomputes (" + std::to_string(stats.recomputes) +
            ") exceeds misses (" + std::to_string(stats.misses) + ")";
+  if (stats.write_backs_avoided > stats.evictions)
+    return "write_backs_avoided (" +
+           std::to_string(stats.write_backs_avoided) +
+           ") exceeds evictions (" + std::to_string(stats.evictions) +
+           ") — a dropped victim is an eviction";
   if (stats.integrity_recoveries + stats.integrity_unrecovered !=
       stats.integrity_failures)
     return "integrity_recoveries (" +
@@ -222,6 +266,9 @@ std::optional<std::string> StoreAuditor::check_stats(const OocStats& stats) {
       {"io_coalesced", stats.io_coalesced, last_stats_.io_coalesced},
       {"io_write_coalesced", stats.io_write_coalesced,
        last_stats_.io_write_coalesced},
+      {"write_backs_avoided", stats.write_backs_avoided,
+       last_stats_.write_backs_avoided},
+      {"recomputes", stats.recomputes, last_stats_.recomputes},
   };
   for (const Field& f : fields) {
     if (f.now < f.before)

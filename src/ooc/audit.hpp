@@ -16,7 +16,9 @@
 //    with the auditor's shadow model of pending modifications;
 //  * read skipping only ever elides the swap-in read of a write-mode access —
 //    in particular it never skips reading a vector that was ever written to
-//    the backing file and is now being read.
+//    the backing file and is now being read;
+//  * only a vector marked rebuildable is dropped (evicted dirty without a
+//    write-back), and only a dropped vector is rebuilt.
 //
 // All checking methods return the violated invariant as a string (nullopt if
 // the state is consistent) so tests can assert that corruption *is* detected;
@@ -70,11 +72,29 @@ class StoreAuditor {
 
   /// `victim` (with `pins` live leases) was chosen for eviction;
   /// `write_back_scheduled` reports whether the store will write the victim
-  /// back before dropping it. Call BEFORE the write-back and before the
-  /// store's own consistency checks, so the auditor observes the
+  /// back before dropping it, `dropped` whether it leaves unwritten because
+  /// it was marked rebuildable (the two exclude each other). A dirty victim
+  /// must leave one of these two ways. Call BEFORE the write-back and before
+  /// the store's own consistency checks, so the auditor observes the
   /// pre-write-back pin/dirty state independently of them.
   [[nodiscard]] std::optional<std::string> record_evict(
-      std::uint32_t victim, std::uint32_t pins, bool write_back_scheduled);
+      std::uint32_t victim, std::uint32_t pins, bool write_back_scheduled,
+      bool dropped = false);
+
+  /// `victim`, whose record_evict reported `dropped`, now leaves its slot
+  /// unwritten. Separate from record_evict because a batched prefetch
+  /// install decides every exit before it evicts any victim.
+  [[nodiscard]] std::optional<std::string> record_drop(std::uint32_t victim);
+
+  /// The engine marked `index` rebuildable under its write lease.
+  [[nodiscard]] std::optional<std::string> record_mark(std::uint32_t index);
+
+  /// A read-mode miss of `index` was served by rebuilding it through the
+  /// recovery hook. Only a dropped vector may be rebuilt; the rebuilt slot
+  /// is newer than its (stale) file record, so the shadow model marks it
+  /// dirty.
+  [[nodiscard]] std::optional<std::string> record_rebuild(
+      std::uint32_t index);
 
   /// A lease on `index` was released; `pins_before` is the pin count the
   /// slot held at the moment of release.
@@ -98,9 +118,10 @@ class StoreAuditor {
       const std::vector<std::uint32_t>& vector_slot) const;
 
   /// Validate the store's counter object: algebraic identities
-  /// (hits + misses == accesses, cold_misses <= misses, skipped_reads <=
-  /// misses, integrity_recoveries + integrity_unrecovered ==
-  /// integrity_failures, recovery_recomputes >= integrity_recoveries) and
+  /// (hits + misses == accesses, cold_misses <= misses, skipped_reads +
+  /// recomputes <= misses, write_backs_avoided <= evictions,
+  /// integrity_recoveries + integrity_unrecovered == integrity_failures,
+  /// recovery_recomputes >= integrity_recoveries) and
   /// monotonicity against the previously checked snapshot — including the
   /// robustness and integrity counters, which must never run backwards
   /// mid-run. Call after every counter mutation; reset_stats_baseline()
@@ -126,6 +147,8 @@ class StoreAuditor {
   std::size_t slot_count_;
   std::vector<bool> on_disk_;      ///< vector was ever written to the file
   std::vector<bool> shadow_dirty_; ///< modifications not yet written back
+  std::vector<bool> marked_;       ///< rebuildable since the last write
+  std::vector<bool> dropped_;      ///< evicted unwritten, not rebuilt since
   OocStats last_stats_;            ///< monotonicity baseline for check_stats
 };
 

@@ -327,6 +327,19 @@ void FileBackend::write_vector(std::uint32_t index, const void* src) {
   charge(bytes_per_vector_);
 }
 
+void FileBackend::retire_vector(std::uint32_t index) {
+  PLFOC_CHECK(block_bytes_ == bytes_per_vector_);
+  // Any nonzero constant works: an intact old record checksums to the old
+  // mirror value, which the flipped mirror can no longer match.
+  constexpr std::uint64_t kRetiredChecksumFlip = 0x9E3779B97F4A7C15ull;
+  const Location loc = locate(index);
+  FileIntegrity& fi = integrity_[loc.file];
+  fi.checksum[loc.block].fetch_xor(kRetiredChecksumFlip,
+                                   std::memory_order_relaxed);
+  fi.generation[loc.block].fetch_add(1, std::memory_order_relaxed);
+  fi.corrupt_mark[loc.block].store(0, std::memory_order_relaxed);
+}
+
 // Batched vector transfers through the AioEngine. The completions may arrive
 // in any order, so every effect that must be deterministic — injector draws,
 // checksum-table writes, counter folds, verification, corruption draws — is

@@ -138,6 +138,16 @@ class FileBackend {
   void read_vector(std::uint32_t index, void* dst);
   void write_vector(std::uint32_t index, const void* src);
 
+  /// Declare vector `index`'s record stale without touching the file: its
+  /// slot content was dropped instead of written back, and the owner
+  /// rebuilds it rather than reading it. Advances the in-memory generation
+  /// mirror as an injected stale write does, and moves the checksum mirror
+  /// off the record's, so a verified read that reaches the record anyway
+  /// reports kStaleGeneration instead of returning old bytes. The next
+  /// write of the vector makes the record current again. fsck, which reads
+  /// only the file, still sees the old record as consistent.
+  void retire_vector(std::uint32_t index);
+
   /// One whole-vector transfer in a batch submitted through the AioEngine.
   /// Outcome fields are filled by submit_vector_ops; `verify` requests the
   /// read_vector_verified semantics at completion.

@@ -60,6 +60,8 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
       auditor_(count, slot_count_),
 #endif
       touched_(count, false),
+      rebuildable_(count, false),
+      dropped_(count, false),
       float_scratch_(options_.disk_precision == DiskPrecision::kSingle ? width
                                                                         : 0),
       file_generation_(count, 0),
@@ -133,26 +135,49 @@ void OutOfCoreStore::count_file_write(std::uint32_t index) {
   PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(index));
 }
 
-bool OutOfCoreStore::victim_needs_write_back(const SlotTier::Claim& claim) {
+OutOfCoreStore::VictimExit OutOfCoreStore::victim_exit(
+    const SlotTier::Claim& claim) {
   // The paper's implementation always writes the victim back; dirty tracking
   // (write_back_clean = false) is an ablation extension.
-  const bool write_back = options_.write_back_clean || tier_[claim.slot].dirty;
+  VictimExit exit = VictimExit::kDiscard;
+  if (options_.write_back_clean || tier_[claim.slot].dirty) {
+    // A marked victim is cheaper to rebuild from its tips than to write,
+    // but only a registered hook can rebuild it.
+    const bool drop = options_.drop_rebuildable && recovery_hook_ &&
+                      rebuildable_[claim.victim];
+    exit = drop ? VictimExit::kDrop : VictimExit::kWriteBack;
+  }
   // The auditor must see the victim's pin count and shadow dirty bit before
   // the tier's own pin assertion (SlotTier::evict) and before the write-back
   // clears the shadow state — otherwise it only re-checks values the store
   // already validated.
   PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(
                                  claim.victim, tier_[claim.slot].pins,
-                                 write_back));
-  return write_back;
+                                 exit == VictimExit::kWriteBack,
+                                 exit == VictimExit::kDrop));
+  return exit;
+}
+
+void OutOfCoreStore::evict(std::uint32_t victim, VictimExit exit) {
+  if (exit == VictimExit::kDrop) {
+    ++stats_locked().write_backs_avoided;
+    dropped_[victim] = true;
+    // A prefetch that staged the old record must not install it, and a
+    // verified read that reaches the record anyway must fail and heal.
+    ++file_generation_[victim];
+    file_.retire_vector(victim);
+    PLFOC_AUDIT_EVENT("drop", auditor_.record_drop(victim));
+  }
+  tier_.evict(victim, stats_locked());
 }
 
 std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
   const SlotTier::Claim claim = tier_.claim(index);
   if (claim.victim == kNoVector) return claim.slot;  // cold phase
-  if (victim_needs_write_back(claim))
+  const VictimExit exit = victim_exit(claim);
+  if (exit == VictimExit::kWriteBack)
     file_write(claim.victim, tier_.data(claim.slot));
-  tier_.evict(claim.victim, stats_locked());
+  evict(claim.victim, exit);
   return claim.slot;
 }
 
@@ -165,9 +190,12 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
                                                  bool verify,
                                                  VerifyResult* out_verify) {
   const SlotTier::Claim claim = tier_.claim(index);
-  // A free slot (or a dropped clean victim) leaves nothing to overlap.
-  if (claim.victim == kNoVector || !victim_needs_write_back(claim)) {
-    if (claim.victim != kNoVector) tier_.evict(claim.victim, stats_locked());
+  const VictimExit exit = claim.victim == kNoVector ? VictimExit::kDiscard
+                                                    : victim_exit(claim);
+  // A free slot, or a victim that leaves unwritten, leaves nothing to
+  // overlap.
+  if (exit != VictimExit::kWriteBack) {
+    if (claim.victim != kNoVector) evict(claim.victim, exit);
     *out_verify = file_read(index, tier_.data(claim.slot), verify);
     return claim.slot;
   }
@@ -209,7 +237,7 @@ std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
     FileBackend::throw_op_error(ops[0]);
   }
   count_file_write(claim.victim);
-  tier_.evict(claim.victim, stats_locked());
+  evict(claim.victim, VictimExit::kWriteBack);
 
   if (!ops[1].ok()) {
     // Sequential equivalent: file_read threw after the eviction completed —
@@ -233,6 +261,7 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   std::uint32_t slot = tier_.slot_of(index);
   [[maybe_unused]] bool read_skipped = false;  // only consumed by audit hooks
   VerifyResult verify;  // stays kOk unless a verified swap-in failed
+  bool rebuild = false;
   if (slot != kNoSlot) {
     ++stats_locked().hits;
   } else {
@@ -241,14 +270,19 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
     // Swap the requested vector in — unless this access overwrites it anyway
     // and read skipping applies (Sec. 3.4). First-ever accesses never have
     // meaningful file contents either way (the file is zero-preallocated).
-    const bool need_read = mode == AccessMode::kRead || !options_.read_skipping;
+    // A dropped vector's record is stale: a read-mode miss rebuilds it, and
+    // a write-mode one has nothing worth reading even without read skipping.
+    const bool skip_read =
+        mode == AccessMode::kWrite && options_.read_skipping;
+    rebuild = dropped_[index] && mode == AccessMode::kRead;
+    const bool need_read = !skip_read && !dropped_[index];
     if (need_read && file_.async_io()) {
       slot = swap_in_overlapped(index, mode == AccessMode::kRead, &verify);
     } else {
       slot = obtain_slot(index);
       if (need_read) {
         verify = file_read(index, tier_.data(slot), mode == AccessMode::kRead);
-      } else {
+      } else if (skip_read) {
         ++stats_locked().skipped_reads;
         read_skipped = true;
       }
@@ -258,11 +292,16 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   touched_[index] = true;
   tier_.mark_acquired(index);
   ++tier_[slot].pins;
-  if (mode == AccessMode::kWrite) tier_[slot].dirty = true;
+  if (mode == AccessMode::kWrite) {
+    tier_[slot].dirty = true;
+    rebuildable_[index] = false;  // the caller re-marks a tip–tip write
+    dropped_[index] = false;
+  }
   tier_.strategy().on_access(index);
-  // Self-healing happens with the slot fully installed and pinned: the pin
-  // keeps the recomputation target stable while the hook's child acquires
-  // recurse through this method with the lock released.
+  // Rebuilds and self-healing happen with the slot fully installed and
+  // pinned: the pin keeps the recomputation target stable while the hook's
+  // child acquires recurse through this method with the lock released.
+  if (rebuild) rebuild_dropped(lock, index);
   if (!verify.ok()) recover_or_throw(lock, index, verify);
   PLFOC_AUDIT_EVENT("acquire", auditor_.record_acquire(
                                    index, mode == AccessMode::kWrite,
@@ -272,24 +311,72 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   return tier_.data(slot);
 }
 
+void OutOfCoreStore::mark_rebuildable(std::uint32_t index) {
+  if (!options_.drop_rebuildable) return;
+  PLFOC_CHECK(index < count_);
+  MutexLock lock(mutex_);
+  const std::uint32_t slot = tier_.slot_of(index);
+  PLFOC_CHECK(slot != kNoSlot && tier_[slot].pins > 0 && tier_[slot].dirty);
+  rebuildable_[index] = true;
+  PLFOC_AUDIT_EVENT("mark", auditor_.record_mark(index));
+}
+
+void OutOfCoreStore::round_to_disk_precision(double* data) const {
+  if (options_.disk_precision != DiskPrecision::kSingle) return;
+  for (std::size_t i = 0; i < width_; ++i)
+    data[i] = static_cast<double>(static_cast<float>(data[i]));
+}
+
+void OutOfCoreStore::undo_install(std::uint32_t index) {
+  PLFOC_CHECK(tier_[tier_.slot_of(index)].pins == 1);
+  tier_.detach(index);
+  PLFOC_AUDIT_TABLE("undone install");
+}
+
 // The body juggles the caller's lock (unlocks around the re-entrant recovery
 // hook, relocks before touching the table); do_acquire calls this with
 // mutex_ held, which is what the declaration's analysis checks.
-void OutOfCoreStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
-                                      const VerifyResult& verify)
+std::uint64_t OutOfCoreStore::run_recovery_hook(MutexLock& lock,
+                                                std::uint32_t index)
     PLFOC_NO_THREAD_SAFETY_ANALYSIS {
-  const std::uint32_t slot = tier_.slot_of(index);
+  if (!recovery_hook_) return 0;
+  double* dst = tier_.data(tier_.slot_of(index));  // pinned: stable unlocked
   std::uint64_t recomputed = 0;
-  if (recovery_hook_) {
-    double* dst = tier_.data(slot);  // pinned: stable across the unlock
-    lock.unlock();
-    try {
-      recomputed = recovery_hook_(index, dst);
-    } catch (...) {
-      recomputed = 0;  // a throwing hook is an unrecoverable vector
-    }
+  lock.unlock();
+  try {
+    recomputed = recovery_hook_(index, dst);
+  } catch (const CancelledError&) {
+    // Not a failed recomputation: the caller asked to stop. Unwind like a
+    // cancelled acquire, leaving the store as if it had never started.
     lock.lock();
+    undo_install(index);
+    throw;
+  } catch (...) {
+    recomputed = 0;  // a throwing hook is an unrecoverable vector
   }
+  lock.lock();
+  return recomputed;
+}
+
+void OutOfCoreStore::rebuild_dropped(MutexLock& lock, std::uint32_t index) {
+  const std::uint64_t rebuilt = run_recovery_hook(lock, index);
+  // Only a tip–tip write is marked, and its rebuild reads no store vector:
+  // it cannot fail short of a marking bug.
+  PLFOC_CHECK(rebuilt > 0);
+  const std::uint32_t slot = tier_.slot_of(index);
+  round_to_disk_precision(tier_.data(slot));
+  dropped_[index] = false;
+  // The file record is stale: the slot must leave by a write-back or by
+  // another drop.
+  tier_[slot].dirty = true;
+  ++stats_locked().recomputes;
+  PLFOC_AUDIT_EVENT("rebuild", auditor_.record_rebuild(index));
+}
+
+void OutOfCoreStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
+                                      const VerifyResult& verify) {
+  const std::uint32_t slot = tier_.slot_of(index);
+  const std::uint64_t recomputed = run_recovery_hook(lock, index);
   // Count the whole episode at resolution, under one lock hold: nested
   // acquires inside the hook take stats snapshots mid-flight and must never
   // see the recoveries + unrecovered == failures identity half-updated.
@@ -302,24 +389,14 @@ void OutOfCoreStore::recover_or_throw(MutexLock& lock, std::uint32_t index,
     // routes it back to the file through the normal write-back path.
     tier_[slot].dirty = true;
     file_.copy_counters(stats);
-    if (options_.disk_precision == DiskPrecision::kSingle) {
-      // Match what an intact disk read would have delivered: the recomputed
-      // doubles round-trip through the on-disk float representation.
-      double* data = tier_.data(slot);
-      for (std::size_t i = 0; i < width_; ++i)
-        data[i] = static_cast<double>(static_cast<float>(data[i]));
-    }
+    round_to_disk_precision(tier_.data(slot));
     PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, true));
     return;
   }
   ++stats.integrity_unrecovered;
-  // Undo the install: the acquire is failing, so its pin and residency must
-  // not outlive this throw (callers never see the lease).
-  PLFOC_CHECK(tier_[slot].pins == 1);
-  tier_.detach(index);
+  undo_install(index);
   file_.copy_counters(stats);
   PLFOC_AUDIT_EVENT("recovery", auditor_.record_recovery(index, false));
-  PLFOC_AUDIT_TABLE("integrity failure");
   PLFOC_AUDIT_EVENT("integrity stats", auditor_.check_stats(stats));
   throw IntegrityError(
       "out-of-core swap-in", index, verify.expected_generation,
@@ -374,6 +451,8 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
       // holds no meaningful bytes for it, and the first real access is
       // write-mode.
       if (!touched_[index]) continue;
+      // A dropped vector's record is stale; the demand miss rebuilds it.
+      if (dropped_[index]) continue;
       bool duplicate = false;  // a repeated plan entry stages one read
       for (const Item& item : items)
         if (item.index == index) { duplicate = true; break; }
@@ -439,8 +518,8 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   struct Pending {
     std::size_t k = 0;  ///< ops[k] / items[k]
     SlotTier::Claim claim;
-    bool write_back = false;
-    std::size_t wop = 0;  ///< index into wops when write_back
+    VictimExit exit = VictimExit::kDiscard;
+    std::size_t wop = 0;  ///< index into wops when exit is kWriteBack
   };
   std::vector<Pending> pending;
   pending.reserve(n);
@@ -461,7 +540,8 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     // Re-validate before installing: the vector may have been demand-loaded
     // while the read was in flight (drop — it is already resident), or
     // loaded, dirtied and evicted again, making the staged bytes stale
-    // (drop — the file's newer contents win on the next access).
+    // (drop — the file's newer contents, or a rebuild of a vector evicted
+    // without a write-back, win on the next access).
     if (tier_.slot_of(index) != kNoSlot ||
         file_generation_[index] != items[k].generation) {
       ++stats_locked().prefetch_stale;
@@ -472,8 +552,7 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     p.k = k;
     p.claim = tier_.try_claim(index, &slot_claimed);
     if (p.claim.slot == kNoSlot) continue;  // everything pinned/claimed: skip
-    if (p.claim.victim != kNoVector)
-      p.write_back = victim_needs_write_back(p.claim);
+    if (p.claim.victim != kNoVector) p.exit = victim_exit(p.claim);
     slot_claimed[p.claim.slot] = true;
     pending.push_back(p);
   }
@@ -483,7 +562,7 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   std::vector<FileBackend::VectorOp> wops;
   std::vector<float> wfloat;  // kSingle conversion staging, one span per wop
   for (Pending& p : pending) {
-    if (!p.write_back) continue;
+    if (p.exit != VictimExit::kWriteBack) continue;
     p.wop = wops.size();
     FileBackend::VectorOp wop;
     wop.is_write = true;
@@ -506,12 +585,11 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
 
   // C: fold outcomes and install, in op order.
   for (const Pending& p : pending) {
-    if (p.write_back) {
+    if (p.exit == VictimExit::kWriteBack) {
       if (!wops[p.wop].ok()) continue;  // victim stays resident; no install
       count_file_write(p.claim.victim);
     }
-    if (p.claim.victim != kNoVector)
-      tier_.evict(p.claim.victim, stats_locked());
+    if (p.claim.victim != kNoVector) evict(p.claim.victim, p.exit);
     double* dst = tier_.data(p.claim.slot);
     if (single) {
       widen(prefetch_float_scratch_.data() + p.k * width_, dst, width_);

@@ -12,6 +12,11 @@
 // adds the backing file, read skipping, precision conversion, write-back
 // policy and prefetch staging around it.
 //
+// With drop_rebuildable, a victim the engine marked rebuildable (a cherry:
+// both children are tips) leaves its slot without a write-back, and its
+// next read-mode miss rebuilds it through the recovery hook instead of
+// reading the file (docs/storage-layer.md, "dropping rebuildable vectors").
+//
 // Thread safety: all slot-table mutations are guarded by one mutex so the
 // optional prefetch thread (ooc/prefetch.hpp) can swap vectors in while the
 // likelihood engine computes. Lease data pointers remain stable while pinned.
@@ -48,6 +53,12 @@ struct OocStoreOptions {
   /// Paper behaviour: a swap always writes the victim back. With false,
   /// clean victims are dropped without a write (dirty-tracking extension).
   bool write_back_clean = true;
+  /// Evict a vector marked rebuildable (mark_rebuildable) without writing
+  /// it back, and rebuild it through the recovery hook on its next
+  /// read-mode miss. Needs a recovery hook to take effect; off by default so
+  /// raw stores keep the paper's access stream. Session sets it from
+  /// SessionOptions::recompute_cherries.
+  bool drop_rebuildable = false;
   std::uint64_t seed = 1;                  ///< Random strategy seed
   const Tree* tree = nullptr;              ///< required for kTopological
   FileBackendOptions file;                 ///< backing file configuration
@@ -93,7 +104,12 @@ class OutOfCoreStore final : public AncestralStore {
     return file_.async_io() ? file_.io_depth() : 1;
   }
 
-  /// Write all resident vectors back to the file.
+  /// Records the mark only under drop_rebuildable; `index` must be pinned
+  /// by a write lease.
+  void mark_rebuildable(std::uint32_t index) override;
+
+  /// Write all resident dirty vectors back to the file. Dropped vectors are
+  /// not resident and keep their stale records.
   void flush() override;
 
   /// Counters are mutated under mutex_ (including by the prefetch thread),
@@ -133,12 +149,22 @@ class OutOfCoreStore final : public AncestralStore {
   static constexpr std::uint32_t kNoSlot = kOocNoSlot;
   static constexpr std::uint32_t kNoVector = kOocNoVector;
 
+  /// How a claimed victim leaves its slot.
+  enum class VictimExit {
+    kDiscard,    ///< clean (and write_back_clean off): the record is current
+    kWriteBack,  ///< written to the file first
+    kDrop,       ///< marked rebuildable: left unwritten, its record retired
+  };
+
   /// Pick (evicting if needed) a slot for `index`.
   std::uint32_t obtain_slot(std::uint32_t index) PLFOC_REQUIRES(mutex_);
-  /// Whether the claimed victim must be written back before it is dropped;
-  /// reports the eviction to the auditor.
-  bool victim_needs_write_back(const SlotTier::Claim& claim)
-      PLFOC_REQUIRES(mutex_);
+  /// How the claimed victim leaves; reports the eviction to the auditor.
+  /// Reads only the slot table and the marks, never the tree: the prefetch
+  /// worker evicts too.
+  VictimExit victim_exit(const SlotTier::Claim& claim) PLFOC_REQUIRES(mutex_);
+  /// Evict `victim` once its write-back (if any) is done; a kDrop exit
+  /// first retires its file record.
+  void evict(std::uint32_t victim, VictimExit exit) PLFOC_REQUIRES(mutex_);
   /// Account one completed vector write-back of `index`.
   void count_file_write(std::uint32_t index) PLFOC_REQUIRES(mutex_);
   /// Async-engine demand-miss path: pick the slot AND perform the swap, with
@@ -169,6 +195,23 @@ class OutOfCoreStore final : public AncestralStore {
   /// install is undone and IntegrityError is thrown.
   void recover_or_throw(MutexLock& lock, std::uint32_t index,
                         const VerifyResult& verify) PLFOC_REQUIRES(mutex_);
+  /// A read-mode miss of a dropped `index` (installed and pinned once):
+  /// rebuild it through recovery_hook_, unlocked as above. The rebuild
+  /// replays a tip–tip newview, so failing is a bug and aborts. The slot is
+  /// marked dirty: its file record is stale.
+  void rebuild_dropped(MutexLock& lock, std::uint32_t index)
+      PLFOC_REQUIRES(mutex_);
+  /// Run recovery_hook_ into `index`'s pinned slot with `lock` released.
+  /// Returns the hook's count, 0 when it threw. A CancelledError undoes the
+  /// install (pin and residency) and propagates.
+  std::uint64_t run_recovery_hook(MutexLock& lock, std::uint32_t index)
+      PLFOC_REQUIRES(mutex_);
+  /// Undo a failing acquire's install of `index`: its pin and residency
+  /// must not outlive the throw (callers never see the lease).
+  void undo_install(std::uint32_t index) PLFOC_REQUIRES(mutex_);
+  /// kSingle: round a recomputed slot through float, so it matches what a
+  /// disk round trip of the vector would have delivered.
+  void round_to_disk_precision(double* data) const;
 
   /// Base-class counters re-exported under their capability: every counter
   /// mutation in this store goes through here so the analysis can prove it
@@ -187,6 +230,11 @@ class OutOfCoreStore final : public AncestralStore {
 #endif
   /// Vector ever accessed (cold-miss tracking).
   std::vector<bool> touched_ PLFOC_GUARDED_BY(mutex_);
+  /// Per vector: marked rebuildable since its last write-mode acquire.
+  std::vector<bool> rebuildable_ PLFOC_GUARDED_BY(mutex_);
+  /// Per vector: evicted by a kDrop exit and not rebuilt or rewritten since;
+  /// its file record is stale, so no read path may load it.
+  std::vector<bool> dropped_ PLFOC_GUARDED_BY(mutex_);
   /// Conversion buffer (kSingle only).
   std::vector<float> float_scratch_ PLFOC_GUARDED_BY(mutex_);
   /// Overlapped-swap staging (async engines only): the victim's content is
@@ -197,10 +245,11 @@ class OutOfCoreStore final : public AncestralStore {
   /// kSingle overlapped swap: demand-read float staging (float_scratch_ is
   /// busy carrying the victim's write-back conversion).
   std::vector<float> swap_float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: bumped by every file_write (under mutex_). Lets prefetch
-  /// detect that bytes it staged without the lock were superseded by a
-  /// write-back that happened during the read (the write-then-evict ABA the
-  /// residency check alone cannot see).
+  /// Per vector: bumped by every file_write and every drop (under mutex_).
+  /// Lets prefetch detect that bytes it staged without the lock were
+  /// superseded by a write-back or retired by a drop that happened during
+  /// the read (the write-then-evict ABA the residency check alone cannot
+  /// see).
   std::vector<std::uint64_t> file_generation_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
   std::atomic<int> prefetch_guards_{0};  ///< live Prefetcher worker threads

@@ -35,6 +35,8 @@ OocStats& OocStats::operator+=(const OocStats& other) {
   io_batches += other.io_batches;
   io_coalesced += other.io_coalesced;
   io_write_coalesced += other.io_write_coalesced;
+  write_backs_avoided += other.write_backs_avoided;
+  recomputes += other.recomputes;
   return *this;
 }
 
@@ -81,6 +83,14 @@ std::string OocStats::summary() const {
                   static_cast<unsigned long long>(io_batches),
                   static_cast<unsigned long long>(io_coalesced),
                   static_cast<unsigned long long>(io_write_coalesced));
+    out += buffer;
+  }
+  // Dropped rebuildable vectors: silent unless the store dropped any.
+  if (write_backs_avoided != 0 || recomputes != 0) {
+    std::snprintf(buffer, sizeof(buffer),
+                  " write_backs_avoided=%llu recomputes=%llu",
+                  static_cast<unsigned long long>(write_backs_avoided),
+                  static_cast<unsigned long long>(recomputes));
     out += buffer;
   }
   // Prefetch waste: silent unless lookahead actually churned slots.

@@ -61,6 +61,15 @@ struct OocStats {
   /// into a neighbouring ranged write. io_write_coalesced / file_writes is
   /// the write-coalescing ratio bench/aio reports.
   std::uint64_t io_write_coalesced = 0;
+  // Recompute-instead-of-store counters (docs/storage-layer.md, "dropping
+  // rebuildable vectors"):
+  /// Dirty victims evicted without a write-back because the engine marked
+  /// them rebuildable from tips alone. Each also counts in evictions.
+  std::uint64_t write_backs_avoided = 0;
+  /// Read-mode misses of a dropped vector served by rebuilding it through
+  /// the recovery hook: a miss, but neither a file read nor an integrity
+  /// failure.
+  std::uint64_t recomputes = 0;
 
   /// Fraction of vector requests not served from RAM (Figs. 2, 4).
   /// 0.0 when no accesses were recorded (zero-denominator guard).

@@ -104,6 +104,13 @@ class AncestralStore {
   /// acquires or prefetch workers).
   void set_cancel_token(CancelToken token) { cancel_ = std::move(token); }
 
+  /// The caller holds a write lease on `index` and fills the vector from
+  /// tip data alone, so recovery_hook_ can rebuild it without acquiring any
+  /// other vector. A file-backed store may then drop the vector at eviction
+  /// instead of writing it back, and rebuild it on its next read-mode miss.
+  /// The next write-mode acquire clears the mark. No-op by default.
+  virtual void mark_rebuildable(std::uint32_t /*index*/) {}
+
   /// Write any RAM-only state back to stable storage (no-op for RAM stores).
   virtual void flush() {}
 
@@ -126,8 +133,11 @@ class AncestralStore {
   /// may recurse into unmaterialized children), or 0 when recomputation is
   /// impossible. Registered by the Session, which owns the likelihood engine
   /// that knows the Felsenstein recurrence; file-backed stores call it on a
-  /// checksum mismatch before giving up with IntegrityError. The hook may
-  /// re-enter acquire()/release() on *other* vectors.
+  /// checksum mismatch before giving up with IntegrityError, and the
+  /// out-of-core store also calls it to rebuild a dropped rebuildable
+  /// vector (mark_rebuildable). The hook may re-enter acquire()/release()
+  /// on *other* vectors; a CancelledError it throws propagates to the
+  /// acquire's caller, with the install undone.
   using RecoveryHook = std::function<std::uint64_t(std::uint32_t, double*)>;
   void set_recovery_hook(RecoveryHook hook) {
     recovery_hook_ = std::move(hook);

@@ -66,6 +66,7 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       ooc.policy = options_.policy;
       ooc.read_skipping = options_.read_skipping;
       ooc.write_back_clean = options_.write_back_clean;
+      ooc.drop_rebuildable = options_.recompute_cherries;
       ooc.disk_precision = options_.single_precision_disk
                                ? DiskPrecision::kSingle
                                : DiskPrecision::kDouble;
@@ -126,6 +127,7 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
   }
   // Self-healing seam: a corrupt record found at swap-in is recomputed from
   // its children via the Felsenstein recurrence instead of failing the run.
+  // The out-of-core store also rebuilds dropped cherries through it.
   store_->set_recovery_hook([this](std::uint32_t index, double* dst) {
     return engine_->recover_vector(index, dst);
   });

@@ -52,6 +52,12 @@ struct SessionOptions {
   /// halves file size and transfer bytes at a ~1e-7 relative perturbation
   /// (see ooc/ooc_store.hpp, DiskPrecision).
   bool single_precision_disk = false;
+  /// Out-of-core backend only: evict a cherry's vector (both children are
+  /// tips) without writing it back, and rebuild it from the tips on its next
+  /// read instead of reading the file. Bit-identical either way, also under
+  /// single_precision_disk. The paper benches turn it off to keep the
+  /// paper's access stream (docs/storage-layer.md).
+  bool recompute_cherries = true;
   std::uint64_t seed = 1;
   /// Backing file path (empty = unique temp file, removed on destruction).
   std::string vector_file;

@@ -234,12 +234,19 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
             plan.fault_seed + static_cast<std::uint64_t>(combo);
       const bool faulty = (combo++ % 2) == 0;
       if (faulty) candidate.options.faults = faults;
+      // Cherries are dropped by default; one candidate per policy keeps the
+      // paper's write-back path. The parity of p + skip crosses the
+      // skip/fault alternation, so both paths run under faults and on all
+      // three engines (ooc_mt below adds the threads engine to the drops).
+      const bool paper_io = (p + (skip ? 0 : 1)) % 2 == 1;
+      candidate.options.recompute_cherries = !paper_io;
       candidate.label = std::string("ooc/") + policy_names[p] +
                         (skip ? "/skip" : "/noskip") +
                         (faulty ? "/faults" : "");
       if (candidate.options.threads > 1)
         candidate.label += "/t" + std::to_string(candidate.options.threads);
       candidate.label += std::string("/eng-") + engine_names[engine];
+      if (paper_io) candidate.label += "/paper-io";
       candidates.push_back(std::move(candidate));
     }
   }
@@ -303,8 +310,11 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
     if (engine_axis[i] == AioEngineKind::kDeterministic)
       pf.options.io_permute_seed = plan.fault_seed ^ 0xAB1Eu;
     pf.prefetch_lookahead = 6;
+    // The middle candidate keeps the paper path; the others prefetch
+    // around dropped cherries.
+    pf.options.recompute_cherries = i != 1;
     pf.label = std::string("ooc/") + prefetch_policy_names[i] +
-               "/prefetch/eng-" + engine_names[i];
+               "/prefetch/eng-" + engine_names[i] + (i == 1 ? "/paper-io" : "");
     candidates.push_back(std::move(pf));
   }
 

@@ -142,6 +142,55 @@ TEST(StoreAuditor, RejectsDirtyEvictionWithoutWriteBack) {
             std::nullopt);
 }
 
+TEST(StoreAuditor, DirtyVictimLeavesByWriteBackOrAsAMarkedDrop) {
+  StoreAuditor auditor(6, 3);
+  ASSERT_EQ(auditor.record_acquire(2, true, false), std::nullopt);
+  // Unmarked: a drop is as bad as a silent discard.
+  const auto unmarked = auditor.record_evict(2, 0, false, /*dropped=*/true);
+  ASSERT_TRUE(unmarked.has_value());
+  EXPECT_NE(unmarked->find("rebuildable mark"), std::string::npos);
+  EXPECT_TRUE(auditor.record_evict(2, 0, true, /*dropped=*/true).has_value());
+  // Marked: the drop is legal, and the vector may be rebuilt exactly once.
+  ASSERT_EQ(auditor.record_mark(2), std::nullopt);
+  EXPECT_EQ(auditor.record_evict(2, 0, false, /*dropped=*/true), std::nullopt);
+  EXPECT_TRUE(auditor.record_rebuild(2).has_value())
+      << "not dropped until record_drop";
+  ASSERT_EQ(auditor.record_drop(2), std::nullopt);
+  EXPECT_EQ(auditor.record_rebuild(2), std::nullopt);
+  const auto twice = auditor.record_rebuild(2);
+  ASSERT_TRUE(twice.has_value());
+  EXPECT_NE(twice->find("never dropped"), std::string::npos);
+  // The rebuilt slot is dirty again and keeps its mark: it may drop again.
+  EXPECT_TRUE(auditor.record_evict(2, 0, false).has_value());
+  EXPECT_EQ(auditor.record_evict(2, 0, false, /*dropped=*/true), std::nullopt);
+  ASSERT_EQ(auditor.record_drop(2), std::nullopt);
+  // A write-mode acquire clears both the mark and the dropped state.
+  ASSERT_EQ(auditor.record_acquire(2, true, false), std::nullopt);
+  EXPECT_TRUE(auditor.record_rebuild(2).has_value());
+  EXPECT_TRUE(auditor.record_evict(2, 0, false, /*dropped=*/true).has_value());
+}
+
+TEST(StoreAuditor, CheckStatsBindsTheRecomputeCounters) {
+  StoreAuditor auditor(6, 3);
+  OocStats stats;
+  stats.accesses = 4;
+  stats.misses = 4;
+  stats.skipped_reads = 3;
+  stats.recomputes = 2;  // a rebuild is a miss that was not read-skipped
+  ASSERT_TRUE(auditor.check_stats(stats).has_value());
+  stats.recomputes = 1;
+  stats.evictions = 1;
+  stats.write_backs_avoided = 2;  // each drop is an eviction
+  ASSERT_TRUE(auditor.check_stats(stats).has_value());
+  stats.write_backs_avoided = 1;
+  EXPECT_EQ(auditor.check_stats(stats), std::nullopt);
+  OocStats backwards = stats;
+  backwards.recomputes = 0;
+  const auto violation = auditor.check_stats(backwards);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find("recomputes ran backwards"), std::string::npos);
+}
+
 TEST(StoreAuditor, RejectsReadModeReadSkip) {
   StoreAuditor auditor(6, 3);
   // Write-mode skips are the whole point of read skipping: allowed.

@@ -16,10 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ooc/audit.hpp"
 #include "service/service.hpp"
@@ -285,6 +289,129 @@ TEST(SessionCancel, PagedBackendUnwindsToo) {
   EXPECT_THROW(session.evaluate(), CancelledError);
   session.set_cancel_token(CancelToken());
   EXPECT_EQ(session.evaluate().log_likelihood, inram_reference());
+}
+
+// A trip inside a recomputation. The store calls the engine's
+// recover_vector both to heal a corrupt record and to rebuild a dropped
+// cherry; a CancelledError raised inside must reach the caller as itself,
+// with the install undone, never as an IntegrityError or an abort.
+
+/// Inner vectors that are on disk but not resident after a full traversal,
+/// split by whether their children (towards the evaluation root) are all
+/// tips.
+struct NonResident {
+  std::vector<std::uint32_t> cherries;
+  std::vector<std::uint32_t> with_inner_child;
+};
+
+NonResident non_resident_vectors(Session& session) {
+  NonResident out;
+  Tree& tree = session.tree();
+  for (std::uint32_t index = 0; index < tree.num_inner(); ++index) {
+    if (session.out_of_core()->is_resident(index)) continue;
+    const NodeId node = tree.inner_node(index);
+    const NodeId toward = session.engine().orientation().towards(node);
+    bool inner_child = false;
+    for (NodeId nbr : tree.neighbors(node))
+      if (nbr != toward && tree.is_inner(nbr)) inner_child = true;
+    (inner_child ? out.with_inner_child : out.cherries).push_back(index);
+  }
+  return out;
+}
+
+void expect_store_identities(Session& session) {
+  StoreAuditor auditor(1, 1);
+  const auto violation = auditor.check_stats(session.store().stats_snapshot());
+  EXPECT_FALSE(violation.has_value()) << *violation;
+}
+
+TEST(SessionCancel, TripInsideAnIntegrityHealIsNotAnIntegrityFailure) {
+  const double reference = inram_reference();
+  SessionOptions options = ooc_options();
+  options.vector_file = temp_vector_file_path("cancel-heal");
+  PlannedDataset data = cancel_dataset();
+  Session session(std::move(data.alignment), std::move(data.tree),
+                  benchmark_gtr(), options);
+  session.engine().full_traversal_log_likelihood();
+  const NonResident candidates = non_resident_vectors(session);
+  ASSERT_FALSE(candidates.with_inner_child.empty());
+  const std::uint32_t victim = candidates.with_inner_child.front();
+
+  // Damage the victim's record in place (single stripe: 4 KiB header, a
+  // 16-byte table entry per record, payload from the next 4 KiB boundary).
+  const std::size_t count = session.tree().num_inner();
+  const std::uint64_t record_bytes = session.vector_width() * sizeof(double);
+  const std::uint64_t payload = (4096 + 16 * count + 4095) / 4096 * 4096;
+  const int fd = ::open(options.vector_file.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const char garbage[8] = {'c', 'a', 'n', 'c', 'e', 'l', '!', '!'};
+  ASSERT_EQ(::pwrite(fd, garbage, sizeof garbage,
+                     static_cast<off_t>(payload + victim * record_bytes)),
+            static_cast<ssize_t>(sizeof garbage));
+  ::close(fd);
+
+  // The acquire's own check passes; the heal's first child acquire trips.
+  CancelToken token = CancelToken::make();
+  session.set_cancel_token(token);
+  token.set_trip_at(token.progress() + 2);
+  EXPECT_THROW(
+      { VectorLease lease = session.store().acquire(victim, AccessMode::kRead); },
+      CancelledError);
+  EXPECT_FALSE(session.out_of_core()->is_resident(victim));
+  EXPECT_EQ(session.stats().integrity_failures, 0u);
+  expect_store_identities(session);
+
+  // With a fresh token the same heal completes and nothing diverged.
+  session.set_cancel_token(CancelToken());
+  { VectorLease lease = session.store().acquire(victim, AccessMode::kRead); }
+  EXPECT_EQ(session.stats().integrity_recoveries, 1u);
+  EXPECT_EQ(session.engine().log_likelihood(), reference);
+  expect_store_identities(session);
+}
+
+TEST(SessionCancel, TripInsideACherryRebuildUnwindsClean) {
+  // Enough patterns for several kernel blocks: the pool checks the token
+  // per block, inside the rebuild's tip–tip newview.
+  DatasetPlan plan;
+  plan.num_taxa = 16;
+  plan.num_sites = 700;
+  plan.seed = 5;
+  PlannedDataset data = make_dna_dataset(plan);
+  SessionOptions inram;
+  inram.compress_patterns = false;
+  Session in_ram(data.alignment, data.tree, benchmark_gtr(), inram);
+  const double reference = in_ram.engine().log_likelihood();
+
+  SessionOptions options = ooc_options();
+  options.compress_patterns = false;
+  options.threads = 4;
+  Session session(std::move(data.alignment), std::move(data.tree),
+                  benchmark_gtr(), options);
+  session.engine().full_traversal_log_likelihood();
+  ASSERT_GT(session.stats().write_backs_avoided, 0u);
+  const NonResident candidates = non_resident_vectors(session);
+  ASSERT_FALSE(candidates.cherries.empty());
+  const std::uint32_t cherry = candidates.cherries.front();
+  const OocStats before = session.store().stats_snapshot();
+
+  CancelToken token = CancelToken::make();
+  session.set_cancel_token(token);
+  token.set_trip_at(token.progress() + 2);
+  EXPECT_THROW(
+      { VectorLease lease = session.store().acquire(cherry, AccessMode::kRead); },
+      CancelledError);
+  EXPECT_FALSE(session.out_of_core()->is_resident(cherry));
+  EXPECT_EQ(session.stats().recomputes, before.recomputes);
+  EXPECT_EQ(session.stats().integrity_failures, 0u);
+  expect_store_identities(session);
+
+  // Still dropped: the next read rebuilds it rather than reading the file.
+  session.set_cancel_token(CancelToken());
+  { VectorLease lease = session.store().acquire(cherry, AccessMode::kRead); }
+  EXPECT_EQ(session.stats().recomputes, before.recomputes + 1);
+  EXPECT_EQ(session.stats().file_reads, before.file_reads);
+  EXPECT_EQ(session.engine().log_likelihood(), reference);
+  expect_store_identities(session);
 }
 
 // ------------------------------------------------------ Service plumbing

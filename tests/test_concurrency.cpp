@@ -15,6 +15,8 @@
 #include "likelihood/kernel_pool.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/prefetch.hpp"
+#include "session.hpp"
+#include "sim/dataset_planner.hpp"
 
 namespace plfoc {
 namespace {
@@ -196,6 +198,44 @@ TEST(Concurrency, PrefetchAgainstEngineTraversals) {
     }
   }
   prefetcher.drain();
+}
+
+// Engine traversals that drop cherries, racing the prefetch worker: the
+// engine thread sets rebuildable marks and rebuilds dropped vectors while
+// the worker evicts (reading the marks) and skips the dropped records. Every
+// evaluation must stay bit-identical to the in-RAM engine.
+TEST(Concurrency, PrefetchAgainstCherryDroppingTraversals) {
+  DatasetPlan plan;
+  plan.num_taxa = 24;
+  plan.num_sites = 120;
+  plan.seed = 11;
+  PlannedDataset data = make_dna_dataset(plan);
+  Session reference(data.alignment, data.tree, benchmark_gtr(),
+                    SessionOptions{});
+  SessionOptions options;
+  options.backend = Backend::kOutOfCore;
+  options.ram_fraction = 0.25;
+  options.policy = ReplacementPolicy::kLru;
+  Session session(std::move(data.alignment), std::move(data.tree),
+                  benchmark_gtr(), options);
+  Prefetcher prefetcher(*session.out_of_core(), /*lookahead=*/4);
+  session.engine().attach_prefetcher(&prefetcher);
+  const auto edges = session.tree().edges();
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_EQ(session.engine().full_traversal_log_likelihood(),
+              reference.engine().full_traversal_log_likelihood());
+    for (std::size_t e = static_cast<std::size_t>(round); e < edges.size();
+         e += 5) {
+      const auto [a, b] = edges[e];
+      ASSERT_EQ(session.engine().log_likelihood(a, b),
+                reference.engine().log_likelihood(a, b));
+    }
+  }
+  session.engine().attach_prefetcher(nullptr);
+  prefetcher.stop();
+  const OocStats stats = session.store().stats_snapshot();
+  EXPECT_GT(stats.write_backs_avoided, 0u);
+  EXPECT_GT(stats.recomputes, 0u);
 }
 
 // Staged prefetch install racing demand traffic: a dedicated thread calls

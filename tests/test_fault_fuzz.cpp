@@ -6,7 +6,10 @@
 // candidates = 300 randomized cases (the roster carries a kernel-thread axis
 // and an io-engine axis — sync / thread-pool / deterministic-permuted
 // completions; every fourth trial draws a multi-block alignment so the
-// parallel reduction itself is exercised). Every candidate label carries its
+// parallel reduction itself is exercised). Out-of-core candidates drop and
+// rebuild cherries by default; those labelled /paper-io keep the paper's
+// write-back path, one per policy, both under faults and on every engine.
+// Every candidate label carries its
 // engine choice, and every assertion message carries the label plus the
 // master seed and trial description needed to reproduce the exact failure:
 //   PLFOC_FUZZ_MASTER=<seed> PLFOC_FUZZ_TRIALS=<n> ./plfoc_fault_tests

@@ -55,6 +55,31 @@ TEST(FileBackend, PreallocatedReadsAreZero) {
   for (double v : in) EXPECT_EQ(v, 0.0);
 }
 
+TEST(FileBackend, RetiredRecordReportsStaleGeneration) {
+  FileBackend backend(4, 16 * sizeof(double), temp_options("retire", 2));
+  std::vector<double> out(16);
+  std::iota(out.begin(), out.end(), 1.0);
+  backend.write_vector(1, out.data());
+  std::vector<double> in(16);
+  ASSERT_TRUE(backend.read_vector_verified(1, in.data()).ok());
+
+  // A written record and a never-written one both fail verification once
+  // retired, although neither payload changed.
+  for (const std::uint32_t index : {1u, 2u}) {
+    backend.retire_vector(index);
+    const VerifyResult verify = backend.read_vector_verified(index, in.data());
+    EXPECT_EQ(static_cast<int>(verify.status),
+              static_cast<int>(VerifyStatus::kStaleGeneration))
+        << "vector " << index;
+    EXPECT_EQ(verify.found_generation + 1, verify.expected_generation);
+    EXPECT_FALSE(verify.injected);
+  }
+  // The next write makes the record current again.
+  backend.write_vector(1, out.data());
+  EXPECT_TRUE(backend.read_vector_verified(1, in.data()).ok());
+  EXPECT_EQ(in, out);
+}
+
 TEST(FileBackend, MultiFileStriping) {
   for (unsigned files : {2u, 3u}) {
     FileBackend backend(10, 32 * sizeof(double),

@@ -25,13 +25,17 @@ struct FuzzCase {
   std::uint64_t seed;
   std::size_t taxa;
   bool out_of_core;
+  /// Out of core only: drop cherries at eviction and rebuild them through
+  /// the engine's recover_vector, which then must succeed on every read.
+  bool recompute = false;
 };
 
 // gtest prints the parameter into every test's listed name; without this
 // it prints the struct's raw bytes, uninitialised padding included.
 void PrintTo(const FuzzCase& param, std::ostream* out) {
   *out << "seed " << param.seed << ", " << param.taxa << " taxa, "
-       << (param.out_of_core ? "out of core" : "in RAM");
+       << (param.out_of_core ? "out of core" : "in RAM")
+       << (param.recompute ? ", recomputing cherries" : "");
 }
 
 class InvalidationFuzz : public ::testing::TestWithParam<FuzzCase> {};
@@ -50,6 +54,7 @@ TEST_P(InvalidationFuzz, IncrementalAlwaysMatchesFullRecompute) {
     options.num_slots = 5;
     options.policy = ReplacementPolicy::kRandom;
     options.seed = param.seed;
+    options.drop_rebuildable = param.recompute;
     options.file.base_path = temp_vector_file_path("fuzzinv");
     store = std::make_unique<OutOfCoreStore>(tree.num_inner(), width,
                                              std::move(options));
@@ -58,6 +63,9 @@ TEST_P(InvalidationFuzz, IncrementalAlwaysMatchesFullRecompute) {
   }
   LikelihoodEngine engine(alignment, tree, ModelConfig{jc69(), 2, 0.9},
                           *store);
+  store->set_recovery_hook([&engine](std::uint32_t index, double* dst) {
+    return engine.recover_vector(index, dst);
+  });
   engine.log_likelihood();
 
   for (int step = 0; step < 120; ++step) {
@@ -142,16 +150,22 @@ TEST_P(InvalidationFuzz, IncrementalAlwaysMatchesFullRecompute) {
           << "step " << step << " kind " << kind;
     }
   }
+  // The recompute cases must have rebuilt cherries, or they proved nothing.
+  if (param.recompute) {
+    EXPECT_GT(store->stats().recomputes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, InvalidationFuzz,
     ::testing::Values(FuzzCase{101, 8, false}, FuzzCase{202, 12, false},
                       FuzzCase{303, 16, false}, FuzzCase{404, 10, true},
-                      FuzzCase{505, 14, true}),
+                      FuzzCase{505, 14, true}, FuzzCase{404, 10, true, true},
+                      FuzzCase{505, 14, true, true}, FuzzCase{606, 20, true, true}),
     [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
       return "seed" + std::to_string(param_info.param.seed) +
-             (param_info.param.out_of_core ? "_ooc" : "_ram");
+             (param_info.param.out_of_core ? "_ooc" : "_ram") +
+             (param_info.param.recompute ? "_recompute" : "");
     });
 
 }  // namespace

@@ -145,5 +145,19 @@ TEST(Stats, SummaryShowsRobustnessCountersOnlyWhenActive) {
   EXPECT_NE(text.find("exhausted=1"), std::string::npos);
 }
 
+TEST(Stats, RecomputeCountersMergeAndShowOnlyWhenActive) {
+  OocStats a;
+  a.write_backs_avoided = 5;
+  a.recomputes = 2;
+  OocStats b = a;
+  b += a;
+  EXPECT_EQ(b.write_backs_avoided, 10u);
+  EXPECT_EQ(b.recomputes, 4u);
+  const std::string text = b.summary();
+  EXPECT_NE(text.find("write_backs_avoided=10"), std::string::npos);
+  EXPECT_NE(text.find("recomputes=4"), std::string::npos);
+  EXPECT_EQ(OocStats{}.summary().find("recomputes="), std::string::npos);
+}
+
 }  // namespace
 }  // namespace plfoc
