@@ -50,9 +50,9 @@ struct RunResult {
   unsigned depth = 1;
 };
 
-RunResult run(const PlannedDataset& data, AioEngineKind engine,
-              unsigned depth, std::uint64_t budget, int traversals,
-              std::uint64_t latency_ns, ReplacementPolicy policy) {
+SessionOptions sweep_options(AioEngineKind engine, unsigned depth,
+                             std::uint64_t budget, std::uint64_t latency_ns,
+                             ReplacementPolicy policy) {
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
   options.recompute_cherries = false;  // the paper's access stream
@@ -76,7 +76,14 @@ RunResult run(const PlannedDataset& data, AioEngineKind engine,
   spindle.latency_ns = latency_ns;
   options.faults = spindle;
   options.io_retry.backoff_initial_us = 0;
-  Session session(data.alignment, data.tree, benchmark_gtr(), options);
+  return options;
+}
+
+RunResult run(const PlannedDataset& data, AioEngineKind engine,
+              unsigned depth, std::uint64_t budget, int traversals,
+              std::uint64_t latency_ns, ReplacementPolicy policy) {
+  Session session(data.alignment, data.tree, benchmark_gtr(),
+                  sweep_options(engine, depth, budget, latency_ns, policy));
   OutOfCoreStore* store = session.out_of_core();
 
   RunResult result;
@@ -220,8 +227,15 @@ int main(int argc, char** argv) {
     print_row(lru_rows.back());
   }
 
+  // The sweep's counts depend on the prefetch worker's timing; the sync
+  // depth-1 configuration without it gives exact ones.
+  Session exact(data.alignment, data.tree, benchmark_gtr(),
+                sweep_options(AioEngineKind::kSync, 1, budget, latency_ns,
+                              ReplacementPolicy::kTopological));
+  const AccessStream stream = record_access_stream(exact, traversals);
+  print_access_stream(stream);
   const RunResult& sync = rows.front();
-  bool identical = true;
+  bool identical = stream.loglik == sync.loglik;
   double best_async = -1.0;
   const char* best_label = "?";
   for (const RunResult& r : rows) {

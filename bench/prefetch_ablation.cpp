@@ -19,6 +19,7 @@ struct AblationResult {
   std::uint64_t engine_reads = 0;
   std::uint64_t prefetch_reads = 0;
   double loglik = 0.0;
+  AccessStream stream;  ///< the baseline's
 };
 
 AblationResult run(const PlannedDataset& data, bool with_prefetch,
@@ -31,22 +32,29 @@ AblationResult run(const PlannedDataset& data, bool with_prefetch,
   options.compress_patterns = false;
   options.seed = 5;
   Session session(data.alignment, data.tree, benchmark_gtr(), options);
-  std::unique_ptr<Prefetcher> prefetcher;
-  if (with_prefetch) {
-    prefetcher = std::make_unique<Prefetcher>(*session.out_of_core());
-    session.engine().attach_prefetcher(prefetcher.get());
+  AblationResult result;
+  if (!with_prefetch) {
+    // Its counts are exact, so the baseline also records the access stream.
+    result.stream = record_access_stream(session, traversals);
+    result.wall = result.stream.wall;
+    result.loglik = result.stream.loglik;
+    result.engine_misses = result.stream.stats.misses;
+    result.engine_reads = result.stream.stats.file_reads;
+    return result;
   }
+  Prefetcher prefetcher(*session.out_of_core());
+  session.engine().attach_prefetcher(&prefetcher);
   // Warm-up traversal populates the file; the measured part starts clean.
   session.engine().full_traversal_log_likelihood();
   session.reset_stats();
   Timer timer;
-  AblationResult result;
   for (int i = 0; i < traversals; ++i)
     result.loglik = session.engine().full_traversal_log_likelihood();
   result.wall = timer.seconds();
   result.engine_misses = session.stats().misses;
   result.engine_reads = session.stats().file_reads;
   result.prefetch_reads = session.stats().prefetch_reads;
+  session.engine().attach_prefetcher(nullptr);
   return result;
 }
 
@@ -82,6 +90,7 @@ int main() {
               static_cast<unsigned long long>(on.engine_reads),
               static_cast<unsigned long long>(on.prefetch_reads));
 
+  print_access_stream(off.stream);
   std::printf("# prefetch moved %.1f%% of swap-in reads off the engine's "
               "critical path\n",
               off.engine_reads == 0

@@ -51,9 +51,14 @@ struct MemoryModel {
   // are conservative upper bounds on the store's actual allocation (pattern
   // compression only shrinks the vector width).
 
-  /// Slot memory of an out-of-core store with `slots` RAM slots.
+  /// The write-behind buffers an out-of-core store allocates on top of its
+  /// slots (OutOfCoreStore::kWriteBehindBuffers vectors).
+  std::uint64_t write_behind_bytes() const;
+  /// Vector memory of an out-of-core store with `slots` RAM slots: the
+  /// slots plus the write-behind buffers.
   std::uint64_t ooc_slot_bytes(std::size_t slots) const {
-    return static_cast<std::uint64_t>(slots) * vector_bytes();
+    return static_cast<std::uint64_t>(slots) * vector_bytes() +
+           write_behind_bytes();
   }
   /// Smallest admissible out-of-core footprint: the m >= 3 slot minimum.
   std::uint64_t min_ooc_bytes() const { return ooc_slot_bytes(3); }

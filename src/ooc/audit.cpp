@@ -1,5 +1,6 @@
 #include "ooc/audit.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -277,6 +278,11 @@ std::optional<std::string> StoreAuditor::check_stats(const OocStats& stats) {
   }
   last_stats_ = stats;
   return std::nullopt;
+}
+
+void StoreAuditor::forget_write(std::uint64_t bytes) {
+  if (last_stats_.file_writes > 0) --last_stats_.file_writes;
+  last_stats_.bytes_written -= std::min(last_stats_.bytes_written, bytes);
 }
 
 void StoreAuditor::enforce(const std::optional<std::string>& violation,

@@ -131,6 +131,10 @@ class StoreAuditor {
   /// Forget the monotonicity baseline (pairs with AncestralStore's
   /// reset_stats(), which legitimately zeroes the counters).
   void reset_stats_baseline() { last_stats_ = OocStats{}; }
+  /// The store un-counted one queued write-back of `bytes` that failed
+  /// (OutOfCoreStore's write-behind): lower the file_writes and
+  /// bytes_written baselines by that one write, saturating at zero.
+  void forget_write(std::uint64_t bytes);
 
   /// Abort with a diagnostic if `violation` holds a message. `when` labels
   /// the mutating operation ("acquire", "release", "evict", ...).

@@ -87,17 +87,24 @@ void MmapStore::verify_or_recover(std::uint32_t index) {
   // This checksum pass is itself the first touch: it faults the span back in.
   if (record_checksum(checksum_seed_, data, bytes) == checksums_[index])
     return;
-  ++stats_.integrity_failures;
   std::uint64_t recomputed = 0;
   if (recovery_hook_) {
     // No lock to drop here (MmapStore is slot-free); the hook's child
     // acquires re-enter do_acquire and may verify recursively.
     try {
       recomputed = recovery_hook_(index, reinterpret_cast<double*>(data));
+    } catch (const CancelledError&) {
+      // Not a failed recovery: the caller asked to stop. The span may hold
+      // a half-written heal, so it leaves residency and the next acquire
+      // verifies (and heals) it again; nothing is counted.
+      drop_residency(index);
+      throw;
     } catch (...) {
       recomputed = 0;  // a failing recovery is an unrecoverable record
     }
   }
+  // The whole episode is counted at resolution, as OutOfCoreStore does.
+  ++stats_.integrity_failures;
   if (recomputed > 0) {
     ++stats_.integrity_recoveries;
     stats_.recovery_recomputes += recomputed;
@@ -151,9 +158,10 @@ void MmapStore::drop_residency(std::uint32_t index) {
   char* span_begin = static_cast<char*>(mapping_) + aligned_begin;
   const std::size_t span = aligned_end - aligned_begin;
   ::msync(span_begin, span, MS_SYNC);
+  // Unmap first: the page cache keeps pages this mapping still maps.
+  ::madvise(span_begin, span, MADV_DONTNEED);
   ::posix_fadvise(fd_, static_cast<off_t>(aligned_begin),
                   static_cast<off_t>(span), POSIX_FADV_DONTNEED);
-  ::madvise(span_begin, span, MADV_DONTNEED);
 }
 
 }  // namespace plfoc

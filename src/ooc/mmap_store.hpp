@@ -45,9 +45,10 @@ class MmapStore final : public AncestralStore {
   bool span_resident(std::uint32_t index) const;
 
   /// Best-effort: flush the vector's span and push its pages out of the page
-  /// cache (msync + fadvise/madvise DONTNEED), so the next read acquire
-  /// re-faults from the device and re-verifies. Test seam for corruption
-  /// experiments; production evictions happen by memory pressure instead.
+  /// cache (msync + madvise/fadvise DONTNEED), so the next read acquire
+  /// re-faults from the device and re-verifies. A cancelled heal uses it;
+  /// otherwise it is a test seam for corruption experiments, as production
+  /// evictions happen by memory pressure.
   void drop_residency(std::uint32_t index);
 
  protected:
@@ -57,7 +58,9 @@ class MmapStore final : public AncestralStore {
  private:
   char* vector_bytes(std::uint32_t index) const;
   /// Checksum the (just re-faulted) span; on mismatch run the recovery hook
-  /// or throw IntegrityError. Counts the episode in stats_.
+  /// or throw IntegrityError. Counts the episode in stats_. A CancelledError
+  /// from the hook drops the span's residency, counts nothing and
+  /// propagates.
   void verify_or_recover(std::uint32_t index);
 
   MmapStoreOptions options_;

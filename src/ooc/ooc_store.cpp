@@ -73,7 +73,8 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
   PLFOC_REQUIRE(options_.num_slots >= 3,
                 "the out-of-core store needs at least 3 slots (m >= 3)");
   PLFOC_LOG(kInfo) << "out-of-core store: " << count << " vectors x " << width
-                   << " doubles, " << slot_count_ << " slots ("
+                   << " doubles, " << slot_count_ << " slots + "
+                   << kWriteBehindBuffers << " write-behind buffers ("
                    << (slot_memory_bytes() >> 20) << " MiB RAM), strategy="
                    << tier_.strategy().name();
 }
@@ -83,6 +84,17 @@ OutOfCoreStore::~OutOfCoreStore() {
   // A Prefetcher that has not been stopped would keep calling
   // prefetch_batch() on freed slot-table state, so fail loudly instead.
   PLFOC_CHECK(prefetch_guards_.load(std::memory_order_relaxed) == 0);
+  if (!wb_thread_.joinable()) return;
+  // A file that outlives the store gets the queued records, as evicted
+  // victims always reached it; a write parked on a failure is given up,
+  // never retried here. A file removed on close needs none of them.
+  if (!options_.file.remove_on_close) (void)settle_writes();
+  {
+    MutexLock lock(wb_mutex_);
+    wb_stop_ = true;
+    wb_cv_.notify_all();
+  }
+  wb_thread_.join();
 }
 
 const char* OutOfCoreStore::strategy_name() const {
@@ -96,11 +108,13 @@ const char* OutOfCoreStore::strategy_name() const {
 bool OutOfCoreStore::is_resident(std::uint32_t index) const {
   PLFOC_CHECK(index < count_);
   MutexLock lock(mutex_);
+  (void)settle_writes();
   return tier_.slot_of(index) != kNoSlot;
 }
 
 VerifyResult OutOfCoreStore::file_read(std::uint32_t index, double* dst,
                                        bool verify) {
+  await_writes(/*for_spare=*/false);
   VerifyResult result;
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   // Verification runs over the on-disk representation (floats for kSingle),
@@ -165,20 +179,146 @@ void OutOfCoreStore::evict(std::uint32_t victim, VictimExit exit) {
     // A prefetch that staged the old record must not install it, and a
     // verified read that reaches the record anyway must fail and heal.
     ++file_generation_[victim];
-    file_.retire_vector(victim);
+    {
+      // Behind a queued write of the same record, or that write would make
+      // the retired record current again.
+      MutexLock lock(wb_mutex_);
+      if (wb_queue_.empty()) {
+        file_.retire_vector(victim);
+      } else {
+        wb_queue_.push_back({victim, nullptr});
+        ++wb_pushed_;
+      }
+    }
     PLFOC_AUDIT_EVENT("drop", auditor_.record_drop(victim));
   }
   tier_.evict(victim, stats_locked());
 }
 
-std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
+std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index,
+                                          bool need_read) {
   const SlotTier::Claim claim = tier_.claim(index);
   if (claim.victim == kNoVector) return claim.slot;  // cold phase
   const VictimExit exit = victim_exit(claim);
-  if (exit == VictimExit::kWriteBack)
-    file_write(claim.victim, tier_.data(claim.slot));
+  if (exit == VictimExit::kWriteBack) {
+    if (need_read) {
+      await_writes(/*for_spare=*/false);
+      file_write(claim.victim, tier_.data(claim.slot));
+    } else {
+      write_behind(claim.victim, claim.slot);
+    }
+  }
   evict(claim.victim, exit);
   return claim.slot;
+}
+
+void OutOfCoreStore::write_behind(std::uint32_t victim, std::uint32_t slot) {
+  if (!wb_thread_.joinable()) {
+    wb_arena_ = AlignedBuffer(kWriteBehindBuffers * width_);
+    if (options_.disk_precision == DiskPrecision::kSingle)
+      wb_float_scratch_.resize(width_);
+    {
+      MutexLock lock(wb_mutex_);
+      for (std::size_t k = 0; k < kWriteBehindBuffers; ++k)
+        wb_spares_.push_back(wb_arena_.data() + k * width_);
+    }
+    wb_thread_ = std::thread([this] { writer_loop(); });
+  }
+  // A throw here leaves the victim resident, as a failed file_write does.
+  await_writes(/*for_spare=*/true);
+  count_file_write(victim);
+  MutexLock lock(wb_mutex_);
+  double* spare = wb_spares_.back();
+  wb_spares_.pop_back();
+  const bool writer_idle = wb_queue_.empty();
+  wb_queue_.push_back({victim, tier_.swap_data(slot, spare)});
+  ++wb_pushed_;
+  if (writer_idle) wb_cv_.notify_all();
+}
+
+void OutOfCoreStore::await_writes(bool for_spare) {
+  MutexLock lock(wb_mutex_);
+  for (;;) {
+    if (for_spare ? !wb_spares_.empty() : wb_queue_.empty()) return;
+    if (wb_failure_) {
+      if (!wb_reported_) report_write_failure();
+      // Retry the reported write; it counts again while it is queued.
+      QueuedWrite& head = wb_queue_.front();
+      if (!head.counted) {
+        head.counted = true;
+        ++stats_locked().file_writes;
+        stats_locked().bytes_written += file_.bytes_per_vector();
+      }
+      wb_failure_ = nullptr;
+      wb_cv_.notify_all();
+    }
+    wb_cv_.wait(lock);
+  }
+}
+
+void OutOfCoreStore::raise_write_failure() {
+  if (!wb_thread_.joinable()) return;
+  MutexLock lock(wb_mutex_);
+  if (wb_failure_ && !wb_reported_) report_write_failure();
+}
+
+void OutOfCoreStore::report_write_failure() {
+  wb_reported_ = true;
+  // Counted as the sequential path counts: a write that did not happen is
+  // not a file write. A retire never fails, so the head is a write.
+  QueuedWrite& head = wb_queue_.front();
+  if (head.counted) {
+    head.counted = false;
+    --stats_locked().file_writes;
+    stats_locked().bytes_written -= file_.bytes_per_vector();
+#ifdef PLFOC_AUDIT
+    auditor_.forget_write(file_.bytes_per_vector());
+#endif
+  }
+  file_.copy_counters(stats_locked());
+  std::rethrow_exception(wb_failure_);
+}
+
+bool OutOfCoreStore::settle_writes() const {
+  MutexLock lock(wb_mutex_);
+  const std::uint64_t target = wb_pushed_;
+  while (wb_done_ < target && !wb_failure_) wb_cv_.wait(lock);
+  return wb_done_ >= target;
+}
+
+void OutOfCoreStore::writer_loop() {
+  MutexLock lock(wb_mutex_);
+  for (;;) {
+    while (!wb_stop_ && (wb_queue_.empty() || wb_failure_)) wb_cv_.wait(lock);
+    if (wb_stop_) return;
+    const QueuedWrite op = wb_queue_.front();
+    lock.unlock();
+    std::exception_ptr failure;
+    try {
+      if (op.buffer == nullptr) {
+        file_.retire_vector(op.index);
+      } else if (options_.disk_precision == DiskPrecision::kDouble) {
+        file_.write_vector(op.index, op.buffer);
+      } else {
+        narrow(op.buffer, wb_float_scratch_.data(), width_);
+        file_.write_vector(op.index, wb_float_scratch_.data());
+      }
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    lock.lock();
+    if (failure) {
+      // Parked: the head stays queued with its buffer until a waiter on
+      // the engine thread has thrown it and asks for the retry.
+      wb_failure_ = failure;
+      wb_reported_ = false;
+    } else {
+      wb_queue_.pop_front();
+      if (op.buffer != nullptr) wb_spares_.push_back(op.buffer);
+      ++wb_done_;
+    }
+    wb_cv_.notify_all();
+  }
 }
 
 // The async-engine miss path: the victim write-back and the demand read are
@@ -189,6 +329,7 @@ std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
 std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
                                                  bool verify,
                                                  VerifyResult* out_verify) {
+  await_writes(/*for_spare=*/false);
   const SlotTier::Claim claim = tier_.claim(index);
   const VictimExit exit = claim.victim == kNoVector ? VictimExit::kDiscard
                                                     : victim_exit(claim);
@@ -256,6 +397,7 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   // MutexLock (not a plain guard): a failed verification releases the lock
   // around the recovery hook, whose child acquires re-enter this method.
   MutexLock lock(mutex_);
+  raise_write_failure();
   ++stats_locked().accesses;
 
   std::uint32_t slot = tier_.slot_of(index);
@@ -279,7 +421,7 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
     if (need_read && file_.async_io()) {
       slot = swap_in_overlapped(index, mode == AccessMode::kRead, &verify);
     } else {
-      slot = obtain_slot(index);
+      slot = obtain_slot(index, need_read);
       if (need_read) {
         verify = file_read(index, tier_.data(slot), mode == AccessMode::kRead);
       } else if (skip_read) {
@@ -460,6 +602,9 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     }
   }
   if (items.empty()) return;
+  // The staged reads must see every write-behind queued so far. A failed
+  // one is the engine thread's to throw.
+  if (!settle_writes()) return;
 
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   const std::size_t n = items.size();
@@ -571,6 +716,12 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     wops.push_back(wop);
   }
   if (!wops.empty()) {
+    // The batch writes behind the queued ones; while a queued write is
+    // failed, every victim stays resident and nothing installs.
+    if (!settle_writes()) {
+      PLFOC_AUDIT_TABLE("prefetch behind a failed write");
+      return;
+    }
     if (single) {
       wfloat.resize(wops.size() * width_);
       for (std::size_t w = 0; w < wops.size(); ++w) {
@@ -605,6 +756,7 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
 
 void OutOfCoreStore::flush() {
   MutexLock lock(mutex_);
+  await_writes(/*for_spare=*/false);
   if (!file_.async_io()) {
     for (std::uint32_t s = 0; s < slot_count_; ++s) {
       if (tier_[s].vector == kNoVector || !tier_[s].dirty) continue;
@@ -657,6 +809,7 @@ void OutOfCoreStore::flush() {
 
 OocStats OutOfCoreStore::stats_snapshot() const {
   MutexLock lock(mutex_);
+  (void)settle_writes();
   OocStats out = stats_locked();
   // Overlay the robustness counters straight from the backend atomics: an
   // IoError unwinds past the stats_ mirroring, so the mirror can be stale
@@ -667,6 +820,11 @@ OocStats OutOfCoreStore::stats_snapshot() const {
 
 void OutOfCoreStore::reset_stats() {
   MutexLock lock(mutex_);
+  (void)settle_writes();
+  {
+    MutexLock wb_lock(wb_mutex_);
+    for (QueuedWrite& queued : wb_queue_) queued.counted = false;
+  }
   file_.reset_counters();
   stats_locked() = OocStats{};
   tier_.forget_prefetches();

@@ -17,12 +17,26 @@
 // next read-mode miss rebuilds it through the recovery hook instead of
 // reading the file (docs/storage-layer.md, "dropping rebuildable vectors").
 //
+// Write-behind (docs/storage-layer.md, "Write-behind"): a victim written
+// back on a miss that reads nothing hands its slot buffer, with its content,
+// to a writer thread the store owns, and the slot takes one of
+// kWriteBehindBuffers spare buffers instead. The writer checksums and
+// writes the record while the engine computes. Every backend read, flush and
+// prefetch staging drains the queue first, and a drop's retire runs behind
+// the queued writes, so the backend sees today's order of writes, reads and
+// fault draws. A write that exhausts its retries is un-counted and stays
+// queued; the next store call on the engine thread throws its IoError.
+//
 // Thread safety: all slot-table mutations are guarded by one mutex so the
 // optional prefetch thread (ooc/prefetch.hpp) can swap vectors in while the
 // likelihood engine computes. Lease data pointers remain stable while pinned.
+// The writer thread never takes that mutex; the queue has its own.
 #pragma once
 
 #include <atomic>
+#include <deque>
+#include <exception>
+#include <thread>
 #include <vector>
 
 #include "ooc/audit.hpp"
@@ -72,17 +86,31 @@ struct OocStoreOptions {
 
 class OutOfCoreStore final : public AncestralStore {
  public:
+  /// Spare slot buffers of the write-behind queue: at most this many
+  /// victims are in flight before an eviction waits for the writer.
+  static constexpr std::size_t kWriteBehindBuffers = 2;
+  /// RAM a store with `slots` slots of `width` doubles may allocate for
+  /// vectors: the slots plus the write-behind buffers.
+  static std::uint64_t memory_bytes(std::size_t slots, std::size_t width) {
+    return static_cast<std::uint64_t>(slots + kWriteBehindBuffers) * width *
+           sizeof(double);
+  }
+
   OutOfCoreStore(std::size_t count, std::size_t width, OocStoreOptions options);
   /// Aborts if a Prefetcher worker thread is still attached: the contract in
   /// ooc/prefetch.hpp is that the store outlives the thread, and tearing the
-  /// slot table down under a live worker corrupts the backing file.
+  /// slot table down under a live worker corrupts the backing file. Joins
+  /// the writer; a file kept on close first gets the queued writes (short
+  /// of a failed one).
   ~OutOfCoreStore() override;
 
   const char* backend_name() const override { return "out-of-core"; }
   std::size_t num_slots() const { return slot_count_; }
   const char* strategy_name() const;
 
-  /// True if the vector is currently in a RAM slot.
+  /// True if the vector is currently in a RAM slot. Waits for the queued
+  /// write-behinds first (short of a failed one), so a vector reported
+  /// non-resident has its record on file.
   bool is_resident(std::uint32_t index) const;
 
   /// Bring `count` vectors into RAM (read mode) without pinning them; used
@@ -108,28 +136,42 @@ class OutOfCoreStore final : public AncestralStore {
   /// by a write lease.
   void mark_rebuildable(std::uint32_t index) override;
 
-  /// Write all resident dirty vectors back to the file. Dropped vectors are
-  /// not resident and keep their stale records.
+  /// Write the queued write-behinds, then all resident dirty vectors, back
+  /// to the file. Dropped vectors are not resident and keep their stale
+  /// records.
   void flush() override;
 
   /// Counters are mutated under mutex_ (including by the prefetch thread),
   /// so a concurrent snapshot must take the same lock. The robustness
   /// counters (faults_injected / io_retries / io_exhausted) are read fresh
   /// from the backing file, so a snapshot taken right after an IoError still
-  /// reflects the failed transfer.
+  /// reflects the failed transfer. Waits for the queued write-behinds (short
+  /// of a failed one) first, so those counters include them.
   OocStats stats_snapshot() const override;
 
   /// Also clears the backing file's robustness counters (and, in audit
-  /// builds, the auditor's counter-monotonicity baseline).
+  /// builds, the auditor's counter-monotonicity baseline). Waits for the
+  /// queued write-behinds first; a write still queued after a failure stays
+  /// with the counters it was counted in.
   void reset_stats() override;
 
-  /// Backing-file accounting (I/O op counts, modeled device time).
-  const FileBackend& file() const { return file_; }
-  FileBackend& file() { return file_; }
+  /// Backing-file accounting (I/O op counts, modeled device time). Waits
+  /// for the queued write-behinds first (short of a failed one), so the
+  /// counters include them; a reference kept across later evictions reads
+  /// the live counters.
+  const FileBackend& file() const {
+    (void)settle_writes();
+    return file_;
+  }
+  FileBackend& file() {
+    (void)settle_writes();
+    return file_;
+  }
 
-  /// RAM actually allocated for slots, in bytes.
+  /// RAM for vectors, in bytes: the slots plus the write-behind buffers
+  /// (allocated at the first write-behind).
   std::uint64_t slot_memory_bytes() const {
-    return static_cast<std::uint64_t>(slot_count_) * width_ * sizeof(double);
+    return memory_bytes(slot_count_, width_);
   }
 
   /// Lifecycle guard held by each Prefetcher while its worker thread may
@@ -156,16 +198,19 @@ class OutOfCoreStore final : public AncestralStore {
     kDrop,       ///< marked rebuildable: left unwritten, its record retired
   };
 
-  /// Pick (evicting if needed) a slot for `index`.
-  std::uint32_t obtain_slot(std::uint32_t index) PLFOC_REQUIRES(mutex_);
+  /// Pick (evicting if needed) a slot for `index`. A victim leaves by
+  /// write-behind unless `need_read`: a read is about to wait for the
+  /// queue anyway, so the victim is written on this thread after it.
+  std::uint32_t obtain_slot(std::uint32_t index, bool need_read)
+      PLFOC_REQUIRES(mutex_);
   /// How the claimed victim leaves; reports the eviction to the auditor.
   /// Reads only the slot table and the marks, never the tree: the prefetch
   /// worker evicts too.
   VictimExit victim_exit(const SlotTier::Claim& claim) PLFOC_REQUIRES(mutex_);
-  /// Evict `victim` once its write-back (if any) is done; a kDrop exit
-  /// first retires its file record.
+  /// Evict `victim` once its write-back (if any) is done or queued; a kDrop
+  /// exit first retires its file record, behind any queued write of it.
   void evict(std::uint32_t victim, VictimExit exit) PLFOC_REQUIRES(mutex_);
-  /// Account one completed vector write-back of `index`.
+  /// Account one vector write-back of `index`, done or queued.
   void count_file_write(std::uint32_t index) PLFOC_REQUIRES(mutex_);
   /// Async-engine demand-miss path: pick the slot AND perform the swap, with
   /// the victim write-back (staged from a scratch copy) and the demand read
@@ -213,6 +258,36 @@ class OutOfCoreStore final : public AncestralStore {
   /// disk round trip of the vector would have delivered.
   void round_to_disk_precision(double* data) const;
 
+  // -- Write-behind (docs/storage-layer.md, "Write-behind") ---------------
+  /// One queued backend call, in eviction order: the write-back of `index`
+  /// from `buffer`, or (buffer null) a drop's retire_vector(index).
+  struct QueuedWrite {
+    std::uint32_t index = 0;
+    double* buffer = nullptr;
+    /// The write sits in stats_ (false once a failure un-counted it, or a
+    /// reset_stats() zeroed the counters it was counted in).
+    bool counted = true;
+  };
+  /// Queue the write-back of the claimed `victim` in `slot`: count it,
+  /// then swap the slot's buffer for a spare. Starts the writer at the
+  /// first call; waits while every spare is in flight.
+  void write_behind(std::uint32_t victim, std::uint32_t slot)
+      PLFOC_REQUIRES(mutex_);
+  /// Engine side: wait until the queue is empty (or, with `for_spare`,
+  /// until a spare buffer is free). A failed write is thrown as its IoError
+  /// the first time a waiter sees it, and retried by the next waiter.
+  void await_writes(bool for_spare) PLFOC_REQUIRES(mutex_);
+  /// Throw a failed write no engine call has reported yet.
+  void raise_write_failure() PLFOC_REQUIRES(mutex_);
+  /// Un-count the failed head write and rethrow its IoError.
+  [[noreturn]] void report_write_failure() PLFOC_REQUIRES(mutex_, wb_mutex_);
+  /// Quiet wait for every call queued so far; false when a failed write
+  /// parks the writer first. Never throws: the prefetch worker and
+  /// snapshots use it.
+  bool settle_writes() const PLFOC_EXCLUDES(wb_mutex_);
+  /// The writer thread: runs the queue head, pops it, returns its buffer.
+  void writer_loop() PLFOC_EXCLUDES(wb_mutex_, mutex_);
+
   /// Base-class counters re-exported under their capability: every counter
   /// mutation in this store goes through here so the analysis can prove it
   /// happens with the slot-table lock held.
@@ -235,7 +310,7 @@ class OutOfCoreStore final : public AncestralStore {
   /// Per vector: evicted by a kDrop exit and not rebuilt or rewritten since;
   /// its file record is stale, so no read path may load it.
   std::vector<bool> dropped_ PLFOC_GUARDED_BY(mutex_);
-  /// Conversion buffer (kSingle only).
+  /// Conversion buffer (kSingle only; the writer thread has its own).
   std::vector<float> float_scratch_ PLFOC_GUARDED_BY(mutex_);
   /// Overlapped-swap staging (async engines only): the victim's content is
   /// written back from this copy so the demand read can target the slot
@@ -245,11 +320,11 @@ class OutOfCoreStore final : public AncestralStore {
   /// kSingle overlapped swap: demand-read float staging (float_scratch_ is
   /// busy carrying the victim's write-back conversion).
   std::vector<float> swap_float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: bumped by every file_write and every drop (under mutex_).
-  /// Lets prefetch detect that bytes it staged without the lock were
-  /// superseded by a write-back or retired by a drop that happened during
-  /// the read (the write-then-evict ABA the residency check alone cannot
-  /// see).
+  /// Per vector: bumped by every write-back (done or queued) and every drop
+  /// (under mutex_). Lets prefetch detect that bytes it staged without the
+  /// lock were superseded by a write-back or retired by a drop that
+  /// happened during the read (the write-then-evict ABA the residency check
+  /// alone cannot see).
   std::vector<std::uint64_t> file_generation_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
   std::atomic<int> prefetch_guards_{0};  ///< live Prefetcher worker threads
@@ -265,6 +340,29 @@ class OutOfCoreStore final : public AncestralStore {
   /// kSingle only.
   std::vector<float> prefetch_float_scratch_
       PLFOC_GUARDED_BY(prefetch_io_mutex_);
+
+  // Write-behind queue. Lock order: mutex_ before wb_mutex_; the writer
+  // thread takes only wb_mutex_.
+  mutable Mutex wb_mutex_ PLFOC_ACQUIRED_AFTER(mutex_);
+  /// Wakes the writer on a push or a retry, and waiters on a completion or
+  /// a failure.
+  mutable CondVar wb_cv_;
+  std::deque<QueuedWrite> wb_queue_ PLFOC_GUARDED_BY(wb_mutex_);
+  std::vector<double*> wb_spares_ PLFOC_GUARDED_BY(wb_mutex_);  ///< free
+  std::uint64_t wb_pushed_ PLFOC_GUARDED_BY(wb_mutex_) = 0;
+  std::uint64_t wb_done_ PLFOC_GUARDED_BY(wb_mutex_) = 0;
+  /// The head write's IoError while the writer is parked on it.
+  std::exception_ptr wb_failure_ PLFOC_GUARDED_BY(wb_mutex_);
+  /// An engine call has thrown wb_failure_; the next waiter retries.
+  bool wb_reported_ PLFOC_GUARDED_BY(wb_mutex_) = false;
+  bool wb_stop_ PLFOC_GUARDED_BY(wb_mutex_) = false;
+  /// The spare buffers, allocated when the writer starts.
+  AlignedBuffer wb_arena_ PLFOC_GUARDED_BY(mutex_);
+  /// kSingle narrowing on the writer thread.
+  std::vector<float> wb_float_scratch_;
+  /// Started at the first write-behind (under mutex_), joined by the
+  /// destructor.
+  std::thread wb_thread_;
 };
 
 }  // namespace plfoc

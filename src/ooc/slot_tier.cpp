@@ -8,12 +8,15 @@ namespace plfoc {
 
 SlotTier::SlotTier(std::size_t vector_count, std::size_t slot_count,
                    std::size_t width, const StrategyConfig& strategy)
-    : width_(width),
-      arena_(slot_count * width),
+    : arena_(slot_count * width),
+      data_(slot_count),
       slots_(slot_count),
       vector_slot_(vector_count, kOocNoSlot),
       prefetched_unread_(vector_count, false),
-      strategy_(make_strategy(strategy)) {}
+      strategy_(make_strategy(strategy)) {
+  for (std::size_t s = 0; s < slot_count; ++s)
+    data_[s] = arena_.data() + s * width;
+}
 
 SlotTier::Claim SlotTier::try_claim(std::uint32_t incoming,
                                     const std::vector<bool>* claimed) {

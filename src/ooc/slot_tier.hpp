@@ -10,12 +10,14 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "ooc/audit.hpp"
 #include "ooc/replacement.hpp"
 #include "ooc/stats.hpp"
 #include "util/aligned_buffer.hpp"
+#include "util/checks.hpp"
 
 namespace plfoc {
 
@@ -32,10 +34,15 @@ class SlotTier {
            std::size_t width, const StrategyConfig& strategy);
 
   std::size_t size() const { return slots_.size(); }
-  /// Slot buffer: stable for the table's lifetime, so a pinned lease may
-  /// keep using it after the store's lock is released.
-  double* data(std::uint32_t slot) {
-    return arena_.data() + static_cast<std::size_t>(slot) * width_;
+  /// Slot buffer. Only swap_data() moves it, and only for an unpinned
+  /// victim, so a pinned lease may keep using it after the store's lock is
+  /// released.
+  double* data(std::uint32_t slot) { return data_[slot]; }
+  /// Give `slot` the buffer `spare` and return the one it held (a
+  /// write-behind victim's content leaves the slot with it).
+  double* swap_data(std::uint32_t slot, double* spare) {
+    PLFOC_CHECK(slots_[slot].pins == 0);
+    return std::exchange(data_[slot], spare);
   }
   OocSlot& operator[](std::uint32_t slot) { return slots_[slot]; }
   /// Slot holding `vector`, or kOocNoSlot.
@@ -83,8 +90,8 @@ class SlotTier {
   void detach(std::uint32_t vector);
 
  private:
-  std::size_t width_;
   AlignedBuffer arena_;
+  std::vector<double*> data_;  ///< per slot: its buffer
   std::vector<OocSlot> slots_;
   /// Per vector: slot or kOocNoSlot.
   std::vector<std::uint32_t> vector_slot_;

@@ -26,8 +26,9 @@ std::uint64_t JobDemand::desired_bytes() const {
         return memory.ooc_bytes_for_fraction(ram_fraction);
       // Charge the requested cap, not the slot-quantised estimate: the
       // store's real width (post-compression) may differ from the estimate,
-      // but its allocation never exceeds the byte budget it was given.
-      return ram_budget_bytes;
+      // but its slots never exceed the byte budget it was given. Its
+      // write-behind buffers come on top.
+      return ram_budget_bytes + memory.write_behind_bytes();
     case Backend::kPaged:
       return ram_budget_bytes;
     case Backend::kMmap:
@@ -46,6 +47,21 @@ std::uint64_t JobDemand::minimum_bytes() const {
       return memory.min_ooc_bytes();
   }
 }
+
+namespace {
+
+/// Grant `bytes` in total: the slot budget a degraded job's Session sizes
+/// its store from leaves room for the out-of-core write-behind buffers.
+void grant(Admission& verdict, const JobDemand& demand, std::uint64_t bytes) {
+  verdict.ram_fraction = 0.0;
+  verdict.ram_budget_bytes = bytes;
+  if (demand.backend != Backend::kPaged) {
+    verdict.backend = Backend::kOutOfCore;
+    verdict.ram_budget_bytes -= demand.memory.write_behind_bytes();
+  }
+}
+
+}  // namespace
 
 Admission Scheduler::decide(const JobDemand& demand) const {
   Admission verdict;
@@ -76,10 +92,7 @@ Admission Scheduler::decide(const JobDemand& demand) const {
     // past ancestral_bytes() would only starve later admissions.
     verdict.charged_bytes =
         std::min(available, demand.memory.ancestral_bytes());
-    verdict.ram_fraction = 0.0;
-    verdict.ram_budget_bytes = available;
-    if (demand.backend != Backend::kPaged)
-      verdict.backend = Backend::kOutOfCore;
+    grant(verdict, demand, available);
     return verdict;
   }
 
@@ -90,10 +103,7 @@ Admission Scheduler::decide(const JobDemand& demand) const {
   verdict.admit = true;
   verdict.degraded = true;
   verdict.charged_bytes = minimum;
-  verdict.ram_fraction = 0.0;
-  verdict.ram_budget_bytes = minimum;
-  if (demand.backend != Backend::kPaged)
-    verdict.backend = Backend::kOutOfCore;
+  grant(verdict, demand, minimum);
   return verdict;
 }
 

@@ -9,7 +9,9 @@
 //   1. the requested configuration fits the remaining budget: admit as-is;
 //   2. shrink: grant the job an out-of-core store budgeted at exactly the
 //      remaining bytes (>= the 3-slot minimum), whatever backend it asked
-//      for (paged jobs shrink within the paged backend);
+//      for (paged jobs shrink within the paged backend). An out-of-core
+//      grant's ram_budget_bytes is its slot budget: the remaining bytes less
+//      the store's write-behind buffers, so the grant bounds its allocation;
 //   3. remaining bytes below the backend's floor but other jobs are
 //      running: wait — their release will wake us;
 //   4. alone and still over budget: admit at the backend's floor (3

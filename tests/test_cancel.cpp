@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ooc/audit.hpp"
+#include "ooc/mmap_store.hpp"
 #include "service/service.hpp"
 #include "sim/dataset_planner.hpp"
 #include "util/checks.hpp"
@@ -412,6 +413,65 @@ TEST(SessionCancel, TripInsideACherryRebuildUnwindsClean) {
   EXPECT_EQ(session.stats().file_reads, before.file_reads);
   EXPECT_EQ(session.engine().log_likelihood(), reference);
   expect_store_identities(session);
+}
+
+TEST(SessionCancel, TripInsideAnMmapHealIsNotAnIntegrityFailure) {
+  const double reference = inram_reference();
+  SessionOptions options = ooc_options();
+  options.backend = Backend::kMmap;
+  options.vector_file = temp_vector_file_path("cancel-mmap-heal");
+  PlannedDataset data = cancel_dataset();
+  Session session(std::move(data.alignment), std::move(data.tree),
+                  benchmark_gtr(), options);
+  session.engine().full_traversal_log_likelihood();
+  auto& store = dynamic_cast<MmapStore&>(session.store());
+
+  // A vector whose heal acquires an inner child first.
+  Tree& tree = session.tree();
+  const auto has_inner_child = [&](std::uint32_t index) {
+    const NodeId node = tree.inner_node(index);
+    const NodeId toward = session.engine().orientation().towards(node);
+    for (NodeId nbr : tree.neighbors(node))
+      if (nbr != toward && tree.is_inner(nbr)) return true;
+    return false;
+  };
+  std::uint32_t victim = 0;
+  while (victim < tree.num_inner() && !has_inner_child(victim)) ++victim;
+  ASSERT_LT(victim, tree.num_inner());
+
+  // Damage the record on the device (the mapping is the whole file), then
+  // push the span out of the page cache so the next read re-verifies.
+  const std::uint64_t record_bytes = session.vector_width() * sizeof(double);
+  const int fd = ::open(options.vector_file.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const char garbage[8] = {'c', 'a', 'n', 'c', 'e', 'l', '!', '!'};
+  ASSERT_EQ(::pwrite(fd, garbage, sizeof garbage,
+                     static_cast<off_t>(victim * record_bytes)),
+            static_cast<ssize_t>(sizeof garbage));
+  ::fsync(fd);
+  ::close(fd);
+  for (int i = 0; i < 3 && store.span_resident(victim); ++i)
+    store.drop_residency(victim);
+  if (store.span_resident(victim))
+    GTEST_SKIP() << "kernel kept the span resident; eviction is best-effort";
+
+  // The acquire's own check passes; the heal's first child acquire trips.
+  CancelToken token = CancelToken::make();
+  session.set_cancel_token(token);
+  token.set_trip_at(token.progress() + 2);
+  EXPECT_THROW(
+      { VectorLease lease = session.store().acquire(victim, AccessMode::kRead); },
+      CancelledError);
+  EXPECT_EQ(session.stats().integrity_failures, 0u);
+  // The store dropped the span again, so the next read re-verifies it.
+  if (store.span_resident(victim))
+    GTEST_SKIP() << "kernel kept the span resident; eviction is best-effort";
+
+  session.set_cancel_token(CancelToken());
+  { VectorLease lease = session.store().acquire(victim, AccessMode::kRead); }
+  EXPECT_EQ(session.stats().integrity_failures, 1u);
+  EXPECT_EQ(session.stats().integrity_recoveries, 1u);
+  EXPECT_EQ(session.engine().log_likelihood(), reference);
 }
 
 // ------------------------------------------------------ Service plumbing

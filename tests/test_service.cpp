@@ -115,7 +115,9 @@ TEST(Scheduler, OversizedDemandDegradesToAvailableBytes) {
   EXPECT_TRUE(verdict.degraded);
   EXPECT_EQ(verdict.backend, Backend::kOutOfCore);  // inram cannot shrink
   EXPECT_EQ(verdict.ram_fraction, 0.0);
-  EXPECT_EQ(verdict.ram_budget_bytes, budget);
+  // The slot budget: the store's write-behind buffers take the rest.
+  EXPECT_EQ(verdict.ram_budget_bytes,
+            budget - demand.memory.write_behind_bytes());
   EXPECT_LE(verdict.charged_bytes, budget);
 }
 
