@@ -8,6 +8,8 @@
 // block-parallel kernels over patterns x categories x threads, writing a
 // machine-readable JSON report with per-cell throughput and speedup_vs_1,
 // both from the median of five timing windows (min and max are reported).
+// A last `stepwise_addition` row times one 384 x 200 DNA start tree the
+// same way, so the set-up cost of a search is tracked next to the kernels.
 // CI's bench smoke runs this at --threads 1,2 and uploads the artifact.
 #include <benchmark/benchmark.h>
 
@@ -335,20 +337,25 @@ BENCHMARK(BM_EmpiricalFrequencies)
 // The parsimony starting tree every search builds first: taxa x sites x
 // states, with the search workloads' shapes (384 x 200 DNA out of core,
 // 8 x 256 protein in RAM).
+Alignment stepwise_alignment(std::size_t taxa, std::size_t sites, bool dna) {
+  Rng rng(17);
+  const Tree truth = random_tree(taxa, rng);
+  return simulate_alignment(truth, dna ? jc69() : poisson_protein(), sites,
+                            rng, SimulationOptions{4, 0.6});
+}
+
+void build_start_tree(const Alignment& alignment) {
+  Rng order(3);
+  const Tree tree = stepwise_addition_tree(alignment, order);
+  benchmark::DoNotOptimize(tree.num_nodes());
+}
+
 void BM_StepwiseAddition(benchmark::State& state) {
   const auto taxa = static_cast<std::size_t>(state.range(0));
   const auto sites = static_cast<std::size_t>(state.range(1));
-  const bool dna = state.range(2) == 4;
-  Rng rng(17);
-  const Tree truth = random_tree(taxa, rng);
   const Alignment alignment =
-      simulate_alignment(truth, dna ? jc69() : poisson_protein(), sites, rng,
-                         SimulationOptions{4, 0.6});
-  for (auto _ : state) {
-    Rng order(3);
-    const Tree tree = stepwise_addition_tree(alignment, order);
-    benchmark::DoNotOptimize(tree.num_nodes());
-  }
+      stepwise_alignment(taxa, sites, state.range(2) == 4);
+  for (auto _ : state) build_start_tree(alignment);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(taxa * sites));
 }
@@ -368,11 +375,12 @@ struct CallTiming {
 };
 
 struct SweepRow {
-  const char* kernel;
+  const char* kernel;  ///< or "stepwise_addition": one start tree per call
   std::size_t patterns;
   unsigned categories;
   unsigned threads;
   unsigned states = 4;
+  std::size_t taxa = 0;  ///< written only for the stepwise_addition row
   CallTiming seconds_per_call{};  ///< written as seconds_per_call (median),
                                   ///< seconds_per_call_min and _max
   double patterns_per_second = 0.0;  ///< from the median
@@ -503,6 +511,17 @@ int run_json_sweep(const std::string& json_path,
     }
   }
 
+  // The start tree every search builds first, at search-dna's shape:
+  // patterns holds the sites, and a call is the whole build.
+  {
+    const Alignment alignment = stepwise_alignment(384, 200, true);
+    SweepRow row{"stepwise_addition", 200, 1, 1, 4, 384};
+    row.seconds_per_call = time_per_call([&] { build_start_tree(alignment); });
+    double base = 0.0;
+    finish_row(row, base);
+    rows.push_back(row);
+  }
+
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
@@ -514,16 +533,17 @@ int run_json_sweep(const std::string& json_path,
   std::fprintf(out, "  \"sweep\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];
+    const std::string taxa =
+        row.taxa == 0 ? "" : "\"taxa\": " + std::to_string(row.taxa) + ", ";
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"patterns\": %zu, "
                  "\"categories\": %u, \"states\": %u, \"threads\": %u, "
-                 "\"seconds_per_call\": %.9e, "
+                 "%s\"seconds_per_call\": %.9e, "
                  "\"seconds_per_call_min\": %.9e, "
                  "\"seconds_per_call_max\": %.9e, "
                  "\"patterns_per_second\": %.6e, \"speedup_vs_1\": %.4f}%s\n",
                  row.kernel, row.patterns, row.categories, row.states,
-                 row.threads,
-                 row.seconds_per_call.median, row.seconds_per_call.min,
+                 row.threads, taxa.c_str(), row.seconds_per_call.median, row.seconds_per_call.min,
                  row.seconds_per_call.max, row.patterns_per_second,
                  row.speedup_vs_1, i + 1 < rows.size() ? "," : "");
   }

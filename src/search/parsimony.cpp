@@ -46,34 +46,25 @@ ParsimonyScorer::ParsimonyScorer(const Alignment& alignment, const Tree& tree)
   if (std::any_of(weights.begin(), weights.end(),
                   [](double w) { return w != 1.0; }))
     weights_ = weights;
+  neighbor_.assign(tree.num_inner() * 3, kNoNode);
   sets_.assign(tree.num_inner() * 3 * set_words_, 0);
-  set_valid_.assign(tree.num_inner() * 3, 0);
   parent_of_.assign(tree.num_nodes(), kNoNode);
   seen_.assign(tree.num_nodes(), 0);
+  scratch_.assign(set_words_, 0);
 }
 
-std::size_t ParsimonyScorer::set_offset(NodeId inner, int slot) const {
-  PLFOC_DCHECK(tree_.is_inner(inner) && slot >= 0 && slot < 3);
-  return (static_cast<std::size_t>(tree_.inner_index(inner)) * 3 +
-          static_cast<std::size_t>(slot)) *
-         set_words_;
-}
-
-int ParsimonyScorer::neighbor_slot(NodeId node, NodeId neighbor) const {
-  const auto nbrs = tree_.neighbors(node);
-  for (int i = 0; i < static_cast<int>(nbrs.size()); ++i)
-    if (nbrs[static_cast<std::size_t>(i)] == neighbor) return i;
+std::size_t ParsimonyScorer::slot(NodeId inner, NodeId neighbor) const {
+  const std::size_t first = std::size_t{tree_.inner_index(inner)} * 3;
+  for (std::size_t k = first; k < first + 3; ++k)
+    if (neighbor_[k] == neighbor) return k;
   PLFOC_CHECK(false);
-  return -1;
+  return 0;
 }
 
 const ParsimonyScorer::Word* ParsimonyScorer::directional(
     NodeId node, NodeId towards) const {
   if (tree_.is_tip(node)) return tip_sets_.data() + node * set_words_;
-  const int slot = neighbor_slot(node, towards);
-  PLFOC_CHECK(set_valid_[static_cast<std::size_t>(tree_.inner_index(node)) * 3 +
-                         static_cast<std::size_t>(slot)] != 0);
-  return sets_.data() + set_offset(node, slot);
+  return sets_.data() + slot(node, towards) * set_words_;
 }
 
 void ParsimonyScorer::add_misses(std::size_t word, Word misses,
@@ -142,25 +133,26 @@ void ParsimonyScorer::refresh(NodeId any_node) {
       }
   }
   for (NodeId node : order_) seen_[node] = 0;
-  std::fill(set_valid_.begin(), set_valid_.end(), 0);
+  std::fill(neighbor_.begin(), neighbor_.end(), kNoNode);
+  for (NodeId node : order_)
+    if (tree_.is_inner(node)) {
+      const auto nbrs = tree_.neighbors(node);
+      PLFOC_CHECK(nbrs.size() == 3);
+      std::copy(nbrs.begin(), nbrs.end(),
+                neighbor_.begin() +
+                    static_cast<std::ptrdiff_t>(tree_.inner_index(node)) * 3);
+    }
   component_score_ = 0.0;
 
   // Upward pass (children before parents): D(u -> parent).
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     const NodeId u = *it;
     if (tree_.is_tip(u)) continue;
-    const NodeId p = parent_of_[u];
-    PLFOC_CHECK(p != kNoNode);
-    NodeId children[2];
-    int count = 0;
-    for (NodeId nbr : tree_.neighbors(u))
-      if (nbr != p) children[count++] = nbr;
-    PLFOC_CHECK(count == 2);
-    const int slot = neighbor_slot(u, p);
-    fitch_step(directional(children[0], u), directional(children[1], u),
-               sets_.data() + set_offset(u, slot), &component_score_);
-    set_valid_[static_cast<std::size_t>(tree_.inner_index(u)) * 3 +
-               static_cast<std::size_t>(slot)] = 1;
+    const std::size_t up = slot(u, parent_of_[u]);
+    const NodeId left = neighbor_[turn(up, 1)];
+    const NodeId right = neighbor_[turn(up, 2)];
+    fitch_step(directional(left, u), directional(right, u), set_at(up),
+               &component_score_);
   }
   // Root-tip junction cost.
   if (tree_.degree(root_tip) == 1) {
@@ -173,18 +165,54 @@ void ParsimonyScorer::refresh(NodeId any_node) {
   // Downward pass (parents before children): D(u -> child).
   for (NodeId u : order_) {
     if (tree_.is_tip(u)) continue;
-    const NodeId p = parent_of_[u];
-    NodeId children[2];
-    int count = 0;
-    for (NodeId nbr : tree_.neighbors(u))
-      if (nbr != p) children[count++] = nbr;
-    PLFOC_CHECK(count == 2);
-    for (int c = 0; c < 2; ++c) {
-      const int slot = neighbor_slot(u, children[c]);
-      fitch_step(directional(p, u), directional(children[1 - c], u),
-                 sets_.data() + set_offset(u, slot), nullptr);
-      set_valid_[static_cast<std::size_t>(tree_.inner_index(u)) * 3 +
-                 static_cast<std::size_t>(slot)] = 1;
+    const std::size_t up = slot(u, parent_of_[u]);
+    for (std::size_t k = 1; k <= 2; ++k)
+      fitch_step(directional(parent_of_[u], u),
+                 directional(neighbor_[turn(up, 3 - k)], u),
+                 set_at(turn(up, k)), nullptr);
+  }
+}
+
+void ParsimonyScorer::insert(NodeId tip, NodeId a, NodeId b, NodeId fresh) {
+  PLFOC_CHECK(tree_.is_tip(tip) && tree_.is_inner(fresh));
+  PLFOC_DCHECK(tree_.has_edge(a, fresh) && tree_.has_edge(fresh, b) &&
+               tree_.has_edge(tip, fresh));
+  // D(a -> fresh) is the old D(a -> b), and D(b -> fresh) the old D(b -> a).
+  if (tree_.is_inner(a)) neighbor_[slot(a, b)] = fresh;
+  if (tree_.is_inner(b)) neighbor_[slot(b, a)] = fresh;
+  const std::size_t first = std::size_t{tree_.inner_index(fresh)} * 3;
+  neighbor_[first] = a;
+  neighbor_[first + 1] = b;
+  neighbor_[first + 2] = tip;
+  const Word* da = directional(a, fresh);
+  const Word* db = directional(b, fresh);
+  const Word* t = tip_sets_.data() + tip * set_words_;
+  fitch_step(db, t, set_at(first), nullptr);
+  fitch_step(da, t, set_at(first + 1), nullptr);
+  fitch_step(da, db, set_at(first + 2), nullptr);
+
+  // a's other sets were joined from the old D(b -> a), which is now
+  // D(fresh -> a); they change only if that set did. Likewise for b. Past
+  // that, D(v -> w) changed makes w's sets away from v candidates.
+  const auto same = [this](const Word* x, const Word* y) {
+    return std::equal(x, x + set_words_, y);
+  };
+  changed_.clear();
+  if (!same(set_at(first), db)) changed_.emplace_back(fresh, a);
+  if (!same(set_at(first + 1), da)) changed_.emplace_back(fresh, b);
+  while (!changed_.empty()) {
+    const auto [from, node] = changed_.back();
+    changed_.pop_back();
+    if (tree_.is_tip(node)) continue;
+    const std::size_t in = slot(node, from);
+    for (std::size_t k = 1; k <= 2; ++k) {
+      const std::size_t out = turn(in, k);
+      fitch_step(directional(from, node),
+                 directional(neighbor_[turn(in, 3 - k)], node),
+                 scratch_.data(), nullptr);
+      if (same(scratch_.data(), set_at(out))) continue;
+      std::copy(scratch_.begin(), scratch_.end(), set_at(out));
+      changed_.emplace_back(node, neighbor_[out]);
     }
   }
 }

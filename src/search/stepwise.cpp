@@ -1,8 +1,11 @@
 #include "search/stepwise.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "search/parsimony.hpp"
 #include "util/checks.hpp"
@@ -15,25 +18,27 @@ double draw_length(Rng& rng, const StepwiseOptions& options) {
                   options.min_branch_length);
 }
 
-/// All edges of the connected component containing `inside`.
-std::vector<std::pair<NodeId, NodeId>> component_edges(const Tree& tree,
-                                                       NodeId inside) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  std::vector<bool> seen(tree.num_nodes(), false);
-  std::vector<NodeId> queue{inside};
-  seen[inside] = true;
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const NodeId node = queue[head++];
+/// All edges of the connected component containing `inside`, in
+/// breadth-first order; `seen` (all zero, left all zero) and `queue` are
+/// work arrays reused across calls.
+void component_edges(const Tree& tree, NodeId inside,
+                     std::vector<std::uint8_t>& seen,
+                     std::vector<NodeId>& queue,
+                     std::vector<std::pair<NodeId, NodeId>>& edges) {
+  edges.clear();
+  queue.assign(1, inside);
+  seen[inside] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId node = queue[head];
     for (NodeId nbr : tree.neighbors(node)) {
       if (node < nbr) edges.emplace_back(node, nbr);
-      if (!seen[nbr]) {
-        seen[nbr] = true;
+      if (seen[nbr] == 0) {
+        seen[nbr] = 1;
         queue.push_back(nbr);
       }
     }
   }
-  return edges;
+  for (NodeId node : queue) seen[node] = 0;
 }
 
 }  // namespace
@@ -60,12 +65,16 @@ Tree stepwise_addition_tree(const Alignment& alignment, Rng& rng,
                  draw_length(rng, options));
 
   ParsimonyScorer scorer(alignment, tree);
+  if (options.use_parsimony) scorer.refresh(hub);
+  std::vector<std::uint8_t> seen(tree.num_nodes(), 0);
+  std::vector<NodeId> queue;
+  std::vector<std::pair<NodeId, NodeId>> edges;
 
   for (std::size_t k = 3; k < n; ++k) {
     const NodeId tip = order[k];
     const NodeId fresh_inner =
         tree.inner_node(static_cast<std::uint32_t>(k) - 2);
-    auto edges = component_edges(tree, hub);
+    component_edges(tree, hub, seen, queue, edges);
     PLFOC_CHECK(!edges.empty());
 
     std::pair<NodeId, NodeId> best_edge;
@@ -80,7 +89,6 @@ Tree stepwise_addition_tree(const Alignment& alignment, Rng& rng,
         }
         edges.resize(options.max_candidates);
       }
-      scorer.refresh(hub);
       double best_cost = std::numeric_limits<double>::infinity();
       best_edge = edges[0];
       for (const auto& [a, b] : edges) {
@@ -99,6 +107,7 @@ Tree stepwise_addition_tree(const Alignment& alignment, Rng& rng,
     tree.connect(a, fresh_inner, half);
     tree.connect(fresh_inner, b, half);
     tree.connect(tip, fresh_inner, draw_length(rng, options));
+    if (options.use_parsimony) scorer.insert(tip, a, b, fresh_inner);
   }
   tree.validate();
   return tree;

@@ -16,9 +16,11 @@ namespace plfoc {
 struct StepwiseOptions {
   /// Guide insertions with parsimony (true) or insert uniformly at random.
   bool use_parsimony = true;
-  /// Candidate edges scored per insertion; 0 = all edges (O(n² · sites) —
-  /// only for small trees). Sampling keeps large builds tractable while
-  /// preserving tree quality (the best of k random edges).
+  /// Candidate edges scored per insertion, O(sites) each; 0 = all edges,
+  /// O(n² · sites) over the build, only for small trees. Sampling keeps the
+  /// scoring of large builds linear in n while preserving tree quality (the
+  /// best of k random edges). Keeping the Fitch sets current is separate:
+  /// an insertion recomputes only the sets it changed.
   std::size_t max_candidates = 64;
   double mean_branch_length = 0.1;
   double min_branch_length = 1e-6;

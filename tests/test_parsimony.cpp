@@ -380,6 +380,93 @@ TEST(Parsimony, BitSlicedMatchesPerSiteOracle) {
   EXPECT_GT(checked, 1000u);
 }
 
+TEST(ParsimonyScorer, IncrementalInsertMatchesFullRefresh) {
+  // A stepwise-style build: refresh once on a 3-taxon star, then report each
+  // insertion with insert(). After every one, a scorer refreshed from
+  // scratch on the same tree must give the same bits for every edge, in
+  // both directions, and several tips.
+  struct Case {
+    DataType type;
+    std::string alphabet;
+    std::size_t sites;
+  };
+  const Case cases[] = {{DataType::kDna, "ACGTRYSWKMBDHVN-?", 1},
+                        {DataType::kDna, "ACGTRYSWKMBDHVN-?", 63},
+                        {DataType::kDna, "ACGTRYSWKMBDHVN-?", 64},
+                        {DataType::kDna, "ACGTRYSWKMBDHVN-?", 65},
+                        {DataType::kDna, "ACGT", 200},
+                        {DataType::kProtein, "ARNDCQEGHILKMFPSTWYVBZJX-", 257}};
+  const std::size_t n = 40;
+  Rng rng(77);
+  std::size_t checked = 0;
+  std::size_t next_to_tip = 0;
+  for (const Case& c : cases)
+    for (const bool fractional : {false, true}) {
+      SCOPED_TRACE(std::to_string(num_states(c.type)) + " states, " +
+                   std::to_string(c.sites) + " sites" +
+                   (fractional ? ", fractional weights" : ""));
+      std::vector<std::string> names;
+      for (std::size_t i = 0; i < n; ++i)
+        names.push_back("t" + std::to_string(i));
+      Tree tree(names);
+      Alignment alignment =
+          random_alignment(tree, c.type, c.alphabet, c.sites, rng);
+      if (fractional) {
+        std::vector<double> weights(c.sites);
+        for (double& w : weights) w = rng.uniform(0.01, 3.0);
+        alignment.set_weights(weights);
+      }
+      std::vector<NodeId> order(n);
+      for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<NodeId>(i);
+      for (std::size_t i = n; i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+      const NodeId hub = tree.inner_node(0);
+      for (std::size_t k = 0; k < 3; ++k) tree.connect(order[k], hub, 0.1);
+      ParsimonyScorer scorer(alignment, tree);
+      scorer.refresh(hub);
+
+      for (std::size_t k = 3; k < n; ++k) {
+        // Every other insertion goes onto an edge next to a tip.
+        auto edges = tree.edges();
+        if (k % 2 == 0)
+          edges.erase(std::remove_if(edges.begin(), edges.end(),
+                                     [&](const auto& edge) {
+                                       return !tree.is_tip(edge.first) &&
+                                              !tree.is_tip(edge.second);
+                                     }),
+                      edges.end());
+        const auto [a, b] = edges[rng.below(edges.size())];
+        if (tree.is_tip(a) || tree.is_tip(b)) ++next_to_tip;
+        const NodeId tip = order[k];
+        const NodeId fresh = tree.inner_node(static_cast<std::uint32_t>(k) - 2);
+        tree.disconnect(a, b);
+        tree.connect(a, fresh, 0.1);
+        tree.connect(fresh, b, 0.1);
+        tree.connect(tip, fresh, 0.1);
+        scorer.insert(tip, a, b, fresh);
+
+        ParsimonyScorer full(alignment, tree);
+        full.refresh(hub);
+        std::vector<NodeId> probes{tip, order[0]};
+        for (std::size_t j = k + 1; j < std::min(n, k + 4); ++j)
+          probes.push_back(order[j]);
+        for (const auto& [x, y] : tree.edges())
+          for (const NodeId probe : probes)
+            for (const auto& [u, v] : {std::pair{x, y}, std::pair{y, x}}) {
+              const double got = scorer.insertion_cost(probe, u, v);
+              const double want = full.insertion_cost(probe, u, v);
+              EXPECT_TRUE(same_bits(got, want))
+                  << "after inserting " << tip << " on " << a << "-" << b
+                  << ": edge " << u << "-" << v << ", tip " << probe << ": "
+                  << got << " vs " << want;
+              ++checked;
+            }
+      }
+    }
+  EXPECT_GT(checked, 100000u);
+  EXPECT_GT(next_to_tip, 200u);
+}
+
 TEST(Parsimony, StepwiseAdditionTreesArePinned) {
   // Start trees recorded before the scorer was bit-sliced: the same data and
   // seed must keep giving the same tree, branch lengths included.
