@@ -11,6 +11,7 @@
 
 #include "ooc/record_checksum.hpp"
 #include "util/checks.hpp"
+#include "util/mutex.hpp"
 
 namespace plfoc {
 namespace {
@@ -57,6 +58,115 @@ std::uint64_t get_u64(const unsigned char* base, std::uint64_t offset) {
   std::memcpy(&value, base + offset, sizeof value);
   return value;
 }
+
+/// The process-wide pool of idle vector files. A recyclable backend puts its
+/// open files here at destruction, renamed to an idle name in the same
+/// directory; a later recyclable backend in that directory takes the newest
+/// one by renaming it to its own path. The pool holds at most as many files
+/// as the process once had recyclable files open at the same time, and
+/// removes its oldest file to make room.
+class IdleFiles {
+ public:
+  /// An idle file of `path`'s directory, renamed to `path`; -1 if none.
+  int take(const std::string& path) PLFOC_EXCLUDES(mutex_) {
+    const std::string dir = directory_of(path);
+    Idle idle;
+    {
+      MutexLock lock(mutex_);
+      const auto it = std::find_if(
+          idle_.rbegin(), idle_.rend(),
+          [&dir](const Idle& entry) { return entry.dir == dir; });
+      if (it == idle_.rend()) return -1;
+      idle = std::move(*it);
+      idle_.erase(std::next(it).base());
+    }
+    if (::rename(idle.path.c_str(), path.c_str()) == 0) return idle.fd;
+    ::close(idle.fd);  // removed behind the pool's back, or `path` is taken
+    ::unlink(idle.path.c_str());
+    return -1;
+  }
+
+  /// `count` more recyclable files are open.
+  void opened(std::size_t count) PLFOC_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    open_ += count;
+    peak_ = std::max(peak_, open_);
+  }
+
+  /// One recyclable file closes: keep it idle, making room by removing the
+  /// oldest idle file when the pool is full, or remove it once reaped.
+  void put(const std::string& path, int fd) PLFOC_EXCLUDES(mutex_) {
+    Idle evicted;
+    bool kept = false;
+    {
+      MutexLock lock(mutex_);
+      --open_;
+      const std::string dir = directory_of(path);
+      std::string idle_path = dir + "plfoc_idle_" +
+                              std::to_string(::getpid()) + "_" +
+                              std::to_string(serial_++) + ".bin";
+      if (!reaped_ && ::rename(path.c_str(), idle_path.c_str()) == 0) {
+        kept = true;
+        if (idle_.size() >= peak_) {
+          evicted = std::move(idle_.front());
+          idle_.erase(idle_.begin());
+        }
+        idle_.push_back({dir, std::move(idle_path), fd});
+      }
+    }
+    if (evicted.fd >= 0) {
+      ::close(evicted.fd);
+      ::unlink(evicted.path.c_str());
+    }
+    if (kept) return;
+    ::close(fd);
+    ::unlink(path.c_str());
+  }
+
+  /// Close and unlink every idle file; later puts remove their files.
+  void reap() PLFOC_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    reaped_ = true;
+    for (const Idle& idle : idle_) {
+      ::close(idle.fd);
+      ::unlink(idle.path.c_str());
+    }
+    idle_.clear();
+  }
+
+ private:
+  struct Idle {
+    std::string dir;
+    std::string path;
+    int fd = -1;
+  };
+  /// `path` up to and including its last '/', or "" for a bare name.
+  static std::string directory_of(const std::string& path) {
+    const std::size_t slash = path.rfind('/');
+    return slash == std::string::npos ? std::string()
+                                      : path.substr(0, slash + 1);
+  }
+
+  Mutex mutex_;
+  std::vector<Idle> idle_ PLFOC_GUARDED_BY(mutex_);
+  std::size_t open_ PLFOC_GUARDED_BY(mutex_) = 0;
+  std::size_t peak_ PLFOC_GUARDED_BY(mutex_) = 0;
+  std::uint64_t serial_ PLFOC_GUARDED_BY(mutex_) = 0;
+  bool reaped_ PLFOC_GUARDED_BY(mutex_) = false;
+};
+
+/// Never destroyed, so a backend that outlives static destruction (one held
+/// by a detached thread) still finds it; the reaper below empties it at exit.
+IdleFiles& idle_files() {
+  static IdleFiles* const pool = new IdleFiles();
+  return *pool;
+}
+
+/// Unlinks the idle files at exit. Built before main, so it is destroyed
+/// after every static that could own a backend built later.
+struct IdleFileReaper {
+  ~IdleFileReaper() { idle_files().reap(); }
+} idle_file_reaper;
 
 }  // namespace
 
@@ -110,27 +220,11 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
   block_bytes_ = options_.integrity_block_bytes != 0
                      ? options_.integrity_block_bytes
                      : bytes_per_vector_;
-
-  for (unsigned k = 0; k < options_.num_files; ++k) {
-    std::string path = options_.base_path;
-    if (options_.num_files > 1) path += "." + std::to_string(k);
-    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
-    PLFOC_REQUIRE(fd >= 0, "cannot create vector file '" + path + "': " +
-                               std::strerror(errno));
-    fds_.push_back(fd);
-    paths_.push_back(std::move(path));
-  }
-  if (options_.direct_io) {
-    // Best effort: a filesystem may refuse O_DIRECT (tmpfs does); -1 routes
-    // every attempt through the buffered fd.
-    for (const std::string& path : paths_) {
-#ifdef O_DIRECT
-      direct_fds_.push_back(::open(path.c_str(), O_RDWR | O_DIRECT));
-#else
-      direct_fds_.push_back(-1);
-#endif
-    }
-  }
+  // The same no-fault-schedule rule as shared-engine adoption; a fault
+  // schedule's corruptions must land on the zero-preallocated file it
+  // models, and the paged store's byte path keeps its fresh file too.
+  recyclable_ = options_.remove_on_close && injector_ == nullptr &&
+                block_bytes_ == bytes_per_vector_;
 
   // The options every transfer of this backend runs under: a private engine
   // binds them, and transfer_all drives run_transfer with them directly.
@@ -155,11 +249,42 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
   }
 
   // Vectors stripe round-robin: file k holds ceil((count - k)/num_files).
-  for (unsigned k = 0; k < options_.num_files; ++k) {
-    const std::uint64_t vectors_in_file =
-        (count_ + options_.num_files - 1 - k) / options_.num_files;
-    init_integrity_file(k, vectors_in_file * bytes_per_vector_);
+  // A throw closes and removes the files opened so far.
+  try {
+    for (unsigned k = 0; k < options_.num_files; ++k) {
+      std::string path = options_.base_path;
+      if (options_.num_files > 1) path += "." + std::to_string(k);
+      int fd = recyclable_ ? idle_files().take(path) : -1;
+      const bool recycled = fd >= 0;
+      if (!recycled)
+        fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
+      PLFOC_REQUIRE(fd >= 0, "cannot create vector file '" + path + "': " +
+                                 std::strerror(errno));
+      fds_.push_back(fd);
+      paths_.push_back(std::move(path));
+      const std::uint64_t vectors_in_file =
+          (count_ + options_.num_files - 1 - k) / options_.num_files;
+      init_integrity_file(k, vectors_in_file * bytes_per_vector_, recycled);
+    }
+  } catch (...) {
+    for (std::size_t k = 0; k < fds_.size(); ++k) {
+      ::close(fds_[k]);
+      ::unlink(paths_[k].c_str());
+    }
+    throw;
   }
+  if (options_.direct_io) {
+    // Best effort: a filesystem may refuse O_DIRECT (tmpfs does); -1 routes
+    // every attempt through the buffered fd.
+    for (const std::string& path : paths_) {
+#ifdef O_DIRECT
+      direct_fds_.push_back(::open(path.c_str(), O_RDWR | O_DIRECT));
+#else
+      direct_fds_.push_back(-1);
+#endif
+    }
+  }
+  if (recyclable_) idle_files().opened(fds_.size());
 }
 
 // Raw bootstrap/diagnostic I/O: EINTR and short transfers handled, no fault
@@ -190,7 +315,8 @@ void FileBackend::raw_io(bool is_write, int fd, void* buffer,
 }
 
 void FileBackend::init_integrity_file(unsigned file_index,
-                                      std::uint64_t payload_bytes) {
+                                      std::uint64_t payload_bytes,
+                                      bool recycled) {
   FileIntegrity fi;
   fi.payload_bytes = payload_bytes;
   fi.block_count = (payload_bytes + block_bytes_ - 1) / block_bytes_;
@@ -201,7 +327,11 @@ void FileBackend::init_integrity_file(unsigned file_index,
   fi.generation.reset(new std::atomic<std::uint64_t>[fi.block_count]());
   fi.corrupt_mark.reset(new std::atomic<std::uint8_t>[fi.block_count]());
 
-  unsigned char header[kHeaderBytes] = {};
+  // A recycled file's header and table are rewritten in one transfer (the
+  // table zeroed: every record back to generation 0); a new file's table
+  // is the zeros ftruncate leaves.
+  std::vector<unsigned char> head(recycled ? fi.payload_offset : kHeaderBytes);
+  unsigned char* header = head.data();
   put_u32(header, kOffMagic, kMagic);
   put_u32(header, kOffVersion, kFormatVersion);
   put_u64(header, kOffBlockBytes, block_bytes_);
@@ -210,9 +340,10 @@ void FileBackend::init_integrity_file(unsigned file_index,
   put_u64(header, kOffPayloadOffset, fi.payload_offset);
   put_u64(header, kOffChecksumSeed, fi.checksum_seed);
   put_u64(header, kOffPayloadBytes, payload_bytes);
-  raw_io(true, fds_[file_index], header, sizeof header, 0);
+  raw_io(true, fds_[file_index], header, head.size(), 0);
   // Preallocate the whole file: table and payload read as zeros until
-  // written, so generation 0 == never written and its payload is zeros.
+  // written, so generation 0 == never written. A recycled file keeps its
+  // old payload, which reads of generation-0 records replace with zeros.
   const int rc = ::ftruncate(
       fds_[file_index], static_cast<off_t>(fi.payload_offset + payload_bytes));
   PLFOC_REQUIRE(rc == 0,
@@ -228,9 +359,14 @@ FileBackend::~FileBackend() {
   shared_engine_.reset();
   for (int fd : direct_fds_)
     if (fd >= 0) ::close(fd);
-  for (int fd : fds_) ::close(fd);
-  if (options_.remove_on_close)
-    for (const std::string& path : paths_) ::unlink(path.c_str());
+  for (std::size_t k = 0; k < fds_.size(); ++k) {
+    if (recyclable_) {
+      idle_files().put(paths_[k], fds_[k]);
+      continue;
+    }
+    ::close(fds_[k]);
+    if (options_.remove_on_close) ::unlink(paths_[k].c_str());
+  }
 }
 
 void FileBackend::copy_counters(OocStats& stats) const {
@@ -281,6 +417,9 @@ void FileBackend::read_vector(std::uint32_t index, void* dst) {
   transfer_all(false, loc.fd, dst, bytes_per_vector_,
                integrity_[loc.file].payload_offset + loc.offset);
   charge(bytes_per_vector_);
+  if (integrity_[loc.file].generation[loc.block].load(
+          std::memory_order_relaxed) == 0)
+    std::memset(dst, 0, bytes_per_vector_);  // never written: reads as zeros
 }
 
 void FileBackend::write_vector(std::uint32_t index, const void* src) {
@@ -563,11 +702,15 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
       // is that a table-entry failure above has then already charged).
       if (!op.coalesced) charge(bytes_per_vector_);
     } else {
-      if (!op.ok() || !op.verify) continue;
+      if (!op.ok()) continue;
       FileIntegrity& fi = integrity_[loc.file];
       const std::uint64_t generation =
           fi.generation[loc.block].load(std::memory_order_relaxed);
-      if (generation == 0) continue;  // never written: preallocated zeros
+      if (generation == 0) {  // never written: reads as zeros
+        std::memset(op.buffer, 0, bytes_per_vector_);
+        continue;
+      }
+      if (!op.verify) continue;
       const bool injected_now =
           apply_read_corruption(op.buffer, bytes_per_vector_);
       const std::uint64_t expected =
@@ -591,7 +734,10 @@ VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
   VerifyResult result;
   const std::uint64_t generation =
       fi.generation[loc.block].load(std::memory_order_relaxed);
-  if (generation == 0) return result;  // never written: preallocated zeros
+  if (generation == 0) {  // never written: reads as zeros
+    std::memset(dst, 0, bytes_per_vector_);
+    return result;
+  }
   const bool injected_now = apply_read_corruption(dst, bytes_per_vector_);
   const std::uint64_t expected =
       fi.checksum[loc.block].load(std::memory_order_relaxed);

@@ -12,6 +12,14 @@
 // replays — is detected at swap-in instead of being folded into the
 // likelihood. docs/file-formats.md specifies the layout; docs/robustness.md
 // covers the corruption model and the stores' self-healing recovery path.
+//
+// A file removed on close is recycled rather than unlinked when its backend
+// has no fault schedule and one record per integrity block: it waits, open,
+// in a process-wide pool of idle files until a later backend in the same
+// directory renames it to its own path, so that backend's writes land on
+// pages the page cache already holds (docs/storage-layer.md "File
+// lifecycle"). It still behaves as a new file: a fresh header, a zeroed
+// table, and generation-0 records that read as zeros.
 #pragma once
 
 #include <atomic>
@@ -47,7 +55,9 @@ struct DeviceModel {
 struct FileBackendOptions {
   std::string base_path;      ///< file path; file k gets suffix ".k" if num_files > 1
   unsigned num_files = 1;     ///< stripe count (paper: 1 by default)
-  bool remove_on_close = true;  ///< unlink backing files in the destructor
+  /// Remove the backing files in the destructor (unlinked, or renamed into
+  /// the idle-file pool when the backend is recyclable).
+  bool remove_on_close = true;
   DeviceModel device;         ///< virtual device cost accounting (off by default)
   FaultConfig faults;         ///< seeded fault schedule (disabled by default)
   RetryPolicy retry;          ///< bounded retry + backoff for transient errors
@@ -121,9 +131,13 @@ struct FsckReport {
 class FileBackend {
  public:
   /// Creates/opens the backing file(s) for `count` vectors of
-  /// `bytes_per_vector` bytes each.
+  /// `bytes_per_vector` bytes each, taking idle files from the pool when
+  /// recyclable. A throw closes and removes every file it opened.
   FileBackend(std::size_t count, std::size_t bytes_per_vector,
               FileBackendOptions options);
+  /// The owner must have no I/O in flight on the files (its writer and
+  /// prefetch threads joined): a recyclable backend's fds stay open in the
+  /// pool for the next backend.
   ~FileBackend();
   FileBackend(const FileBackend&) = delete;
   FileBackend& operator=(const FileBackend&) = delete;
@@ -197,7 +211,8 @@ class FileBackend {
   /// Verified whole-vector read: reads the payload, applies any scheduled
   /// read-side corruption, then checks the content against the in-memory
   /// checksum/generation mirror. Never-written vectors (generation 0)
-  /// verify trivially — preallocated zeros are the contract. Detection
+  /// verify trivially and read as zeros, whatever a recycled file still
+  /// holds there (read_vector and batched reads do the same). Detection
   /// only — the *store* decides whether to recover or throw IntegrityError.
   VerifyResult read_vector_verified(std::uint32_t index, void* dst);
 
@@ -339,8 +354,10 @@ class FileBackend {
               std::uint64_t offset);
 
   /// Write stripe `file_index`'s header and preallocate its table and
-  /// payload (zero-filled), then register its in-memory mirror.
-  void init_integrity_file(unsigned file_index, std::uint64_t payload_bytes);
+  /// payload (zero-filled), then register its in-memory mirror. A recycled
+  /// file also gets its table zeroed; its stale payload stays.
+  void init_integrity_file(unsigned file_index, std::uint64_t payload_bytes,
+                           bool recycled);
   /// Persist one table entry (fault-injectable like any data write) and the
   /// in-memory mirror.
   void store_table_entry(unsigned file_index, std::uint64_t block,
@@ -366,6 +383,9 @@ class FileBackend {
   std::size_t bytes_per_vector_;
   FileBackendOptions options_;
   std::size_t block_bytes_ = 0;  ///< integrity-block granularity (resolved)
+  /// Removed on close, no fault schedule, one record per integrity block:
+  /// the files come from and go back to the idle-file pool.
+  bool recyclable_ = false;
   std::vector<int> fds_;
   std::vector<int> direct_fds_;  ///< empty when direct_io is off
   std::vector<std::string> paths_;

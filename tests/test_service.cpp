@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -345,6 +349,60 @@ TEST(Service, PrefetcherLifecycleSurvivesBatch) {
   for (const JobResult& result : service.drain()) {
     EXPECT_EQ(result.status, JobStatus::kDone);
     EXPECT_EQ(result.log_likelihood, reference);
+  }
+}
+
+TEST(Service, RecycledVectorFilesKeepResultsAndStayBounded) {
+  // Each ooc job's Session takes a vector file a finished job left idle
+  // (docs/storage-layer.md "File lifecycle"): results stay bit-identical to
+  // in RAM, and the directory never holds more files than jobs ran at once.
+  constexpr int kJobs = 20;
+  std::vector<double> reference;
+  for (int j = 0; j < kJobs; ++j)
+    reference.push_back(
+        sequential_log_likelihood(make_job(200 + j, Backend::kInRam)));
+
+  const char* outer = std::getenv("TMPDIR");
+  const std::string saved = outer != nullptr ? outer : "";
+  std::string pattern = (outer != nullptr && *outer != '\0') ? outer : "/tmp";
+  pattern += "/service_XXXXXX";
+  std::vector<char> buffer(pattern.begin(), pattern.end());
+  buffer.push_back('\0');
+  ASSERT_NE(::mkdtemp(buffer.data()), nullptr);
+  const std::string dir = buffer.data();
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  std::vector<JobResult> results;
+  {
+    ServiceOptions options;
+    options.workers = 2;
+    Service service(options);
+    for (int j = 0; j < kJobs; ++j)
+      service.submit(make_job(200 + j, Backend::kOutOfCore, 0.25));
+    results = service.drain();
+  }
+  if (outer != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+
+  std::vector<std::string> files;
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(handle)) {
+      const std::string name = entry->d_name;
+      if (name != "." && name != "..") files.push_back(dir + "/" + name);
+    }
+    ::closedir(handle);
+  }
+  EXPECT_LE(files.size(), 2u);
+  EXPECT_GE(files.size(), 1u);  // the idle files are recycled, not unlinked
+  for (const std::string& file : files) ::unlink(file.c_str());
+  ::rmdir(dir.c_str());
+
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kJobs));
+  for (int j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(results[j].status, JobStatus::kDone) << results[j].error;
+    EXPECT_EQ(results[j].log_likelihood, reference[j]) << "job " << j;
   }
 }
 
