@@ -32,8 +32,9 @@ struct KeyHasher {
     absorb_u64(std::bit_cast<std::uint64_t>(value));
   }
   void absorb_bytes(const void* data, std::size_t bytes) {
-    hi = checksum64(hi, data, bytes);
-    lo = checksum64(mix64(lo), data, bytes);
+    const Checksum64Pair pair = checksum64_pair(hi, mix64(lo), data, bytes);
+    hi = pair.a;
+    lo = pair.b;
   }
   void absorb_string(const std::string& text) {
     absorb_u64(text.size());
@@ -117,7 +118,8 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
 std::optional<double> ResultCache::lookup(const CacheKey& key) {
   Shard& shard = shard_for(key);
   MutexLock lock(shard.mutex);
-  ++shard.stats.lookups;
+  // A lookup is counted when it resolves, together with its hit or miss,
+  // so a stats() snapshot taken while a waiter is blocked still balances.
   bool waited = false;
   for (;;) {
     auto it = shard.entries.find(key);
@@ -125,10 +127,12 @@ std::optional<double> ResultCache::lookup(const CacheKey& key) {
       // Leader: install the in-flight placeholder (pinned — not in the
       // LRU list, so eviction cannot drop it before publish/abandon).
       shard.entries.emplace(key, Entry{});
+      ++shard.stats.lookups;
       ++shard.stats.misses;
       return std::nullopt;
     }
     if (it->second.ready) {
+      ++shard.stats.lookups;
       ++shard.stats.hits;
       if (waited) ++shard.stats.coalesced;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
@@ -138,6 +142,17 @@ std::optional<double> ResultCache::lookup(const CacheKey& key) {
     waited = true;
     shard.resolved.wait(lock);
   }
+}
+
+std::optional<double> ResultCache::lookup_ready(const CacheKey& key) {
+  Shard& shard = shard_for(key);
+  MutexLock lock(shard.mutex);
+  const auto it = shard.entries.find(key);
+  if (it == shard.entries.end() || !it->second.ready) return std::nullopt;
+  ++shard.stats.lookups;
+  ++shard.stats.hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  return it->second.value;
 }
 
 void ResultCache::publish(const CacheKey& key, double value) {

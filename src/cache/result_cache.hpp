@@ -56,7 +56,9 @@ struct CacheKey {
 /// Monotonic cache counters. All identities are checked, not assumed:
 /// stats() runs check_identities() on the merged snapshot on every call.
 struct CacheStats {
-  std::uint64_t lookups = 0;    ///< lookup() calls
+  /// lookup() calls, plus lookup_ready() calls that found a ready entry
+  /// (the hits Service::submit answers without queueing the job)
+  std::uint64_t lookups = 0;
   std::uint64_t hits = 0;       ///< lookups resolved from a ready entry
   std::uint64_t misses = 0;     ///< lookups that made the caller the leader
   std::uint64_t coalesced = 0;  ///< hits that waited on an in-flight leader
@@ -100,6 +102,12 @@ class ResultCache {
   /// return it as a coalesced hit, waiters on an abandoned key re-enter
   /// the miss path (one of them becomes the new leader).
   std::optional<double> lookup(const CacheKey& key);
+
+  /// Non-blocking probe for a ready entry. A ready entry counts one lookup
+  /// and one hit, refreshes its LRU position and returns its value. A
+  /// missing or in-flight key returns nullopt and counts nothing: the
+  /// caller then goes through lookup() as usual, which counts it once.
+  std::optional<double> lookup_ready(const CacheKey& key);
 
   /// Leader success: make the in-flight entry ready with `value`, wake
   /// waiters, apply LRU eviction.

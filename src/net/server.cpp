@@ -435,25 +435,20 @@ void Server::handle_submit(std::uint64_t conn_id, Connection& conn,
     entry.budget_bytes = msg.budget_bytes;
     entry.threads = msg.threads;
 
-    Alignment alignment = load_entry_alignment(entry);
+    const BoundAlignment& bound = bind_alignment(entry);
     Tree tree = [&] {
       if (msg.tree_kind == WireTreeKind::kPhylo2Vec) {
-        std::vector<std::string> names;
-        names.reserve(alignment.num_taxa());
-        for (std::size_t i = 0; i < alignment.num_taxa(); ++i)
-          names.push_back(alignment.name(i));
-        std::sort(names.begin(), names.end());
-        PLFOC_REQUIRE(phylo2vec_taxa_digest(names) == msg.taxa_digest,
+        PLFOC_REQUIRE(bound.taxa_digest == msg.taxa_digest,
                       "taxa digest mismatch: the tree was encoded against "
                       "a different taxon set than the alignment");
-        Phylo2Vec encoding{std::move(names), msg.tree_v, msg.tree_lengths};
+        Phylo2Vec encoding{bound.sorted_taxa, msg.tree_v, msg.tree_lengths};
         phylo2vec_validate(encoding);
         return phylo2vec_decode(encoding);
       }
       Rng rng(msg.seed);
-      return stepwise_addition_tree(alignment, rng);
+      return stepwise_addition_tree(bound.alignment, rng);
     }();
-    JobSpec spec = make_job_spec(entry, std::move(alignment), std::move(tree));
+    JobSpec spec = make_job_spec(entry, bound.alignment, std::move(tree));
     spec.tenant = msg.tenant;
     // v2 deadline (ms on the wire; 0 = none). Armed by the service at
     // accept time, so the clock starts here — queue time counts.
@@ -479,6 +474,36 @@ void Server::handle_submit(std::uint64_t conn_id, Connection& conn,
                                                   : WireErrorCode::kBadRequest,
                                          strip_line_tag(error.what())}));
   }
+}
+
+const Server::BoundAlignment& Server::bind_alignment(
+    const JobFileEntry& entry) {
+  std::string bytes = read_entry_alignment_bytes(entry);
+  const auto it = std::find_if(
+      alignments_.begin(), alignments_.end(), [&](const BoundAlignment& b) {
+        return b.path == entry.msa_path && b.format == entry.format &&
+               b.data_type == entry.data_type;
+      });
+  if (it != alignments_.end()) {
+    if (it->bytes == bytes) {
+      alignments_.splice(alignments_.begin(), alignments_, it);
+      return alignments_.front();
+    }
+    alignments_.erase(it);  // the file changed since it was bound
+  }
+  BoundAlignment bound;
+  bound.alignment = parse_entry_alignment(entry, bytes);
+  for (std::size_t i = 0; i < bound.alignment.num_taxa(); ++i)
+    bound.sorted_taxa.push_back(bound.alignment.name(i));
+  std::sort(bound.sorted_taxa.begin(), bound.sorted_taxa.end());
+  bound.taxa_digest = phylo2vec_taxa_digest(bound.sorted_taxa);
+  bound.path = entry.msa_path;
+  bound.format = entry.format;
+  bound.data_type = entry.data_type;
+  bound.bytes = std::move(bytes);
+  alignments_.push_front(std::move(bound));
+  if (alignments_.size() > kAlignmentMemoFiles) alignments_.pop_back();
+  return alignments_.front();
 }
 
 void Server::enqueue_frame(Connection& conn, std::vector<std::uint8_t> bytes) {

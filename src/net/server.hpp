@@ -7,7 +7,11 @@
 // idle clock. Submits are bound to a JobSpec on the event thread (alignment
 // loaded from the server-side path, Phylo2Vec trees digest-verified and
 // decoded) and handed to the embedded Service, whose FairJobQueue /
-// ResultCache / Scheduler stack does the real work. Results come back via
+// ResultCache / Scheduler stack does the real work. The event thread keeps
+// a small memo of bound alignment files: every submit re-reads its file,
+// and only byte-identical contents reuse the parsed alignment and taxa
+// digest, so an edited file is rebound, never served stale. A ready cache
+// hit is answered inside Service::try_submit. Other results come back via
 // ServiceOptions::on_complete — worker threads only append to a pending
 // list under the server mutex and poke the wake socket; all connection
 // state stays single-threaded on the event thread.
@@ -22,6 +26,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,6 +39,8 @@
 #include "util/mutex.hpp"
 
 namespace plfoc {
+
+struct JobFileEntry;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -106,12 +113,30 @@ class Server {
     double last_activity = 0.0;  ///< seconds on the event loop's clock
   };
 
+  /// One alignment file as handle_submit binds it, keyed by (path, format,
+  /// data type) and valid for exactly these bytes.
+  struct BoundAlignment {
+    std::string path;
+    std::string format;
+    std::string data_type;
+    std::string bytes;
+    Alignment alignment;
+    std::vector<std::string> sorted_taxa;
+    std::uint64_t taxa_digest = 0;  ///< phylo2vec_taxa_digest(sorted_taxa)
+  };
+  /// Files the memo holds; the least recently used is dropped beyond this.
+  static constexpr std::size_t kAlignmentMemoFiles = 8;
+
   void event_loop();
   /// Process every complete frame buffered on the connection. Returns
   /// false when the connection must be dropped (protocol error).
   bool handle_frames(std::uint64_t conn_id, Connection& conn);
   void handle_submit(std::uint64_t conn_id, Connection& conn,
                      const Frame& frame);
+  /// Read the entry's alignment file and return its binding: the memo's
+  /// when the bytes are unchanged, a fresh parse otherwise. Throws like
+  /// load_entry_alignment.
+  const BoundAlignment& bind_alignment(const JobFileEntry& entry);
   void enqueue_frame(Connection& conn, std::vector<std::uint8_t> bytes);
   /// Move externally produced results (worker threads) into outboxes.
   void route_pending_results();
@@ -137,6 +162,8 @@ class Server {
   /// job id -> (connection id, client request id); routes for results.
   std::map<JobId, std::pair<std::uint64_t, std::uint64_t>> routes_;
   double clock_ = 0.0;  ///< monotonic seconds, refreshed per loop pass
+  /// Bound alignment files, most recently used first.
+  std::list<BoundAlignment> alignments_;
 
   mutable Mutex mutex_;
   bool running_ PLFOC_GUARDED_BY(mutex_) = false;

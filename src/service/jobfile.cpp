@@ -84,6 +84,13 @@ void apply_key(JobFileEntry* entry, const std::string& key,
   }
 }
 
+/// The entry format as error messages spell it; throws on an unknown one.
+const char* format_label(const std::string& format) {
+  if (format == "fasta") return "FASTA";
+  if (format == "phylip") return "PHYLIP";
+  throw Error("unknown format '" + format + "' (fasta | phylip)");
+}
+
 }  // namespace
 
 namespace {
@@ -193,17 +200,36 @@ std::vector<JobFileEntry> read_job_file(const std::string& path) {
   return parse_job_lines(in);
 }
 
-Alignment load_entry_alignment(const JobFileEntry& entry) {
+std::string read_entry_alignment_bytes(const JobFileEntry& entry) {
   try {
-    const DataType data_type = parse_data_type_name(entry.data_type);
-    if (entry.format == "fasta")
-      return read_fasta_file(entry.msa_path, data_type);
-    if (entry.format == "phylip")
-      return read_phylip_file(entry.msa_path, data_type);
-    throw Error("unknown format '" + entry.format + "' (fasta | phylip)");
+    parse_data_type_name(entry.data_type);
+    const char* label = format_label(entry.format);
+    std::ifstream in(entry.msa_path, std::ios::binary);
+    PLFOC_REQUIRE(in.good(), std::string("cannot open ") + label +
+                                 " file '" + entry.msa_path + "'");
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return std::move(bytes).str();
   } catch (const Error& error) {
     throw line_error(entry.line, error.what());
   }
+}
+
+Alignment parse_entry_alignment(const JobFileEntry& entry,
+                                const std::string& bytes) {
+  try {
+    const DataType data_type = parse_data_type_name(entry.data_type);
+    format_label(entry.format);
+    std::istringstream in(bytes);
+    return entry.format == "fasta" ? read_fasta(in, data_type)
+                                   : read_phylip(in, data_type);
+  } catch (const Error& error) {
+    throw line_error(entry.line, error.what());
+  }
+}
+
+Alignment load_entry_alignment(const JobFileEntry& entry) {
+  return parse_entry_alignment(entry, read_entry_alignment_bytes(entry));
 }
 
 JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,

@@ -87,10 +87,18 @@ std::vector<JobFileEntry> read_job_file(const std::string& path);
 /// plfoc::Error (file, parse, or model problems) tagged with the line.
 JobSpec load_job(const JobFileEntry& entry);
 
-/// Load just the entry's alignment (format / data-type applied). The
-/// serving tier uses this to bind a wire-decoded Phylo2Vec tree against
-/// the alignment's taxa before assembling the spec.
+/// Load just the entry's alignment (format / data-type applied):
+/// parse_entry_alignment over read_entry_alignment_bytes.
 Alignment load_entry_alignment(const JobFileEntry& entry);
+
+/// The entry's alignment file, read whole. Throws plfoc::Error tagged with
+/// the line for an unknown format or data type, or an unreadable file. The
+/// serving tier compares these bytes against its memo of bound alignments
+/// (net/server.hpp), so an edited file is never served stale.
+std::string read_entry_alignment_bytes(const JobFileEntry& entry);
+/// Parse alignment bytes in the entry's format and data type.
+Alignment parse_entry_alignment(const JobFileEntry& entry,
+                                const std::string& bytes);
 
 /// Assemble the submittable spec from already-loaded pieces. Applies the
 /// entry's model/backend/session keys exactly like load_job; throws

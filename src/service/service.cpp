@@ -66,11 +66,16 @@ Service::~Service() {
   if (watchdog_.joinable()) watchdog_.join();
 }
 
-JobId Service::register_job(JobSpec& spec) {
-  MutexLock lock(mutex_);
+JobId Service::allocate_id(JobSpec& spec) {
   PLFOC_REQUIRE(!queue_.closed(), "service intake is closed (drained)");
   const JobId id = next_id_++;
   if (spec.name.empty()) spec.name = "job-" + std::to_string(id);
+  return id;
+}
+
+JobId Service::register_job(JobSpec& spec) {
+  MutexLock lock(mutex_);
+  const JobId id = allocate_id(spec);
   // Every accepted job gets a live token (a caller-supplied one is kept):
   // it is what cancel() trips for running jobs and what the watchdog
   // monitors. The relative deadline is armed here, at accept time, so time
@@ -89,11 +94,59 @@ JobId Service::register_job(JobSpec& spec) {
   return id;
 }
 
+std::optional<CacheKey> Service::cache_key_for(JobSpec& spec) const {
+  if (cache_ == nullptr) return std::nullopt;
+  // Encoding canonicalizes the tree, so equivalent rotations share a key
+  // AND evaluate bit-identically on a miss.
+  try {
+    const Phylo2Vec encoded = phylo2vec_encode(spec.tree);
+    const CacheKey key =
+        plf_cache_key(spec.alignment, encoded, spec.model, spec.session);
+    spec.tree = phylo2vec_decode(encoded);
+    return key;
+  } catch (const Error&) {
+    return std::nullopt;  // uncacheable spec: evaluate as-is
+  }
+}
+
+std::optional<JobId> Service::answer_ready_hit(
+    JobSpec& spec, const std::optional<CacheKey>& key) {
+  // A closed intake refuses the job in register_job and a tripped token
+  // drops it at pop, exactly as for a miss.
+  if (!key.has_value() || queue_.closed() ||
+      spec.session.cancel.cancelled_or_expired())
+    return std::nullopt;
+  Timer probe_timer;
+  const std::optional<double> hit = cache_->lookup_ready(*key);
+  if (!hit.has_value()) return std::nullopt;
+  JobResult result;
+  result.tenant = spec.tenant;
+  result.status = JobStatus::kDone;
+  result.log_likelihood = *hit;
+  result.cache_hit = true;
+  result.admitted_backend = spec.session.backend;
+  {
+    // Accepted and finished in one critical section, so a concurrent
+    // drain() sees the job either done or never accepted.
+    MutexLock lock(mutex_);
+    result.id = allocate_id(spec);
+    result.name = spec.name;
+    result.wall_seconds = probe_timer.seconds();
+    results_.emplace(result.id, result);
+  }
+  const JobId id = result.id;
+  registry_.record_submitted(spec.tenant);
+  finish_job(id, std::move(result), /*popped=*/false);
+  return id;
+}
+
 JobId Service::submit(JobSpec spec) {
+  const std::optional<CacheKey> key = cache_key_for(spec);
+  if (const std::optional<JobId> hit = answer_ready_hit(spec, key)) return *hit;
   const std::string tenant = spec.tenant;
   const JobId id = register_job(spec);
-  const PushResult pushed =
-      queue_.push({id, std::move(spec), std::chrono::steady_clock::now()});
+  const PushResult pushed = queue_.push(
+      {id, std::move(spec), std::chrono::steady_clock::now(), key});
   if (pushed == PushResult::kClosed) {
     // drain() raced us between the check and the push: the job never ran.
     {
@@ -110,10 +163,12 @@ JobId Service::submit(JobSpec spec) {
 }
 
 std::optional<JobId> Service::try_submit(JobSpec spec) {
+  const std::optional<CacheKey> key = cache_key_for(spec);
+  if (const std::optional<JobId> hit = answer_ready_hit(spec, key)) return hit;
   const std::string tenant = spec.tenant;
   const JobId id = register_job(spec);
-  const PushResult pushed =
-      queue_.try_push({id, std::move(spec), std::chrono::steady_clock::now()});
+  const PushResult pushed = queue_.try_push(
+      {id, std::move(spec), std::chrono::steady_clock::now(), key});
   if (pushed == PushResult::kAccepted) {
     registry_.record_submitted(tenant);
     return id;
@@ -401,22 +456,10 @@ void Service::worker_loop(std::size_t /*worker*/) {
       continue;
     }
 
-    // Result-cache probe. Encoding canonicalizes the tree, so equivalent
-    // rotations share a key AND evaluate bit-identically on a miss; the
-    // lookup is single-flight — a concurrent identical job blocks here and
-    // coalesces onto the leader's result instead of re-evaluating.
-    std::optional<CacheKey> cache_key;
-    if (cache_ != nullptr) {
-      try {
-        const Phylo2Vec encoded = phylo2vec_encode(pending->spec.tree);
-        cache_key = plf_cache_key(pending->spec.alignment, encoded,
-                                  pending->spec.model,
-                                  pending->spec.session);
-        pending->spec.tree = phylo2vec_decode(encoded);
-      } catch (const Error&) {
-        cache_key.reset();  // uncacheable spec: evaluate as-is
-      }
-    }
+    // Result-cache probe on the key submit computed. The lookup is
+    // single-flight: a concurrent identical job blocks here and coalesces
+    // onto the leader's result instead of re-evaluating.
+    const std::optional<CacheKey>& cache_key = pending->cache_key;
     if (cache_key.has_value()) {
       Timer probe_timer;
       if (const std::optional<double> hit = cache_->lookup(*cache_key)) {

@@ -4,11 +4,15 @@
 // budget; this subsystem serves *many* evaluations at once under the same
 // kind of budget. Architecture (see docs/service.md, docs/serving.md):
 //
-//   submit() -> FairJobQueue (bounded, backpressure, cancellation,
+//   submit() -> ResultCache probe (optional; the tree is canonicalized
+//              via Phylo2Vec and keyed once, on the submitting thread, so
+//              topologically equivalent queries dedupe; a ready hit is
+//              answered here, with no queue slot and no worker —
+//              cache/result_cache.hpp)
+//           -> FairJobQueue (bounded, backpressure, cancellation,
 //              weighted-fair dequeue across tenants — service/tenant.hpp)
-//           -> ResultCache probe (optional; topologically equivalent
-//              queries dedupe via Phylo2Vec canonicalization, concurrent
-//              identical queries single-flight — cache/result_cache.hpp)
+//           -> single-flight ResultCache lookup on the stored key
+//              (concurrent identical queries coalesce onto one leader)
 //           -> Scheduler (admission against the global slot-memory budget
 //              plus the tenant's RAM share, degrading jobs instead of
 //              rejecting them)
@@ -107,7 +111,8 @@ struct ServiceOptions {
   double shed_queue_seconds = 0;
   /// Invoked outside all service locks after a job reaches a terminal
   /// status through the worker path: kDone, kFailed, and the typed drops
-  /// kDeadlineExceeded / kOverloaded / mid-evaluation kCancelled. Not
+  /// kDeadlineExceeded / kOverloaded / mid-evaluation kCancelled. A cache
+  /// hit answered at submit fires it on the submitting thread. Not
   /// fired for queue-removal cancellations (Service::cancel of a
   /// still-queued job, drain flush) — those resolve synchronously at the
   /// call site. The serving tier uses this to push responses without
@@ -150,9 +155,11 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Enqueue a job; blocks while the queue is full (backpressure). Throws
-  /// plfoc::Error after drain() has closed intake.
+  /// plfoc::Error after drain() has closed intake. With the cache on, a job
+  /// whose key has a ready entry is finished before this returns.
   JobId submit(JobSpec spec);
-  /// Non-blocking submit; nullopt when the queue is full.
+  /// Non-blocking submit; nullopt when the queue is full (a ready cache hit
+  /// is answered even then).
   std::optional<JobId> try_submit(JobSpec spec);
 
   /// Cancel a job. Still queued: it is removed, never runs, and its result
@@ -202,7 +209,20 @@ class Service {
   void watchdog_loop();
   JobResult run_job(JobId id, JobSpec spec, const Admission& admission,
                     unsigned attempt);
+  /// Check intake, take the next id and default the job's name.
+  JobId allocate_id(JobSpec& spec) PLFOC_REQUIRES(mutex_);
   JobId register_job(JobSpec& spec) PLFOC_EXCLUDES(mutex_);
+  /// With the cache on, canonicalize `spec.tree` through Phylo2Vec and
+  /// return the job's cache key; nullopt when the cache is off or the spec
+  /// is uncacheable (it is then evaluated as submitted).
+  std::optional<CacheKey> cache_key_for(JobSpec& spec) const;
+  /// Answer a job from a ready cache entry on the submitting thread: it is
+  /// accepted and finished at once (queue_seconds 0, on_complete called
+  /// here) and takes no queue slot. nullopt when there is no ready entry;
+  /// the caller then queues the job with its key.
+  std::optional<JobId> answer_ready_hit(JobSpec& spec,
+                                        const std::optional<CacheKey>& key)
+      PLFOC_EXCLUDES(mutex_);
   /// Record a terminal worker-path result and fire the notifications +
   /// on_complete. Consumes `result`. `popped` says whether the job was
   /// dequeued through pop() and so holds an in-flight slot to release via

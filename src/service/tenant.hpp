@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/result_cache.hpp"
 #include "service/job.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -99,6 +100,10 @@ class FairJobQueue {
     JobId id = 0;
     JobSpec spec;
     std::chrono::steady_clock::time_point enqueued;
+    /// The job's result-cache key, computed at submit; set only when the
+    /// service caches and the spec is cacheable. `spec.tree` is then
+    /// already the canonical decode the key was taken from.
+    std::optional<CacheKey> cache_key;
   };
 
   /// Everything drain(kFlushQueued) pulled out of the queue.

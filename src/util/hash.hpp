@@ -46,4 +46,38 @@ inline std::uint64_t checksum64(std::uint64_t seed, const void* data,
   return h;
 }
 
+/// Two checksum64 digests of the same bytes under two seeds, in one pass:
+/// the chains are independent, so interleaving them roughly doubles the
+/// throughput of two calls. Bit-identical to
+/// {checksum64(seed_a, ...), checksum64(seed_b, ...)}.
+struct Checksum64Pair {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
+inline Checksum64Pair checksum64_pair(std::uint64_t seed_a,
+                                      std::uint64_t seed_b, const void* data,
+                                      std::size_t bytes) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  const std::uint64_t salt =
+      0x9e3779b97f4a7c15ull + (static_cast<std::uint64_t>(bytes) << 1);
+  std::uint64_t a = seed_a ^ salt;
+  std::uint64_t b = seed_b ^ salt;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    a = mix64(a ^ word);
+    b = mix64(b ^ word);
+  }
+  if (i < bytes) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, bytes - i);
+    word ^= static_cast<std::uint64_t>(bytes);
+    a = mix64(a ^ word);
+    b = mix64(b ^ word);
+  }
+  return {a, b};
+}
+
 }  // namespace plfoc

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "tree/phylo2vec.hpp"
 #include "tree/random_tree.hpp"
 #include "util/checks.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace plfoc {
@@ -247,6 +249,28 @@ TEST(CacheKey, ValueAffectingInputsChangeTheKeyTransparentOnesDoNot) {
 
 CacheKey key_of(std::uint64_t i) { return CacheKey{i * 7919 + 1, i}; }
 
+TEST(CacheKey, FusedDigestPairEqualsTwoChecksums) {
+  std::vector<unsigned char> bytes(128000);
+  Rng rng(31);
+  for (unsigned char& byte : bytes)
+    byte = static_cast<unsigned char>(rng.uniform() * 256.0);
+  const std::uint64_t seed_a = 0x504c464f43434b31ull;
+  const std::uint64_t seed_b = mix64(0x504c464f43434b32ull);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 70; ++n) lengths.push_back(n);
+  lengths.push_back(bytes.size());
+  for (const std::size_t n : lengths) {
+    // Unaligned starts too: the fused loop reads words with memcpy.
+    for (const std::size_t offset : {0u, 3u}) {
+      if (offset + n > bytes.size()) continue;
+      const unsigned char* data = bytes.data() + offset;
+      const Checksum64Pair pair = checksum64_pair(seed_a, seed_b, data, n);
+      EXPECT_EQ(pair.a, checksum64(seed_a, data, n)) << n << "+" << offset;
+      EXPECT_EQ(pair.b, checksum64(seed_b, data, n)) << n << "+" << offset;
+    }
+  }
+}
+
 TEST(ResultCache, MissLeaderPublishHit) {
   ResultCache cache(8, 2);
   const CacheKey key = key_of(1);
@@ -275,6 +299,38 @@ TEST(ResultCache, AbandonedKeyIsRetriable) {
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.abandoned, 1u);
   EXPECT_EQ(stats.misses, 2u);
+}
+
+TEST(ResultCache, LookupReadyCountsOnlyReadyEntries) {
+  ResultCache cache(2, 1);  // one shard so the LRU order is global
+  const CacheKey key = key_of(3);
+  // Missing and in-flight keys: nullopt, nothing counted, no placeholder.
+  EXPECT_EQ(cache.lookup_ready(key), std::nullopt);
+  EXPECT_EQ(cache.stats().lookups, 0u);
+  ASSERT_EQ(cache.lookup(key), std::nullopt);  // leader
+  EXPECT_EQ(cache.lookup_ready(key), std::nullopt);
+  EXPECT_EQ(cache.stats().lookups, 1u);
+  cache.publish(key, -7.25);
+
+  // Ready: one lookup and one hit.
+  EXPECT_EQ(cache.lookup_ready(key), -7.25);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.coalesced, 0u);
+
+  // The probe refreshes LRU: key_of(4) is now the coldest and is evicted.
+  ASSERT_EQ(cache.lookup(key_of(4)), std::nullopt);
+  cache.publish(key_of(4), 4.0);
+  EXPECT_EQ(cache.lookup_ready(key), -7.25);
+  ASSERT_EQ(cache.lookup(key_of(5)), std::nullopt);
+  cache.publish(key_of(5), 5.0);
+  EXPECT_EQ(cache.lookup_ready(key), -7.25);
+  EXPECT_EQ(cache.lookup_ready(key_of(4)), std::nullopt);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
 }
 
 TEST(ResultCache, LruEvictsTheColdestReadyEntry) {
@@ -335,6 +391,23 @@ TEST(ResultCache, SingleFlightCoalescesConcurrentIdenticalLookups) {
   // raced in after publish (plain hit); TSan runs shift the split, the
   // identities pin the total.
   EXPECT_LE(stats.coalesced, stats.hits);
+}
+
+TEST(ResultCache, StatsBalanceWhileAWaiterIsBlocked) {
+  ResultCache cache(8, 1);
+  const CacheKey key = key_of(6);
+  ASSERT_EQ(cache.lookup(key), std::nullopt);  // leader
+  std::thread waiter([&] { EXPECT_EQ(cache.lookup(key), 2.5); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // stats() checks the identities; a waiter counted before it resolves
+  // would unbalance hits + misses == lookups here.
+  EXPECT_EQ(cache.stats().lookups, 1u);
+  cache.publish(key, 2.5);
+  waiter.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(ResultCache, AbandonPromotesAWaiterToLeader) {

@@ -583,6 +583,80 @@ TEST_F(LoopbackFixture, EquivalentRotationsHitTheSameCacheEntry) {
   server.stop();
 }
 
+/// One jobfile entry through a cache-enabled in-process Service.
+std::uint64_t in_process_bits(const JobFileEntry& entry) {
+  ServiceOptions options;
+  options.result_cache_entries = 8;
+  Service service(options);
+  const JobResult result = service.wait(service.submit(load_job(entry)));
+  PLFOC_REQUIRE(result.status == JobStatus::kDone,
+                "reference job failed: " + result.error);
+  return std::bit_cast<std::uint64_t>(result.log_likelihood);
+}
+
+TEST_F(LoopbackFixture, EditedAlignmentIsReboundNotServedStale) {
+  const std::string path = tmp_path("edited.fasta");
+  write_fasta_file(path, data_->alignment);
+  Server server(loopback_options());
+  server.start();
+  BlockingClient client("127.0.0.1", server.port());
+
+  JobFileEntry entry;
+  entry.msa_path = path;
+  entry.tree_path = tree_path_;
+  entry.model = "gtr";
+  entry.backend = "inram";
+  client.submit(submit_request_from_entry(entry, "t", 1));
+  const ClientResponse before = client.wait(1);
+  ASSERT_TRUE(before.result.has_value());
+  EXPECT_EQ(before.result->logl_bits, in_process_bits(entry));
+
+  // Rewrite the file in place: same length, one base of one row changed.
+  Alignment edited(DataType::kDna, data_->alignment.num_sites());
+  for (std::size_t t = 0; t < data_->alignment.num_taxa(); ++t) {
+    std::string row = data_->alignment.text(t);
+    if (t == 0) row[0] = row[0] == 'A' ? 'C' : 'A';
+    edited.add_sequence(data_->alignment.name(t), row);
+  }
+  write_fasta_file(path, edited);
+
+  client.submit(submit_request_from_entry(entry, "t", 2));
+  const ClientResponse after = client.wait(2);
+  ASSERT_TRUE(after.result.has_value());
+  EXPECT_EQ(after.result->status, static_cast<std::uint8_t>(JobStatus::kDone));
+  EXPECT_FALSE(after.result->flags & kResultCacheHit)
+      << "the edited file was answered from the old file's entry";
+  EXPECT_EQ(after.result->logl_bits, in_process_bits(entry));
+  EXPECT_NE(after.result->logl_bits, before.result->logl_bits);
+  server.stop();
+  std::remove(path.c_str());
+}
+
+TEST_F(LoopbackFixture, DeletedAlignmentGetsTheSameBadRequest) {
+  const std::string path = tmp_path("deleted.fasta");
+  write_fasta_file(path, data_->alignment);
+  Server server(loopback_options());
+  server.start();
+  BlockingClient client("127.0.0.1", server.port());
+
+  JobFileEntry entry;
+  entry.msa_path = path;
+  entry.tree_path = tree_path_;
+  entry.model = "gtr";
+  entry.backend = "inram";
+  client.submit(submit_request_from_entry(entry, "t", 1));
+  ASSERT_TRUE(client.wait(1).result.has_value());
+
+  // Bound once, then deleted: the memo must not answer for a missing file.
+  std::remove(path.c_str());
+  client.submit(submit_request_from_entry(entry, "t", 2));
+  const ClientResponse gone = client.wait(2);
+  ASSERT_TRUE(gone.error.has_value());
+  EXPECT_EQ(gone.error->code, WireErrorCode::kBadRequest);
+  EXPECT_EQ(gone.error->message, "cannot open FASTA file '" + path + "'");
+  server.stop();
+}
+
 TEST_F(LoopbackFixture, BadSubmissionsGetTypedErrorsNotCrashes) {
   Server server(loopback_options(0));
   server.start();

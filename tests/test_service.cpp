@@ -14,9 +14,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "service/jobfile.hpp"
 #include "service/scheduler.hpp"
@@ -71,7 +75,8 @@ FairJobQueue::Pending pending(JobId id) {
   return {id,
           JobSpec{"", std::move(alignment), std::move(tree), jc69(),
                   SessionOptions{}, ""},
-          {}};
+          {},
+          std::nullopt};
 }
 
 double sequential_log_likelihood(JobSpec spec) {
@@ -748,6 +753,187 @@ TEST(Service, TenantStatsCountCacheHitsAcrossTenants) {
   EXPECT_EQ(cache.lookups, 2u);
   EXPECT_EQ(cache.hits + cache.misses, cache.lookups);
   service.drain();
+}
+
+/// Every on_complete call, with the thread it ran on.
+struct CompletionLog {
+  std::mutex mutex;
+  std::vector<std::pair<JobResult, std::thread::id>> calls;
+
+  std::function<void(const JobResult&)> hook() {
+    return [this](const JobResult& result) {
+      std::lock_guard<std::mutex> lock(mutex);
+      calls.emplace_back(result, std::this_thread::get_id());
+    };
+  }
+  std::optional<std::pair<JobResult, std::thread::id>> find(JobId id) {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& call : calls)
+      if (call.first.id == id) return call;
+    return std::nullopt;
+  }
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return calls.size();
+  }
+};
+
+TEST(Service, ReadyHitFinishesBeforeTrySubmitReturns) {
+  CompletionLog log;
+  ServiceOptions options;
+  options.workers = 1;
+  options.result_cache_entries = 16;
+  options.on_complete = log.hook();
+  Service service(options);
+  const JobResult first = service.wait(service.submit(make_job(5, Backend::kInRam)));
+  ASSERT_EQ(first.status, JobStatus::kDone);
+
+  const std::optional<JobId> id =
+      service.try_submit(make_job(5, Backend::kInRam));
+  ASSERT_TRUE(id.has_value());
+  // Finished inside try_submit, on this thread, without queueing.
+  const auto call = log.find(*id);
+  ASSERT_TRUE(call.has_value());
+  EXPECT_EQ(call->second, std::this_thread::get_id());
+  const JobResult& hit = call->first;
+  EXPECT_EQ(hit.status, JobStatus::kDone);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.queue_seconds, 0.0);
+  EXPECT_EQ(hit.log_likelihood, first.log_likelihood);
+  EXPECT_EQ(hit.name, "job-" + std::to_string(*id));
+  const JobResult waited = service.wait(*id);
+  EXPECT_EQ(waited.status, JobStatus::kDone);
+  EXPECT_TRUE(waited.cache_hit);
+  const CacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.lookups, 2u);
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(service.drain().size(), 2u);
+}
+
+TEST(Service, ReadyHitIsAnsweredWhileTheQueueIsFull) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  options.result_cache_entries = 16;
+  Service service(options);
+  const JobResult first = service.wait(service.submit(make_job(6, Backend::kInRam)));
+  ASSERT_EQ(first.status, JobStatus::kDone);
+
+  // Park the only worker inside a job, then fill the one queue slot.
+  JobSpec slow = make_slow_job(7);
+  CancelToken hold = CancelToken::make();
+  hold.set_hold_at(1);
+  slow.session.cancel = hold;
+  service.submit(std::move(slow));
+  hold.wait_until_held();
+  ASSERT_TRUE(service.try_submit(make_job(8, Backend::kInRam)).has_value());
+  EXPECT_FALSE(service.try_submit(make_job(9, Backend::kInRam)).has_value());
+
+  const std::optional<JobId> hit =
+      service.try_submit(make_job(6, Backend::kInRam));
+  ASSERT_TRUE(hit.has_value()) << "a ready hit needs no queue slot";
+  const JobResult result = service.wait(*hit);
+  EXPECT_EQ(result.status, JobStatus::kDone);
+  EXPECT_TRUE(result.cache_hit);
+  EXPECT_EQ(result.log_likelihood, first.log_likelihood);
+  EXPECT_EQ(service.queued_jobs(), 1u);
+  hold.release_hold();
+  EXPECT_EQ(service.drain().size(), 4u);
+}
+
+TEST(Service, ReadyHitAfterDrainIsRefused) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.result_cache_entries = 16;
+  Service service(options);
+  ASSERT_EQ(service.wait(service.submit(make_job(10, Backend::kInRam))).status,
+            JobStatus::kDone);
+  ASSERT_EQ(service.drain().size(), 1u);
+  EXPECT_THROW(service.submit(make_job(10, Backend::kInRam)), Error);
+  EXPECT_THROW(service.try_submit(make_job(10, Backend::kInRam)), Error);
+  // Refused before the probe: no hit was counted.
+  EXPECT_EQ(service.cache_stats().hits, 0u);
+  EXPECT_EQ(service.drain().size(), 1u);
+}
+
+TEST(Service, KeyInFlightAtSubmitCoalescesAtTheWorker) {
+  ServiceOptions options;
+  options.workers = 2;
+  options.result_cache_entries = 16;
+  Service service(options);
+  // The leader misses at the worker and parks inside its evaluation.
+  JobSpec leader_spec = make_slow_job(12);
+  CancelToken hold = CancelToken::make();
+  hold.set_hold_at(1);
+  leader_spec.session.cancel = hold;
+  const JobId leader = service.submit(std::move(leader_spec));
+  hold.wait_until_held();
+
+  // Same key, in flight at submit: no ready entry, so the job is queued and
+  // the second worker pops it and blocks in lookup(). Give it ample time to
+  // get there before the leader publishes.
+  const JobId follower = service.submit(make_slow_job(12));
+  EXPECT_EQ(service.cache_stats().lookups, 1u);
+  while (service.queued_jobs() > 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  hold.release_hold();
+
+  const JobResult led = service.wait(leader);
+  const JobResult followed = service.wait(follower);
+  ASSERT_EQ(led.status, JobStatus::kDone);
+  ASSERT_EQ(followed.status, JobStatus::kDone);
+  EXPECT_FALSE(led.cache_hit);
+  EXPECT_TRUE(followed.cache_hit);
+  EXPECT_EQ(followed.log_likelihood, led.log_likelihood);
+  const CacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.lookups, 2u);
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.coalesced, 1u);
+  service.drain();
+}
+
+TEST(Service, StatsHoldAcrossHitsAtSubmitAndAtTheWorker) {
+  CompletionLog log;
+  ServiceOptions options;
+  options.workers = 2;
+  options.result_cache_entries = 16;
+  options.on_complete = log.hook();
+  Service service(options);
+  const char* tenants[] = {"a", "b"};
+  // Round 1: each spec twice back to back, so a duplicate is answered at
+  // the worker (plain or coalesced hit) or at submit, as timing falls.
+  // Round 2, after round 1 finished: every job is a ready hit at submit.
+  std::vector<JobId> ids;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    for (int copy = 0; copy < 2; ++copy)
+      ids.push_back(service.submit(tenant_job(seed, tenants[copy])));
+  for (const JobId id : ids) ASSERT_EQ(service.wait(id).status, JobStatus::kDone);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const JobId id = service.submit(tenant_job(seed, tenants[seed % 2]));
+    ids.push_back(id);
+    const auto call = log.find(id);
+    ASSERT_TRUE(call.has_value()) << "round 2 hit was not answered at submit";
+    EXPECT_EQ(call->first.queue_seconds, 0.0);
+  }
+  service.drain();
+
+  const CacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.lookups, ids.size());
+  EXPECT_EQ(cache.misses, 3u);
+  EXPECT_EQ(cache.hits, ids.size() - 3);
+  EXPECT_EQ(cache.inserts, 3u);
+  EXPECT_EQ(log.size(), ids.size());
+  std::uint64_t cache_hits = 0;
+  std::uint64_t completed = 0;
+  for (const auto& [tenant, stats] : service.tenant_stats()) {
+    EXPECT_EQ(stats.submitted, stats.completed) << tenant;
+    cache_hits += stats.cache_hits;
+    completed += stats.completed;
+  }
+  EXPECT_EQ(completed, ids.size());
+  EXPECT_EQ(cache_hits, cache.hits);
 }
 
 TEST(Service, TinyRamShareStillMakesProgress) {
