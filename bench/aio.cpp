@@ -1,7 +1,8 @@
 // Async-I/O engine sweep (docs/async-io.md): the Fig. 5 disk-bound traversal
 // workload re-run under --io-engine sync | threads | uring across a queue-
-// depth sweep, with a Prefetcher attached so the batched lookahead path is
-// what fills the queue.
+// depth sweep. A demand miss hands the engine one batch of at most two ops
+// (victim write-back and demand read), so depths above 2 leave the rows
+// unchanged.
 //
 // A large-RAM host page-caches the whole vector file, so an unadorned run
 // cannot show what overlapped submission buys on the paper's 2 GB machine.
@@ -22,19 +23,9 @@
 // JSON: one row per (engine, depth) with wall/device/projected seconds and
 // the io_batches / io_coalesced counters; written to the --json path (CI
 // uploads it as BENCH_aio.json) and echoed to stdout.
-//
-// Second wave (prefetch-aware LRU + write coalescing): a second, write-heavy
-// phase re-runs the sweep under the LRU policy, where every miss evicts a
-// dirty victim. Its rows report the eviction-write coalescing ratio
-// (io_write_coalesced / file_writes — ranged victim write-backs out of
-// prefetch_batch) and prefetch_wasted (lookahead installs evicted unread,
-// the signature of the pre-fix LRU lookahead collapse). The headline checks
-// that the deep-queue LRU hit rate beats the depth-1 run.
 #include "bench_common.hpp"
 
 #include <cstring>
-
-#include "ooc/prefetch.hpp"
 
 using namespace plfoc;
 using namespace plfoc::bench;
@@ -51,12 +42,11 @@ struct RunResult {
 };
 
 SessionOptions sweep_options(AioEngineKind engine, unsigned depth,
-                             std::uint64_t budget, std::uint64_t latency_ns,
-                             ReplacementPolicy policy) {
+                             std::uint64_t budget, std::uint64_t latency_ns) {
   SessionOptions options;
   options.backend = Backend::kOutOfCore;
   options.recompute_cherries = false;  // the paper's access stream
-  options.policy = policy;
+  options.policy = ReplacementPolicy::kTopological;
   // Full swap path: every miss pays victim write-back + demand read, the
   // pair the stores hand to the engine as one overlapped batch. Skipping
   // would reduce -f z traversals to almost pure writes and starve the sweep.
@@ -81,32 +71,22 @@ SessionOptions sweep_options(AioEngineKind engine, unsigned depth,
 
 RunResult run(const PlannedDataset& data, AioEngineKind engine,
               unsigned depth, std::uint64_t budget, int traversals,
-              std::uint64_t latency_ns, ReplacementPolicy policy) {
+              std::uint64_t latency_ns) {
   Session session(data.alignment, data.tree, benchmark_gtr(),
-                  sweep_options(engine, depth, budget, latency_ns, policy));
+                  sweep_options(engine, depth, budget, latency_ns));
   OutOfCoreStore* store = session.out_of_core();
 
   RunResult result;
   result.depth = depth;
-  {
-    // Lookahead tracks queue depth: the prefetch worker stages up to io_depth
-    // misses per batch, and running further ahead than that just evicts the
-    // traversal's working set out of the tiny fig5 cache.
-    Prefetcher prefetcher(*store, /*lookahead=*/depth);
-    session.engine().attach_prefetcher(&prefetcher);
-    // Warm-up traversal populates the file; the measured part starts cold in
-    // RAM but with every vector on disk, exactly the fig5 -f z regime.
-    session.engine().full_traversal_log_likelihood();
-    session.reset_stats();
-    store->file().reset_device_accounting();
-    Timer timer;
-    for (int i = 0; i < traversals; ++i)
-      result.loglik = session.engine().full_traversal_log_likelihood();
-    result.wall = timer.seconds();
-    prefetcher.drain();
-    session.engine().attach_prefetcher(nullptr);
-    prefetcher.stop();
-  }
+  // Warm-up traversal populates the file; the measured part starts cold in
+  // RAM but with every vector on disk, exactly the fig5 -f z regime.
+  session.engine().full_traversal_log_likelihood();
+  session.reset_stats();
+  store->file().reset_device_accounting();
+  Timer timer;
+  for (int i = 0; i < traversals; ++i)
+    result.loglik = session.engine().full_traversal_log_likelihood();
+  result.wall = timer.seconds();
   result.device = store->file().modeled_device_seconds();
   result.stats = session.store().stats_snapshot();
   result.engine = store->file().io_engine_name();
@@ -120,26 +100,15 @@ double hit_rate(const RunResult& r) {
                    static_cast<double>(r.stats.accesses);
 }
 
-/// Eviction-write coalescing: fraction of file writes that rode a merged
-/// ranged transfer (victim write-backs batched by prefetch_batch / flush).
-double write_coalescing_ratio(const RunResult& r) {
-  return r.stats.file_writes == 0
-             ? 0.0
-             : static_cast<double>(r.stats.io_write_coalesced) /
-                   static_cast<double>(r.stats.file_writes);
-}
-
 void print_row(const RunResult& r) {
-  std::printf("%-8s %5u %8.2f %8.2f %9.2f %10llu %10llu %10llu %7llu %6.2f "
-              "%6llu\n",
+  std::printf("%-8s %5u %8.2f %8.2f %9.2f %10llu %10llu %10llu %7llu %6.2f\n",
               r.engine, r.depth, r.wall, r.device, r.wall + r.device,
               static_cast<unsigned long long>(r.stats.file_reads +
                                               r.stats.file_writes),
               static_cast<unsigned long long>(r.stats.io_batches),
               static_cast<unsigned long long>(r.stats.io_coalesced),
               static_cast<unsigned long long>(r.stats.io_write_coalesced),
-              hit_rate(r),
-              static_cast<unsigned long long>(r.stats.prefetch_wasted));
+              hit_rate(r));
 }
 
 void append_json_row(std::string& json, const RunResult& r, bool first) {
@@ -149,16 +118,14 @@ void append_json_row(std::string& json, const RunResult& r, bool first) {
       "%s{\"engine\":\"%s\",\"depth\":%u,\"wall_s\":%.4f,\"device_s\":%.4f,"
       "\"projected_s\":%.4f,\"file_reads\":%llu,\"file_writes\":%llu,"
       "\"io_batches\":%llu,\"io_coalesced\":%llu,\"io_write_coalesced\":%llu,"
-      "\"write_coalescing_ratio\":%.4f,\"hit_rate\":%.4f,"
-      "\"prefetch_wasted\":%llu}",
+      "\"hit_rate\":%.4f}",
       first ? "" : ",", r.engine, r.depth, r.wall, r.device,
       r.wall + r.device, static_cast<unsigned long long>(r.stats.file_reads),
       static_cast<unsigned long long>(r.stats.file_writes),
       static_cast<unsigned long long>(r.stats.io_batches),
       static_cast<unsigned long long>(r.stats.io_coalesced),
       static_cast<unsigned long long>(r.stats.io_write_coalesced),
-      write_coalescing_ratio(r), hit_rate(r),
-      static_cast<unsigned long long>(r.stats.prefetch_wasted));
+      hit_rate(r));
   json += buffer;
 }
 
@@ -178,8 +145,7 @@ int main(int argc, char** argv) {
       scale == Scale::kQuick ? (4ull << 20) : (16ull << 20);
   plan.seed = 41;
   const PlannedDataset data = make_dna_dataset(plan);
-  // Disk-bound but with enough slots that a depth-16 prefetch batch does not
-  // evict the traversal's own working set (fig5 keeps ~1/4 of the vectors).
+  // Disk-bound: fig5 keeps ~1/4 of the vectors in RAM.
   const std::uint64_t budget = plan.target_ancestral_bytes / 4;
   const int traversals = scale == Scale::kQuick ? 2 : 3;
   const std::uint64_t latency_ns =
@@ -195,47 +161,26 @@ int main(int argc, char** argv) {
   std::printf("# uring rows silently degrade to the thread pool when the "
               "host refuses io_uring (engine column shows the resolved "
               "backend)\n");
-  std::printf("%-8s %5s %8s %8s %9s %10s %10s %10s %7s %6s %6s\n", "engine",
+  std::printf("%-8s %5s %8s %8s %9s %10s %10s %10s %7s %6s\n", "engine",
               "depth", "wall_s", "device_s", "proj_s", "transfers", "batches",
-              "coalesced", "w_coal", "hit", "wasted");
+              "coalesced", "w_coal", "hit");
 
   const unsigned depths[] = {1, 2, 4, 8, 16};
   std::vector<RunResult> rows;
-  rows.push_back(run(data, AioEngineKind::kSync, 1, budget, traversals,
-                     latency_ns, ReplacementPolicy::kTopological));
+  rows.push_back(
+      run(data, AioEngineKind::kSync, 1, budget, traversals, latency_ns));
   print_row(rows.back());
   for (const AioEngineKind engine :
        {AioEngineKind::kThreads, AioEngineKind::kUring}) {
     for (const unsigned depth : depths) {
-      rows.push_back(run(data, engine, depth, budget, traversals,
-                         latency_ns, ReplacementPolicy::kTopological));
+      rows.push_back(
+          run(data, engine, depth, budget, traversals, latency_ns));
       print_row(rows.back());
     }
   }
 
-  // Write-heavy second phase: LRU under the same disk-bound traversals. The
-  // tiny budget means every prefetch install evicts a dirty resident, so
-  // pass-B victim write-backs dominate the batches — the regime where both
-  // the prefetch-aware aging fix and eviction-write coalescing must show.
-  std::printf("# write-heavy LRU phase (prefetch-aware replacement + "
-              "eviction-write coalescing)\n");
-  const unsigned lru_depths[] = {1, 8, 16};
-  std::vector<RunResult> lru_rows;
-  for (const unsigned depth : lru_depths) {
-    lru_rows.push_back(run(data, AioEngineKind::kThreads, depth, budget,
-                           traversals, latency_ns, ReplacementPolicy::kLru));
-    print_row(lru_rows.back());
-  }
-
-  // The sweep's counts depend on the prefetch worker's timing; the sync
-  // depth-1 configuration without it gives exact ones.
-  Session exact(data.alignment, data.tree, benchmark_gtr(),
-                sweep_options(AioEngineKind::kSync, 1, budget, latency_ns,
-                              ReplacementPolicy::kTopological));
-  const AccessStream stream = record_access_stream(exact, traversals);
-  print_access_stream(stream);
   const RunResult& sync = rows.front();
-  bool identical = stream.loglik == sync.loglik;
+  bool identical = true;
   double best_async = -1.0;
   const char* best_label = "?";
   for (const RunResult& r : rows) {
@@ -251,29 +196,8 @@ int main(int argc, char** argv) {
               best_label, best_async, sync.wall,
               best_async > 0.0 ? sync.wall / best_async : 0.0);
 
-  // LRU phase headline: the prefetch-aware fix is visible as hit rate rising
-  // (and wall time falling) with queue depth; pre-fix, deep lookahead only
-  // raised prefetch_wasted. Coalescing ratio > 0 means ranged victim writes.
-  const RunResult& lru_shallow = lru_rows.front();
-  double lru_best_hit = hit_rate(lru_shallow);
-  double lru_deep_wcoal = 0.0;
-  for (const RunResult& r : lru_rows) {
-    if (r.loglik != sync.loglik) identical = false;
-    if (r.depth < 8) continue;
-    if (hit_rate(r) > lru_best_hit) lru_best_hit = hit_rate(r);
-    if (write_coalescing_ratio(r) > lru_deep_wcoal)
-      lru_deep_wcoal = write_coalescing_ratio(r);
-  }
-  const bool lru_prefetch_improves = lru_best_hit > hit_rate(lru_shallow);
-  std::printf("# LRU hit rate: %.3f at depth 1 -> %.3f at depth >= 8 "
-              "(%s), eviction-write coalescing ratio %.3f\n",
-              hit_rate(lru_shallow), lru_best_hit,
-              lru_prefetch_improves ? "prefetch-aware aging pays off"
-                                    : "WARNING: no lookahead gain",
-              lru_deep_wcoal);
   std::printf(identical
-                  ? "# logL bit-identical across all engines, depths, and "
-                    "policies\n"
+                  ? "# logL bit-identical across all engines and depths\n"
                   : "# WARNING: logL mismatch across engines\n");
 
   std::string json = "{\"bench\":\"aio\",\"scale\":\"";
@@ -291,21 +215,9 @@ int main(int argc, char** argv) {
   json += (best_async > 0.0 && best_async < sync.wall) ? "true" : "false";
   json += ",\"logl_bit_identical\":";
   json += identical ? "true" : "false";
-  std::snprintf(head, sizeof(head),
-                ",\"lru_depth1_hit_rate\":%.4f,\"lru_deep_hit_rate\":%.4f",
-                hit_rate(lru_shallow), lru_best_hit);
-  json += head;
-  json += ",\"lru_prefetch_improves\":";
-  json += lru_prefetch_improves ? "true" : "false";
-  std::snprintf(head, sizeof(head), ",\"write_coalescing_ratio\":%.4f",
-                lru_deep_wcoal);
-  json += head;
   json += ",\"rows\":[";
   for (std::size_t i = 0; i < rows.size(); ++i)
     append_json_row(json, rows[i], i == 0);
-  json += "],\"lru_rows\":[";
-  for (std::size_t i = 0; i < lru_rows.size(); ++i)
-    append_json_row(json, lru_rows[i], i == 0);
   json += "]}";
   std::printf("%s\n", json.c_str());
   if (json_path != nullptr) {

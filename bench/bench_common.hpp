@@ -168,84 +168,4 @@ inline std::string host_facts_json() {
   return buffer;
 }
 
-/// Forwards every call to `inner` and folds each acquire's (index, mode)
-/// into an FNV-1a digest: the engine's demand access stream, which neither a
-/// residency decision nor a worker thread's timing can change.
-class AccessRecorder final : public AncestralStore {
- public:
-  explicit AccessRecorder(AncestralStore& inner)
-      : AncestralStore(inner.count(), inner.width()), inner_(inner) {}
-  const char* backend_name() const override { return inner_.backend_name(); }
-  void mark_rebuildable(std::uint32_t index) override {
-    inner_.mark_rebuildable(index);
-  }
-  void flush() override { inner_.flush(); }
-  std::uint64_t digest() const { return digest_; }
-  void reset_digest() { digest_ = kFnvBasis; }
-
- protected:
-  double* do_acquire(std::uint32_t index, AccessMode mode) override {
-    const std::uint64_t word =
-        (std::uint64_t{index} << 1) | (mode == AccessMode::kWrite ? 1u : 0u);
-    for (int byte = 0; byte < 8; ++byte)
-      digest_ = (digest_ ^ ((word >> (8 * byte)) & 0xffu)) * 0x100000001b3ull;
-    leases_.push_back(inner_.acquire(index, mode));
-    return leases_.back().data();
-  }
-  void do_release(std::uint32_t index) override {
-    for (auto it = leases_.rbegin(); it != leases_.rend(); ++it) {
-      if (it->index() != index) continue;
-      leases_.erase(std::next(it).base());
-      return;
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-  AncestralStore& inner_;
-  std::vector<VectorLease> leases_;
-  std::uint64_t digest_ = kFnvBasis;
-};
-
-/// The exact counts and acquire digest of `traversals` full traversals of
-/// `session` after one warm-up, on an engine over an AccessRecorder and
-/// with no prefetcher: a line two commits can compare when every other
-/// count of a bench depends on a worker thread's timing.
-struct AccessStream {
-  std::uint64_t digest = 0;
-  OocStats stats;
-  double loglik = 0.0;
-  double wall = 0.0;  ///< of the measured traversals
-};
-
-inline AccessStream record_access_stream(Session& session, int traversals) {
-  AccessRecorder recorder(session.store());
-  LikelihoodEngine engine(session.alignment(), session.tree(),
-                          session.engine().config(), recorder);
-  engine.full_traversal_log_likelihood();
-  session.reset_stats();
-  recorder.reset_digest();
-  AccessStream stream;
-  Timer timer;
-  for (int i = 0; i < traversals; ++i)
-    stream.loglik = engine.full_traversal_log_likelihood();
-  stream.wall = timer.seconds();
-  stream.digest = recorder.digest();
-  stream.stats = session.store().stats_snapshot();
-  return stream;
-}
-
-inline void print_access_stream(const AccessStream& stream) {
-  std::printf("# access stream (no prefetch): acquire_digest=%016llx "
-              "accesses=%llu misses=%llu evictions=%llu file_reads=%llu "
-              "file_writes=%llu skipped_reads=%llu\n",
-              static_cast<unsigned long long>(stream.digest),
-              static_cast<unsigned long long>(stream.stats.accesses),
-              static_cast<unsigned long long>(stream.stats.misses),
-              static_cast<unsigned long long>(stream.stats.evictions),
-              static_cast<unsigned long long>(stream.stats.file_reads),
-              static_cast<unsigned long long>(stream.stats.file_writes),
-              static_cast<unsigned long long>(stream.stats.skipped_reads));
-}
-
 }  // namespace plfoc::bench

@@ -210,8 +210,6 @@ BatchConfig parse_batch_cli(int argc, const char* const* argv) {
                 "jobs (0 = unlimited)")
       .add_uint("queue", &config.queue_capacity,
                 "bounded intake capacity; submission blocks beyond this")
-      .add_uint("prefetch", &config.prefetch,
-                "prefetcher lookahead for out-of-core jobs (0 = off)")
       .add_flag("stats", &config.print_stats,
                 "print per-job and merged storage statistics")
       .add_string("inject-faults", &config.inject_faults,
@@ -281,7 +279,6 @@ int run_batch_cli(const BatchConfig& config, std::ostream& out) {
   options.workers = static_cast<std::size_t>(config.workers);
   options.queue_capacity = static_cast<std::size_t>(config.queue_capacity);
   options.ram_budget_bytes = config.ram_budget;
-  options.prefetch_lookahead = static_cast<std::size_t>(config.prefetch);
   options.readmit_io_failures = config.readmit;
   options.kernel_threads = static_cast<unsigned>(config.threads);
   options.result_cache_entries = static_cast<std::size_t>(config.cache);
@@ -485,8 +482,6 @@ ServeConfig parse_serve_cli(int argc, const char* const* argv) {
                 "aggregate slot-memory budget in bytes (0 = unlimited)")
       .add_uint("queue", &config.queue_capacity,
                 "bounded intake capacity; submits beyond it answer busy")
-      .add_uint("prefetch", &config.prefetch,
-                "prefetcher lookahead for out-of-core jobs (0 = off)")
       .add_uint("threads", &config.threads,
                 "kernel threads per worker (jobfile threads= overrides)")
       .add_string("io-engine", &config.io_engine,
@@ -539,8 +534,6 @@ int run_serve_cli(const ServeConfig& config, std::istream& in,
   options.service.queue_capacity =
       static_cast<std::size_t>(config.queue_capacity);
   options.service.ram_budget_bytes = config.ram_budget;
-  options.service.prefetch_lookahead =
-      static_cast<std::size_t>(config.prefetch);
   options.service.kernel_threads = static_cast<unsigned>(config.threads);
   options.service.io_engine = parse_aio_engine(config.io_engine);
   options.service.io_depth = static_cast<unsigned>(config.io_depth);

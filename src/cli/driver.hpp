@@ -78,7 +78,6 @@ struct BatchConfig {
   std::uint64_t workers = 1;          ///< concurrent evaluation workers
   std::uint64_t ram_budget = 0;       ///< aggregate slot-memory bytes; 0 = ∞
   std::uint64_t queue_capacity = 64;  ///< bounded intake (backpressure)
-  std::uint64_t prefetch = 0;         ///< prefetcher lookahead; 0 = off
   bool print_stats = false;           ///< per-job + merged store counters
   /// Batch-wide defaults; a job line's own faults= / io-retries= / threads=
   /// keys win.
@@ -144,7 +143,6 @@ struct ServeConfig {
   std::uint64_t workers = 1;
   std::uint64_t ram_budget = 0;        ///< aggregate slot-memory bytes; 0 = ∞
   std::uint64_t queue_capacity = 64;
-  std::uint64_t prefetch = 0;
   std::uint64_t threads = 1;           ///< kernel threads per worker
   std::string io_engine = "sync";      ///< service-default I/O engine
   std::uint64_t io_depth = 8;          ///< service-default queue depth

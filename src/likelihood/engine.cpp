@@ -62,19 +62,7 @@ void LikelihoodEngine::set_substitution_model(SubstitutionModel model) {
   orientation_.invalidate_all();
 }
 
-void LikelihoodEngine::submit_prefetch(std::span<const TraversalStep> steps) {
-  if (prefetcher_ == nullptr) return;
-  std::vector<std::uint32_t> upcoming;
-  upcoming.reserve(steps.size());
-  for (const TraversalStep& step : steps) {
-    if (tree_.is_inner(step.left)) upcoming.push_back(vector_index(step.left));
-    if (tree_.is_inner(step.right)) upcoming.push_back(vector_index(step.right));
-  }
-  prefetcher_->submit(std::move(upcoming));
-}
-
 void LikelihoodEngine::execute(std::span<const TraversalStep> steps) {
-  submit_prefetch(steps);
   // Planning marked every step's parent as oriented (plan_subtree updates
   // Orientation at PLAN time), so an exception that stops this loop early —
   // a CancelledError from a check point, an unrecovered IoError — would
@@ -94,14 +82,11 @@ void LikelihoodEngine::execute(std::span<const TraversalStep> steps) {
 
 void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
                                      std::size_t& completed) {
-  std::size_t reads_consumed = 0;
   for (const TraversalStep& step : steps) {
     PLFOC_DCHECK(tree_.is_inner(step.parent));
     // Per-traversal-step cancellation point — the serial-path granularity
     // bound (with a kernel pool, run_blocks checks per pattern block too).
     cancel_.check();
-    // Let the prefetch worker run ahead of this step's reads.
-    if (prefetcher_ != nullptr) prefetcher_->notify_progress(reads_consumed);
     // Acquire order: children (reads) before the parent (write). Leases pin
     // all three vectors for the duration of the kernel — the paper's
     // requirement that the working triple resides in RAM.
@@ -124,7 +109,6 @@ void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
       left.vector = left_lease.data();
       left.scale_counts = scale_data(step.left);
       left.pmat = pmat_left_.data();
-      ++reads_consumed;
     }
     if (tree_.is_tip(step.right)) {
       tips_.build_branch_lookup(pmat_right_.data(), dims_.categories,
@@ -136,7 +120,6 @@ void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
       right.vector = right_lease.data();
       right.scale_counts = scale_data(step.right);
       right.pmat = pmat_right_.data();
-      ++reads_consumed;
     }
 
     VectorLease parent_lease =

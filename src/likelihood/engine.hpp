@@ -18,7 +18,6 @@
 #include "likelihood/tip_states.hpp"
 #include "model/eigen.hpp"
 #include "model/gamma.hpp"
-#include "ooc/prefetch.hpp"
 #include "ooc/storage.hpp"
 #include "tree/traversal.hpp"
 #include "tree/tree.hpp"
@@ -106,10 +105,6 @@ class LikelihoodEngine {
   /// Returns the final log likelihood.
   double optimize_all_branches(int passes = 1);
 
-  /// Attach (or detach with nullptr) a prefetcher; execute() then submits the
-  /// upcoming inner-child read sequence of each descriptor before computing.
-  void attach_prefetcher(Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
-
   /// Attach (or detach with nullptr) a kernel-thread pool; the PLF kernels
   /// then run pattern-block parallel on its team. Results are bit-identical
   /// with and without a pool (see docs/parallelism.md). The pool must
@@ -159,7 +154,6 @@ class LikelihoodEngine {
   /// the catch block knows which planned parents never materialised.
   void execute_steps(std::span<const TraversalStep> steps,
                      std::size_t& completed);
-  void submit_prefetch(std::span<const TraversalStep> steps);
   void collect_edges_tree_walk(std::vector<std::pair<NodeId, NodeId>>& out);
 
   const Alignment& alignment_;
@@ -173,7 +167,6 @@ class LikelihoodEngine {
   std::vector<double> weights_;
   Orientation orientation_;
   std::vector<std::int32_t> scale_counts_;  ///< num_inner × patterns
-  Prefetcher* prefetcher_ = nullptr;
   KernelPool* kernel_pool_ = nullptr;
   CancelToken cancel_;  ///< null by default: per-step checks are free
 

@@ -5,11 +5,19 @@ namespace plfoc {
 KernelPool::KernelPool(unsigned threads)
     : threads_(threads == 0 ? 1u : threads) {
   workers_.reserve(threads_ - 1);
-  for (unsigned i = 0; i + 1 < threads_; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (unsigned i = 0; i + 1 < threads_; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    // A joinable std::thread destroyed by the unwind would std::terminate.
+    stop_workers();
+    throw;
+  }
 }
 
-KernelPool::~KernelPool() {
+KernelPool::~KernelPool() { stop_workers(); }
+
+void KernelPool::stop_workers() {
   {
     MutexLock lock(mutex_);
     stop_ = true;

@@ -25,7 +25,8 @@ namespace plfoc {
 class KernelPool {
  public:
   /// `threads` is the TOTAL parallelism including the calling thread; the
-  /// pool spawns threads - 1 workers (none for threads <= 1).
+  /// pool spawns threads - 1 workers (none for threads <= 1). If a spawn
+  /// throws, the workers already started are joined before the rethrow.
   explicit KernelPool(unsigned threads);
   ~KernelPool();
 
@@ -51,6 +52,8 @@ class KernelPool {
 
  private:
   void worker_loop();
+  /// Wake every worker with stop_ set and join it.
+  void stop_workers();
 
   unsigned threads_;
   std::vector<std::thread> workers_;

@@ -2,11 +2,10 @@
 // the FileBackend (ROADMAP item 2; docs/async-io.md).
 //
 // The paper's out-of-core regime is disk-bound: a synchronous pread/pwrite
-// loop serialises the eviction write-back, the demand read, and every
-// prefetch stage. An AioEngine accepts a *batch* of raw transfer ops and
-// delivers their completions as they finish, so the stores can overlap the
-// victim write-back with the demand read and the prefetcher can keep a whole
-// lookahead window in flight.
+// loop serialises the eviction write-back and the demand read. An AioEngine
+// accepts a *batch* of raw transfer ops and delivers their completions as
+// they finish, so the stores can overlap the victim write-back with the
+// demand read and write a flush's dirty slots as one batch.
 //
 // Four backends share one contract:
 //   kSync          — ops execute in submission order at submit(); the
@@ -117,9 +116,9 @@ AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options);
 
 /// The submission/completion-queue contract. Engines are internally
 /// synchronised: submit() and wait() may be called from any one thread at a
-/// time (the stores call both under their slot-table locks; the prefetcher
-/// from its worker). Ops submitted in one batch may execute concurrently —
-/// callers guarantee their buffers and file ranges do not alias.
+/// time (the stores call both under their slot-table locks). Ops submitted
+/// in one batch may execute concurrently — callers guarantee their buffers
+/// and file ranges do not alias.
 class AioEngine {
  public:
   virtual ~AioEngine() = default;

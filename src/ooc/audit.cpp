@@ -214,15 +214,6 @@ std::optional<std::string> StoreAuditor::check_stats(const OocStats& stats) {
            ") below integrity_recoveries (" +
            std::to_string(stats.integrity_recoveries) +
            ") — every recovery recomputes at least its own vector";
-  if (stats.prefetch_wasted > stats.prefetch_reads)
-    return "prefetch_wasted (" + std::to_string(stats.prefetch_wasted) +
-           ") exceeds prefetch_reads (" +
-           std::to_string(stats.prefetch_reads) +
-           ") — a wasted install needs a prefetch read that staged it";
-  if (stats.prefetch_wasted > stats.evictions)
-    return "prefetch_wasted (" + std::to_string(stats.prefetch_wasted) +
-           ") exceeds evictions (" + std::to_string(stats.evictions) +
-           ") — waste is only charged when the install is evicted";
   if (stats.io_write_coalesced > stats.io_coalesced)
     return "io_write_coalesced (" +
            std::to_string(stats.io_write_coalesced) +
@@ -245,9 +236,6 @@ std::optional<std::string> StoreAuditor::check_stats(const OocStats& stats) {
       {"file_reads", stats.file_reads, last_stats_.file_reads},
       {"file_writes", stats.file_writes, last_stats_.file_writes},
       {"skipped_reads", stats.skipped_reads, last_stats_.skipped_reads},
-      {"prefetch_reads", stats.prefetch_reads, last_stats_.prefetch_reads},
-      {"prefetch_stale", stats.prefetch_stale, last_stats_.prefetch_stale},
-      {"prefetch_wasted", stats.prefetch_wasted, last_stats_.prefetch_wasted},
       {"bytes_read", stats.bytes_read, last_stats_.bytes_read},
       {"bytes_written", stats.bytes_written, last_stats_.bytes_written},
       {"faults_injected", stats.faults_injected, last_stats_.faults_injected},

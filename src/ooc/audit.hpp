@@ -1,9 +1,9 @@
 // Machine-checked invariants for the out-of-core slot table (Sec. 3.2-3.4).
 //
 // The slot table is the piece of state whose silent corruption is costliest:
-// it is mutated concurrently by the likelihood engine and the prefetch worker,
-// and a wrong entry redirects vector-level file I/O, corrupting the on-disk
-// vector file and every likelihood computed from it. StoreAuditor is an
+// every acquire, eviction and write-back mutates it, and a wrong entry
+// redirects vector-level file I/O, corrupting the on-disk vector file and
+// every likelihood computed from it. StoreAuditor is an
 // oracle for that state: OutOfCoreStore (when built with -DPLFOC_AUDIT=ON)
 // reports every mutation — acquire, release, evict, write-back — and the
 // auditor cross-checks the full table after each one:
@@ -82,8 +82,8 @@ class StoreAuditor {
       bool dropped = false);
 
   /// `victim`, whose record_evict reported `dropped`, now leaves its slot
-  /// unwritten. Separate from record_evict because a batched prefetch
-  /// install decides every exit before it evicts any victim.
+  /// unwritten. Separate from record_evict because the store decides a
+  /// victim's exit before it evicts the victim.
   [[nodiscard]] std::optional<std::string> record_drop(std::uint32_t victim);
 
   /// The engine marked `index` rebuildable under its write lease.

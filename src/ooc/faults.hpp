@@ -202,8 +202,8 @@ struct CorruptionDecision {
 };
 
 /// Deterministic decision stream. Thread-safe: decisions are numbered by an
-/// atomic counter, so a run with a prefetch thread still draws each decision
-/// exactly once (the interleaving, not the stream, is what varies).
+/// atomic counter, so the engine thread and the store's write-behind writer
+/// each draw a decision exactly once.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig config);

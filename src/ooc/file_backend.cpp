@@ -587,8 +587,8 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
       continue;
     } else {
       // Coalesce with the previous staged transfer when this read continues
-      // it in both the file and the destination buffer (prefetch batches
-      // staged into contiguous scratch are the common case).
+      // it in both the file and the destination buffer (reads staged into
+      // contiguous scratch become one ranged transfer).
       if (!staged.empty()) {
         Staged& prev = staged.back();
         if (!prev.aio.is_write && prev.aio.fd == aio.fd &&
@@ -610,9 +610,8 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     std::vector<AioOp> aio_ops;
     aio_ops.reserve(staged.size());
     for (const Staged& s : staged) aio_ops.push_back(s.aio);
-    // One whole batch at a time on the engine: a prefetch batch interleaved
-    // with the engine thread's overlapped swap would cross-deliver
-    // completions (tokens are batch-relative). With a shared engine the
+    // One whole batch at a time on the engine: two interleaved batches
+    // would cross-deliver completions (tokens are batch-relative). With a shared engine the
     // handle's mutex extends the same whole-batch discipline across every
     // backend on the handle.
     if (shared_engine_ != nullptr) {

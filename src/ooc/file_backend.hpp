@@ -68,7 +68,7 @@ struct FileBackendOptions {
   std::size_t integrity_block_bytes = 0;
   /// Async submission/completion backend for batched vector ops
   /// (docs/async-io.md). kSync keeps the historical sequential path; the
-  /// stores only take their overlapped eviction/demand and batched-prefetch
+  /// stores only take their overlapped eviction/demand and batched-flush
   /// paths when this is an async engine.
   AioEngineKind io_engine = AioEngineKind::kSync;
   /// Queue depth for the async engines (worker count / ring size).
@@ -135,8 +135,8 @@ class FileBackend {
   /// recyclable. A throw closes and removes every file it opened.
   FileBackend(std::size_t count, std::size_t bytes_per_vector,
               FileBackendOptions options);
-  /// The owner must have no I/O in flight on the files (its writer and
-  /// prefetch threads joined): a recyclable backend's fds stay open in the
+  /// The owner must have no I/O in flight on the files (its writer thread
+  /// joined): a recyclable backend's fds stay open in the
   /// pool for the next backend.
   ~FileBackend();
   FileBackend(const FileBackend&) = delete;
@@ -330,10 +330,8 @@ class FileBackend {
 
   /// Per-stripe-file integrity state: the on-disk layout plus an in-memory
   /// mirror of the {checksum, generation} table. The mirror entries are
-  /// relaxed atomics so the prefetch thread may verify concurrently with
-  /// demand-path writes — a torn {checksum, generation} pair read there
-  /// yields at worst a spurious mismatch, which prefetch treats as "drop the
-  /// staged read" (the demand access re-verifies under the store lock).
+  /// relaxed atomics: the store's write-behind writer updates them off the
+  /// engine thread, whose verified reads wait for the queued writes first.
   struct FileIntegrity {
     std::uint64_t payload_bytes = 0;
     std::uint64_t block_count = 0;
@@ -404,9 +402,8 @@ class FileBackend {
   std::atomic<std::uint64_t> io_coalesced_{0};
   std::atomic<std::uint64_t> io_write_coalesced_{0};
   /// Serialises whole batches on the engine: AioEngine's contract is one
-  /// submitting/waiting thread at a time, and the prefetch worker's batches
-  /// run concurrently with the engine thread's overlapped swaps. Interleaved
-  /// batches would cross-deliver completions (tokens are batch-relative).
+  /// submitting/waiting thread at a time. Interleaved batches would
+  /// cross-deliver completions (tokens are batch-relative).
   /// Ops *within* a batch still overlap — that is where the parallelism is.
   mutable Mutex engine_mutex_;
   /// Built from io_engine/io_depth/io_permute_seed; declared after the

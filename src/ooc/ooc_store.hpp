@@ -9,8 +9,8 @@
 // write-only and read skipping elides the swap-in read.
 //
 // The slot table itself is one SlotTier (ooc/slot_tier.hpp); this class
-// adds the backing file, read skipping, precision conversion, write-back
-// policy and prefetch staging around it.
+// adds the backing file, read skipping, precision conversion and write-back
+// policy around it.
 //
 // With drop_rebuildable, a victim the engine marked rebuildable (a cherry:
 // both children are tips) leaves its slot without a write-back, and its
@@ -21,19 +21,18 @@
 // back on a miss that reads nothing hands its slot buffer, with its content,
 // to a writer thread the store owns, and the slot takes one of
 // kWriteBehindBuffers spare buffers instead. The writer checksums and
-// writes the record while the engine computes. Every backend read, flush and
-// prefetch staging drains the queue first, and a drop's retire runs behind
+// writes the record while the engine computes. Every backend read and flush
+// drains the queue first, and a drop's retire runs behind
 // the queued writes, so the backend sees today's order of writes, reads and
 // fault draws. A write that exhausts its retries is un-counted and stays
 // queued; the next store call on the engine thread throws its IoError.
 //
-// Thread safety: all slot-table mutations are guarded by one mutex so the
-// optional prefetch thread (ooc/prefetch.hpp) can swap vectors in while the
-// likelihood engine computes. Lease data pointers remain stable while pinned.
-// The writer thread never takes that mutex; the queue has its own.
+// Thread safety: all slot-table mutations are guarded by one mutex, so a
+// stats_snapshot() from another thread sees a consistent table. Lease data
+// pointers remain stable while pinned. The writer thread never takes that
+// mutex; the queue has its own.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <exception>
 #include <thread>
@@ -97,11 +96,8 @@ class OutOfCoreStore final : public AncestralStore {
   }
 
   OutOfCoreStore(std::size_t count, std::size_t width, OocStoreOptions options);
-  /// Aborts if a Prefetcher worker thread is still attached: the contract in
-  /// ooc/prefetch.hpp is that the store outlives the thread, and tearing the
-  /// slot table down under a live worker corrupts the backing file. Joins
-  /// the writer; a file kept on close first gets the queued writes (short
-  /// of a failed one).
+  /// Joins the writer; a file kept on close first gets the queued writes
+  /// (short of a failed one).
   ~OutOfCoreStore() override;
 
   const char* backend_name() const override { return "out-of-core"; }
@@ -113,25 +109,6 @@ class OutOfCoreStore final : public AncestralStore {
   /// non-resident has its record on file.
   bool is_resident(std::uint32_t index) const;
 
-  /// Bring `count` vectors into RAM (read mode) without pinning them; used
-  /// by the prefetch thread. Resident and never-written vectors are skipped;
-  /// a pinned vector is never evicted. Installs count in
-  /// stats().prefetch_reads, not as accesses. The reads are staged as ONE
-  /// engine batch (adjacent vectors coalesce into ranged transfers) into
-  /// prefetch-private buffers OUTSIDE mutex_, so a concurrent demand miss
-  /// on the engine thread never stalls behind prefetch I/O; each install
-  /// re-validates residency and the vector's file generation under the lock
-  /// (a raced install is dropped and counted in stats().prefetch_stale).
-  /// Advisory: an I/O or verification failure drops the staged read and
-  /// never throws.
-  void prefetch_batch(const std::uint32_t* indices, std::size_t count);
-
-  /// How many queued reads a prefetch_batch caller should aim to hand over
-  /// at once: the engine queue depth for async engines, 1 for sync.
-  std::size_t prefetch_batch_limit() const {
-    return file_.async_io() ? file_.io_depth() : 1;
-  }
-
   /// Records the mark only under drop_rebuildable; `index` must be pinned
   /// by a write lease.
   void mark_rebuildable(std::uint32_t index) override;
@@ -141,8 +118,8 @@ class OutOfCoreStore final : public AncestralStore {
   /// records.
   void flush() override;
 
-  /// Counters are mutated under mutex_ (including by the prefetch thread),
-  /// so a concurrent snapshot must take the same lock. The robustness
+  /// Counters are mutated under mutex_, so a concurrent snapshot must take
+  /// the same lock. The robustness
   /// counters (faults_injected / io_retries / io_exhausted) are read fresh
   /// from the backing file, so a snapshot taken right after an IoError still
   /// reflects the failed transfer. Waits for the queued write-behinds (short
@@ -174,15 +151,6 @@ class OutOfCoreStore final : public AncestralStore {
     return memory_bytes(slot_count_, width_);
   }
 
-  /// Lifecycle guard held by each Prefetcher while its worker thread may
-  /// touch this store (see ~OutOfCoreStore).
-  void attach_prefetch_guard() {
-    prefetch_guards_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void detach_prefetch_guard() {
-    prefetch_guards_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
  protected:
   double* do_acquire(std::uint32_t index, AccessMode mode) override;
   void do_release(std::uint32_t index) override;
@@ -204,8 +172,6 @@ class OutOfCoreStore final : public AncestralStore {
   std::uint32_t obtain_slot(std::uint32_t index, bool need_read)
       PLFOC_REQUIRES(mutex_);
   /// How the claimed victim leaves; reports the eviction to the auditor.
-  /// Reads only the slot table and the marks, never the tree: the prefetch
-  /// worker evicts too.
   VictimExit victim_exit(const SlotTier::Claim& claim) PLFOC_REQUIRES(mutex_);
   /// Evict `victim` once its write-back (if any) is done or queued; a kDrop
   /// exit first retires its file record, behind any queued write of it.
@@ -282,8 +248,8 @@ class OutOfCoreStore final : public AncestralStore {
   /// Un-count the failed head write and rethrow its IoError.
   [[noreturn]] void report_write_failure() PLFOC_REQUIRES(mutex_, wb_mutex_);
   /// Quiet wait for every call queued so far; false when a failed write
-  /// parks the writer first. Never throws: the prefetch worker and
-  /// snapshots use it.
+  /// parks the writer first. Never throws: the const observers and the
+  /// destructor use it.
   bool settle_writes() const PLFOC_EXCLUDES(wb_mutex_);
   /// The writer thread: runs the queue head, pops it, returns its buffer.
   void writer_loop() PLFOC_EXCLUDES(wb_mutex_, mutex_);
@@ -320,26 +286,8 @@ class OutOfCoreStore final : public AncestralStore {
   /// kSingle overlapped swap: demand-read float staging (float_scratch_ is
   /// busy carrying the victim's write-back conversion).
   std::vector<float> swap_float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: bumped by every write-back (done or queued) and every drop
-  /// (under mutex_). Lets prefetch detect that bytes it staged without the
-  /// lock were superseded by a write-back or retired by a drop that
-  /// happened during the read (the write-then-evict ABA the residency check
-  /// alone cannot see).
-  std::vector<std::uint64_t> file_generation_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
-  std::atomic<int> prefetch_guards_{0};  ///< live Prefetcher worker threads
   mutable Mutex mutex_;
-
-  // Prefetch staging state, private to prefetch_batch() and guarded by
-  // prefetch_io_mutex_ (lock order: prefetch_io_mutex_ before mutex_, never
-  // the reverse — declared to the analysis via ACQUIRED_BEFORE).
-  // float_scratch_ is engine-owned (used by file_read / file_write under
-  // mutex_), hence the dedicated buffers here.
-  Mutex prefetch_io_mutex_ PLFOC_ACQUIRED_BEFORE(mutex_);
-  std::vector<double> prefetch_scratch_ PLFOC_GUARDED_BY(prefetch_io_mutex_);
-  /// kSingle only.
-  std::vector<float> prefetch_float_scratch_
-      PLFOC_GUARDED_BY(prefetch_io_mutex_);
 
   // Write-behind queue. Lock order: mutex_ before wb_mutex_; the writer
   // thread takes only wb_mutex_.

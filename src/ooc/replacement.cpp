@@ -35,14 +35,6 @@ class LruStrategy final : public ReplacementStrategy {
     last_access_[index] = ++tick_;
   }
 
-  // A prefetched vector enters as if it had just been accessed: without this
-  // the install keeps whatever ancient tick the vector had, so a batch of
-  // prefetches are the coldest residents and evict each other (the lookahead
-  // collapse).
-  void on_prefetch_install(std::uint32_t index) override {
-    last_access_[index] = ++tick_;
-  }
-
   std::uint32_t choose_victim(std::span<const std::uint32_t> candidates,
                               std::uint32_t /*requested*/) override {
     PLFOC_CHECK(!candidates.empty());
@@ -72,12 +64,6 @@ class LfuStrategy final : public ReplacementStrategy {
   // matching the paper's "list of m entries containing the access frequency".
   void on_load(std::uint32_t index) override { frequency_[index] = 0; }
   void on_access(std::uint32_t index) override { ++frequency_[index]; }
-  // One-access grant: a prefetched vector starts at frequency 1 instead of 0
-  // so it is not the automatic victim of the very next miss, but it still
-  // loses to anything the kernel has actually touched more than once.
-  void on_prefetch_install(std::uint32_t index) override {
-    frequency_[index] = 1;
-  }
 
   std::uint32_t choose_victim(std::span<const std::uint32_t> candidates,
                               std::uint32_t /*requested*/) override {

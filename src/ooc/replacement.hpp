@@ -43,13 +43,6 @@ class ReplacementStrategy {
   virtual void on_access(std::uint32_t index) { (void)index; }
   /// `index` became resident.
   virtual void on_load(std::uint32_t index) { (void)index; }
-  /// `index` became resident through a *prefetch* install (no kernel access
-  /// yet). Called after on_load. Recency/frequency strategies age the vector
-  /// in at the current tick so freshly staged lookahead does not enter the
-  /// pool as the coldest resident and evict itself before first use; Random
-  /// and Topological ignore it (their victim choice never consults access
-  /// history).
-  virtual void on_prefetch_install(std::uint32_t index) { (void)index; }
   /// `index` was evicted.
   virtual void on_evict(std::uint32_t index) { (void)index; }
 

@@ -58,31 +58,15 @@ class SlotTier {
   }
 
   /// The first free slot; else the strategy's victim among the resident,
-  /// unpinned vectors, offered in slot order. Slots set in `claimed` are
-  /// skipped (a batched install claims several slots before evicting any).
-  /// Returns slot == kOocNoSlot when every slot is pinned or claimed.
-  Claim try_claim(std::uint32_t incoming,
-                  const std::vector<bool>* claimed = nullptr);
-  /// try_claim() that throws Error instead.
+  /// unpinned vectors, offered in slot order. Throws Error when every slot
+  /// is pinned.
   Claim claim(std::uint32_t incoming);
 
   /// Make `vector` resident in the free `slot` (map entry, then on_load).
   void install(std::uint32_t vector, std::uint32_t slot);
-  /// install() for a prefetched vector: it is also aged in through
-  /// on_prefetch_install and marked unread until mark_acquired().
-  void install_prefetched(std::uint32_t vector, std::uint32_t slot);
-  /// The kernel acquired `vector`: whatever prefetch staged it was useful,
-  /// so evicting it can no longer count as wasted.
-  void mark_acquired(std::uint32_t vector) {
-    prefetched_unread_[vector] = false;
-  }
-  /// Forget pending prefetch installs, so prefetch_wasted keeps satisfying
-  /// prefetch_wasted <= prefetch_reads across a counter reset.
-  void forget_prefetches();
 
   /// Evict the resident, unpinned `vector` once its write-back (if any) is
-  /// done: counts stats.evictions, and stats.prefetch_wasted when a
-  /// prefetch staged it and no acquire used it, then detach()es it.
+  /// done: counts stats.evictions, then detach()es it.
   void evict(std::uint32_t vector, OocStats& stats);
   /// Drop `vector` without counting an eviction (an undone install):
   /// on_evict, then clear its map entry and its slot record, pins and dirty
@@ -95,10 +79,6 @@ class SlotTier {
   std::vector<OocSlot> slots_;
   /// Per vector: slot or kOocNoSlot.
   std::vector<std::uint32_t> vector_slot_;
-  /// Per vector: installed by a prefetch and not acquired since. Evicting
-  /// it while set counts stats.prefetch_wasted (the read was paid for and
-  /// the slot churned for nothing).
-  std::vector<bool> prefetched_unread_;
   std::unique_ptr<ReplacementStrategy> strategy_;
 };
 

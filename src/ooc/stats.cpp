@@ -19,9 +19,6 @@ OocStats& OocStats::operator+=(const OocStats& other) {
   file_reads += other.file_reads;
   file_writes += other.file_writes;
   skipped_reads += other.skipped_reads;
-  prefetch_reads += other.prefetch_reads;
-  prefetch_stale += other.prefetch_stale;
-  prefetch_wasted += other.prefetch_wasted;
   bytes_read += other.bytes_read;
   bytes_written += other.bytes_written;
   faults_injected += other.faults_injected;
@@ -91,12 +88,6 @@ std::string OocStats::summary() const {
                   " write_backs_avoided=%llu recomputes=%llu",
                   static_cast<unsigned long long>(write_backs_avoided),
                   static_cast<unsigned long long>(recomputes));
-    out += buffer;
-  }
-  // Prefetch waste: silent unless lookahead actually churned slots.
-  if (prefetch_wasted != 0) {
-    std::snprintf(buffer, sizeof(buffer), " prefetch_wasted=%llu",
-                  static_cast<unsigned long long>(prefetch_wasted));
     out += buffer;
   }
   return out;

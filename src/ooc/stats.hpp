@@ -19,17 +19,6 @@ struct OocStats {
   std::uint64_t file_reads = 0;   ///< read operations actually issued
   std::uint64_t file_writes = 0;  ///< write operations actually issued
   std::uint64_t skipped_reads = 0;  ///< reads omitted by read skipping
-  std::uint64_t prefetch_reads = 0;  ///< reads issued by the prefetch thread
-  /// Prefetch reads staged outside the slot-table lock and then dropped at
-  /// install time because a demand load or write-back raced them (the
-  /// advisory prefetch lost; correctness is unaffected).
-  std::uint64_t prefetch_stale = 0;
-  /// Prefetch installs evicted again before the kernel ever acquired them:
-  /// the read was paid for and the slot churned for nothing. A high value
-  /// relative to prefetch_reads is the signature of the LRU lookahead
-  /// collapse (lookahead deeper than the unpinned slot budget, or a
-  /// replacement strategy that does not age prefetched vectors in).
-  std::uint64_t prefetch_wasted = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   // Robustness counters, mirrored from the FileBackend I/O core (see

@@ -99,9 +99,7 @@ class AncestralStore {
   }
 
   /// Attach a cancellation token (util/cancel.hpp). Checked at every
-  /// acquire(); file-backed stores additionally consult it between AIO
-  /// prefetch batches. Set while the store is quiescent (no concurrent
-  /// acquires or prefetch workers).
+  /// acquire(). Set while the store is quiescent (no concurrent acquires).
   void set_cancel_token(CancelToken token) { cancel_ = std::move(token); }
 
   /// The caller holds a write lease on `index` and fills the vector from
@@ -119,8 +117,8 @@ class AncestralStore {
   /// backend's robustness counters (and the auditor's monotonicity baseline).
   virtual void reset_stats() { stats_ = OocStats{}; }
 
-  /// Copy of the counters that is safe to take while a Prefetcher worker is
-  /// still attached; plain stats() is only safe once the store is quiescent.
+  /// Copy of the counters that is safe to take from another thread while
+  /// the store is in use; plain stats() is only safe once it is quiescent.
   virtual OocStats stats_snapshot() const { return stats_; }
 
   /// Human-readable backend name for reports ("in-ram", "out-of-core", ...).

@@ -9,7 +9,7 @@
 //   tree/        unrooted binary trees, Newick, traversal descriptors, moves
 //   model/       reversible models, eigendecomposition, P(t), discrete Γ
 //   ooc/         the storage seam: in-RAM / out-of-core / paged backends,
-//                replacement strategies, prefetching, I/O statistics
+//                replacement strategies, I/O statistics
 //   likelihood/  the PLF engine (kernels, scaling, branch & model opt)
 //   search/      parsimony, stepwise addition, lazy SPR, orchestration
 //   sim/         sequence simulation and dataset planning
@@ -34,7 +34,6 @@
 #include "ooc/mmap_store.hpp"            // IWYU pragma: export
 #include "ooc/ooc_store.hpp"           // IWYU pragma: export
 #include "ooc/paged_store.hpp"         // IWYU pragma: export
-#include "ooc/prefetch.hpp"            // IWYU pragma: export
 #include "ooc/replacement.hpp"         // IWYU pragma: export
 #include "ooc/stats.hpp"               // IWYU pragma: export
 #include "ooc/storage.hpp"             // IWYU pragma: export

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ooc/prefetch.hpp"
 #include "tree/phylo2vec.hpp"
 #include "util/checks.hpp"
 #include "util/timer.hpp"
@@ -579,12 +578,9 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
   result.degraded = admission.degraded;
   result.attempts = attempt;
   Timer timer;
-  // Both live outside the try so the IoError handler can still read the
-  // store's counters for the fault report. Declaration order matters: the
-  // prefetcher is destroyed (joining its worker thread) before the session
-  // and its store go away — the lifecycle contract in ooc/prefetch.hpp.
+  // Outside the try so the IoError handler can still read the store's
+  // counters for the fault report.
   std::unique_ptr<Session> session;
-  std::unique_ptr<Prefetcher> prefetcher;
   try {
     // Surface an inconsistent *request* even when degradation would have
     // papered over it with a valid admitted configuration.
@@ -613,18 +609,7 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
     session = std::make_unique<Session>(
         std::move(spec.alignment), std::move(spec.tree), std::move(spec.model),
         std::move(session_options));
-    if (options_.prefetch_lookahead > 0) {
-      if (OutOfCoreStore* ooc = session->out_of_core()) {
-        prefetcher = std::make_unique<Prefetcher>(
-            *ooc, options_.prefetch_lookahead);
-        session->engine().attach_prefetcher(prefetcher.get());
-      }
-    }
     const EvalResult eval = session->evaluate();
-    if (prefetcher != nullptr) {
-      session->engine().attach_prefetcher(nullptr);
-      prefetcher->stop();
-    }
     result.log_likelihood = eval.log_likelihood;
     result.stats = eval.stats;
     result.status = JobStatus::kDone;
@@ -634,10 +619,6 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
     // anything at that point — leases released, no partial install, the
     // store audit-clean. Typed like the IoError path so nothing has to
     // string-match.
-    if (prefetcher != nullptr) {
-      session->engine().attach_prefetcher(nullptr);
-      prefetcher->stop();
-    }
     result.status = error.reason() == CancelReason::kDeadline
                         ? JobStatus::kDeadlineExceeded
                         : JobStatus::kCancelled;
@@ -649,10 +630,6 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
     // Typed storage failure: the retry budget of one transfer was exhausted.
     // Fail this job with a reproduction-grade fault report; the worker (and
     // any sibling jobs) keep running.
-    if (prefetcher != nullptr) {
-      session->engine().attach_prefetcher(nullptr);
-      prefetcher->stop();
-    }
     result.status = JobStatus::kFailed;
     result.io_failure = true;
     result.error = error.what();
@@ -674,10 +651,6 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
     // Unrecoverable corruption: a record failed its checksum and the
     // self-healing recomputation could not repair it. Same job boundary as
     // IoError — the job fails typed, the worker and sibling jobs survive.
-    if (prefetcher != nullptr) {
-      session->engine().attach_prefetcher(nullptr);
-      prefetcher->stop();
-    }
     result.status = JobStatus::kFailed;
     result.integrity_failure = true;
     result.error = error.what();

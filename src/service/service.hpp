@@ -59,10 +59,6 @@ struct ServiceOptions {
   /// (0 = unlimited). The scheduler degrades jobs to keep the sum of
   /// admitted slot memory under this.
   std::uint64_t ram_budget_bytes = 0;
-  /// When > 0, workers attach a Prefetcher with this lookahead to each
-  /// out-of-core job's store (torn down before the session, exercising the
-  /// Prefetcher::stop() lifecycle).
-  std::size_t prefetch_lookahead = 0;
   /// Kernel threads per worker (the batch --threads default), applied to
   /// every job whose spec left SessionOptions::threads at 0 (a jobfile line
   /// pins its own count with threads=). Total OS compute threads is roughly

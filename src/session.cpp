@@ -1,5 +1,7 @@
 #include "session.hpp"
 
+#include <string>
+
 #include "ooc/mmap_store.hpp"
 #include "util/checks.hpp"
 #include "util/timer.hpp"
@@ -15,6 +17,9 @@ Alignment prepare_alignment(Alignment alignment, bool compress) {
 }  // namespace
 
 void SessionOptions::validate() const {
+  PLFOC_REQUIRE(threads <= kMaxThreads,
+                "threads must be at most " + std::to_string(kMaxThreads) +
+                    ", got " + std::to_string(threads));
   PLFOC_REQUIRE(ram_fraction >= 0.0, "ram_fraction must not be negative");
   const bool has_fraction = ram_fraction > 0.0;
   const bool has_budget = ram_budget_bytes > 0;
@@ -153,8 +158,8 @@ EvalResult Session::evaluate() {
   EvalResult result;
   result.log_likelihood = engine_->log_likelihood();
   result.wall_seconds = timer.seconds();
-  // Snapshot, not stats(): a batch-service prefetch thread may still be
-  // draining its queue when the traversal finishes.
+  // Snapshot, not stats(): it waits for the queued write-behinds, so the
+  // counters include them.
   result.stats = store_->stats_snapshot();
   return result;
 }

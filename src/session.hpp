@@ -28,12 +28,19 @@ enum class Backend {
 };
 
 struct SessionOptions {
+  /// Upper bound on `threads`. A count can arrive from outside the process
+  /// (a jobfile threads= key, a wire SubmitRequest), and each thread past
+  /// the first is an OS thread the kernel pool starts, so validate()
+  /// rejects anything above this.
+  static constexpr unsigned kMaxThreads = 256;
+
   unsigned categories = 4;
   double alpha = 1.0;
   Backend backend = Backend::kInRam;
   /// Kernel threads for pattern-block-parallel PLF kernels (--threads).
   /// 1 = serial (no pool). The log likelihood is bit-identical for every
-  /// value; see docs/parallelism.md. 0 is normalised to 1.
+  /// value; see docs/parallelism.md. 0 is normalised to 1; at most
+  /// kMaxThreads.
   unsigned threads = 1;
   /// Collapse identical columns before building vectors (RAxML default).
   bool compress_patterns = true;
@@ -106,14 +113,15 @@ struct SessionOptions {
   /// the kernel pool (checked per pattern-block claim), and the engine
   /// (checked per traversal step), so cancelling or letting the deadline
   /// expire unwinds a running evaluation as CancelledError within one
-  /// pattern-block / traversal-step / AIO-batch granularity. The default
+  /// pattern-block / traversal-step / vector-acquire granularity. The default
   /// (null) token makes every check free.
   CancelToken cancel;
 
-  /// Throws plfoc::Error unless the memory-limit fields are consistent with
-  /// the backend: out-of-core needs exactly one of ram_fraction /
-  /// ram_budget_bytes (neither or both is a configuration error), paged
-  /// needs ram_budget_bytes and no ram_fraction. Called by the Session
+  /// Throws plfoc::Error when `threads` exceeds kMaxThreads, or unless the
+  /// memory-limit fields are consistent with the backend: out-of-core needs
+  /// exactly one of ram_fraction / ram_budget_bytes (neither or both is a
+  /// configuration error), paged needs ram_budget_bytes and no
+  /// ram_fraction. Called by the Session
   /// constructor; the service layer also calls it per job so a bad jobfile
   /// line surfaces as that job's error instead of aborting the batch.
   void validate() const;

@@ -10,17 +10,13 @@
 //
 //   AncestralStore::acquire()  — before any slot mutation (every backend);
 //   LikelihoodEngine::execute  — once per traversal step;
-//   KernelPool::run_blocks     — before each pattern-block claim;
-//   OutOfCoreStore             — between AIO prefetch batches (advisory:
-//                                prefetch paths return early instead of
-//                                throwing, because they run on the
-//                                Prefetcher's worker thread).
+//   KernelPool::run_blocks     — before each pattern-block claim.
 //
 // check() throws CancelledError, a typed plfoc::Error that unwinds through
 // the normal lease/RAII machinery — slots are unpinned, no partial install
 // happens, and the store stays audit-clean. The throw happens *before* any
 // state changes at each check point, which is what makes the granularity
-// claim ("within one pattern block / AIO batch") hold.
+// claim ("within one pattern block / vector acquire") hold.
 //
 // Three parties may trip a token: the owner (explicit cancel), the deadline
 // (a monotonic-clock instant checked inside check()), and the service
@@ -156,8 +152,8 @@ class CancelToken {
     return deadline != 0 && now_ns() >= deadline;
   }
 
-  /// Non-throwing advisory query for paths that must not unwind (prefetch
-  /// workers). Trips the token on an observed expiry so a later check()
+  /// Non-throwing advisory query for paths that must not unwind (a service
+  /// worker deciding whether to start a job). Trips the token on an observed expiry so a later check()
   /// reports kDeadline.
   bool cancelled_or_expired() const {
     if (!state_) return false;

@@ -15,12 +15,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "ooc/prefetch.hpp"
 #include "session.hpp"
 #include "sim/dataset_planner.hpp"
 #include "util/rng.hpp"
@@ -142,14 +140,9 @@ inline FaultConfig trial_corrupting_faults(const TrialPlan& plan) {
 /// the log-likelihood sequence (first evaluation + each extra traversal).
 /// Bitwise equality of these vectors across candidates is the oracle. When
 /// `stats_out` is given it receives the store's final counter snapshot.
-/// `prefetch_lookahead > 0` attaches a Prefetcher to the engine (out-of-core
-/// backend only): its worker stages lookahead windows — taking the
-/// prefetch_batch / on_prefetch_install install path — concurrently with the
-/// demand accesses, and must leave the series bit-identical too.
 inline std::vector<double> run_candidate(const TrialPlan& plan,
                                          SessionOptions options,
-                                         OocStats* stats_out = nullptr,
-                                         std::size_t prefetch_lookahead = 0) {
+                                         OocStats* stats_out = nullptr) {
   PlannedDataset data = make_dna_dataset(plan.dataset);
   options.categories = plan.categories;
   options.alpha = plan.alpha;
@@ -157,22 +150,11 @@ inline std::vector<double> run_candidate(const TrialPlan& plan,
   options.io_retry.backoff_initial_us = 0;
   Session session(std::move(data.alignment), std::move(data.tree),
                   trial_model(plan), std::move(options));
-  std::unique_ptr<Prefetcher> prefetcher;
-  if (prefetch_lookahead > 0) {
-    OutOfCoreStore* store = session.out_of_core();
-    PLFOC_CHECK(store != nullptr);
-    prefetcher = std::make_unique<Prefetcher>(*store, prefetch_lookahead);
-    session.engine().attach_prefetcher(prefetcher.get());
-  }
   std::vector<double> series;
   series.reserve(1 + static_cast<std::size_t>(plan.traversals));
   series.push_back(session.engine().log_likelihood());
   for (int t = 0; t < plan.traversals; ++t)
     series.push_back(session.engine().full_traversal_log_likelihood());
-  if (prefetcher != nullptr) {
-    session.engine().attach_prefetcher(nullptr);
-    prefetcher->stop();
-  }
   if (stats_out != nullptr) *stats_out = session.store().stats_snapshot();
   return series;
 }
@@ -181,8 +163,6 @@ inline std::vector<double> run_candidate(const TrialPlan& plan,
 struct Candidate {
   std::string label;
   SessionOptions options;
-  /// > 0: attach a Prefetcher with this lookahead (out-of-core only).
-  std::size_t prefetch_lookahead = 0;
 };
 
 /// The full candidate roster for one trial: every replacement policy x
@@ -190,10 +170,8 @@ struct Candidate {
 /// other combination, kernel threads rotating through 1/2/4, io-engine
 /// rotating through sync / thread-pool / deterministic-permuted), the paged
 /// store under faults, the mmap backend (no syscall path, no faults),
-/// explicitly multithreaded and permuted-completion configurations, and a
-/// prefetch axis (policy x engine with a Prefetcher attached, covering the
-/// on_prefetch_install aging path). 16 candidates per
-/// trial, every one compared bitwise against the single-threaded in-RAM
+/// and explicitly multithreaded configurations. 13 candidates per trial,
+/// every one compared bitwise against the single-threaded in-RAM
 /// reference — the thread axis extends the Sec. 4.1 equivalence guarantee to
 /// the block-parallel kernels, and the engine axis extends it to
 /// batched/overlapped submission with arbitrary completion delivery order
@@ -289,34 +267,6 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
   paged_mt.options.threads = 4;
   paged_mt.label = "paged/faults/t4";
   candidates.push_back(std::move(paged_mt));
-
-  // Prefetch axis: a Prefetcher worker stages lookahead windows while the
-  // engine computes, exercising prefetch_batch() and the
-  // on_prefetch_install replacement aging under every engine family. Kept
-  // fault-free: prefetch I/O is advisory, and the policies here are the ones
-  // whose aging semantics the hook changes (LRU tick, LFU grant) plus the
-  // paper's plan-following strategy.
-  const ReplacementPolicy prefetch_policies[] = {ReplacementPolicy::kLru,
-                                                 ReplacementPolicy::kLfu,
-                                                 ReplacementPolicy::kTopological};
-  const char* prefetch_policy_names[] = {"lru", "lfu", "topological"};
-  for (int i = 0; i < 3; ++i) {
-    Candidate pf;
-    pf.options.backend = Backend::kOutOfCore;
-    pf.options.ram_fraction = 0.35;
-    pf.options.policy = prefetch_policies[i];
-    pf.options.seed = plan.dataset.seed;
-    pf.options.io_engine = engine_axis[i];
-    if (engine_axis[i] == AioEngineKind::kDeterministic)
-      pf.options.io_permute_seed = plan.fault_seed ^ 0xAB1Eu;
-    pf.prefetch_lookahead = 6;
-    // The middle candidate keeps the paper path; the others prefetch
-    // around dropped cherries.
-    pf.options.recompute_cherries = i != 1;
-    pf.label = std::string("ooc/") + prefetch_policy_names[i] +
-               "/prefetch/eng-" + engine_names[i] + (i == 1 ? "/paper-io" : "");
-    candidates.push_back(std::move(pf));
-  }
 
   return candidates;
 }

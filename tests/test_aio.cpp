@@ -9,7 +9,7 @@
 //    per-op fault/retry state machine at submission granularity.
 //
 //  * Store-level: the completion-order determinism contract. Every
-//    OutOfCoreStore / batched-Prefetcher evaluation must produce log
+//    OutOfCoreStore evaluation must produce log
 //    likelihoods BIT-IDENTICAL to the in-RAM reference no matter what
 //    order the engine delivers completions in — proven by sweeping ~50
 //    seeded permutations (including the identity and the full reversal)
@@ -32,7 +32,6 @@
 #include "ooc/file_backend.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
-#include "ooc/prefetch.hpp"
 #include "session.hpp"
 #include "util/hash.hpp"
 
@@ -351,137 +350,6 @@ TEST(AioBatch, FileBackendCoalescesAdjacentReads) {
   EXPECT_EQ(file.io_operations() - device_ops_before, 1u);
 }
 
-TEST(AioBatch, PrefetchBatchInstallsCoalescedReads) {
-  const std::size_t width = 32;
-  OocStoreOptions options;
-  options.num_slots = 6;
-  options.policy = ReplacementPolicy::kLru;
-  options.file.base_path = temp_vector_file_path("aio-prefetch");
-  options.file.io_engine = AioEngineKind::kDeterministic;
-  options.file.io_permute_seed = kAioOrderReverse;
-  OutOfCoreStore store(12, width, options);
-  for (std::uint32_t idx = 0; idx < 12; ++idx) {
-    auto lease = store.acquire(idx, AccessMode::kWrite);
-    for (std::size_t i = 0; i < width; ++i)
-      lease.data()[i] = idx * 10.0 + static_cast<double>(i);
-  }
-  store.flush();
-  // LRU after the sequential writes: 0..5 are on disk, 6..11 resident.
-  for (std::uint32_t idx = 0; idx < 4; ++idx)
-    ASSERT_FALSE(store.is_resident(idx));
-
-  // Start the counters from zero so the batch's traffic is read directly
-  // (this also covers reset_stats clearing the backing file's I/O counters).
-  store.reset_stats();
-  ASSERT_EQ(store.stats_snapshot().io_batches, 0u);
-
-  const std::uint32_t wanted[] = {0, 1, 2, 3};
-  store.prefetch_batch(wanted, 4);
-  // All four installs survive: on_prefetch_install ages each vector in at
-  // the current LRU tick, so the installs evict the four *oldest residents*
-  // (6..9) instead of each other — the lookahead-collapse fix. The victim
-  // write-backs are file-adjacent and ride one coalesced engine batch of
-  // their own, alongside the one ranged read batch.
-  for (const std::uint32_t idx : wanted) EXPECT_TRUE(store.is_resident(idx));
-
-  const OocStats stats = store.stats_snapshot();
-  EXPECT_EQ(stats.prefetch_reads, 4u);
-  EXPECT_EQ(stats.prefetch_wasted, 0u);
-  EXPECT_EQ(stats.io_batches, 2u);    // ONE read batch + ONE eviction-write batch
-  EXPECT_EQ(stats.io_coalesced, 8u);  // four reads + four writes, both ranged
-  EXPECT_EQ(stats.io_write_coalesced, 4u);  // the victim writes 6..9
-
-  for (const std::uint32_t idx : wanted) {
-    auto lease = store.acquire(idx, AccessMode::kRead);
-    for (std::size_t i = 0; i < width; ++i)
-      ASSERT_EQ(lease.data()[i], idx * 10.0 + static_cast<double>(i));
-  }
-  EXPECT_EQ(store.stats_snapshot().hits, 4u);  // the lookahead paid off
-}
-
-TEST(AioPrefetch, LookaheadHitRateRisesWithDepthUpToSlotBudget) {
-  // The access pattern the Prefetcher produces: the engine announces the
-  // next wave of 6 vectors, but only `depth` of them fit one staged batch
-  // (prefetch_batch_limit() == io_depth). Post-fix, every staged install
-  // survives until its demand access — hits per wave == depth, rising
-  // monotonically up to the slot budget. Before on_prefetch_install, LRU
-  // kept the installs at their ancient last-access ticks, so the batch's
-  // installs evicted each other and the hit rate was flat (~1 per wave)
-  // no matter how deep the engine queue was: the lookahead collapse.
-  const std::size_t width = 16;
-  const std::size_t kSlots = 6;
-  const std::uint32_t kCount = 24;
-  std::uint64_t previous_hits = 0;
-  for (const std::size_t depth : {1u, 2u, 4u, 6u}) {
-    OocStoreOptions options;
-    options.num_slots = kSlots;
-    options.policy = ReplacementPolicy::kLru;
-    options.file.base_path = temp_vector_file_path("aio-lookahead");
-    options.file.io_engine = AioEngineKind::kDeterministic;
-    options.file.io_permute_seed = kAioOrderReverse;
-    options.file.io_depth = static_cast<unsigned>(depth);
-    OutOfCoreStore store(kCount, width, options);
-    for (std::uint32_t idx = 0; idx < kCount; ++idx) {
-      auto lease = store.acquire(idx, AccessMode::kWrite);
-      for (std::size_t i = 0; i < width; ++i) lease.data()[i] = idx + 0.5;
-    }
-    store.flush();
-    store.reset_stats();
-
-    std::vector<std::uint32_t> window;
-    for (std::uint32_t wave = 0; wave < kCount; wave += kSlots) {
-      window.clear();
-      for (std::uint32_t k = 0; k < depth; ++k) window.push_back(wave + k);
-      store.prefetch_batch(window.data(), window.size());
-      for (std::uint32_t k = 0; k < kSlots; ++k)
-        store.acquire(wave + k, AccessMode::kRead);
-    }
-
-    const OocStats stats = store.stats_snapshot();
-    // Every staged vector is acquired before anything can push it out.
-    EXPECT_EQ(stats.prefetch_wasted, 0u) << "depth " << depth;
-    EXPECT_EQ(stats.hits, (kCount / kSlots) * depth) << "depth " << depth;
-    EXPECT_GT(stats.hits, previous_hits) << "depth " << depth;
-    previous_hits = stats.hits;
-    StoreAuditor auditor(1, 1);
-    const auto violation = auditor.check_stats(stats);
-    EXPECT_FALSE(violation.has_value()) << "depth " << depth << ": "
-                                        << *violation;
-  }
-}
-
-TEST(AioPrefetch, AbandonedLookaheadCountsWastedInstalls) {
-  // The demand stream diverges from the staged plan: every prefetched
-  // install is evicted before its first acquire and must be counted in
-  // prefetch_wasted (the signature the bench and the auditor key on).
-  const std::size_t width = 16;
-  OocStoreOptions options;
-  options.num_slots = 6;
-  options.policy = ReplacementPolicy::kLru;
-  options.file.base_path = temp_vector_file_path("aio-wasted");
-  options.file.io_engine = AioEngineKind::kDeterministic;
-  OutOfCoreStore store(12, width, options);
-  for (std::uint32_t idx = 0; idx < 12; ++idx) {
-    auto lease = store.acquire(idx, AccessMode::kWrite);
-    for (std::size_t i = 0; i < width; ++i) lease.data()[i] = idx + 0.25;
-  }
-  store.flush();
-  store.reset_stats();
-
-  const std::uint32_t staged[] = {0, 1, 2, 3, 4, 5};
-  store.prefetch_batch(staged, 6);  // fills every slot with unread installs
-  ASSERT_EQ(store.stats_snapshot().prefetch_reads, 6u);
-  for (std::uint32_t idx = 6; idx < 12; ++idx)
-    store.acquire(idx, AccessMode::kRead);
-
-  const OocStats stats = store.stats_snapshot();
-  EXPECT_EQ(stats.prefetch_wasted, 6u);
-  EXPECT_EQ(stats.hits, 0u);
-  StoreAuditor auditor(1, 1);
-  const auto violation = auditor.check_stats(stats);
-  EXPECT_FALSE(violation.has_value()) << *violation;
-}
-
 void expect_zero_io_counters(const OocStats& stats, const char* label) {
   EXPECT_EQ(stats.io_batches, 0u) << label;
   EXPECT_EQ(stats.io_coalesced, 0u) << label;
@@ -655,57 +523,6 @@ TEST(AioPermutations, OocStoreBitIdenticalAcrossCompletionOrders) {
         fuzz::run_candidate(plan, options, &stats);
     ASSERT_EQ(series, expected) << "ooc permutation seed " << seeds[k];
     expect_clean_audit(stats, seeds[k], "ooc");
-  }
-}
-
-/// run_candidate with a Prefetcher attached to the engine, so the batched
-/// prefetch path (prefetch_batch staging whole lookahead windows as one
-/// engine batch) runs concurrently with the demand accesses.
-std::vector<double> run_prefetching_candidate(const fuzz::TrialPlan& plan,
-                                              SessionOptions options,
-                                              OocStats* stats_out = nullptr) {
-  PlannedDataset data = make_dna_dataset(plan.dataset);
-  options.categories = plan.categories;
-  options.alpha = plan.alpha;
-  options.io_retry.backoff_initial_us = 0;
-  Session session(std::move(data.alignment), std::move(data.tree),
-                  fuzz::trial_model(plan), std::move(options));
-  OutOfCoreStore* store = session.out_of_core();
-  PLFOC_CHECK(store != nullptr);
-  std::vector<double> series;
-  {
-    Prefetcher prefetcher(*store, /*lookahead=*/6);
-    session.engine().attach_prefetcher(&prefetcher);
-    series.push_back(session.engine().log_likelihood());
-    for (int t = 0; t < plan.traversals; ++t)
-      series.push_back(session.engine().full_traversal_log_likelihood());
-    session.engine().attach_prefetcher(nullptr);
-    prefetcher.stop();
-  }
-  if (stats_out != nullptr) *stats_out = session.store().stats_snapshot();
-  return series;
-}
-
-TEST(AioPermutations, BatchedPrefetcherBitIdenticalAcrossCompletionOrders) {
-  const fuzz::TrialPlan plan = sweep_plan();
-  SessionOptions reference;
-  reference.backend = Backend::kInRam;
-  const std::vector<double> expected = fuzz::run_candidate(plan, reference);
-
-  const std::vector<std::uint64_t> seeds = permutation_seeds();
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    SessionOptions options;
-    options.backend = Backend::kOutOfCore;
-    options.ram_fraction = 0.35;
-    options.policy = ReplacementPolicy::kTopological;  // the prefetch policy
-    options.seed = plan.dataset.seed;
-    options.io_engine = AioEngineKind::kDeterministic;
-    options.io_permute_seed = seeds[k];
-    OocStats stats;
-    const std::vector<double> series =
-        run_prefetching_candidate(plan, options, &stats);
-    ASSERT_EQ(series, expected) << "prefetch permutation seed " << seeds[k];
-    expect_clean_audit(stats, seeds[k], "prefetch");
   }
 }
 

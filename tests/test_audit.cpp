@@ -305,9 +305,9 @@ TEST(StoreAuditor, EnforceIsSilentWithoutViolation) {
   SUCCEED();
 }
 
-// End-to-end: drive a real store through misses, evictions, read skips,
-// flushes, and prefetches while replaying every event into a shadow auditor
-// exactly as the PLFOC_AUDIT hooks do. In PLFOC_AUDIT builds the store also
+// End-to-end: drive a real store through misses, evictions, read skips and
+// flushes while replaying every event into a shadow auditor exactly as the
+// PLFOC_AUDIT hooks do. In PLFOC_AUDIT builds the store also
 // runs its internal auditor on every mutation, so this doubles as an
 // integration test that a correct workload never trips the oracle.
 TEST(StoreAuditor, CleanStoreWorkloadNeverTrips) {
@@ -329,7 +329,6 @@ TEST(StoreAuditor, CleanStoreWorkloadNeverTrips) {
       auto lease = store.acquire(idx, AccessMode::kRead);
       ASSERT_EQ(lease.data()[0], idx * 100.0 + round);
     }
-    for (const std::uint32_t v : {3u, 7u}) store.prefetch_batch(&v, 1);
   }
   EXPECT_GT(store.stats().evictions, 0u);
 }

@@ -252,6 +252,29 @@ TEST(CliBatchParse, JobsFlagAndMissingJobfile) {
   EXPECT_THROW(parse_batch({"jobs.txt", "--bogus"}), Error);
 }
 
+// The prefetch thread is gone, and with it --prefetch: both subcommands
+// reject it as an unknown flag at parse time.
+TEST(CliParse, RemovedPrefetchFlagIsRejected) {
+  const auto expect_unknown = [](const auto& parse_args, const char* label) {
+    try {
+      parse_args();
+      ADD_FAILURE() << label << " accepted --prefetch";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown flag '--prefetch'"),
+                std::string::npos)
+          << label << ": " << error.what();
+    }
+  };
+  expect_unknown([] { (void)parse_batch({"jobs.txt", "--prefetch", "4"}); },
+                 "plfoc batch");
+  expect_unknown(
+      [] {
+        const char* argv[] = {"--prefetch", "4"};
+        (void)parse_serve_cli(2, argv);
+      },
+      "plfoc serve");
+}
+
 TEST_F(CliFixture, BatchModeMatchesSequentialEvaluate) {
   // Sequential references via the evaluate mode, one per backend config.
   const auto logl_of = [&](const char* backend, double fraction,

@@ -2,8 +2,8 @@
 // trees, models, and traversal workloads evaluated on every backend x
 // replacement strategy x read-skip setting, with seeded fault schedules on
 // the file-backed candidates, asserting BIT-identical log likelihoods
-// against the InRamStore reference (Sec. 4.1). Default scale: 20 trials x 15
-// candidates = 300 randomized cases (the roster carries a kernel-thread axis
+// against the InRamStore reference (Sec. 4.1). Default scale: 20 trials x 13
+// candidates = 260 randomized cases (the roster carries a kernel-thread axis
 // and an io-engine axis — sync / thread-pool / deterministic-permuted
 // completions; every fourth trial draws a multi-block alignment so the
 // parallel reduction itself is exercised). Out-of-core candidates drop and
@@ -58,8 +58,7 @@ TEST(FaultFuzz, AllBackendsBitIdenticalUnderFaults) {
       std::vector<double> series;
       OocStats stats;
       try {
-        series = fuzz::run_candidate(plan, candidate.options, &stats,
-                                     candidate.prefetch_lookahead);
+        series = fuzz::run_candidate(plan, candidate.options, &stats);
       } catch (const std::exception& error) {
         FAIL() << "candidate " << candidate.label << " threw: " << error.what()
                << " | reproduce with " << repro;
@@ -401,7 +400,7 @@ TEST_F(BatchFaultCli, ReadmitEndsInExactlyTwoStates) {
   // must end in exactly one of two states per seed: the job produced the
   // reference logL bit for bit, or it failed typed after 2 attempts (proof
   // the re-admission path ran). Everything is deterministic given the seed —
-  // one worker, no prefetcher — so the branch coverage observed when this
+  // one worker — so the branch coverage observed when this
   // test was written is stable, not flaky.
   const std::string jobfile_ref = write_jobfile("jobs_ref.txt", "");
   BatchConfig reference;

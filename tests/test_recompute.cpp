@@ -2,7 +2,7 @@
 // vectors"): the out-of-core store evicts a vector marked rebuildable
 // without writing it back, and rebuilds it through the recovery hook on its
 // next read-mode miss. The store-level tests pin the counters and the read
-// paths (demand, prefetch, cancellation); the Session-level tests pin bit
+// paths (demand, cancellation); the Session-level tests pin bit
 // identity against the in-RAM engine and against the paper's write-back
 // path, in both disk precisions and on every I/O engine.
 #include <gtest/gtest.h>
@@ -128,30 +128,6 @@ TEST(RecomputeStore, DropsNeedTheOptionTheHookAndTheMark) {
     EXPECT_EQ(hook.calls, 0u);
     EXPECT_EQ(store.stats().file_reads, 1u);
   }
-}
-
-TEST(RecomputeStore, PrefetchSkipsADroppedVector) {
-  OutOfCoreStore store(6, kWidth, drop_options("drop-prefetch"));
-  PatternHook hook;
-  hook.attach(store);
-  write_vector(store, 0, true);
-  write_vector(store, 1, false);
-  for (std::uint32_t v = 2; v < 6; ++v) write_vector(store, v, false);
-  const OocStats before = store.stats();
-
-  // Vector 1 was written back and is prefetched; dropped vector 0 is not.
-  const std::uint32_t wanted[] = {0, 1};
-  store.prefetch_batch(wanted, 2);
-  const OocStats staged = store.stats();
-  EXPECT_EQ(staged.prefetch_reads, before.prefetch_reads + 1);
-  EXPECT_FALSE(store.is_resident(0));
-  EXPECT_TRUE(store.is_resident(1));
-  EXPECT_EQ(hook.calls, 0u);
-
-  expect_pattern(store, 0);
-  EXPECT_EQ(hook.calls, 1u);
-  EXPECT_EQ(store.stats().recomputes, 1u);
-  EXPECT_EQ(store.stats().prefetch_reads, staged.prefetch_reads);
 }
 
 TEST(RecomputeStore, CancelledRebuildUndoesTheInstall) {

@@ -46,37 +46,6 @@ TEST(Replacement, PolicyParseErrorListsAcceptedNames) {
   }
 }
 
-TEST(Replacement, PrefetchInstallAgesVectorIntoLruAndLfu) {
-  // The lookahead-collapse fix: a prefetched install must be as fresh as a
-  // demand access for LRU (current tick) and carry one access grant for LFU,
-  // so the next eviction prefers older residents over the staged lookahead.
-  StrategyConfig config{ReplacementPolicy::kLru, 8, 1, nullptr};
-  auto lru = make_strategy(config);
-  lru->on_load(0);
-  lru->on_access(0);
-  lru->on_load(1);
-  lru->on_access(1);
-  lru->on_load(2);
-  lru->on_prefetch_install(2);  // never demand-accessed
-  const auto c = candidates({0, 1, 2});
-  EXPECT_EQ(lru->choose_victim({c.data(), c.size()}, 7), 0u);
-
-  config.policy = ReplacementPolicy::kLfu;
-  auto lfu = make_strategy(config);
-  lfu->on_load(0);
-  lfu->on_access(0);
-  lfu->on_access(0);
-  lfu->on_load(1);
-  lfu->on_access(1);
-  lfu->on_load(2);
-  lfu->on_prefetch_install(2);  // one-access grant: ties with 1, beats none
-  const auto c2 = candidates({0, 2});
-  EXPECT_EQ(lfu->choose_victim({c2.data(), c2.size()}, 7), 2u)
-      << "one grant must not outrank a twice-accessed resident";
-  const auto c3 = candidates({2});
-  EXPECT_EQ(lfu->choose_victim({c3.data(), c3.size()}, 7), 2u);
-}
-
 TEST(Replacement, RandomPicksFromCandidatesOnly) {
   auto strategy = make_strategy({ReplacementPolicy::kRandom, 100, 7, nullptr});
   const auto c = candidates({3, 17, 42, 99});

@@ -342,21 +342,6 @@ TEST(Service, SharedAioEngineAcrossWorkersIsBitIdentical) {
   }
 }
 
-TEST(Service, PrefetcherLifecycleSurvivesBatch) {
-  const double reference =
-      sequential_log_likelihood(make_job(91, Backend::kOutOfCore, 0.3));
-  ServiceOptions options;
-  options.workers = 2;
-  options.prefetch_lookahead = 2;
-  Service service(options);
-  for (int j = 0; j < 4; ++j)
-    service.submit(make_job(91, Backend::kOutOfCore, 0.3));
-  for (const JobResult& result : service.drain()) {
-    EXPECT_EQ(result.status, JobStatus::kDone);
-    EXPECT_EQ(result.log_likelihood, reference);
-  }
-}
-
 TEST(Service, RecycledVectorFilesKeepResultsAndStayBounded) {
   // Each ooc job's Session takes a vector file a finished job left idle
   // (docs/storage-layer.md "File lifecycle"): results stay bit-identical to

@@ -129,6 +129,25 @@ TEST(SessionOptions, ValidateRejectsInconsistentMemoryLimits) {
   in_ram.validate();
 }
 
+// A thread count can come from a jobfile line or a wire request, and the
+// kernel pool starts threads - 1 OS threads. validate() runs before any pool
+// exists, so neither count below starts a thread.
+TEST(SessionOptions, ValidateBoundsThreads) {
+  SessionOptions at_limit;
+  at_limit.threads = SessionOptions::kMaxThreads;
+  EXPECT_NO_THROW(at_limit.validate());
+
+  SessionOptions over_limit;
+  over_limit.threads = SessionOptions::kMaxThreads + 1;
+  try {
+    over_limit.validate();
+    ADD_FAILURE() << "threads above kMaxThreads must be rejected";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("threads"), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Session, EvaluateReturnsLikelihoodTimingAndStats) {
   PlannedDataset data = small_dataset();
   Tree tree_copy = data.tree;

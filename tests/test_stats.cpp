@@ -79,7 +79,6 @@ TEST(Stats, PlusEqualsAccumulatesAllCounters) {
   a.file_reads = 6;
   a.file_writes = 7;
   a.skipped_reads = 8;
-  a.prefetch_reads = 9;
   a.bytes_read = 10;
   a.bytes_written = 11;
   a.faults_injected = 12;
@@ -95,7 +94,6 @@ TEST(Stats, PlusEqualsAccumulatesAllCounters) {
   EXPECT_EQ(b.file_reads, 12u);
   EXPECT_EQ(b.file_writes, 14u);
   EXPECT_EQ(b.skipped_reads, 16u);
-  EXPECT_EQ(b.prefetch_reads, 18u);
   EXPECT_EQ(b.bytes_read, 20u);
   EXPECT_EQ(b.bytes_written, 22u);
   EXPECT_EQ(b.faults_injected, 24u);

@@ -106,9 +106,8 @@ std::string describe(const OocStats& s) {
   out << "acc=" << s.accesses << " hit=" << s.hits << " miss=" << s.misses
       << " cold=" << s.cold_misses << " ev=" << s.evictions
       << " rd=" << s.file_reads << " wr=" << s.file_writes
-      << " skip=" << s.skipped_reads << " pfr=" << s.prefetch_reads
-      << " pfs=" << s.prefetch_stale << " pfw=" << s.prefetch_wasted
-      << " br=" << s.bytes_read << " bw=" << s.bytes_written
+      << " skip=" << s.skipped_reads << " br=" << s.bytes_read
+      << " bw=" << s.bytes_written
       << " fi=" << s.faults_injected << " rt=" << s.io_retries
       << " ex=" << s.io_exhausted << " if=" << s.integrity_failures
       << " irc=" << s.integrity_recoveries
@@ -144,52 +143,52 @@ Tree trace_tree() {
 // clang-format off
 const Golden kOocGolden[] = {
     {"random/sync/double",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 pfr=0 pfs=0 pfw=0 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
     {"random/sync/single",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 pfr=0 pfs=0 pfw=0 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0xd1b25a88c923159full, 0x82b623589fe6c97dull},
     {"random/deterministic/double",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 pfr=0 pfs=0 pfw=0 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=191 co=19 wco=19",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=441 skip=203 br=32064 bw=84672 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=191 co=19 wco=19",
      0x12d1853be24c6885ull, 0x82b623589fe6c97dull},
     {"random/deterministic/single",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 pfr=0 pfs=0 pfw=0 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=111 co=19 wco=19",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=167 wr=254 skip=203 br=16032 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=111 co=19 wco=19",
      0xd1b25a88c923159full, 0x82b623589fe6c97dull},
     {"lru/sync/double",
-     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 pfr=0 pfs=0 pfw=0 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
     {"lru/sync/single",
-     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 pfr=0 pfs=0 pfw=0 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
     {"lru/deterministic/double",
-     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 pfr=0 pfs=0 pfw=0 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=188 co=24 wco=24",
+     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=431 skip=196 br=31488 bw=82752 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=188 co=24 wco=24",
      0xc8a6daf05e9e5eb9ull, 0x82b623589fe6c97dull},
     {"lru/deterministic/single",
-     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 pfr=0 pfs=0 pfw=0 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=100 co=24 wco=24",
+     "acc=617 hit=257 miss=360 cold=20 ev=354 rd=164 wr=253 skip=196 br=15744 bw=24288 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=100 co=24 wco=24",
      0xae00e4fe6c77eddaull, 0x82b623589fe6c97dull},
     {"lfu/sync/double",
-     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 pfr=0 pfs=0 pfw=0 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
     {"lfu/sync/single",
-     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 pfr=0 pfs=0 pfw=0 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0x65eba992050096fdull, 0x82b623589fe6c97dull},
     {"lfu/deterministic/double",
-     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 pfr=0 pfs=0 pfw=0 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=203 co=10 wco=10",
+     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=445 skip=196 br=34368 bw=85440 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=203 co=10 wco=10",
      0xd4d52d8d195a35d1ull, 0x82b623589fe6c97dull},
     {"lfu/deterministic/single",
-     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 pfr=0 pfs=0 pfw=0 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=109 co=10 wco=10",
+     "acc=617 hit=242 miss=375 cold=20 ev=369 rd=179 wr=262 skip=196 br=17184 bw=25152 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=109 co=10 wco=10",
      0x65eba992050096fdull, 0x82b623589fe6c97dull},
     {"topological/sync/double",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 pfr=0 pfs=0 pfw=0 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
     {"topological/sync/single",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 pfr=0 pfs=0 pfw=0 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=0 co=0 wco=0",
      0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
     {"topological/deterministic/double",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 pfr=0 pfs=0 pfw=0 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=198 co=16 wco=16",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=436 skip=196 br=33408 bw=83712 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=198 co=16 wco=16",
      0xf71cb7a3cf8ade4ull, 0x82b623589fe6c97dull},
     {"topological/deterministic/single",
-     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 pfr=0 pfs=0 pfw=0 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=110 co=16 wco=16",
+     "acc=617 hit=247 miss=370 cold=20 ev=364 rd=174 wr=254 skip=196 br=16704 bw=24384 fi=0 rt=0 ex=0 if=0 irc=0 iun=0 rrc=0 ci=0 bat=110 co=16 wco=16",
      0x2d2def31d1c60271ull, 0x82b623589fe6c97dull},
 };
 // clang-format on

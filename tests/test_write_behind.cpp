@@ -9,7 +9,7 @@
 //    thread, kept queued and retried; the store stays audit-clean and its
 //    destructor does not hang;
 //  * a cancel with writes queued unwinds, and the Session evaluates again;
-//  * the prefetch worker and the writer run together (the TSan target);
+//  * the writer runs beside engine traversals (the TSan target);
 //  * the memory accounting counts the write-behind buffers.
 // Runs as `ctest -L ooc`.
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "likelihood/memory_model.hpp"
 #include "ooc/audit.hpp"
 #include "ooc/ooc_store.hpp"
-#include "ooc/prefetch.hpp"
 #include "session.hpp"
 #include "sim/dataset_planner.hpp"
 
@@ -251,10 +250,11 @@ TEST(WriteBehind, CancelWithWritesQueuedUnwindsAndReevaluates) {
   EXPECT_GT(session.stats().skipped_reads, 0u);
 }
 
-TEST(Concurrency, PrefetcherAndWriteBehindRunTogether) {
-  // The worker stages reads (draining the queue first) and installs with
-  // batched write-backs while the engine thread's write-mode misses queue
-  // write-behinds. Every evaluation stays bit-identical to the in-RAM one.
+TEST(Concurrency, WriteBehindBesideEngineTraversals) {
+  // The engine thread's write-mode misses queue write-behinds while its
+  // read-mode misses and rebuilds wait for them, with the writer thread
+  // running the queue. Every evaluation stays bit-identical to the in-RAM
+  // one.
   DatasetPlan plan;
   plan.num_taxa = 24;
   plan.num_sites = 120;
@@ -270,8 +270,6 @@ TEST(Concurrency, PrefetcherAndWriteBehindRunTogether) {
     options.policy = ReplacementPolicy::kLru;
     options.recompute_cherries = drop;
     Session session(data.alignment, data.tree, benchmark_gtr(), options);
-    Prefetcher prefetcher(*session.out_of_core(), /*lookahead=*/4);
-    session.engine().attach_prefetcher(&prefetcher);
     const auto edges = session.tree().edges();
     for (int round = 0; round < 6; ++round) {
       ASSERT_EQ(session.engine().full_traversal_log_likelihood(),
@@ -283,8 +281,6 @@ TEST(Concurrency, PrefetcherAndWriteBehindRunTogether) {
                   reference.engine().log_likelihood(a, b));
       }
     }
-    session.engine().attach_prefetcher(nullptr);
-    prefetcher.stop();
     const OocStats stats = session.store().stats_snapshot();
     EXPECT_GT(stats.skipped_reads, 0u);
     EXPECT_GT(stats.file_writes, 0u);
