@@ -66,12 +66,8 @@ CacheStats& CacheStats::operator+=(const CacheStats& other) {
   return *this;
 }
 
-CacheKey plf_cache_key(const Alignment& alignment, const Phylo2Vec& tree,
-                       const SubstitutionModel& model,
-                       const SessionOptions& options) {
+CacheKeyPrefix plf_cache_key_prefix(const Alignment& alignment) {
   KeyHasher hasher;
-
-  // Alignment: data type, dimensions, then per-taxon name + encoded row.
   hasher.absorb_u64(static_cast<std::uint64_t>(alignment.data_type()));
   hasher.absorb_u64(alignment.num_taxa());
   hasher.absorb_u64(alignment.num_sites());
@@ -81,10 +77,17 @@ CacheKey plf_cache_key(const Alignment& alignment, const Phylo2Vec& tree,
     hasher.absorb_bytes(row.data(), row.size());
   }
   hasher.absorb_f64_vector(alignment.weights());
+  return CacheKeyPrefix{hasher.hi, hasher.lo};
+}
+
+CacheKey plf_cache_key(const CacheKeyPrefix& prefix, const Phylo2Vec& tree,
+                       const SubstitutionModel& model,
+                       const SessionOptions& options) {
+  KeyHasher hasher{prefix.hi, prefix.lo};
 
   // Canonical tree: topology vector + canonical-order branch lengths. The
   // taxon binding is positional (label = rank in sorted name order), and
-  // the names themselves are already absorbed via the alignment above.
+  // the names themselves are already absorbed in the prefix.
   hasher.absorb_u64(tree.v.size());
   for (const std::uint32_t entry : tree.v) hasher.absorb_u64(entry);
   hasher.absorb_f64_vector(tree.lengths);
@@ -103,6 +106,12 @@ CacheKey plf_cache_key(const Alignment& alignment, const Phylo2Vec& tree,
   hasher.absorb_u64(options.single_precision_disk ? 1 : 0);
 
   return CacheKey{hasher.hi, hasher.lo};
+}
+
+CacheKey plf_cache_key(const Alignment& alignment, const Phylo2Vec& tree,
+                       const SubstitutionModel& model,
+                       const SessionOptions& options) {
+  return plf_cache_key(plf_cache_key_prefix(alignment), tree, model, options);
 }
 
 ResultCache::ResultCache(std::size_t capacity, std::size_t shards)

@@ -71,15 +71,29 @@ struct CacheStats {
   CacheStats& operator+=(const CacheStats& other);
 };
 
-/// Derive the cache key for one evaluation job. `tree` must be the
-/// canonical encoding (phylo2vec_encode output); the alignment is hashed
-/// in row order (names, encoded rows, weights), the model by content
-/// (type, frequencies, exchangeabilities — the display name is cosmetic),
-/// and of the session options exactly the value-affecting fields:
-/// categories, alpha, compress_patterns, single_precision_disk. Backend,
-/// thread count, budget and replacement policy are deliberately excluded —
-/// the determinism contract makes them value-transparent, which is what
-/// lets a cached result stand in for any backend's traversal.
+/// The alignment's share of a cache key: the state of both digest chains
+/// after the alignment's fields (data type, dimensions, then names, encoded
+/// rows and weights in row order). It depends on nothing else, so the
+/// serving tier computes it once per bound alignment file.
+struct CacheKeyPrefix {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+};
+CacheKeyPrefix plf_cache_key_prefix(const Alignment& alignment);
+
+/// Derive the cache key for one evaluation job from its alignment's prefix.
+/// `tree` must be the canonical encoding (phylo2vec_encode output); the
+/// model is hashed by content (type, frequencies, exchangeabilities — the
+/// display name is cosmetic), and of the session options exactly the
+/// value-affecting fields: categories, alpha, compress_patterns,
+/// single_precision_disk. Backend, thread count, budget and replacement
+/// policy are deliberately excluded — the determinism contract makes them
+/// value-transparent, which is what lets a cached result stand in for any
+/// backend's traversal.
+CacheKey plf_cache_key(const CacheKeyPrefix& prefix, const Phylo2Vec& tree,
+                       const SubstitutionModel& model,
+                       const SessionOptions& options);
+/// plf_cache_key(plf_cache_key_prefix(alignment), tree, model, options).
 CacheKey plf_cache_key(const Alignment& alignment, const Phylo2Vec& tree,
                        const SubstitutionModel& model,
                        const SessionOptions& options);

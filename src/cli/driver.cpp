@@ -116,7 +116,7 @@ int run_cli(const CliConfig& config, std::ostream& out) {
   out << "model: " << model.name << " + G" << config.categories << "\n";
 
   SessionOptions options;
-  options.categories = static_cast<unsigned>(config.categories);
+  options.categories = config.categories;
   options.alpha = config.alpha;
   options.backend = backend;
   options.ram_budget_bytes = config.memory_limit;
@@ -127,11 +127,11 @@ int run_cli(const CliConfig& config, std::ostream& out) {
   options.vector_file = config.vector_file;
   if (!config.inject_faults.empty())
     options.faults = FaultConfig::parse(config.inject_faults);
-  options.io_retry.max_retries = static_cast<unsigned>(config.io_retries);
+  options.io_retry.max_retries = config.io_retries;
   options.io_engine = io_engine;
-  options.io_depth = static_cast<unsigned>(config.io_depth);
+  options.io_depth = config.io_depth;
   options.direct_io = config.direct_io;
-  options.threads = static_cast<unsigned>(config.threads);
+  options.threads = config.threads;
   Session session(std::move(alignment), std::move(tree), std::move(model),
                   options);
   if (options.faults.enabled())
@@ -280,7 +280,7 @@ int run_batch_cli(const BatchConfig& config, std::ostream& out) {
   options.queue_capacity = static_cast<std::size_t>(config.queue_capacity);
   options.ram_budget_bytes = config.ram_budget;
   options.readmit_io_failures = config.readmit;
-  options.kernel_threads = static_cast<unsigned>(config.threads);
+  options.kernel_threads = config.threads;
   options.result_cache_entries = static_cast<std::size_t>(config.cache);
   options.result_cache_shards = static_cast<std::size_t>(config.cache_shards);
   Service service(options);
@@ -289,11 +289,10 @@ int run_batch_cli(const BatchConfig& config, std::ostream& out) {
     // Batch-wide robustness defaults; per-line keys take precedence.
     if (entry.faults.empty()) spec.session.faults = batch_faults;
     if (entry.io_retries < 0)
-      spec.session.io_retry.max_retries =
-          static_cast<unsigned>(config.io_retries);
+      spec.session.io_retry.max_retries = config.io_retries;
     if (entry.io_engine.empty()) spec.session.io_engine = batch_engine;
     if (entry.io_depth < 0)
-      spec.session.io_depth = static_cast<unsigned>(config.io_depth);
+      spec.session.io_depth = config.io_depth;
     service.submit(std::move(spec));
   }
   const std::vector<JobResult> results = service.drain();
@@ -446,23 +445,17 @@ std::map<std::string, TenantPolicy> parse_tenant_policies(
                       "' (want name:weight[:max_inflight[:ram_share]])");
     PLFOC_REQUIRE(policies.find(fields[0]) == policies.end(),
                   "duplicate tenant '" + fields[0] + "'");
-    const auto parse_u64 = [&entry](const std::string& text) {
-      try {
-        std::size_t used = 0;
-        const unsigned long long value = std::stoull(text, &used);
-        PLFOC_REQUIRE(used == text.size(), "bad number in '" + entry + "'");
-        return static_cast<std::uint64_t>(value);
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception&) {
-        throw Error("bad number in tenant entry '" + entry + "'");
-      }
+    const auto number = [&entry](const std::string& text, auto* target) {
+      const auto parsed =
+          parse_unsigned<std::remove_pointer_t<decltype(target)>>(text);
+      PLFOC_REQUIRE(parsed.has_value(),
+                    "bad number in tenant entry '" + entry + "'");
+      *target = *parsed;
     };
     TenantPolicy policy;
-    policy.weight = static_cast<unsigned>(parse_u64(fields[1]));
-    if (fields.size() >= 3)
-      policy.max_in_flight = static_cast<std::size_t>(parse_u64(fields[2]));
-    if (fields.size() >= 4) policy.ram_share_bytes = parse_u64(fields[3]);
+    number(fields[1], &policy.weight);
+    if (fields.size() >= 3) number(fields[2], &policy.max_in_flight);
+    if (fields.size() >= 4) number(fields[3], &policy.ram_share_bytes);
     policies.emplace(fields[0], policy);
   }
   return policies;
@@ -534,9 +527,9 @@ int run_serve_cli(const ServeConfig& config, std::istream& in,
   options.service.queue_capacity =
       static_cast<std::size_t>(config.queue_capacity);
   options.service.ram_budget_bytes = config.ram_budget;
-  options.service.kernel_threads = static_cast<unsigned>(config.threads);
+  options.service.kernel_threads = config.threads;
   options.service.io_engine = parse_aio_engine(config.io_engine);
-  options.service.io_depth = static_cast<unsigned>(config.io_depth);
+  options.service.io_depth = config.io_depth;
   options.service.readmit_io_failures = config.readmit;
   options.service.result_cache_entries =
       static_cast<std::size_t>(config.cache);

@@ -35,7 +35,7 @@ struct CliConfig {
   // model
   std::string model = "gtr";         // jc | k80 | hky | gtr | poisson
   double kappa = 2.0;                // k80 / hky
-  std::uint64_t categories = 4;
+  unsigned categories = 4;
   double alpha = 1.0;
   // storage
   std::string backend = "inram";     // inram | ooc | paged | mmap
@@ -46,13 +46,13 @@ struct CliConfig {
   std::string vector_file;           // optional explicit backing file
   // robustness (docs/robustness.md)
   std::string inject_faults;         // FaultConfig spec "seed=N,rate=P,..."
-  std::uint64_t io_retries = 4;      // transient-error retry budget (0 = off)
+  unsigned io_retries = 4;           // transient-error retry budget (0 = off)
   // async I/O (docs/async-io.md)
   std::string io_engine = "sync";    // sync | threads | uring | deterministic
-  std::uint64_t io_depth = 8;        // submission-queue depth (async engines)
+  unsigned io_depth = 8;             // submission-queue depth (async engines)
   bool direct_io = false;            // O_DIRECT for 512-aligned transfers
   // parallelism (docs/parallelism.md)
-  std::uint64_t threads = 1;         // kernel threads (1 = serial)
+  unsigned threads = 1;              // kernel threads (1 = serial)
   // workload
   std::string mode = "evaluate";     // evaluate | search | traverse | mcmc
   std::uint64_t traversals = 5;      // traverse mode
@@ -82,10 +82,10 @@ struct BatchConfig {
   /// Batch-wide defaults; a job line's own faults= / io-retries= / threads=
   /// keys win.
   std::string inject_faults;          ///< FaultConfig spec "seed=N,rate=P,..."
-  std::uint64_t io_retries = 4;       ///< transient-error retry budget
+  unsigned io_retries = 4;            ///< transient-error retry budget
   std::string io_engine = "sync";     ///< batch-default I/O engine
-  std::uint64_t io_depth = 8;         ///< batch-default submission-queue depth
-  std::uint64_t threads = 1;          ///< kernel threads per worker
+  unsigned io_depth = 8;              ///< batch-default submission-queue depth
+  unsigned threads = 1;               ///< kernel threads per worker
   bool readmit = false;               ///< re-admit I/O-failed jobs once
   /// Result-cache entries (0 = off). With the cache on, trees are
   /// Phylo2Vec-canonicalized before evaluation — same contract as `plfoc
@@ -143,9 +143,9 @@ struct ServeConfig {
   std::uint64_t workers = 1;
   std::uint64_t ram_budget = 0;        ///< aggregate slot-memory bytes; 0 = ∞
   std::uint64_t queue_capacity = 64;
-  std::uint64_t threads = 1;           ///< kernel threads per worker
+  unsigned threads = 1;                ///< kernel threads per worker
   std::string io_engine = "sync";      ///< service-default I/O engine
-  std::uint64_t io_depth = 8;          ///< service-default queue depth
+  unsigned io_depth = 8;               ///< service-default queue depth
   bool readmit = false;
   std::uint64_t cache = 0;             ///< result-cache entries; 0 = off
   std::uint64_t cache_shards = 8;

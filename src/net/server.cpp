@@ -446,9 +446,9 @@ void Server::handle_submit(std::uint64_t conn_id, Connection& conn,
         return phylo2vec_decode(encoding);
       }
       Rng rng(msg.seed);
-      return stepwise_addition_tree(bound.alignment, rng);
+      return stepwise_addition_tree(bound.shared->alignment, rng);
     }();
-    JobSpec spec = make_job_spec(entry, bound.alignment, std::move(tree));
+    JobSpec spec = make_job_spec(entry, bound.shared, std::move(tree));
     spec.tenant = msg.tenant;
     // v2 deadline (ms on the wire; 0 = none). Armed by the service at
     // accept time, so the clock starts here — queue time counts.
@@ -492,9 +492,10 @@ const Server::BoundAlignment& Server::bind_alignment(
     alignments_.erase(it);  // the file changed since it was bound
   }
   BoundAlignment bound;
-  bound.alignment = parse_entry_alignment(entry, bytes);
-  for (std::size_t i = 0; i < bound.alignment.num_taxa(); ++i)
-    bound.sorted_taxa.push_back(bound.alignment.name(i));
+  bound.shared = share_alignment(parse_entry_alignment(entry, bytes));
+  const Alignment& alignment = bound.shared->alignment;
+  for (std::size_t i = 0; i < alignment.num_taxa(); ++i)
+    bound.sorted_taxa.push_back(alignment.name(i));
   std::sort(bound.sorted_taxa.begin(), bound.sorted_taxa.end());
   bound.taxa_digest = phylo2vec_taxa_digest(bound.sorted_taxa);
   bound.path = entry.msa_path;

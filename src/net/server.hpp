@@ -9,12 +9,15 @@
 // decoded) and handed to the embedded Service, whose FairJobQueue /
 // ResultCache / Scheduler stack does the real work. The event thread keeps
 // a small memo of bound alignment files: every submit re-reads its file,
-// and only byte-identical contents reuse the parsed alignment and taxa
-// digest, so an edited file is rebound, never served stale. A ready cache
-// hit is answered inside Service::try_submit. Other results come back via
-// ServiceOptions::on_complete — worker threads only append to a pending
-// list under the server mutex and poke the wake socket; all connection
-// state stays single-threaded on the event thread.
+// and only byte-identical contents reuse the binding, so an edited file is
+// rebound, never served stale. Binding does all per-alignment work once:
+// the parse, the taxa digest and a SharedAlignment (service/job.hpp) with
+// the empirical frequencies, the cache-key prefix and the pattern
+// alignment, which every job over that file version shares by pointer. A
+// ready cache hit is answered inside Service::try_submit. Other results
+// come back via ServiceOptions::on_complete — worker threads only append
+// to a pending list under the server mutex and poke the wake socket; all
+// connection state stays single-threaded on the event thread.
 //
 // Failure containment: a malformed frame (typed ProtocolError) costs that
 // one connection; a rejected submit (bad model, digest mismatch, queue
@@ -102,6 +105,10 @@ class Server {
   Service& service() { return *service_; }
   ServerStats stats() const;
 
+  /// Alignment files the bind memo holds; the least recently used is
+  /// dropped beyond this.
+  static constexpr std::size_t kAlignmentMemoFiles = 8;
+
  private:
   struct Connection {
     Socket socket;
@@ -120,12 +127,12 @@ class Server {
     std::string format;
     std::string data_type;
     std::string bytes;
-    Alignment alignment;
+    /// Shared with every job submitted against these bytes; a queued job
+    /// keeps it after the file is rebound or dropped from the memo.
+    std::shared_ptr<const SharedAlignment> shared;
     std::vector<std::string> sorted_taxa;
     std::uint64_t taxa_digest = 0;  ///< phylo2vec_taxa_digest(sorted_taxa)
   };
-  /// Files the memo holds; the least recently used is dropped beyond this.
-  static constexpr std::size_t kAlignmentMemoFiles = 8;
 
   void event_loop();
   /// Process every complete frame buffered on the connection. Returns

@@ -11,12 +11,16 @@
 // RAM, but tips are negligible next to ancestral vectors (Sec. 3.1: 1 byte
 // per site per taxon vs. 8 * states * categories bytes per site per inner
 // node). The budget the scheduler arbitrates covers the dominant term, the
-// per-job slot memory.
+// per-job slot memory. Jobs the serving tier binds share one immutable
+// SharedAlignment per file version instead of holding a copy each.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "cache/result_cache.hpp"
 #include "model/rate_matrix.hpp"
 #include "msa/alignment.hpp"
 #include "ooc/stats.hpp"
@@ -27,6 +31,21 @@ namespace plfoc {
 
 /// Monotonically increasing handle assigned by Service::submit().
 using JobId = std::uint64_t;
+
+/// One alignment with everything a job derives from it alone, computed once
+/// by share_alignment() (service/jobfile.hpp) and immutable after, so any
+/// number of jobs, and the workers evaluating them, read it concurrently.
+/// The serving tier binds one per alignment file version (net/server.hpp);
+/// a job holding it keeps the bytes it was submitted with even after the
+/// file is rebound.
+struct SharedAlignment {
+  Alignment alignment;              ///< as parsed
+  std::vector<double> frequencies;  ///< alignment.empirical_frequencies()
+  CacheKeyPrefix key_prefix;        ///< plf_cache_key_prefix(alignment)
+  /// What a compressing Session evaluates: compress_patterns(alignment)
+  /// (the alignment itself when it already carries weights).
+  Alignment patterns;
+};
 
 /// Aggregate-initialise: {name, alignment, tree, model, session}. There is
 /// deliberately no default constructor (Tree has none — a spec without a
@@ -52,6 +71,15 @@ struct JobSpec {
   /// the next pattern-block / traversal-step / AIO-batch check point. Over
   /// the wire this is SubmitRequest::deadline_ms (protocol v2).
   double deadline_seconds = 0;
+  /// Set instead of `alignment` (which then stays empty) by
+  /// make_job_spec's shared overload: the job reads its data, cache-key
+  /// prefix and pattern alignment from here.
+  std::shared_ptr<const SharedAlignment> shared = nullptr;
+
+  /// The job's alignment as submitted (uncompressed), wherever it lives.
+  const Alignment& input_alignment() const {
+    return shared ? shared->alignment : alignment;
+  }
 };
 
 enum class JobStatus {

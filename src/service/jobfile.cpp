@@ -1,15 +1,18 @@
 #include "service/jobfile.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "msa/fasta.hpp"
+#include "msa/patterns.hpp"
 #include "msa/phylip.hpp"
 #include "ooc/aio.hpp"
 #include "ooc/replacement.hpp"
 #include "search/stepwise.hpp"
 #include "tree/newick.hpp"
+#include "util/args.hpp"
 #include "util/checks.hpp"
 #include "util/rng.hpp"
 
@@ -31,14 +34,11 @@ double parse_double(std::size_t line, const std::string& key,
   throw line_error(line, "bad numeric value '" + value + "' for " + key);
 }
 
-std::uint64_t parse_uint(std::size_t line, const std::string& key,
-                         const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long parsed = std::stoull(value, &used);
-    if (used == value.size()) return parsed;
-  } catch (const std::exception&) {
-  }
+/// A decimal count that fits T; no sign, so "-1" is refused, not wrapped.
+template <typename T>
+T parse_uint(std::size_t line, const std::string& key,
+             const std::string& value) {
+  if (const std::optional<T> parsed = parse_unsigned<T>(value)) return *parsed;
   throw line_error(line, "bad integer value '" + value + "' for " + key);
 }
 
@@ -48,7 +48,7 @@ void apply_key(JobFileEntry* entry, const std::string& key,
   if (key == "name") {
     entry->name = value;
   } else if (key == "seed") {
-    entry->seed = parse_uint(line, key, value);
+    entry->seed = parse_uint<std::uint64_t>(line, key, value);
   } else if (key == "format") {
     entry->format = value;
   } else if (key == "data-type") {
@@ -56,25 +56,23 @@ void apply_key(JobFileEntry* entry, const std::string& key,
   } else if (key == "kappa") {
     entry->kappa = parse_double(line, key, value);
   } else if (key == "categories") {
-    entry->categories =
-        static_cast<unsigned>(parse_uint(line, key, value));
+    entry->categories = parse_uint<unsigned>(line, key, value);
   } else if (key == "alpha") {
     entry->alpha = parse_double(line, key, value);
   } else if (key == "strategy") {
     entry->strategy = value;
   } else if (key == "budget") {
-    entry->budget_bytes = parse_uint(line, key, value);
+    entry->budget_bytes = parse_uint<std::uint64_t>(line, key, value);
   } else if (key == "faults") {
     entry->faults = value;
   } else if (key == "io-retries") {
-    entry->io_retries =
-        static_cast<long long>(parse_uint(line, key, value));
+    entry->io_retries = parse_uint<unsigned>(line, key, value);
   } else if (key == "threads") {
-    entry->threads = static_cast<unsigned>(parse_uint(line, key, value));
+    entry->threads = parse_uint<unsigned>(line, key, value);
   } else if (key == "io-engine") {
     entry->io_engine = value;
   } else if (key == "io-depth") {
-    entry->io_depth = static_cast<long long>(parse_uint(line, key, value));
+    entry->io_depth = parse_uint<unsigned>(line, key, value);
   } else if (key == "deadline") {
     entry->deadline_seconds = parse_double(line, key, value);
     if (entry->deadline_seconds < 0)
@@ -140,13 +138,19 @@ void check_model_name(const std::string& model) {
 
 SubstitutionModel build_named_model(const std::string& model, double kappa,
                                     const Alignment& alignment) {
+  const bool reads_frequencies = model == "hky" || model == "gtr";
+  return build_named_model(model, kappa,
+                           reads_frequencies ? alignment.empirical_frequencies()
+                                             : std::vector<double>{});
+}
+
+SubstitutionModel build_named_model(const std::string& model, double kappa,
+                                    const std::vector<double>& frequencies) {
   check_model_name(model);
   if (model == "jc") return jc69();
   if (model == "k80") return k80(kappa);
-  if (model == "hky") return hky85(kappa, alignment.empirical_frequencies());
-  if (model == "gtr")
-    return gtr({1.0, 2.0, 1.0, 1.0, 2.0, 1.0},
-               alignment.empirical_frequencies());
+  if (model == "hky") return hky85(kappa, frequencies);
+  if (model == "gtr") return gtr({1.0, 2.0, 1.0, 1.0, 2.0, 1.0}, frequencies);
   return poisson_protein();
 }
 
@@ -232,15 +236,24 @@ Alignment load_entry_alignment(const JobFileEntry& entry) {
   return parse_entry_alignment(entry, read_entry_alignment_bytes(entry));
 }
 
-JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,
-                      Tree tree) {
+namespace {
+
+/// make_job_spec over either an owned alignment or a shared one (exactly
+/// one of the two is non-empty).
+JobSpec build_job_spec(const JobFileEntry& entry, Alignment alignment,
+                       std::shared_ptr<const SharedAlignment> shared,
+                       Tree tree) {
   try {
-    PLFOC_REQUIRE(tree.num_taxa() == alignment.num_taxa(),
+    const Alignment& data = shared ? shared->alignment : alignment;
+    PLFOC_REQUIRE(tree.num_taxa() == data.num_taxa(),
                   "tree and alignment have different taxon counts");
     SubstitutionModel model =
-        build_named_model(entry.model, entry.kappa, alignment);
+        shared ? build_named_model(entry.model, entry.kappa,
+                                   shared->frequencies)
+               : build_named_model(entry.model, entry.kappa, alignment);
     JobSpec spec{entry.name, std::move(alignment), std::move(tree),
                  std::move(model), SessionOptions{}, /*tenant=*/""};
+    spec.shared = std::move(shared);
     spec.session.categories = entry.categories;
     spec.session.alpha = entry.alpha;
     spec.session.backend = parse_backend_name(entry.backend);
@@ -265,6 +278,33 @@ JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,
   } catch (const Error& error) {
     throw line_error(entry.line, error.what());
   }
+}
+
+}  // namespace
+
+JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,
+                      Tree tree) {
+  return build_job_spec(entry, std::move(alignment), nullptr,
+                        std::move(tree));
+}
+
+JobSpec make_job_spec(const JobFileEntry& entry,
+                      std::shared_ptr<const SharedAlignment> shared,
+                      Tree tree) {
+  PLFOC_CHECK(shared != nullptr);
+  return build_job_spec(entry, Alignment{}, std::move(shared),
+                        std::move(tree));
+}
+
+std::shared_ptr<const SharedAlignment> share_alignment(Alignment alignment) {
+  auto shared = std::make_shared<SharedAlignment>();
+  shared->frequencies = alignment.empirical_frequencies();
+  shared->key_prefix = plf_cache_key_prefix(alignment);
+  shared->patterns = alignment.weights().empty()
+                         ? compress_patterns(alignment).compressed
+                         : alignment;
+  shared->alignment = std::move(alignment);
+  return shared;
 }
 
 JobSpec load_job(const JobFileEntry& entry) {

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,13 @@ Backend parse_backend_name(const std::string& name);
 DataType parse_data_type_name(const std::string& name);
 /// Throws plfoc::Error unless build_named_model knows `model`.
 void check_model_name(const std::string& model);
-/// `kappa` feeds k80/hky; frequency-parameterised models use the
-/// alignment's empirical base frequencies (the CLI driver's convention).
+/// `kappa` feeds k80/hky; frequency-parameterised models (hky, gtr) use the
+/// alignment's empirical base frequencies (the CLI driver's convention),
+/// which the first overload counts only for those models.
 SubstitutionModel build_named_model(const std::string& model, double kappa,
                                     const Alignment& alignment);
+SubstitutionModel build_named_model(const std::string& model, double kappa,
+                                    const std::vector<double>& frequencies);
 
 /// Parse jobfile lines from a stream; throws plfoc::Error with the line
 /// number on malformed input.
@@ -105,5 +109,14 @@ Alignment parse_entry_alignment(const JobFileEntry& entry,
 /// plfoc::Error tagged with the entry's line.
 JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,
                       Tree tree);
+/// The same spec over a shared alignment: the model takes its memoised
+/// frequencies, and the spec carries the pointer, not a copy.
+JobSpec make_job_spec(const JobFileEntry& entry,
+                      std::shared_ptr<const SharedAlignment> shared,
+                      Tree tree);
+
+/// Derive an alignment's SharedAlignment: its empirical frequencies, its
+/// cache-key prefix and its pattern alignment, each computed once here.
+std::shared_ptr<const SharedAlignment> share_alignment(Alignment alignment);
 
 }  // namespace plfoc

@@ -6,8 +6,8 @@ namespace plfoc {
 
 JobDemand JobDemand::from_spec(const JobSpec& spec) {
   JobDemand demand;
-  demand.memory.num_taxa = spec.alignment.num_taxa();
-  demand.memory.num_sites = spec.alignment.num_sites();
+  demand.memory.num_taxa = spec.input_alignment().num_taxa();
+  demand.memory.num_sites = spec.input_alignment().num_sites();
   demand.memory.states = spec.model.states();
   demand.memory.categories = spec.session.categories;
   demand.backend = spec.session.backend;

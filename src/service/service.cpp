@@ -99,8 +99,10 @@ std::optional<CacheKey> Service::cache_key_for(JobSpec& spec) const {
   // AND evaluate bit-identically on a miss.
   try {
     const Phylo2Vec encoded = phylo2vec_encode(spec.tree);
-    const CacheKey key =
-        plf_cache_key(spec.alignment, encoded, spec.model, spec.session);
+    const CacheKey key = plf_cache_key(
+        spec.shared ? spec.shared->key_prefix
+                    : plf_cache_key_prefix(spec.alignment),
+        encoded, spec.model, spec.session);
     spec.tree = phylo2vec_decode(encoded);
     return key;
   } catch (const Error&) {
@@ -606,8 +608,18 @@ JobResult Service::run_job(JobId id, JobSpec spec, const Admission& admission,
     // when the job's resolved kind/depth match and nothing (fault injection,
     // a permuted deterministic schedule) requires a private engine.
     session_options.shared_aio_engine = shared_aio_;
+    // A shared spec's pattern alignment is what a compressing Session would
+    // have built from its data; the pointer keeps the whole SharedAlignment
+    // alive for the Session's lifetime.
+    std::shared_ptr<const Alignment> alignment =
+        spec.shared == nullptr
+            ? std::make_shared<const Alignment>(std::move(spec.alignment))
+            : std::shared_ptr<const Alignment>(
+                  spec.shared, spec.session.compress_patterns
+                                   ? &spec.shared->patterns
+                                   : &spec.shared->alignment);
     session = std::make_unique<Session>(
-        std::move(spec.alignment), std::move(spec.tree), std::move(spec.model),
+        std::move(alignment), std::move(spec.tree), std::move(spec.model),
         std::move(session_options));
     const EvalResult eval = session->evaluate();
     result.log_likelihood = eval.log_likelihood;

@@ -9,9 +9,12 @@
 namespace plfoc {
 namespace {
 
-Alignment prepare_alignment(Alignment alignment, bool compress) {
-  if (!compress || !alignment.weights().empty()) return alignment;
-  return compress_patterns(alignment).compressed;
+std::shared_ptr<const Alignment> prepare_alignment(
+    std::shared_ptr<const Alignment> alignment, bool compress) {
+  PLFOC_REQUIRE(alignment != nullptr, "Session needs an alignment");
+  if (!compress || !alignment->weights().empty()) return alignment;
+  return std::make_shared<const Alignment>(
+      compress_patterns(*alignment).compressed);
 }
 
 }  // namespace
@@ -20,6 +23,9 @@ void SessionOptions::validate() const {
   PLFOC_REQUIRE(threads <= kMaxThreads,
                 "threads must be at most " + std::to_string(kMaxThreads) +
                     ", got " + std::to_string(threads));
+  PLFOC_REQUIRE(categories >= 1 && categories <= kMaxCategories,
+                "categories must be in 1.." + std::to_string(kMaxCategories) +
+                    ", got " + std::to_string(categories));
   PLFOC_REQUIRE(ram_fraction >= 0.0, "ram_fraction must not be negative");
   const bool has_fraction = ram_fraction > 0.0;
   const bool has_budget = ram_budget_bytes > 0;
@@ -45,6 +51,11 @@ void SessionOptions::validate() const {
 
 Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
                  SessionOptions options)
+    : Session(std::make_shared<const Alignment>(std::move(alignment)),
+              std::move(tree), std::move(model), std::move(options)) {}
+
+Session::Session(std::shared_ptr<const Alignment> alignment, Tree tree,
+                 SubstitutionModel model, SessionOptions options)
     : options_(std::move(options)),
       alignment_(prepare_alignment(std::move(alignment),
                                    options_.compress_patterns)),
@@ -52,7 +63,7 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
   options_.validate();
   const std::size_t count = tree_.num_inner();
   const std::size_t width =
-      LikelihoodEngine::vector_width(alignment_, options_.categories);
+      LikelihoodEngine::vector_width(*alignment_, options_.categories);
 
   switch (options_.backend) {
     case Backend::kInRam: {
@@ -124,7 +135,7 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
   config.substitution = std::move(model);
   config.categories = options_.categories;
   config.alpha = options_.alpha;
-  engine_ = std::make_unique<LikelihoodEngine>(alignment_, tree_,
+  engine_ = std::make_unique<LikelihoodEngine>(*alignment_, tree_,
                                                std::move(config), *store_);
   if (options_.threads > 1) {
     kernel_pool_ = std::make_unique<KernelPool>(options_.threads);

@@ -33,8 +33,12 @@ struct SessionOptions {
   /// the first is an OS thread the kernel pool starts, so validate()
   /// rejects anything above this.
   static constexpr unsigned kMaxThreads = 256;
+  /// Upper bound on `categories`, the engine's limit. The count sizes every
+  /// vector of the store, so validate() rejects a larger one (or 0) before
+  /// any store is built.
+  static constexpr unsigned kMaxCategories = 16;
 
-  unsigned categories = 4;
+  unsigned categories = 4;  ///< discrete-Γ rate categories, 1..kMaxCategories
   double alpha = 1.0;
   Backend backend = Backend::kInRam;
   /// Kernel threads for pattern-block-parallel PLF kernels (--threads).
@@ -117,7 +121,8 @@ struct SessionOptions {
   /// (null) token makes every check free.
   CancelToken cancel;
 
-  /// Throws plfoc::Error when `threads` exceeds kMaxThreads, or unless the
+  /// Throws plfoc::Error when `threads` exceeds kMaxThreads or
+  /// `categories` is outside 1..kMaxCategories, or unless the
   /// memory-limit fields are consistent with the backend: out-of-core needs
   /// exactly one of ram_fraction / ram_budget_bytes (neither or both is a
   /// configuration error), paged needs ram_budget_bytes and no
@@ -140,13 +145,19 @@ class Session {
   /// the substitution model's data type must match the alignment.
   Session(Alignment alignment, Tree tree, SubstitutionModel model,
           SessionOptions options = {});
+  /// Shares an immutable alignment with whoever else holds it (the service
+  /// hands every job over one bound file the same pattern alignment).
+  /// Patterns are compressed into a private copy only when
+  /// options.compress_patterns is on and the alignment has no weights yet.
+  Session(std::shared_ptr<const Alignment> alignment, Tree tree,
+          SubstitutionModel model, SessionOptions options = {});
   /// Clears the store's recovery hook (which captures `this`) before the
   /// engine it dispatches to is destroyed.
   ~Session();
 
   LikelihoodEngine& engine() { return *engine_; }
   Tree& tree() { return tree_; }
-  const Alignment& alignment() const { return alignment_; }
+  const Alignment& alignment() const { return *alignment_; }
   AncestralStore& store() { return *store_; }
   const OocStats& stats() const { return store_->stats(); }
   void reset_stats() { store_->reset_stats(); }
@@ -157,7 +168,7 @@ class Session {
   }
   PagedStore* paged() { return dynamic_cast<PagedStore*>(store_.get()); }
 
-  std::size_t patterns() const { return alignment_.num_sites(); }
+  std::size_t patterns() const { return alignment_->num_sites(); }
   std::size_t vector_width() const { return store_->width(); }
   const SessionOptions& options() const { return options_; }
 
@@ -175,7 +186,8 @@ class Session {
 
  private:
   SessionOptions options_;
-  Alignment alignment_;  ///< pattern-compressed when requested
+  /// Pattern-compressed when requested; the engine holds a reference.
+  std::shared_ptr<const Alignment> alignment_;
   Tree tree_;
   std::unique_ptr<AncestralStore> store_;
   std::unique_ptr<KernelPool> kernel_pool_;  ///< null when threads <= 1

@@ -1,6 +1,6 @@
 #include "util/args.hpp"
 
-#include <charconv>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -19,20 +19,30 @@ ArgParser& ArgParser::add_string(const std::string& name, std::string* target,
   return *this;
 }
 
-ArgParser& ArgParser::add_uint(const std::string& name, std::uint64_t* target,
-                               const std::string& help, bool required) {
+template <typename T>
+ArgParser& ArgParser::add_unsigned(const std::string& name, T* target,
+                                   const std::string& help, bool required) {
   PLFOC_CHECK(target != nullptr && find(name) == nullptr);
   options_.push_back(
       {name, help, required, false, [target, name](const std::string& value) {
-         std::uint64_t parsed = 0;
-         const auto [ptr, ec] =
-             std::from_chars(value.data(), value.data() + value.size(), parsed);
-         PLFOC_REQUIRE(ec == std::errc() && ptr == value.data() + value.size(),
+         const std::optional<T> parsed = parse_unsigned<T>(value);
+         PLFOC_REQUIRE(parsed.has_value(),
                        "--" + name + ": '" + value +
-                           "' is not a non-negative integer");
-         *target = parsed;
+                           "' is not an integer in 0.." +
+                           std::to_string(std::numeric_limits<T>::max()));
+         *target = *parsed;
        }});
   return *this;
+}
+
+ArgParser& ArgParser::add_uint(const std::string& name, std::uint64_t* target,
+                               const std::string& help, bool required) {
+  return add_unsigned(name, target, help, required);
+}
+
+ArgParser& ArgParser::add_uint(const std::string& name, unsigned* target,
+                               const std::string& help, bool required) {
+  return add_unsigned(name, target, help, required);
 }
 
 ArgParser& ArgParser::add_double(const std::string& name, double* target,

@@ -5,12 +5,30 @@
 // switches, validates required flags and produces usage text.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace plfoc {
+
+/// All of `text` as a decimal T (no sign, no spaces), or nullopt when it is
+/// not one or does not fit T. The CLI flags, jobfile keys and tenant specs
+/// read their counts through this, so "-1" or a count past T's range fails
+/// instead of wrapping.
+template <typename T>
+std::optional<T> parse_unsigned(std::string_view text) {
+  static_assert(std::is_unsigned_v<T>);
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 class ArgParser {
  public:
@@ -19,6 +37,9 @@ class ArgParser {
   ArgParser& add_string(const std::string& name, std::string* target,
                         const std::string& help, bool required = false);
   ArgParser& add_uint(const std::string& name, std::uint64_t* target,
+                      const std::string& help, bool required = false);
+  /// Refuses a value above UINT_MAX rather than narrowing it.
+  ArgParser& add_uint(const std::string& name, unsigned* target,
                       const std::string& help, bool required = false);
   ArgParser& add_double(const std::string& name, double* target,
                         const std::string& help, bool required = false);
@@ -42,6 +63,9 @@ class ArgParser {
   };
 
   const Option* find(const std::string& name) const;
+  template <typename T>
+  ArgParser& add_unsigned(const std::string& name, T* target,
+                          const std::string& help, bool required);
 
   std::string program_;
   std::string description_;

@@ -72,6 +72,23 @@ TEST(Args, BadNumbersThrow) {
   EXPECT_THROW(parse(parser, {"--name", "x", "--count", "-3"}), Error);
 }
 
+TEST(Args, CountsOutsideTheirTypeAreRefusedNotWrapped) {
+  std::uint64_t wide = 0;
+  unsigned narrow = 0;
+  ArgParser parser("test", "unit-test parser");
+  parser.add_uint("wide", &wide, "a 64-bit count")
+      .add_uint("narrow", &narrow, "a 32-bit count");
+  parse(parser, {"--wide", "18446744073709551615", "--narrow", "4294967295"});
+  EXPECT_EQ(wide, 18446744073709551615u);
+  EXPECT_EQ(narrow, 4294967295u);
+  EXPECT_THROW(parse(parser, {"--narrow", "4294967296"}), Error);
+  EXPECT_THROW(parse(parser, {"--narrow", "4294967297"}), Error);
+  EXPECT_THROW(parse(parser, {"--narrow", "-1"}), Error);
+  EXPECT_THROW(parse(parser, {"--wide", "18446744073709551616"}), Error);
+  EXPECT_THROW(parse(parser, {"--wide", "+1"}), Error);
+  EXPECT_EQ(narrow, 4294967295u);  // a refused value leaves the target
+}
+
 TEST(Args, SwitchRejectsValue) {
   Parsed out;
   const ArgParser parser = make_parser(out);

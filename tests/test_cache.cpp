@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -243,6 +244,89 @@ TEST(CacheKey, ValueAffectingInputsChangeTheKeyTransparentOnesDoNot) {
   SubstitutionModel perturbed = gtr;
   perturbed.exchangeabilities[0] *= 1.5;
   EXPECT_NE(plf_cache_key(data.alignment, tree, perturbed, base), reference);
+}
+
+/// Key fixtures over hand-written rows: DNA, the same with site weights,
+/// the same rows under other taxon names, and protein.
+struct KeyFixture {
+  const char* label;
+  Alignment alignment;
+  Phylo2Vec tree;
+  SubstitutionModel model;
+};
+
+std::vector<KeyFixture> key_fixtures() {
+  const char* const rows[5] = {"ACGTACGT", "ACGTACGA", "ACGTACAA", "ACGTAAAA",
+                               "ACGAAAAA"};
+  const auto dna = [&](const char* const (&names)[5]) {
+    Alignment alignment(DataType::kDna, 8);
+    for (int i = 0; i < 5; ++i) alignment.add_sequence(names[i], rows[i]);
+    return alignment;
+  };
+  const char* const names[5] = {"a", "b", "c", "d", "e"};
+  const char* const renamed[5] = {"v", "w", "x", "y", "z"};
+  const Phylo2Vec tree = phylo2vec_encode(
+      parse_newick("((a:0.1,b:0.2):0.05,(c:0.3,d:0.4):0.07,e:0.5);"));
+  const Phylo2Vec renamed_tree = phylo2vec_encode(
+      parse_newick("((v:0.1,w:0.2):0.05,(x:0.3,y:0.4):0.07,z:0.5);"));
+  const auto gtr_of = [](const Alignment& alignment) {
+    return gtr({1, 2, 1, 1, 2, 1}, alignment.empirical_frequencies());
+  };
+
+  Alignment weighted = dna(names);
+  weighted.set_weights({1, 2, 1, 3, 1, 1, 2, 1});
+  Alignment protein(DataType::kProtein, 6);
+  for (const auto& [name, row] :
+       {std::pair{"a", "ARNDCQ"}, std::pair{"b", "ARNDCE"},
+        std::pair{"c", "ARNDGE"}, std::pair{"d", "ARNHGE"},
+        std::pair{"e", "ARIHGE"}})
+    protein.add_sequence(name, row);
+
+  std::vector<KeyFixture> fixtures;
+  fixtures.push_back({"dna", dna(names), tree, gtr_of(dna(names))});
+  fixtures.push_back({"weighted", weighted, tree, gtr_of(weighted)});
+  fixtures.push_back(
+      {"renamed", dna(renamed), renamed_tree, gtr_of(dna(renamed))});
+  fixtures.push_back({"protein", protein, tree, poisson_protein()});
+  return fixtures;
+}
+
+SessionOptions key_options() {
+  SessionOptions options;
+  options.categories = 2;
+  options.alpha = 0.5;
+  return options;
+}
+
+TEST(CacheKey, PrefixPlusRestEqualsTheWholeKey) {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> prefixes;
+  for (const KeyFixture& fixture : key_fixtures()) {
+    const CacheKeyPrefix prefix = plf_cache_key_prefix(fixture.alignment);
+    prefixes.insert({prefix.hi, prefix.lo});
+    EXPECT_EQ(plf_cache_key(prefix, fixture.tree, fixture.model,
+                            key_options()),
+              plf_cache_key(fixture.alignment, fixture.tree, fixture.model,
+                            key_options()))
+        << fixture.label;
+  }
+  // Weights and taxon names are part of the alignment's share.
+  EXPECT_EQ(prefixes.size(), key_fixtures().size());
+}
+
+// Values recorded before the key was split into prefix and rest: keys are
+// content addresses, so they must not move across versions.
+TEST(CacheKey, KeysKeepTheirRecordedValues) {
+  const std::map<std::string, CacheKey> recorded = {
+      {"dna", {0x5576a9e0b0e26063ull, 0x521631b2f6cec35full}},
+      {"weighted", {0x62b7915a5cd1202eull, 0xc4ac1c09dfb77f02ull}},
+      {"renamed", {0x099abe2d0ed41c69ull, 0xfe803feabfc8448dull}},
+      {"protein", {0xd09d50158b4d232bull, 0xd2a87ab7e43f2a75ull}},
+  };
+  for (const KeyFixture& fixture : key_fixtures())
+    EXPECT_EQ(plf_cache_key(fixture.alignment, fixture.tree, fixture.model,
+                            key_options()),
+              recorded.at(fixture.label))
+        << fixture.label;
 }
 
 // ----------------------------------------------------------- ResultCache

@@ -252,6 +252,28 @@ TEST(CliBatchParse, JobsFlagAndMissingJobfile) {
   EXPECT_THROW(parse_batch({"jobs.txt", "--bogus"}), Error);
 }
 
+// Counts the driver hands on as `unsigned` are refused past 2^32 - 1 at
+// parse time instead of wrapping (4294967297 used to run on one thread).
+// Parsing only: no run starts, so no kernel thread either.
+TEST(CliParse, CountsPastTheirRangeAreRefusedNotWrapped) {
+  for (const char* flag :
+       {"--threads", "--categories", "--io-depth", "--io-retries"}) {
+    EXPECT_THROW(parse({"--msa", "x.fa", flag, "4294967297"}), Error) << flag;
+    EXPECT_THROW(parse({"--msa", "x.fa", flag, "-1"}), Error) << flag;
+    EXPECT_NO_THROW(parse({"--msa", "x.fa", flag, "4294967295"})) << flag;
+  }
+  for (const char* flag : {"--threads", "--io-depth", "--io-retries"})
+    EXPECT_THROW(parse_batch({"jobs.txt", flag, "4294967297"}), Error)
+        << flag;
+  for (const char* flag : {"--threads", "--io-depth"}) {
+    const char* argv[] = {flag, "4294967297"};
+    EXPECT_THROW(parse_serve_cli(2, argv), Error) << flag;
+  }
+  EXPECT_THROW(parse_tenant_policies("a:4294967297"), Error);
+  EXPECT_THROW(parse_tenant_policies("a:-1"), Error);
+  EXPECT_THROW(parse_tenant_policies("a:1:-1"), Error);
+}
+
 // The prefetch thread is gone, and with it --prefetch: both subcommands
 // reject it as an unknown flag at parse time.
 TEST(CliParse, RemovedPrefetchFlagIsRejected) {

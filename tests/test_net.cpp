@@ -12,9 +12,12 @@
 #include <unistd.h>
 
 #include <bit>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -24,6 +27,7 @@
 #include "net/server.hpp"
 #include "service/jobfile.hpp"
 #include "service/service.hpp"
+#include "session.hpp"
 #include "sim/dataset_planner.hpp"
 #include "tree/newick.hpp"
 #include "tree/phylo2vec.hpp"
@@ -628,8 +632,158 @@ TEST_F(LoopbackFixture, EditedAlignmentIsReboundNotServedStale) {
       << "the edited file was answered from the old file's entry";
   EXPECT_EQ(after.result->logl_bits, in_process_bits(entry));
   EXPECT_NE(after.result->logl_bits, before.result->logl_bits);
+  // The rebinding recounted the frequencies: the edited rows under the old
+  // file's frequencies give another value.
+  const JobSpec fresh = make_job_spec(entry, edited, Tree(data_->tree));
+  EXPECT_NE(fresh.model.frequencies, data_->alignment.empirical_frequencies());
+  Session stale(edited, phylo2vec_canonical(read_newick_file(tree_path_)),
+                build_named_model("gtr", entry.kappa, data_->alignment),
+                fresh.session);
+  EXPECT_NE(after.result->logl_bits,
+            std::bit_cast<std::uint64_t>(stale.evaluate().log_likelihood));
   server.stop();
   std::remove(path.c_str());
+}
+
+TEST_F(LoopbackFixture, ServedMissIsBitIdenticalToAnInProcessSession) {
+  JobFileEntry entry;
+  entry.msa_path = msa_path_;
+  entry.tree_path = tree_path_;
+  entry.model = "gtr";
+  entry.backend = "ooc";
+  entry.ram_fraction = 0.5;
+  // The in-process path a caller with its own alignment takes: a Session
+  // over the spec, on the tree the wire's Phylo2Vec decode yields.
+  JobSpec spec =
+      make_job_spec(entry, load_entry_alignment(entry),
+                    phylo2vec_canonical(read_newick_file(tree_path_)));
+  Session session(std::move(spec.alignment), std::move(spec.tree),
+                  std::move(spec.model), spec.session);
+  const std::uint64_t expected =
+      std::bit_cast<std::uint64_t>(session.evaluate().log_likelihood);
+
+  for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{64}}) {
+    Server server(loopback_options(cache_entries));
+    server.start();
+    BlockingClient client("127.0.0.1", server.port());
+    client.submit(submit_request_from_entry(entry, "t", 1));
+    const ClientResponse served = client.wait(1);
+    ASSERT_TRUE(served.result.has_value());
+    EXPECT_EQ(served.result->status,
+              static_cast<std::uint8_t>(JobStatus::kDone))
+        << served.result->error;
+    EXPECT_FALSE(served.result->flags & kResultCacheHit);
+    EXPECT_EQ(served.result->backend, "ooc");
+    EXPECT_EQ(served.result->logl_bits, expected)
+        << "cache entries " << cache_entries;
+    server.stop();
+  }
+}
+
+TEST_F(LoopbackFixture, QueuedJobsKeepTheBytesTheyWereSubmittedWith) {
+  // One worker, parked in on_complete after its first job, so later jobs
+  // wait in the queue while their files are rebound or dropped from the
+  // bind memo.
+  const std::string rebound = tmp_path("rebound.fasta");
+  const std::string evicted = tmp_path("evicted.fasta");
+  write_fasta_file(rebound, data_->alignment);
+  write_fasta_file(evicted, data_->alignment);
+  std::vector<std::string> others;
+  for (std::size_t i = 0; i < Server::kAlignmentMemoFiles; ++i) {
+    others.push_back(tmp_path("other" + std::to_string(i) + ".fasta"));
+    write_fasta_file(others.back(), data_->alignment);
+  }
+  Alignment edited(DataType::kDna, data_->alignment.num_sites());
+  for (std::size_t t = 0; t < data_->alignment.num_taxa(); ++t) {
+    std::string row = data_->alignment.text(t);
+    if (t == 1) row[2] = row[2] == 'G' ? 'T' : 'G';
+    edited.add_sequence(data_->alignment.name(t), row);
+  }
+
+  // Distinct models give every job its own cache key, so none is answered
+  // from another's entry.
+  JobFileEntry entry;
+  entry.tree_path = tree_path_;
+  entry.backend = "inram";
+  const auto job = [&](const std::string& path, const char* model) {
+    JobFileEntry job_entry = entry;
+    job_entry.msa_path = path;
+    job_entry.model = model;
+    return job_entry;
+  };
+  const JobFileEntry parker = job(msa_path_, "k80");
+  const JobFileEntry rebound_job = job(rebound, "gtr");
+  const JobFileEntry evicted_job = job(evicted, "hky");
+  const std::uint64_t rebound_bits = in_process_bits(rebound_job);
+  const std::uint64_t evicted_bits = in_process_bits(evicted_job);
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool parked = false;
+  bool released = false;
+  ServerOptions options = loopback_options();
+  options.service.workers = 1;
+  options.service.on_complete = [&](const JobResult&) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (parked) return;
+    parked = true;
+    changed.notify_all();
+    changed.wait(lock, [&] { return released; });
+  };
+  Server server(options);
+  const auto release = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+    changed.notify_all();
+  };
+  // Unpark on every exit, so a failed expectation cannot hang stop().
+  struct Unpark {
+    std::function<void()> run;
+    ~Unpark() { run(); }
+  } unpark{release};
+  server.start();
+  BlockingClient client("127.0.0.1", server.port());
+
+  client.submit(submit_request_from_entry(parker, "t", 1));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    changed.wait(lock, [&] { return parked; });
+  }
+  client.submit(submit_request_from_entry(rebound_job, "t", 2));
+  client.submit(submit_request_from_entry(evicted_job, "t", 3));
+  // Frames on one connection are handled in order: once the stats answer
+  // arrives, both jobs are bound and queued.
+  EXPECT_EQ(client.stats(90).queued_jobs, 2u);
+
+  // Rebind one file with new bytes, and push the other out of the memo.
+  write_fasta_file(rebound, edited);
+  client.submit(submit_request_from_entry(rebound_job, "t", 4));
+  for (std::size_t i = 0; i < others.size(); ++i)
+    client.submit(submit_request_from_entry(job(others[i], "jc"), "t", 5 + i));
+  EXPECT_EQ(client.stats(91).queued_jobs, 3u + others.size());
+  write_fasta_file(evicted, edited);
+  const std::uint64_t edited_bits = in_process_bits(rebound_job);
+  release();
+
+  const auto bits_of = [&](std::uint64_t request) {
+    const ClientResponse response = client.wait(request);
+    EXPECT_TRUE(response.result.has_value());
+    if (!response.result.has_value()) return std::uint64_t{0};
+    EXPECT_EQ(response.result->status,
+              static_cast<std::uint8_t>(JobStatus::kDone))
+        << response.result->error;
+    return response.result->logl_bits;
+  };
+  bits_of(1);
+  EXPECT_EQ(bits_of(2), rebound_bits) << "queued job saw the rebound file";
+  EXPECT_EQ(bits_of(3), evicted_bits) << "queued job saw the evicted file";
+  EXPECT_EQ(bits_of(4), edited_bits) << "the rebound file was served stale";
+  EXPECT_NE(edited_bits, rebound_bits);
+  for (std::size_t i = 0; i < others.size(); ++i) bits_of(5 + i);
+  server.stop();
+  std::remove(rebound.c_str());
+  std::remove(evicted.c_str());
+  for (const std::string& path : others) std::remove(path.c_str());
 }
 
 TEST_F(LoopbackFixture, DeletedAlignmentGetsTheSameBadRequest) {

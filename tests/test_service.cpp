@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "msa/patterns.hpp"
 #include "service/jobfile.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
@@ -540,6 +541,41 @@ TEST(Jobfile, RejectsMalformedLinesWithLineNumbers) {
                "expected one of: random, lru, lfu, topological");
 }
 
+// Counts are parsed without a sign and range-checked before they narrow:
+// threads=-1 used to become 2^64 - 1 and then wrap. Parsing only, so no
+// kernel thread starts.
+TEST(Jobfile, CountsRefuseSignsAndValuesPastTheirRange) {
+  for (const char* key : {"threads", "categories", "io-depth", "io-retries"}) {
+    for (const char* value : {"-1", "4294967296", "+2", " 3"}) {
+      std::istringstream in(std::string("a.fasta t.nwk gtr ooc 0.5 ") + key +
+                            "=" + value + "\n");
+      try {
+        parse_job_lines(in);
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+      } catch (const Error& error) {
+        EXPECT_NE(std::string(error.what()).find("bad integer value"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
+  for (const char* key : {"seed", "budget"}) {
+    std::istringstream in(std::string("a.fasta t.nwk gtr ooc 0.5 ") + key +
+                          "=-1\n");
+    EXPECT_THROW(parse_job_lines(in), Error) << key;
+  }
+  std::istringstream in(
+      "a.fasta t.nwk gtr ooc 0.5 threads=4294967295 categories=4294967295 "
+      "io-depth=4294967295 io-retries=4294967295 seed=18446744073709551615\n");
+  const std::vector<JobFileEntry> entries = parse_job_lines(in);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].threads, 4294967295u);
+  EXPECT_EQ(entries[0].categories, 4294967295u);
+  EXPECT_EQ(entries[0].io_depth, 4294967295);
+  EXPECT_EQ(entries[0].io_retries, 4294967295);
+  EXPECT_EQ(entries[0].seed, 18446744073709551615u);
+}
+
 TEST(Jobfile, DeadlineKeyParsesAndRejectsNegative) {
   std::istringstream in(
       "a.fasta t.nwk gtr ooc 0.25 deadline=1.5\n"
@@ -950,6 +986,57 @@ TEST(Jobfile, SharedVocabularyMatchesDriver) {
   EXPECT_EQ(build_named_model("jc", 2.0, data.alignment).name,
             std::string("JC69"));
   EXPECT_THROW(build_named_model("x", 2.0, data.alignment), Error);
+}
+
+// A spec over a SharedAlignment carries a pointer, not rows, and is
+// otherwise the spec make_job_spec builds from an owned alignment: the same
+// model, admission demand, cache key and logL. In-process callers keep
+// building owned specs.
+TEST(Jobfile, SharedSpecMatchesTheOwnedSpec) {
+  PlannedDataset data = small_dataset(9);
+  JobFileEntry entry;
+  entry.model = "gtr";
+  entry.backend = "ooc";
+  entry.ram_fraction = 0.5;
+  const std::shared_ptr<const SharedAlignment> shared =
+      share_alignment(data.alignment);
+  EXPECT_EQ(shared->frequencies, data.alignment.empirical_frequencies());
+  EXPECT_EQ(shared->patterns.num_sites(),
+            compress_patterns(data.alignment).compressed.num_sites());
+
+  JobSpec owned = make_job_spec(entry, data.alignment, data.tree);
+  JobSpec borrowed = make_job_spec(entry, shared, data.tree);
+  EXPECT_EQ(borrowed.alignment.num_taxa(), 0u);
+  EXPECT_EQ(&borrowed.input_alignment(), &shared->alignment);
+  EXPECT_EQ(borrowed.model.frequencies, owned.model.frequencies);
+  const JobDemand owned_demand = JobDemand::from_spec(owned);
+  const JobDemand borrowed_demand = JobDemand::from_spec(borrowed);
+  EXPECT_EQ(borrowed_demand.memory.num_taxa, owned_demand.memory.num_taxa);
+  EXPECT_EQ(borrowed_demand.memory.num_sites, owned_demand.memory.num_sites);
+  EXPECT_EQ(borrowed_demand.desired_bytes(), owned_demand.desired_bytes());
+  EXPECT_THROW(make_job_spec(entry, shared, small_dataset(9, 12).tree),
+               Error);
+
+  ServiceOptions options;
+  options.result_cache_entries = 8;
+  Service service(options);
+  const JobResult first = service.wait(service.submit(std::move(owned)));
+  const JobResult second = service.wait(service.submit(std::move(borrowed)));
+  ASSERT_EQ(first.status, JobStatus::kDone) << first.error;
+  ASSERT_EQ(second.status, JobStatus::kDone) << second.error;
+  EXPECT_TRUE(second.cache_hit) << "the shared spec keyed differently";
+  EXPECT_EQ(second.log_likelihood, first.log_likelihood);
+
+  // Uncached, the shared spec evaluates its pattern alignment to the same
+  // bits as the owned spec's Session compression.
+  Service uncached(ServiceOptions{});
+  const JobResult plain = uncached.wait(
+      uncached.submit(make_job_spec(entry, data.alignment, data.tree)));
+  const JobResult fresh = uncached.wait(
+      uncached.submit(make_job_spec(entry, shared, data.tree)));
+  ASSERT_EQ(fresh.status, JobStatus::kDone) << fresh.error;
+  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_EQ(fresh.log_likelihood, plain.log_likelihood);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "msa/patterns.hpp"
 #include "sim/dataset_planner.hpp"
 #include "tree/newick.hpp"
 #include "util/checks.hpp"
@@ -146,6 +147,49 @@ TEST(SessionOptions, ValidateBoundsThreads) {
     EXPECT_NE(std::string(error.what()).find("threads"), std::string::npos)
         << error.what();
   }
+}
+
+// A category count sizes every vector of the store, so validate() must
+// refuse an out-of-range one before any store exists. Only validate() runs
+// here: nothing is built with a bad count.
+TEST(SessionOptions, ValidateBoundsCategories) {
+  for (const unsigned ok : {1u, SessionOptions::kMaxCategories}) {
+    SessionOptions options;
+    options.categories = ok;
+    EXPECT_NO_THROW(options.validate()) << ok;
+  }
+  for (const unsigned bad :
+       {0u, SessionOptions::kMaxCategories + 1, 4294967295u}) {
+    SessionOptions options;
+    options.categories = bad;
+    try {
+      options.validate();
+      ADD_FAILURE() << "categories=" << bad << " must be rejected";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("categories must be in 1..16"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+// Sessions handed one shared pattern alignment evaluate it in place: no copy,
+// no second compression, and the value of a Session that owns its rows.
+TEST(Session, SharedPatternAlignmentIsEvaluatedInPlace) {
+  PlannedDataset data = small_dataset();
+  const auto patterns = std::make_shared<const Alignment>(
+      compress_patterns(data.alignment).compressed);
+  SessionOptions ooc;
+  ooc.backend = Backend::kOutOfCore;
+  ooc.ram_fraction = 0.5;
+  Session owned(data.alignment, data.tree, benchmark_gtr(), ooc);
+  Session first(patterns, data.tree, benchmark_gtr(), ooc);
+  Session second(patterns, data.tree, benchmark_gtr());
+  EXPECT_EQ(&first.alignment(), patterns.get());
+  EXPECT_EQ(&second.alignment(), patterns.get());
+  const double expected = owned.evaluate().log_likelihood;
+  EXPECT_EQ(first.evaluate().log_likelihood, expected);
+  EXPECT_EQ(second.evaluate().log_likelihood, expected);
 }
 
 TEST(Session, EvaluateReturnsLikelihoodTimingAndStats) {
