@@ -291,7 +291,6 @@ JobSpec make_job_spec(const JobFileEntry& entry, Alignment alignment,
 JobSpec make_job_spec(const JobFileEntry& entry,
                       std::shared_ptr<const SharedAlignment> shared,
                       Tree tree) {
-  PLFOC_CHECK(shared != nullptr);
   return build_job_spec(entry, Alignment{}, std::move(shared),
                         std::move(tree));
 }

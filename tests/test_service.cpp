@@ -546,7 +546,7 @@ TEST(Jobfile, RejectsMalformedLinesWithLineNumbers) {
 // kernel thread starts.
 TEST(Jobfile, CountsRefuseSignsAndValuesPastTheirRange) {
   for (const char* key : {"threads", "categories", "io-depth", "io-retries"}) {
-    for (const char* value : {"-1", "4294967296", "+2", " 3"}) {
+    for (const char* value : {"-1", "4294967296", "+2", "0x10"}) {
       std::istringstream in(std::string("a.fasta t.nwk gtr ooc 0.5 ") + key +
                             "=" + value + "\n");
       try {
